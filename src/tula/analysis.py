@@ -89,7 +89,9 @@ class RadialQuadrature:
     dense CDF table used for batch queries truncates at `r_max`; the
     normalizing constant and all scalar queries include the analytic
     remainder integral on (r_max, inf), and `truncated_mass` reports how much
-    probability the table cannot see.
+    probability the table cannot see.  That remainder is integrated once per
+    oracle: survival queries below `r_max` add the stored value, and only
+    queries at or past `r_max` integrate their own tail.
     """
 
     def __init__(self, potential: IsotropicPotential, r_max: float = 1.0e3) -> None:
@@ -115,6 +117,7 @@ class RadialQuadrature:
             epsabs=1e-13, epsrel=1e-11,
         )
         tail, _ = quad(self._integrand, self.r_max, np.inf, limit=200, epsabs=1e-13, epsrel=1e-11)
+        self._tail = tail
         mass = body + tail
         if not (math.isfinite(mass) and mass > 0.0):
             raise ValueError("radial density is not normalizable")
@@ -150,8 +153,7 @@ class RadialQuadrature:
             self._integrand, radius, self.r_max, points=points or None, limit=500,
             epsabs=1e-13, epsrel=1e-11,
         )
-        tail, _ = quad(self._integrand, self.r_max, np.inf, limit=200, epsabs=1e-13, epsrel=1e-11)
-        return (body + tail) / self._mass
+        return (body + self._tail) / self._mass
 
     def batch_cdf(self, radii: np.ndarray) -> np.ndarray:
         """Tabulated CDF at many radii (linear interpolation on a dense grid)."""
@@ -843,10 +845,9 @@ def effective_sample_size(series: np.ndarray) -> float:
 def _pooled_series(run: ChainRun, burn_in: int) -> list[np.ndarray]:
     """Post-burn-in radius series |x| per chain."""
     out = []
-    for chain in range(run.config.num_chains):
-        xs = run.xs[chain][burn_in:]
-        if xs.shape[0]:
-            out.append(np.linalg.norm(xs, axis=1))
+    for xs in run.xs:  # one access: each maps every chain through h
+        if xs.shape[0] > burn_in:
+            out.append(np.linalg.norm(xs[burn_in:], axis=1))
     if not out:
         raise ValueError("no recorded samples remain after burn-in")
     return out

@@ -113,14 +113,14 @@ def value_radial(tp: TransformedPotential, r):
     d = t.dimension
     out = np.empty_like(arr)
     bulk, tail = _split_masks(t, arr)
-    if np.any(bulk):
+    if bulk.any():
         rb = arr[bulk]
         out[bulk] = (
             np.asarray(f.value(t.gin.value(rb)), dtype=float)
             - tr.log_gprime(t, rb)
             - (d - 1.0) * tr.log_g_over_r(t, rb)
         )
-    if np.any(tail):
+    if tail.any():
         rt = arr[tail]
         if t.tail == "exp":
             u, _, _ = tr.tail_exponent(t, rt)
@@ -145,14 +145,14 @@ def grad_factor(tp: TransformedPotential, r):
     d = t.dimension
     out = np.empty_like(arr)
     bulk, tail = _split_masks(t, arr)
-    if np.any(bulk):
+    if bulk.any():
         rb = arr[bulk]
         if tp.bulk_slope is not None:
             out[bulk] = tp.bulk_slope(rb)
         else:
             force = np.asarray(f.dvalue(t.gin.value(rb)), dtype=float) * t.gin.deriv(rb, 1)
             out[bulk] = force - tr.dlog_gprime(t, rb) - (d - 1.0) * tr.dlog_g_over_r(t, rb)
-    if np.any(tail):
+    if tail.any():
         rt = arr[tail]
         if t.tail == "exp":
             u, du, _ = tr.tail_exponent(t, rt)
@@ -169,7 +169,7 @@ def _second_radial(tp: TransformedPotential, arr: np.ndarray) -> np.ndarray:
     d = t.dimension
     out = np.empty_like(arr)
     bulk, tail = _split_masks(t, arr)
-    if np.any(bulk):
+    if bulk.any():
         rb = arr[bulk]
         g = t.gin.value(rb)
         gp = t.gin.deriv(rb, 1)
@@ -179,7 +179,7 @@ def _second_radial(tp: TransformedPotential, arr: np.ndarray) -> np.ndarray:
             + np.asarray(f.dvalue(g), dtype=float) * gpp
         )
         out[bulk] = curv - tr.d2log_gprime(t, rb) - (d - 1.0) * tr.d2log_g_over_r(t, rb)
-    if np.any(tail):
+    if tail.any():
         rt = arr[tail]
         if t.tail == "exp":
             u, du, d2u = tr.tail_exponent(t, rt)
@@ -207,7 +207,7 @@ def hessian_eigenvalues(tp: TransformedPotential, r):
     spectral split is undefined.
     """
     arr, scalar = tr._check_radii(r)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("hessian eigenvalues need r > 0")
     lam_rad = _second_radial(tp, arr)
     lam_tan = np.atleast_1d(np.asarray(grad_factor(tp, arr), dtype=float)) / arr
@@ -248,7 +248,7 @@ def transformed_gradient(tp: TransformedPotential, y):
     r = np.linalg.norm(pts, axis=-1)
     out = np.zeros_like(pts)
     live = r >= ORIGIN_RADIUS
-    if np.any(live):
+    if live.any():
         rho = np.atleast_1d(np.asarray(grad_factor(tp, r[live]), dtype=float))
         out[live] = pts[live] * (rho / r[live])[:, None]
     return out[0] if single else out

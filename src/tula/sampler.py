@@ -18,7 +18,6 @@ per chain up to the CPU count).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import os
@@ -126,7 +125,7 @@ class ChainRun:
 
     def pooled(self, space: str = "x", burn_in: int = 0) -> np.ndarray:
         """Stack recorded samples from all chains, dropping ``burn_in``
-        recorded entries per chain.  Raises whennothing survives."""
+        recorded entries per chain.  Raises when nothing survives."""
         series = self.xs if space == "x" else self.ys
         kept = [s[burn_in:] for s in series if s.shape[0] > burn_in]
         if not kept:
@@ -330,13 +329,16 @@ def write_chain_csv(run: ChainRun, path) -> None:
     dim = run.ys[0].shape[1]
     header = ["chain", "step", "space"] + [f"coord{i}" for i in range(dim)]
     xs = run.xs
+    # rows are built as text, one write per chain; the fields never need
+    # quoting, so this is the csv module's default dialect byte for byte
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for chain, (y_arr, x_arr, step_arr) in enumerate(zip(run.ys, xs, run.steps)):
-            for j, step in enumerate(step_arr):
-                writer.writerow([chain, int(step), "y"] + [repr(float(v)) for v in y_arr[j]])
-                writer.writerow([chain, int(step), "x"] + [repr(float(v)) for v in x_arr[j]])
+            lines = []
+            for step, y_row, x_row in zip(step_arr.tolist(), y_arr.tolist(), x_arr.tolist()):
+                lines.append(f"{chain},{step},y,{','.join(map(repr, y_row))}\r\n")
+                lines.append(f"{chain},{step},x,{','.join(map(repr, x_row))}\r\n")
+            fh.write("".join(lines))
 
 
 def run_summary(run: ChainRun) -> dict:

@@ -319,9 +319,9 @@ def _zoo_potential(
     def value(r: Array) -> Array:
         out = np.empty_like(r)
         tail = r >= seam
-        if np.any(tail):
+        if tail.any():
             out[tail] = tail_log(np.log(r[tail]))
-        if np.any(~tail):
+        if (~tail).any():
             out[~tail] = bulk_parts(r[~tail], 0)
         return out
 
@@ -329,9 +329,9 @@ def _zoo_potential(
     def dvalue(r: Array) -> Array:
         out = np.empty_like(r)
         tail = r >= seam
-        if np.any(tail):
+        if tail.any():
             out[tail] = tail_dlog(np.log(r[tail])) / r[tail]
-        if np.any(~tail):
+        if (~tail).any():
             out[~tail] = bulk_parts(r[~tail], 1)
         return out
 
@@ -339,10 +339,10 @@ def _zoo_potential(
     def d2value(r: Array) -> Array:
         out = np.empty_like(r)
         tail = r >= seam
-        if np.any(tail):
+        if tail.any():
             tt = np.log(r[tail])
             out[tail] = (tail_d2log(tt) - tail_dlog(tt)) / (r[tail] * r[tail])
-        if np.any(~tail):
+        if (~tail).any():
             out[~tail] = bulk_parts(r[~tail], 2)
         return out
 
@@ -352,7 +352,7 @@ def _zoo_potential(
         out = np.empty_like(tt)
         tail = tt >= 1.0
         out[tail] = tail_log(tt[tail])
-        if np.any(~tail):
+        if (~tail).any():
             out[~tail] = bulk_parts(np.exp(tt[~tail]), 0)
         return out
 
@@ -361,7 +361,7 @@ def _zoo_potential(
         out = np.empty_like(tt)
         tail = tt >= 1.0
         out[tail] = tail_dlog(tt[tail])
-        if np.any(~tail):
+        if (~tail).any():
             s = np.exp(tt[~tail])
             out[~tail] = bulk_parts(s, 1) * s
         return out
@@ -371,7 +371,7 @@ def _zoo_potential(
         out = np.empty_like(tt)
         tail = tt >= 1.0
         out[tail] = tail_d2log(tt[tail])
-        if np.any(~tail):
+        if (~tail).any():
             s = np.exp(tt[~tail])
             out[~tail] = bulk_parts(s, 2) * s * s + bulk_parts(s, 1) * s
         return out
@@ -443,7 +443,7 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         tail = r >= seam
         rt = r[tail]
         out[tail] = sq(rt) + 0.5 * d * np.log(rt)
-        if np.any(~tail):
+        if (~tail).any():
             out[~tail] = bulk_parts(r[~tail], 0)
         return out
 
@@ -453,7 +453,7 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         tail = r >= seam
         rt = r[tail]
         out[tail] = rt / sq(rt) + 0.5 * d / rt
-        if np.any(~tail):
+        if (~tail).any():
             out[~tail] = bulk_parts(r[~tail], 1)
         return out
 
@@ -463,7 +463,7 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         tail = r >= seam
         rt = r[tail]
         out[tail] = 1.0 / sq(rt) ** 3 - 0.5 * d / (rt * rt)
-        if np.any(~tail):
+        if (~tail).any():
             out[~tail] = bulk_parts(r[~tail], 2)
         return out
 
@@ -568,7 +568,7 @@ def radial_log_density(p: IsotropicPotential, r):
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("radii must be nonnegative")
     fval = np.atleast_1d(np.asarray(p.value(arr), dtype=float))
     if p.dimension == 1:

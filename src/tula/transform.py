@@ -263,7 +263,7 @@ def _check_radii(r) -> tuple[np.ndarray, bool]:
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("radii must be nonnegative")
     return arr, scalar
 
@@ -312,9 +312,9 @@ def g_eval(t: RadialTransform, r, order: int = 0):
     arr, scalar = _check_radii(r)
     bulk, tail = _split(t, arr)
     out = np.empty_like(arr)
-    if np.any(bulk):
+    if bulk.any():
         out[bulk] = t.gin.deriv(arr[bulk], order) if order else t.gin.value(arr[bulk])
-    if np.any(tail):
+    if tail.any():
         out[tail] = _tail_deriv(t, arr[tail], order)
     return _ret(out, scalar)
 
@@ -388,9 +388,9 @@ def _log_part(t: RadialTransform, r, what: str):
     arr, scalar = _check_radii(r)
     bulk, tail = _split(t, arr)
     out = np.empty_like(arr)
-    if np.any(bulk):
+    if bulk.any():
         out[bulk] = _bulk_log_parts(t, arr[bulk], what)
-    if np.any(tail):
+    if tail.any():
         out[tail] = _tail_log_parts(t, arr[tail], what)
     return _ret(out, scalar)
 
@@ -445,21 +445,23 @@ def g_inverse(t: RadialTransform, s, tol: float = 1e-12):
 
     Tail values invert in closed form (``(log s / b)**(1/beta)`` for the
     exponential kind, ``sqrt(s / a)`` for the quadratic one).  Bulk values
-    use a bracketed Newton iteration seeded at half the knot, falling back
-    to bisection whenever the Newton step leaves the current bracket, until
-    ``|g(r) - s| <= tol * max(1, s)``.
+    use a bracketed Newton iteration seeded from a log-log table of the
+    profile, falling back to bisection whenever the Newton step leaves the
+    current bracket, until ``|g(r) - s| <= tol * s`` (bulk values are
+    positive; the bound is floored at the smallest normal float, so
+    subnormal values still return).
     """
     arr, scalar = _check_radii(np.asarray(s, dtype=float))
     out = np.zeros_like(arr)
     seam = t.seam
     tail = arr >= seam
-    if np.any(tail):
+    if tail.any():
         if t.tail == _EXP:
             out[tail] = np.power(np.log(arr[tail]) / t.b, 1.0 / t.beta)
         else:
             out[tail] = np.sqrt(arr[tail] / t.tail_scale)
     bulk = ~tail & (arr > 0.0)  # zero maps to zero exactly
-    if np.any(bulk):
+    if bulk.any():
         out[bulk] = _invert_bulk(t, arr[bulk], tol)
     return _ret(out, scalar)
 
@@ -483,10 +485,14 @@ def _invert_bulk(t: RadialTransform, s: np.ndarray, tol: float) -> np.ndarray:
     lo = np.zeros_like(s)
     hi = np.full_like(s, t.knot)
     log_values, log_radii = _warm_start_table(t)
-    with np.errstate(divide="ignore"):
-        guess = np.exp(np.interp(np.log(s), log_values, log_radii))
+    log_s = np.log(s)
+    # g is linear near the origin, so below the table the guess extrapolates
+    # through the origin; clamped at the first entry instead, Newton steps
+    # from a radius far above the root lose its digits to cancellation
+    guess = np.exp(np.interp(log_s, log_values, log_radii) + np.minimum(log_s - log_values[0], 0.0))
     r = np.clip(guess, 0.0, t.knot)
-    target_tol = tol * np.maximum(1.0, s)
+    # relative, floored where tol * s underflows
+    target_tol = np.maximum(tol * s, np.finfo(float).tiny)
     for _ in range(200):
         val = t.gin.value(r) - s
         done = np.abs(val) <= target_tol
@@ -513,7 +519,7 @@ def _radial_map(t: RadialTransform, x, radius_fn):
     r = np.linalg.norm(pts, axis=-1)
     out = np.zeros_like(pts)
     pos = r > 0.0
-    if np.any(pos):
+    if pos.any():
         # radii whose image exceeds the float range saturate to inf; the
         # warnings carry no more information than the non-finite output
         with np.errstate(over="ignore", invalid="ignore"):

@@ -75,6 +75,13 @@ class TestRadialQuadrature:
     def test_frozen_tail_probability(self, quad23):
         assert quad23.sf(5.0) == pytest.approx(T23_TAIL_5, rel=1e-12)
 
+    def test_sf_at_and_past_r_max(self, quad23):
+        """Below r_max, sf adds the remainder integrated once by the
+        constructor; at and past r_max it integrates its own tail.  Both
+        match the closed form P(|x| >= r) = (1 + r^2)^(-3/2)."""
+        for r in (0.999 * quad23.r_max, quad23.r_max, 2.0 * quad23.r_max):
+            assert quad23.sf(r) == pytest.approx((1.0 + r * r) ** -1.5, rel=1e-11)
+
     def test_moment_existence_boundary(self, quad23):
         with pytest.raises(UndefinedMomentError, match="does not exist"):
             quad23.moment(3.0)
