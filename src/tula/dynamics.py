@@ -21,6 +21,13 @@ log-argument hooks, ``F(t) = f(e^t)``: with ``u = b r**beta``,
 
 so the exploding profile value ``exp(b r**beta)`` never appears.
 
+:func:`value_radial`, :func:`grad_factor` and :func:`hessian_eigenvalues`
+are views of one radial jet: it splits the radii at the knot once, takes
+the branch jets of :mod:`tula.transform` (profile pieces and log-Jacobian
+terms together) and composes the requested derivatives of ``f_h`` from
+them.  On the bulk branch of a target built from a closed transformed
+potential ``phi`` for this very transform, ``f_h'`` is ``phi'`` instead.
+
 The module also exposes the Ito form of the transformed dynamics mapped
 back to the original space: an SDE with drift ``b(x)`` and a radially
 decomposed diffusion ``sigma(x) = sqrt(2) (grad h)(h^{-1}(x))`` whose
@@ -101,101 +108,78 @@ class TransformedPotential:
         return self.transform.dimension
 
 
-def _split_masks(t: tr.RadialTransform, r: np.ndarray):
-    bulk = r < t.knot
-    return bulk, ~bulk
+# outer derivatives f^(j) (or F^(j) on the exponential tail) that f_h^(k) needs
+_OUTER = {0: (0,), 1: (1,), 2: (1, 2)}
+
+
+def _branch_derivatives(jet: tr.RadialJet, hooks, d1: float, orders) -> list:
+    """``f_h^(k)`` for ``k`` in ``orders`` on one branch, from its jet.
+
+    ``hooks`` are the outer function and its first two derivatives,
+    evaluated at ``jet.profile[0]``: ``f`` of ``g``, or ``F`` of ``u`` on
+    the exponential tail.
+    """
+    p = jet.profile
+    needed = {j for k in orders for j in _OUTER[k]}
+    outer = {j: np.asarray(hooks[j](p[0]), dtype=float) for j in needed}
+    out = []
+    for k in orders:
+        if k == 0:
+            chain = outer[0]
+        elif k == 1:
+            chain = outer[1] * p[1]
+        else:
+            chain = outer[2] * p[1] * p[1] + outer[1] * p[2]
+        out.append(chain - jet.log_gprime[k] - d1 * jet.log_g_over_r[k])
+    return out
+
+
+def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ...]) -> list:
+    """``f_h^(k)`` at the radii ``arr`` for each ``k`` in ``orders`` (0 to 2).
+
+    Splits the radii at the knot once and takes one branch jet per branch.
+    On the bulk branch of a target built from a closed transformed
+    potential for this transform, ``f_h'`` is that form's derivative
+    (``tp.bulk_slope``): composing ``f'`` with the profile there would
+    first invert the profile by Newton's method, only to recover the radius
+    the call started from.
+    """
+    t, f = tp.transform, tp.target
+    d1 = t.dimension - 1.0
+    outs = {k: np.empty_like(arr) for k in orders}
+    bulk, tail = tr._split(t, arr)
+    if bulk.any():
+        rb = arr[bulk]
+        composed = orders
+        if tp.bulk_slope is not None and 1 in orders:
+            outs[1][bulk] = tp.bulk_slope(rb)
+            composed = [k for k in orders if k != 1]
+        if composed:
+            jet = tr.bulk_jet(t.gin, rb, max(composed))
+            values = _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, composed)
+            for k, val in zip(composed, values):
+                outs[k][bulk] = val
+    if tail.any():
+        jet = tr.tail_jet(t, arr[tail], max(orders))
+        if t.tail == "exp":
+            hooks = (f.log_value, f.dlog_value, f.d2log_value)
+        else:
+            hooks = (f.value, f.dvalue, f.d2value)
+        for k, val in zip(orders, _branch_derivatives(jet, hooks, d1, orders)):
+            outs[k][tail] = val
+    return [outs[k] for k in orders]
 
 
 def value_radial(tp: TransformedPotential, r):
     """``f_h`` as a function of the radius; vectorized, finite at 0."""
     arr, scalar = tr._check_radii(r)
-    t, f = tp.transform, tp.target
-    d = t.dimension
-    out = np.empty_like(arr)
-    bulk, tail = _split_masks(t, arr)
-    if bulk.any():
-        rb = arr[bulk]
-        out[bulk] = (
-            np.asarray(f.value(t.gin.value(rb)), dtype=float)
-            - tr.log_gprime(t, rb)
-            - (d - 1.0) * tr.log_g_over_r(t, rb)
-        )
-    if tail.any():
-        rt = arr[tail]
-        if t.tail == "exp":
-            u, _, _ = tr.tail_exponent(t, rt)
-            fval = np.asarray(f.log_value(u), dtype=float)
-        else:
-            fval = np.asarray(f.value(tr.g_eval(t, rt, 0)), dtype=float)
-        out[tail] = fval - tr.log_gprime(t, rt) - (d - 1.0) * tr.log_g_over_r(t, rt)
-    return tr._ret(out, scalar)
+    return tr._ret(_radial_jet(tp, arr, (0,))[0], scalar)
 
 
 def grad_factor(tp: TransformedPotential, r):
-    """Radial derivative ``f_h'(r)``; the gradient is this times ``y / r``.
-
-    On the bulk branch of a target built from a closed transformed
-    potential for this transform, ``f_h'`` is that form's derivative
-    (``tp.bulk_slope``).  Composing ``f'`` with the profile there would
-    first invert the profile by Newton's method, only to recover the
-    radius the call started from.
-    """
+    """Radial derivative ``f_h'(r)``; the gradient is this times ``y / r``."""
     arr, scalar = tr._check_radii(r)
-    t, f = tp.transform, tp.target
-    d = t.dimension
-    out = np.empty_like(arr)
-    bulk, tail = _split_masks(t, arr)
-    if bulk.any():
-        rb = arr[bulk]
-        if tp.bulk_slope is not None:
-            out[bulk] = tp.bulk_slope(rb)
-        else:
-            force = np.asarray(f.dvalue(t.gin.value(rb)), dtype=float) * t.gin.deriv(rb, 1)
-            out[bulk] = force - tr.dlog_gprime(t, rb) - (d - 1.0) * tr.dlog_g_over_r(t, rb)
-    if tail.any():
-        rt = arr[tail]
-        if t.tail == "exp":
-            u, du, _ = tr.tail_exponent(t, rt)
-            force = np.asarray(f.dlog_value(u), dtype=float) * du
-        else:
-            force = np.asarray(f.dvalue(tr.g_eval(t, rt, 0)), dtype=float) * tr.g_eval(t, rt, 1)
-        out[tail] = force - tr.dlog_gprime(t, rt) - (d - 1.0) * tr.dlog_g_over_r(t, rt)
-    return tr._ret(out, scalar)
-
-
-def _second_radial(tp: TransformedPotential, arr: np.ndarray) -> np.ndarray:
-    """``f_h''(r)``, the radial Hessian eigenvalue."""
-    t, f = tp.transform, tp.target
-    d = t.dimension
-    out = np.empty_like(arr)
-    bulk, tail = _split_masks(t, arr)
-    if bulk.any():
-        rb = arr[bulk]
-        g = t.gin.value(rb)
-        gp = t.gin.deriv(rb, 1)
-        gpp = t.gin.deriv(rb, 2)
-        curv = (
-            np.asarray(f.d2value(g), dtype=float) * gp * gp
-            + np.asarray(f.dvalue(g), dtype=float) * gpp
-        )
-        out[bulk] = curv - tr.d2log_gprime(t, rb) - (d - 1.0) * tr.d2log_g_over_r(t, rb)
-    if tail.any():
-        rt = arr[tail]
-        if t.tail == "exp":
-            u, du, d2u = tr.tail_exponent(t, rt)
-            curv = (
-                np.asarray(f.d2log_value(u), dtype=float) * du * du
-                + np.asarray(f.dlog_value(u), dtype=float) * d2u
-            )
-        else:
-            s = tr.g_eval(t, rt, 0)
-            gp = tr.g_eval(t, rt, 1)
-            curv = (
-                np.asarray(f.d2value(s), dtype=float) * gp * gp
-                + np.asarray(f.dvalue(s), dtype=float) * tr.g_eval(t, rt, 2)
-            )
-        out[tail] = curv - tr.d2log_gprime(t, rt) - (d - 1.0) * tr.d2log_g_over_r(t, rt)
-    return out
+    return tr._ret(_radial_jet(tp, arr, (1,))[0], scalar)
 
 
 def hessian_eigenvalues(tp: TransformedPotential, r):
@@ -209,9 +193,8 @@ def hessian_eigenvalues(tp: TransformedPotential, r):
     arr, scalar = tr._check_radii(r)
     if (arr <= 0.0).any():
         raise ValueError("hessian eigenvalues need r > 0")
-    lam_rad = _second_radial(tp, arr)
-    lam_tan = np.atleast_1d(np.asarray(grad_factor(tp, arr), dtype=float)) / arr
-    return HessianEigenvalues(tr._ret(lam_rad, scalar), tr._ret(lam_tan, scalar))
+    slope, curv = _radial_jet(tp, arr, (1, 2))
+    return HessianEigenvalues(tr._ret(curv, scalar), tr._ret(slope / arr, scalar))
 
 
 def _batched(y, dimension: int):
@@ -243,14 +226,15 @@ def transformed_gradient(tp: TransformedPotential, y):
     the cutoff avoids dividing by a vanishing radius.
     """
     pts, single = _batched(y, tp.dimension)
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("gradient of a non-finite point")
     r = np.linalg.norm(pts, axis=-1)
     out = np.zeros_like(pts)
     live = r >= ORIGIN_RADIUS
     if live.any():
-        rho = np.atleast_1d(np.asarray(grad_factor(tp, r[live]), dtype=float))
-        out[live] = pts[live] * (rho / r[live])[:, None]
+        rl = r[live]
+        rho = _radial_jet(tp, rl, (1,))[0]
+        out[live] = pts[live] * (rho / rl)[:, None]
     return out[0] if single else out
 
 

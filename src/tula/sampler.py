@@ -19,6 +19,7 @@ per chain up to the CPU count).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -98,13 +99,14 @@ class SamplerConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ChainRun:
-    """Recorded trajectories of one run; x-samples are derived, not stored.
+    """Recorded trajectories of one run; x-samples are derived from them.
 
     ``ys[i]`` is the (n_i, d) array of recorded iterates of chain ``i`` and
     ``steps[i]`` the matching iteration indices.  A diverged chain keeps
     the finite prefix and sets its flag.  ``xs`` maps the trajectories
-    through the transform on access, which keeps the two spaces consistent
-    by construction.
+    through the transform on first access and keeps the result, so every
+    consumer of a run shares one mapping; the arrays of ``ys`` must not be
+    mutated after that.
     """
 
     config: SamplerConfig
@@ -113,7 +115,7 @@ class ChainRun:
     diverged: tuple[bool, ...]
     transform: tr.RadialTransform | None = None
 
-    @property
+    @functools.cached_property
     def xs(self) -> tuple[np.ndarray, ...]:
         if self.transform is None:
             return self.ys

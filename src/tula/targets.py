@@ -74,6 +74,22 @@ def _vectorized(fn: Callable[[Array], Array]):
     return wrapped
 
 
+def _glued(seam: float, tail: Callable[[Array], Array], bulk: Callable[[Array], Array]):
+    """Vectorized ``tail`` at arguments ``>= seam`` and ``bulk`` below."""
+
+    @_vectorized
+    def glued(x: Array) -> Array:
+        out = np.empty_like(x)
+        at_tail = x >= seam
+        if at_tail.any():
+            out[at_tail] = tail(x[at_tail])
+        if not at_tail.all():
+            out[~at_tail] = bulk(x[~at_tail])
+        return out
+
+    return glued
+
+
 @dataclasses.dataclass(frozen=True)
 class TransformedForm:
     """Closed transformed potential ``phi = f_h`` a potential was built from.
@@ -266,14 +282,16 @@ def _bulk_parts(
 
     def bulk_parts(s: Array, order: int) -> Array:
         u = np.atleast_1d(np.asarray(tr.g_inverse(t, s), dtype=float))
+        # a root can land on the knot itself, which the tail owns
+        lgp, lgr = tr.log_jacobian_terms(t, u, order)
         if order == 0:
-            return phi(u) + tr.log_gprime(t, u) + (d - 1.0) * tr.log_g_over_r(t, u)
+            return phi(u) + lgp[0] + (d - 1.0) * lgr[0]
         gp = t.gin.deriv(u, 1)
-        slope = dphi(u) + tr.dlog_gprime(t, u) + (d - 1.0) * tr.dlog_g_over_r(t, u)
+        slope = dphi(u) + lgp[1] + (d - 1.0) * lgr[1]
         if order == 1:
             return slope / gp
-        curv = d2phi(u) + tr.d2log_gprime(t, u) + (d - 1.0) * tr.d2log_g_over_r(t, u)
-        return (curv - slope * tr.dlog_gprime(t, u)) / (gp * gp)
+        curv = d2phi(u) + lgp[2] + (d - 1.0) * lgr[2]
+        return (curv - slope * lgp[1]) / (gp * gp)
 
     return bulk_parts
 
@@ -315,66 +333,25 @@ def _zoo_potential(
 
     bulk_parts = _bulk_parts(t, phi, dphi, d2phi)
 
-    @_vectorized
-    def value(r: Array) -> Array:
-        out = np.empty_like(r)
-        tail = r >= seam
-        if tail.any():
-            out[tail] = tail_log(np.log(r[tail]))
-        if (~tail).any():
-            out[~tail] = bulk_parts(r[~tail], 0)
-        return out
+    def tail_d2(r: Array) -> Array:
+        tt = np.log(r)
+        return (tail_d2log(tt) - tail_dlog(tt)) / (r * r)
 
-    @_vectorized
-    def dvalue(r: Array) -> Array:
-        out = np.empty_like(r)
-        tail = r >= seam
-        if tail.any():
-            out[tail] = tail_dlog(np.log(r[tail])) / r[tail]
-        if (~tail).any():
-            out[~tail] = bulk_parts(r[~tail], 1)
-        return out
+    def bulk_dlog(tt: Array) -> Array:
+        s = np.exp(tt)
+        return bulk_parts(s, 1) * s
 
-    @_vectorized
-    def d2value(r: Array) -> Array:
-        out = np.empty_like(r)
-        tail = r >= seam
-        if tail.any():
-            tt = np.log(r[tail])
-            out[tail] = (tail_d2log(tt) - tail_dlog(tt)) / (r[tail] * r[tail])
-        if (~tail).any():
-            out[~tail] = bulk_parts(r[~tail], 2)
-        return out
+    def bulk_d2log(tt: Array) -> Array:
+        s = np.exp(tt)
+        return bulk_parts(s, 2) * s * s + bulk_parts(s, 1) * s
 
+    value = _glued(seam, lambda r: tail_log(np.log(r)), lambda s: bulk_parts(s, 0))
+    dvalue = _glued(seam, lambda r: tail_dlog(np.log(r)) / r, lambda s: bulk_parts(s, 1))
+    d2value = _glued(seam, tail_d2, lambda s: bulk_parts(s, 2))
     # F(t) = f(e^t): closed tail form for t >= 1, bulk composition below.
-    @_vectorized
-    def log_value(tt: Array) -> Array:
-        out = np.empty_like(tt)
-        tail = tt >= 1.0
-        out[tail] = tail_log(tt[tail])
-        if (~tail).any():
-            out[~tail] = bulk_parts(np.exp(tt[~tail]), 0)
-        return out
-
-    @_vectorized
-    def dlog_value(tt: Array) -> Array:
-        out = np.empty_like(tt)
-        tail = tt >= 1.0
-        out[tail] = tail_dlog(tt[tail])
-        if (~tail).any():
-            s = np.exp(tt[~tail])
-            out[~tail] = bulk_parts(s, 1) * s
-        return out
-
-    @_vectorized
-    def d2log_value(tt: Array) -> Array:
-        out = np.empty_like(tt)
-        tail = tt >= 1.0
-        out[tail] = tail_d2log(tt[tail])
-        if (~tail).any():
-            s = np.exp(tt[~tail])
-            out[~tail] = bulk_parts(s, 2) * s * s + bulk_parts(s, 1) * s
-        return out
+    log_value = _glued(1.0, tail_log, lambda tt: bulk_parts(np.exp(tt), 0))
+    dlog_value = _glued(1.0, tail_dlog, bulk_dlog)
+    d2log_value = _glued(1.0, tail_d2log, bulk_d2log)
 
     return IsotropicPotential(
         dimension=d,
@@ -436,53 +413,24 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         return 6.0 * d * d * u * u / root - 4.0 * d**4 * u**6 / root**3
 
     bulk_parts = _bulk_parts(t, phi, dphi, d2phi)
-
-    @_vectorized
-    def value(r: Array) -> Array:
-        out = np.empty_like(r)
-        tail = r >= seam
-        rt = r[tail]
-        out[tail] = sq(rt) + 0.5 * d * np.log(rt)
-        if (~tail).any():
-            out[~tail] = bulk_parts(r[~tail], 0)
-        return out
-
-    @_vectorized
-    def dvalue(r: Array) -> Array:
-        out = np.empty_like(r)
-        tail = r >= seam
-        rt = r[tail]
-        out[tail] = rt / sq(rt) + 0.5 * d / rt
-        if (~tail).any():
-            out[~tail] = bulk_parts(r[~tail], 1)
-        return out
-
-    @_vectorized
-    def d2value(r: Array) -> Array:
-        out = np.empty_like(r)
-        tail = r >= seam
-        rt = r[tail]
-        out[tail] = 1.0 / sq(rt) ** 3 - 0.5 * d / (rt * rt)
-        if (~tail).any():
-            out[~tail] = bulk_parts(r[~tail], 2)
-        return out
-
-    value_fn, dvalue_fn, d2value_fn = value, dvalue, d2value
-
+    value = _glued(seam, lambda r: sq(r) + 0.5 * d * np.log(r), lambda s: bulk_parts(s, 0))
+    dvalue = _glued(seam, lambda r: r / sq(r) + 0.5 * d / r, lambda s: bulk_parts(s, 1))
+    d2value = _glued(seam, lambda r: 1.0 / sq(r) ** 3 - 0.5 * d / (r * r),
+                     lambda s: bulk_parts(s, 2))
     @_vectorized
     def log_value(tt: Array) -> Array:
-        return np.atleast_1d(np.asarray(value_fn(np.exp(tt)), dtype=float))
+        return np.atleast_1d(np.asarray(value(np.exp(tt)), dtype=float))
 
     @_vectorized
     def dlog_value(tt: Array) -> Array:
         s = np.exp(tt)
-        return np.atleast_1d(np.asarray(dvalue_fn(s), dtype=float)) * s
+        return np.atleast_1d(np.asarray(dvalue(s), dtype=float)) * s
 
     @_vectorized
     def d2log_value(tt: Array) -> Array:
         s = np.exp(tt)
-        d2 = np.atleast_1d(np.asarray(d2value_fn(s), dtype=float))
-        d1 = np.atleast_1d(np.asarray(dvalue_fn(s), dtype=float))
+        d2 = np.atleast_1d(np.asarray(d2value(s), dtype=float))
+        d1 = np.atleast_1d(np.asarray(dvalue(s), dtype=float))
         return d2 * s * s + d1 * s
 
     pot = IsotropicPotential(

@@ -17,10 +17,17 @@ Profiles are piecewise in the radius with a single knot:
   (the quadratic kind used by the warm-up construction).
 
 Many quantities downstream (gradients, Hessian eigenvalues, log-densities)
-only need logarithmic derivatives of ``g``.  Those are exposed directly
-(:func:`log_gprime`, :func:`dlog_g_over_r`, ...) because the naive
-compositions overflow: ``exp(b r**beta)`` leaves double range near
-``r ~ 26`` for ``b = 1, beta = 2`` while the log-space forms stay exact.
+need the profile only through the log-Jacobian terms ``log g'`` and
+``log(g/r)`` and their derivatives, because the naive compositions
+overflow: ``exp(b r**beta)`` leaves double range near ``r ~ 26`` for
+``b = 1, beta = 2`` while the log-space forms stay exact.  Each branch has
+one jet (:class:`RadialJet`) that computes the profile pieces and these
+terms together, up to a requested derivative order: :func:`bulk_jet`
+shares one Horner pass per derivative of ``p`` and one ``exp(p)``, and
+:func:`tail_jet` shares the tail exponent ``u = b r**beta`` (or the
+quadratic profile).  The single-quantity helpers (:func:`log_gprime`,
+:func:`dlog_g_over_r`, ...) and :func:`log_det_jacobian` are views of the
+jets.
 """
 
 from __future__ import annotations
@@ -28,14 +35,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "GinSpec",
     "RadialTransform",
+    "RadialJet",
+    "bulk_jet",
+    "tail_jet",
+    "log_jacobian_terms",
     "G1Check",
     "G1Report",
     "ginbeta2_profile",
@@ -64,6 +74,18 @@ def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
 
 
+def _horner(coeffs: tuple[float, ...], r):
+    """Polynomial with the given coefficients, lowest order first, at ``r``.
+
+    Same operation order as ``numpy.polynomial.polynomial.polyval``, so the
+    values match it bit for bit, without its per-call array set-up.
+    """
+    acc = coeffs[-1] + r * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * r
+    return acc
+
+
 @dataclasses.dataclass(frozen=True)
 class GinSpec:
     """Bulk profile ``g_in(r) = scale * r * exp(p(r))``.
@@ -80,7 +102,8 @@ class GinSpec:
 
     scale: float
     log_poly: tuple[float, ...]
-    _coeff_arrays: tuple[np.ndarray, ...] = dataclasses.field(
+    # coefficients of p and its first three derivatives, lowest order first
+    _coeffs: tuple[tuple[float, ...], ...] = dataclasses.field(
         init=False, repr=False, compare=False
     )
 
@@ -96,27 +119,11 @@ class GinSpec:
             )
         p1 = _polyder(self.log_poly)
         p2 = _polyder(p1)
-        arrays = tuple(
-            np.asarray(c, dtype=float) for c in (self.log_poly, p1, p2, _polyder(p2))
-        )
-        object.__setattr__(self, "_coeff_arrays", arrays)
-
-    # Derivative coefficient tuples, lowest order first.
-    @property
-    def _p1(self) -> tuple[float, ...]:
-        return tuple(self._coeff_arrays[1])
-
-    @property
-    def _p2(self) -> tuple[float, ...]:
-        return tuple(self._coeff_arrays[2])
-
-    @property
-    def _p3(self) -> tuple[float, ...]:
-        return tuple(self._coeff_arrays[3])
+        object.__setattr__(self, "_coeffs", (self.log_poly, p1, p2, _polyder(p2)))
 
     def log_profile(self, r, order: int = 0):
         """Evaluate ``p`` or one of its first three derivatives."""
-        return npoly.polyval(r, self._coeff_arrays[order])
+        return _horner(self._coeffs[order], r)
 
     def value(self, r):
         return self.scale * r * np.exp(self.log_profile(r))
@@ -319,7 +326,7 @@ def g_eval(t: RadialTransform, r, order: int = 0):
     return _ret(out, scalar)
 
 
-# --- logarithmic helpers -------------------------------------------------
+# --- branch jets ----------------------------------------------------------
 #
 # Bulk identities, writing q = p', all exact in the profile polynomial:
 #   log g            = log c + log r + p
@@ -333,96 +340,146 @@ def g_eval(t: RadialTransform, r, order: int = 0):
 # r -> 0 precisely because p has no linear term.
 
 
-def _bulk_log_parts(t: RadialTransform, r: np.ndarray, what: str) -> np.ndarray:
-    g = t.gin
-    c = g.scale
-    if what == "log_g_over_r":
-        return math.log(c) + g.log_profile(r)
-    q = g.log_profile(r, 1)
-    if what == "log_gprime":
-        return math.log(c) + np.log1p(r * q) + g.log_profile(r)
-    if what == "dlog_g_over_r":
-        return q
-    p2 = g.log_profile(r, 2)
-    if what == "dlog_gprime":
-        return q + (q + r * p2) / (1.0 + r * q)
-    if what == "d2log_g_over_r":
-        return p2
-    # d2log_gprime
-    p3 = g.log_profile(r, 3)
-    denom = 1.0 + r * q
-    return p2 + ((2.0 * p2 + r * p3) * denom - (q + r * p2) ** 2) / (denom * denom)
+class RadialJet(NamedTuple):
+    """One branch's radial pieces at a batch of radii, up to order ``k``.
+
+    ``profile[j]`` is the ``j``-th derivative of ``g`` on the bulk and the
+    quadratic tail, and of the exponent ``u = b r**beta`` on the
+    exponential tail (where ``g = e^u`` leaves double range).
+    ``log_gprime[j]`` and ``log_g_over_r[j]`` are the ``j``-th derivatives
+    of ``log g'`` and ``log(g/r)``, the two terms of the log-Jacobian
+    ``log g' + (d - 1) log(g/r)``.  Each tuple holds ``k + 1`` arrays.
+    """
+
+    profile: tuple
+    log_gprime: tuple
+    log_g_over_r: tuple
 
 
-def _tail_log_parts(t: RadialTransform, r: np.ndarray, what: str) -> np.ndarray:
+def bulk_jet(gin: GinSpec, r: np.ndarray, order: int) -> RadialJet:
+    """Jet of the bulk profile ``c r e^p`` at radii ``r``, order 0 to 2.
+
+    Evaluates ``p`` and its first ``order + 1`` derivatives once each and
+    shares one ``exp(p)`` among the profile pieces; the formulas are those
+    of :meth:`GinSpec.deriv` and the identities above.  No knot test: the
+    caller passes bulk radii.
+    """
+    c = gin.scale
+    p = gin.log_profile(r)
+    q = gin.log_profile(r, 1)
+    ep = np.exp(p)
+    rq = r * q
+    den = 1.0 + rq
+    g = [c * r * ep]
+    lgp = [math.log(c) + np.log1p(rq) + p]
+    lgr = [math.log(c) + p]
+    if order >= 1:
+        p2 = gin.log_profile(r, 2)
+        g.append(c * den * ep)
+        lgp.append(q + (q + r * p2) / den)
+        lgr.append(q)
+    if order >= 2:
+        p3 = gin.log_profile(r, 3)
+        g.append(c * (2.0 * q + r * p2 + rq * q) * ep)
+        lgp.append(p2 + ((2.0 * p2 + r * p3) * den - (q + r * p2) ** 2) / (den * den))
+        lgr.append(p2)
+    return RadialJet(tuple(g), tuple(lgp), tuple(lgr))
+
+
+def _exponent_jet(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
+    """``u = b r**beta`` and its first ``order`` derivatives."""
+    b, beta = t.b, t.beta
+    u = [b * np.power(r, beta)]
+    if order >= 1:
+        u.append(b * beta * np.power(r, beta - 1.0))
+    if order >= 2:
+        u.append(b * beta * (beta - 1.0) * np.power(r, beta - 2.0))
+    return tuple(u)
+
+
+def tail_jet(t: RadialTransform, r: np.ndarray, order: int) -> RadialJet:
+    """Jet of the tail profile at radii ``r >= knot``, order 0 to 2.
+
+    Exponential kind: ``log g' = log(b beta) + (beta - 1) log r + u`` and
+    ``log(g/r) = u - log r``, with ``u`` computed once.  Quadratic kind
+    ``a r**2``: ``log g' = log(2a) + log r`` and ``log(g/r) = log a + log r``.
+    """
+    logr = np.log(r)
     if t.tail == _QUADRATIC:
         a = t.tail_scale
-        with np.errstate(divide="ignore"):
-            logr = np.log(r)
-        table: dict[str, Callable[[], np.ndarray]] = {
-            "log_g_over_r": lambda: math.log(a) + logr,
-            "log_gprime": lambda: math.log(2.0 * a) + logr,
-            "dlog_g_over_r": lambda: 1.0 / r,
-            "dlog_gprime": lambda: 1.0 / r,
-            "d2log_g_over_r": lambda: -1.0 / (r * r),
-            "d2log_gprime": lambda: -1.0 / (r * r),
-        }
-        return table[what]()
-    b, beta = t.b, t.beta
-    u = b * np.power(r, beta)
-    du = b * beta * np.power(r, beta - 1.0)
-    d2u = b * beta * (beta - 1.0) * np.power(r, beta - 2.0)
-    logr = np.log(r)
-    table = {
-        "log_g_over_r": lambda: u - logr,
-        "log_gprime": lambda: math.log(b * beta) + (beta - 1.0) * logr + u,
-        "dlog_g_over_r": lambda: du - 1.0 / r,
-        "dlog_gprime": lambda: (beta - 1.0) / r + du,
-        "d2log_g_over_r": lambda: d2u + 1.0 / (r * r),
-        "d2log_gprime": lambda: -(beta - 1.0) / (r * r) + d2u,
-    }
-    return table[what]()
+        profile = tuple(_tail_deriv(t, r, j) for j in range(order + 1))
+        lgp = [math.log(2.0 * a) + logr]
+        lgr = [math.log(a) + logr]
+        if order >= 1:
+            lgp.append(1.0 / r)
+            lgr.append(lgp[1])
+        if order >= 2:
+            lgp.append(-1.0 / (r * r))
+            lgr.append(lgp[2])
+        return RadialJet(profile, tuple(lgp), tuple(lgr))
+    beta = t.beta
+    u = _exponent_jet(t, r, order)
+    lgp = [math.log(t.b * beta) + (beta - 1.0) * logr + u[0]]
+    lgr = [u[0] - logr]
+    if order >= 1:
+        lgp.append((beta - 1.0) / r + u[1])
+        lgr.append(u[1] - 1.0 / r)
+    if order >= 2:
+        lgp.append(-(beta - 1.0) / (r * r) + u[2])
+        lgr.append(u[2] + 1.0 / (r * r))
+    return RadialJet(u, tuple(lgp), tuple(lgr))
 
 
-def _log_part(t: RadialTransform, r, what: str):
+def log_jacobian_terms(t: RadialTransform, r, order: int):
+    """``(log g')^(j)`` and ``(log(g/r))^(j)`` for ``j = 0..order``.
+
+    The two log-Jacobian tuples of the branch jets, assembled over radii on
+    either side of the knot (the tail owns the knot itself).  Scalar in,
+    scalar entries out.
+    """
     arr, scalar = _check_radii(r)
     bulk, tail = _split(t, arr)
-    out = np.empty_like(arr)
+    lgp = [np.empty_like(arr) for _ in range(order + 1)]
+    lgr = [np.empty_like(arr) for _ in range(order + 1)]
+    jets = []
     if bulk.any():
-        out[bulk] = _bulk_log_parts(t, arr[bulk], what)
+        jets.append((bulk, bulk_jet(t.gin, arr[bulk], order)))
     if tail.any():
-        out[tail] = _tail_log_parts(t, arr[tail], what)
-    return _ret(out, scalar)
+        jets.append((tail, tail_jet(t, arr[tail], order)))
+    for mask, jet in jets:
+        for out, val in zip(lgp + lgr, jet.log_gprime + jet.log_g_over_r):
+            out[mask] = val
+    return tuple(_ret(v, scalar) for v in lgp), tuple(_ret(v, scalar) for v in lgr)
 
 
 def log_gprime(t: RadialTransform, r):
     """``log g'(r)``, overflow-free on both branches."""
-    return _log_part(t, r, "log_gprime")
+    return log_jacobian_terms(t, r, 0)[0][0]
 
 
 def dlog_gprime(t: RadialTransform, r):
     """``(log g')'(r) = g''/g'``."""
-    return _log_part(t, r, "dlog_gprime")
+    return log_jacobian_terms(t, r, 1)[0][1]
 
 
 def d2log_gprime(t: RadialTransform, r):
     """``(log g')''(r)``."""
-    return _log_part(t, r, "d2log_gprime")
+    return log_jacobian_terms(t, r, 2)[0][2]
 
 
 def log_g_over_r(t: RadialTransform, r):
     """``log(g(r)/r)``; finite at ``r = 0`` where it equals ``log c + p(0)``."""
-    return _log_part(t, r, "log_g_over_r")
+    return log_jacobian_terms(t, r, 0)[1][0]
 
 
 def dlog_g_over_r(t: RadialTransform, r):
     """``(log(g/r))'(r) = g'/g - 1/r``; finite at the origin."""
-    return _log_part(t, r, "dlog_g_over_r")
+    return log_jacobian_terms(t, r, 1)[1][1]
 
 
 def d2log_g_over_r(t: RadialTransform, r):
     """``(log(g/r))''(r)``; finite at the origin."""
-    return _log_part(t, r, "d2log_g_over_r")
+    return log_jacobian_terms(t, r, 2)[1][2]
 
 
 def tail_exponent(t: RadialTransform, r):
@@ -433,11 +490,7 @@ def tail_exponent(t: RadialTransform, r):
     if t.tail != _EXP:
         raise ValueError("tail_exponent is only defined for the exponential tail")
     arr, scalar = _check_radii(r)
-    b, beta = t.b, t.beta
-    u = b * np.power(arr, beta)
-    du = b * beta * np.power(arr, beta - 1.0)
-    d2u = b * beta * (beta - 1.0) * np.power(arr, beta - 2.0)
-    return _ret(u, scalar), _ret(du, scalar), _ret(d2u, scalar)
+    return tuple(_ret(v, scalar) for v in _exponent_jet(t, arr, 2))
 
 
 def g_inverse(t: RadialTransform, s, tol: float = 1e-12):
@@ -546,9 +599,8 @@ def log_det_jacobian(t: RadialTransform, r):
     origin needs no special casing beyond evaluating the log-space forms.
     """
     d = t.dimension
-    if d == 1:
-        return log_gprime(t, r)
-    return log_gprime(t, r) + (d - 1) * log_g_over_r(t, r)
+    (lgp,), (lgr,) = log_jacobian_terms(t, r, 0)
+    return lgp if d == 1 else lgp + (d - 1) * lgr
 
 
 # --- verification ---------------------------------------------------------
@@ -660,16 +712,15 @@ def verify_g1_assumption(
     checks.append(G1Check("bulk_monotone", min_slope, 0.0, min_slope > 0.0, "min g_in' on (0, knot]"))
 
     radii = np.geomspace(1e-8, knot, 161)
+    jet = bulk_jet(t.gin, radii, 2)
     limits = {
-        "limit_dlog_gprime_over_r": _bulk_log_parts(t, radii, "dlog_gprime") / radii,
-        "limit_dlog_g_over_r_over_r": _bulk_log_parts(t, radii, "dlog_g_over_r") / radii,
-        "limit_d2log_g_over_r": _bulk_log_parts(t, radii, "d2log_g_over_r"),
-        "limit_d2log_gprime": _bulk_log_parts(t, radii, "d2log_gprime"),
+        "limit_dlog_gprime_over_r": jet.log_gprime[1] / radii,
+        "limit_dlog_g_over_r_over_r": jet.log_g_over_r[1] / radii,
+        "limit_d2log_g_over_r": jet.log_g_over_r[2],
+        "limit_d2log_gprime": jet.log_gprime[2],
     }
     if target is not None:
-        limits["limit_radial_force"] = (
-            target.dvalue(t.gin.value(radii)) * t.gin.deriv(radii, 1) / radii
-        )
+        limits["limit_radial_force"] = target.dvalue(jet.profile[0]) * jet.profile[1] / radii
     for name, vals in limits.items():
         ok, worst = _bounded_towards_zero(radii, np.asarray(vals))
         checks.append(G1Check(name, worst, math.inf, ok, "max |value| near 0"))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import tula.transform
 from tula.analysis import classify_regime, estimate_lsi
 from tula.cli import dump_config, load_config, main, run_gradient_suite
 from tula.dynamics import TransformedPotential
@@ -215,6 +216,24 @@ class TestSampleCommand:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert read_json(tmp_path / "diagnostics.json")["burn_in"] == 30
+
+    def test_maps_each_chain_through_h_once(self, tmp_path, monkeypatch):
+        """chain.csv, trace.csv, the summary and the diagnostics share one
+        mapping of each chain through h."""
+        calls = []
+        h_forward = tula.transform.h_forward
+
+        def counted(t, x):
+            calls.append(len(x))
+            return h_forward(t, x)
+
+        monkeypatch.setattr(tula.transform, "h_forward", counted)
+        rc = main(["sample", "--target", "t2_3", "--gamma", "0.01",
+                   "--steps", "200", "--seed", "0", "--chains", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "diagnostics.json").exists()
+        assert calls == [201, 201]
 
     def test_divergence_exits_one_without_diagnostics(self, tmp_path, capsys):
         rc = main(["sample", "--target", "example6", "--d", "2",

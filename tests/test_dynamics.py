@@ -25,12 +25,16 @@ from tula.dynamics import (
     transformed_value,
     value_radial,
 )
-from tula.targets import ExampleKind, make_example, make_multivariate_t
+from tula.targets import ExampleKind, make_example, make_multivariate_t, parse_target_name
 from tula.transform import (
+    d2log_g_over_r,
+    d2log_gprime,
     dlog_g_over_r,
     dlog_gprime,
     g_eval,
     ginbeta2_transform,
+    log_g_over_r,
+    log_gprime,
     warmup_transform,
 )
 
@@ -264,6 +268,62 @@ class TestClosedFormBulkSlope:
         bulk = r < tp.transform.knot
         phi_slope = entry.potential.transformed_form.dvalue(r[bulk])
         assert np.all(np.abs(got[bulk] - phi_slope) > 1e-6 * np.abs(phi_slope))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestJetPointwise:
+    """A batch mixing bulk and tail radii equals the scalar calls bit for
+    bit: every radius takes its own branch's jet whatever its neighbours."""
+
+    TARGETS = [
+        *((kind, kwargs, d) for d in (1, 2, 5) for kind, kwargs in (
+            (ExampleKind.EXAMPLE2, {"upsilon": 1.0}),
+            (ExampleKind.EXAMPLE2, {"upsilon": -1.0}),
+            (ExampleKind.EXAMPLE3, {}),
+            (ExampleKind.EXAMPLE4, {}),
+            (ExampleKind.EXAMPLE5, {}),
+            (ExampleKind.EXAMPLE6, {}),
+            (ExampleKind.WARMUP, {}),
+            (ExampleKind.MULTIVARIATE_T, {"kappa": 3.0}),
+            (ExampleKind.MULTIVARIATE_T, {"kappa": 2.0}),
+        )),
+        ("t2_3", {}, None),
+        ("t3_2", {}, None),
+    ]
+
+    @staticmethod
+    def _radii(t):
+        knot = t.knot
+        # deep tail: b r**beta > 709, where exp(b r**beta) overflows
+        deep = (800.0 / t.b) ** (1.0 / t.beta) if t.tail == "exp" else 1e200
+        return np.array([
+            knot * 1e-6, 0.3 * knot, np.nextafter(knot, -np.inf), knot,
+            np.nextafter(knot, np.inf), 1.7 * knot, deep, 3.0 * deep,
+        ])
+
+    @pytest.mark.parametrize("kind, kwargs, dimension", TARGETS)
+    def test_batch_equals_scalar_calls(self, kind, kwargs, dimension):
+        if dimension is None:
+            entry = parse_target_name(kind)
+        else:
+            entry = make_example(kind, dimension, **kwargs)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        t = entry.transform
+        r = self._radii(t)
+        r0 = np.concatenate([[0.0], r])  # the origin: value and gradient only
+        with np.errstate(all="ignore"):
+            for fn in (value_radial, grad_factor):
+                assert _bits(fn(tp, r0)) == _bits([fn(tp, float(x)) for x in r0]), fn.__name__
+            eig = hessian_eigenvalues(tp, r)
+            singles = [hessian_eigenvalues(tp, float(x)) for x in r]
+            assert _bits(eig.lambda_radial) == _bits([e.lambda_radial for e in singles])
+            assert _bits(eig.lambda_tangential) == _bits([e.lambda_tangential for e in singles])
+            for fn in (log_gprime, dlog_gprime, d2log_gprime,
+                       log_g_over_r, dlog_g_over_r, d2log_g_over_r):
+                assert _bits(fn(t, r)) == _bits([fn(t, float(x)) for x in r]), fn.__name__
 
 
 class TestQuadraticTailBranch:

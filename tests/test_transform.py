@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,21 @@ class TestGinSpec:
 
     def test_value_at_zero(self):
         assert ginbeta2_profile(2.0).value(np.asarray(0.0)) == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        *(ginbeta2_profile(b) for b in (0.1, 0.25, 0.75, 1.0, 3.0)),
+        warmup_profile(1), warmup_profile(2), warmup_profile(5, knot=2.0),
+    ])
+    def test_log_profile_matches_polyval_bitwise(self, spec):
+        """The profile exponent and its derivatives are evaluated by Horner's
+        rule in numpy's polyval order, so they equal polyval bit for bit."""
+        r = np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 400), [np.inf]])
+        for order in range(4):
+            coeffs = npoly.polyder(spec.log_poly, order)
+            with np.errstate(invalid="ignore"):  # inf * 0 starts both at nan
+                assert spec.log_profile(r, order).tobytes() == npoly.polyval(r, coeffs).tobytes()
+            for x in (0.0, 0.37, 1.0):
+                assert spec.log_profile(x, order) == npoly.polyval(x, coeffs)
 
 
 class TestRadialTransformValidation:

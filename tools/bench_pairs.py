@@ -1,0 +1,117 @@
+"""Before/after benchmark pairs of two tula source trees.
+
+    python3 tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \
+        --workload t2_3-sample-cli --pairs 10 --first-seed 501 --out BENCH_4.json
+
+Runs ``perfbench/run.py --trace 0`` on both trees for ``--pairs`` seeds
+(``first-seed``, ``first-seed + 1``, ...), alternating which tree runs
+first, then, unless ``--trace-seed`` is negative, one ``--trace 1`` run of
+each tree.  Each tree runs its own ``perfbench/`` from its own root.  For
+every end-to-end metric the output records the per-pair values, both
+medians, both quartiles, the parent's interquartile range and the number
+of pairs the change won (ties count for neither side); for the traced run
+it records the per-layer metrics named in TRACED.  Results of several
+workloads accumulate in one ``--out`` file, one entry per workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TRACED = (
+    "dynamics.grad_factor_ns_per_radius.bulk",
+    "dynamics.grad_factor_ns_per_radius.tail",
+    "dynamics.transformed_gradient_us_per_call",
+    "dynamics.hessian_eigenvalues_ns_per_radius",
+    "transform.h_forward.calls",
+)
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark invocation; returns its result line (the last stdout line)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree} seed {seed} trace {trace}: exit {proc.returncode}\n{proc.stderr}")
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    values = {name: m["value"] for name, m in line["metrics"].items()}
+    print(f"{tree.name} seed {seed} trace {trace}: correct={line['correct']} "
+          + " ".join(f"{k}={v:.4g}" for k, v in values.items() if trace == 0 or k in TRACED),
+          flush=True)
+    return {"correct": line["correct"], "attempted": line["attempted"],
+            "failed": line["failed"], "metrics": values}
+
+
+def summarize(spec: dict, pairs: list[dict]) -> dict:
+    out = {}
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        entry = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+                 "parent": parent, "change": change, "change_wins": wins,
+                 "parent_median": statistics.median(parent),
+                 "change_median": statistics.median(change)}
+        if len(pairs) >= 2:  # quartiles by statistics.quantiles' exclusive method
+            pq, cq = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
+            entry.update(parent_quartiles=pq, change_quartiles=cq, parent_iqr=pq[2] - pq[0])
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace-seed", type=int, default=-1,
+                        help="seed of the one traced run per tree; negative skips it")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(trees[side], args.workload, seed, args.seconds, 0)
+        pairs.append(pair)
+    entry = {"seconds": args.seconds, "pairs": pairs, "end_to_end": summarize(spec, pairs)}
+    if args.trace_seed >= 0:
+        entry["traced"] = {"seed": args.trace_seed}
+        for side, tree in trees.items():
+            res = run(tree, args.workload, args.trace_seed, args.seconds, 1)
+            entry["traced"][side] = {k: res["metrics"][k] for k in TRACED}
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("machine", {"python": platform.python_version(),
+                               "platform": platform.platform(),
+                               "cpus": len(os.sched_getaffinity(0))})
+    doc.setdefault("workloads", {})[args.workload] = entry
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, m in entry["end_to_end"].items():
+        print(f"{args.workload} {name}: parent {m['parent_median']:.4g} change "
+              f"{m['change_median']:.4g} {m['unit']}, change wins {m['change_wins']}/{len(pairs)}"
+              + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
