@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--gamma", type=float, help="step size")
     sample.add_argument("--steps", type=int, help="number of iterations")
     sample.add_argument("--seed", type=int, help="base seed (default 0)")
-    sample.add_argument("--chains", type=int, help="parallel chains (default 1)")
+    sample.add_argument("--chains", type=int, help="number of chains (default 1)")
     sample.add_argument("--thin", type=int, help="record every k-th iterate (default 1)")
     sample.add_argument("--burn-in", dest="burn_in", type=int,
                         help="recorded rows dropped before diagnostics (default: half)")

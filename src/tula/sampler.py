@@ -10,10 +10,8 @@ transform) is exposed for comparison runs.
 
 Randomness is reproducible and splittable: chain ``k`` of a run with seed
 ``s`` draws from ``Philox`` keyed by ``SeedSequence(s, spawn_key=(k,))``,
-so results do not depend on scheduling, on the number of worker threads,
-or on how many sibling chains run alongside.  Parallelism across chains is
-capped by the ``TULA_THREADS`` environment variable (default: one worker
-per chain up to the CPU count).
+so results do not depend on how many sibling chains run alongside.
+Chains run one after another.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,10 +81,15 @@ class SamplerConfig:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
         if self.num_chains < 1:
             raise ValueError(f"num_chains must be >= 1, got {self.num_chains}")
+        if self.init_scale is not None and not (
+            self.init_scale > 0.0 and math.isfinite(self.init_scale)
+        ):
+            raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
         if self.initial_point is not None:
-            object.__setattr__(
-                self, "initial_point", np.asarray(self.initial_point, dtype=float)
-            )
+            point = np.asarray(self.initial_point, dtype=float)
+            if not np.all(np.isfinite(point)):
+                raise ValueError(f"initial_point must be finite, got {point.tolist()}")
+            object.__setattr__(self, "initial_point", point)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -201,7 +202,6 @@ def _run_chain(
     y0: np.ndarray,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    schedule: Callable[[int], float] | None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     gamma = cfg.step_size
     root = math.sqrt(2.0 * gamma)
@@ -213,9 +213,6 @@ def _run_chain(
     # already turns that into a flag, so the numpy warnings add only noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.num_steps + 1):
-            if schedule is not None:
-                gamma = schedule(k)
-                root = math.sqrt(2.0 * gamma)
             y = y - gamma * grad_fn(y) + root * rng.standard_normal(y.shape[0])
             # the norm check keeps every recorded radius representable, not
             # just every coordinate; the squared norm overflows first
@@ -228,38 +225,15 @@ def _run_chain(
     return np.asarray(recorded), np.asarray(steps, dtype=int), diverged
 
 
-def _num_workers(num_chains: int) -> int:
-    env = os.environ.get("TULA_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"TULA_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ValueError(f"TULA_THREADS must be >= 1, got {cap}")
-        return min(cap, num_chains)
-    return min(num_chains, os.cpu_count() or 1)
-
-
 def _run(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     dim: int,
     cfg: SamplerConfig,
     transform: tr.RadialTransform | None,
-    schedule: Callable[[int], float] | None = None,
 ) -> ChainRun:
     rngs = [_chain_rng(cfg.seed, i) for i in range(cfg.num_chains)]
     starts = _initial_points(cfg, dim, rngs, grad_fn)
-    workers = _num_workers(cfg.num_chains)
-    if workers == 1 or cfg.num_chains == 1:
-        results = [_run_chain(grad_fn, y0, cfg, rng, schedule) for y0, rng in zip(starts, rngs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chain, grad_fn, y0, cfg, rng, schedule)
-                for y0, rng in zip(starts, rngs)
-            ]
-            results = [f.result() for f in futures]
+    results = [_run_chain(grad_fn, y0, cfg, rng) for y0, rng in zip(starts, rngs)]
     ys, steps, flags = zip(*results)
     return ChainRun(
         config=cfg,
@@ -270,22 +244,11 @@ def _run(
     )
 
 
-def run_tula(
-    tp: TransformedPotential,
-    cfg: SamplerConfig,
-    step_schedule: Callable[[int], float] | None = None,
-) -> ChainRun:
+def run_tula(tp: TransformedPotential, cfg: SamplerConfig) -> ChainRun:
     """Run the transformed-side chains; ``x`` trajectories come out via
     the transform.  A chain that leaves double range is truncated to its
-    finite prefix and flagged, without affecting sibling chains.
-
-    ``step_schedule`` optionally maps the 1-based iteration index to a
-    step size, overriding the constant ``cfg.step_size``; the constant
-    schedule is the supported and tested path.
-    """
-    return _run(
-        lambda y: transformed_gradient(tp, y), tp.dimension, cfg, tp.transform, step_schedule
-    )
+    finite prefix and flagged, without affecting sibling chains."""
+    return _run(lambda y: transformed_gradient(tp, y), tp.dimension, cfg, tp.transform)
 
 
 def run_ula(p: IsotropicPotential, cfg: SamplerConfig) -> ChainRun:

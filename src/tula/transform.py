@@ -25,9 +25,8 @@ one jet (:class:`RadialJet`) that computes the profile pieces and these
 terms together, up to a requested derivative order: :func:`bulk_jet`
 shares one Horner pass per derivative of ``p`` and one ``exp(p)``, and
 :func:`tail_jet` shares the tail exponent ``u = b r**beta`` (or the
-quadratic profile).  The single-quantity helpers (:func:`log_gprime`,
-:func:`dlog_g_over_r`, ...) and :func:`log_det_jacobian` are views of the
-jets.
+quadratic profile).  :func:`log_jacobian_terms` assembles the log terms
+across the knot, and :func:`log_det_jacobian` is a view of it.
 """
 
 from __future__ import annotations
@@ -386,17 +385,6 @@ def bulk_jet(gin: GinSpec, r: np.ndarray, order: int) -> RadialJet:
     return RadialJet(tuple(g), tuple(lgp), tuple(lgr))
 
 
-def _exponent_jet(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
-    """``u = b r**beta`` and its first ``order`` derivatives."""
-    b, beta = t.b, t.beta
-    u = [b * np.power(r, beta)]
-    if order >= 1:
-        u.append(b * beta * np.power(r, beta - 1.0))
-    if order >= 2:
-        u.append(b * beta * (beta - 1.0) * np.power(r, beta - 2.0))
-    return tuple(u)
-
-
 def tail_jet(t: RadialTransform, r: np.ndarray, order: int) -> RadialJet:
     """Jet of the tail profile at radii ``r >= knot``, order 0 to 2.
 
@@ -417,17 +405,19 @@ def tail_jet(t: RadialTransform, r: np.ndarray, order: int) -> RadialJet:
             lgp.append(-1.0 / (r * r))
             lgr.append(lgp[2])
         return RadialJet(profile, tuple(lgp), tuple(lgr))
-    beta = t.beta
-    u = _exponent_jet(t, r, order)
-    lgp = [math.log(t.b * beta) + (beta - 1.0) * logr + u[0]]
+    b, beta = t.b, t.beta
+    u = [b * np.power(r, beta)]
+    lgp = [math.log(b * beta) + (beta - 1.0) * logr + u[0]]
     lgr = [u[0] - logr]
     if order >= 1:
+        u.append(b * beta * np.power(r, beta - 1.0))
         lgp.append((beta - 1.0) / r + u[1])
         lgr.append(u[1] - 1.0 / r)
     if order >= 2:
+        u.append(b * beta * (beta - 1.0) * np.power(r, beta - 2.0))
         lgp.append(-(beta - 1.0) / (r * r) + u[2])
         lgr.append(u[2] + 1.0 / (r * r))
-    return RadialJet(u, tuple(lgp), tuple(lgr))
+    return RadialJet(tuple(u), tuple(lgp), tuple(lgr))
 
 
 def log_jacobian_terms(t: RadialTransform, r, order: int):
@@ -450,47 +440,6 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
         for out, val in zip(lgp + lgr, jet.log_gprime + jet.log_g_over_r):
             out[mask] = val
     return tuple(_ret(v, scalar) for v in lgp), tuple(_ret(v, scalar) for v in lgr)
-
-
-def log_gprime(t: RadialTransform, r):
-    """``log g'(r)``, overflow-free on both branches."""
-    return log_jacobian_terms(t, r, 0)[0][0]
-
-
-def dlog_gprime(t: RadialTransform, r):
-    """``(log g')'(r) = g''/g'``."""
-    return log_jacobian_terms(t, r, 1)[0][1]
-
-
-def d2log_gprime(t: RadialTransform, r):
-    """``(log g')''(r)``."""
-    return log_jacobian_terms(t, r, 2)[0][2]
-
-
-def log_g_over_r(t: RadialTransform, r):
-    """``log(g(r)/r)``; finite at ``r = 0`` where it equals ``log c + p(0)``."""
-    return log_jacobian_terms(t, r, 0)[1][0]
-
-
-def dlog_g_over_r(t: RadialTransform, r):
-    """``(log(g/r))'(r) = g'/g - 1/r``; finite at the origin."""
-    return log_jacobian_terms(t, r, 1)[1][1]
-
-
-def d2log_g_over_r(t: RadialTransform, r):
-    """``(log(g/r))''(r)``; finite at the origin."""
-    return log_jacobian_terms(t, r, 2)[1][2]
-
-
-def tail_exponent(t: RadialTransform, r):
-    """``(u, u', u'')`` with ``u = b r**beta``, for log-space tail work.
-
-    Only defined for the exponential tail kind.
-    """
-    if t.tail != _EXP:
-        raise ValueError("tail_exponent is only defined for the exponential tail")
-    arr, scalar = _check_radii(r)
-    return tuple(_ret(v, scalar) for v in _exponent_jet(t, arr, 2))
 
 
 def g_inverse(t: RadialTransform, s, tol: float = 1e-12):

@@ -1,0 +1,44 @@
+"""The before/after summary of tools/bench_pairs.py on synthetic pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _run(wall, rss, attempted, failed, correct=True):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": wall, "peak_rss_mb": rss}}
+
+
+def test_summarize_counts_operations_and_compares_metrics():
+    spec = {"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}
+    pairs = [
+        {"seed": 1, "first": "parent", "parent": _run(2.0, 90.0, 10, 0),
+         "change": _run(1.0, 91.0, 12, 1)},
+        {"seed": 2, "first": "change", "parent": _run(3.0, 90.0, 10, 0),
+         "change": _run(3.0, 89.0, 12, 0, correct=False)},
+        {"seed": 3, "first": "parent", "parent": _run(4.0, 92.0, 11, 2),
+         "change": _run(5.0, 92.0, 12, 0)},
+    ]
+    out = bench_pairs.summarize(spec, pairs)
+    assert out["operations"] == {
+        "parent": {"attempted": 31, "failed": 2, "incorrect_runs": 0},
+        "change": {"attempted": 36, "failed": 1, "incorrect_runs": 1},
+    }
+    wall = out["end_to_end"]["wall_s"]
+    assert wall["parent"] == [2.0, 3.0, 4.0] and wall["change"] == [1.0, 3.0, 5.0]
+    assert wall["change_wins"] == 1  # the tie at seed 2 counts for neither side
+    assert (wall["parent_median"], wall["change_median"]) == (3.0, 3.0)
+    assert wall["parent_iqr"] == pytest.approx(2.0)  # exclusive quartiles 2 and 4
+    rss = out["end_to_end"]["peak_rss_mb"]
+    assert rss["change_wins"] == 1 and rss["change_median"] == 91.0
+    assert rss["bound"] == 0.1 and rss["unit"] == "MB"

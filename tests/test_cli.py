@@ -77,6 +77,12 @@ class TestUsageErrors:
         assert rc == 2
         assert "gamma" in capsys.readouterr().err
 
+    def test_non_finite_init_scale_names_the_option(self, tmp_path, capsys):
+        rc = main(["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "10",
+                   "--init-scale", "nan", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "init_scale" in capsys.readouterr().err
+
     def test_classify_needs_constants(self, capsys):
         assert main(["classify", "--assumption", "strong", "--b", "0.5"]) == 2
 

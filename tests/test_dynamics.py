@@ -26,17 +26,7 @@ from tula.dynamics import (
     value_radial,
 )
 from tula.targets import ExampleKind, make_example, make_multivariate_t, parse_target_name
-from tula.transform import (
-    d2log_g_over_r,
-    d2log_gprime,
-    dlog_g_over_r,
-    dlog_gprime,
-    g_eval,
-    ginbeta2_transform,
-    log_g_over_r,
-    log_gprime,
-    warmup_transform,
-)
+from tula.transform import g_eval, ginbeta2_transform, log_jacobian_terms, warmup_transform
 
 # mpmath, 40 digits, t-dist d=2 kappa=1 with b=1, beta=2
 FH_BULK_05 = -0.3959258705723944
@@ -219,8 +209,9 @@ def _composed_slope(tp, r):
     """f_h'(r) = f'(g(r)) g'(r) - (log g')'(r) - (d-1) (log(g/r))'(r), composed
     from the target and the profile, without the target's closed form."""
     t, f = tp.transform, tp.target
+    lgp, lgr = log_jacobian_terms(t, r, 1)
     return (f.dvalue(g_eval(t, r, 0)) * g_eval(t, r, 1)
-            - dlog_gprime(t, r) - (t.dimension - 1.0) * dlog_g_over_r(t, r))
+            - lgp[1] - (t.dimension - 1.0) * lgr[1])
 
 
 class TestClosedFormBulkSlope:
@@ -321,9 +312,11 @@ class TestJetPointwise:
             singles = [hessian_eigenvalues(tp, float(x)) for x in r]
             assert _bits(eig.lambda_radial) == _bits([e.lambda_radial for e in singles])
             assert _bits(eig.lambda_tangential) == _bits([e.lambda_tangential for e in singles])
-            for fn in (log_gprime, dlog_gprime, d2log_gprime,
-                       log_g_over_r, dlog_g_over_r, d2log_g_over_r):
-                assert _bits(fn(t, r)) == _bits([fn(t, float(x)) for x in r]), fn.__name__
+            batch = log_jacobian_terms(t, r, 2)
+            singles = [log_jacobian_terms(t, float(x), 2) for x in r]
+            for term in (0, 1):  # log g', log(g/r)
+                for j in range(3):
+                    assert _bits(batch[term][j]) == _bits([s[term][j] for s in singles]), (term, j)
 
 
 class TestQuadraticTailBranch:

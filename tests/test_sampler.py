@@ -71,6 +71,12 @@ class TestSamplerConfig:
             SamplerConfig(step_size=0.1, num_steps=10, thin=0)
         with pytest.raises(ValueError, match="num_chains"):
             SamplerConfig(step_size=0.1, num_steps=10, num_chains=0)
+        for scale in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="init_scale"):
+                SamplerConfig(step_size=0.1, num_steps=10, init_scale=scale)
+        for point in ([math.nan, 0.0], [[0.0, 0.0], [math.inf, 1.0]]):
+            with pytest.raises(ValueError, match="initial_point"):
+                SamplerConfig(step_size=0.1, num_steps=10, initial_point=point)
 
     def test_to_dict_round_trips_through_json_types(self):
         cfg = SamplerConfig(step_size=0.05, num_steps=100, seed=7,
@@ -95,27 +101,10 @@ class TestDeterminism:
         trio = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=150, seed=9, num_chains=3))
         np.testing.assert_array_equal(solo.ys[0], trio.ys[0])
 
-    def test_thread_count_does_not_change_results(self, tp, monkeypatch):
-        cfg = SamplerConfig(step_size=0.05, num_steps=100, seed=3, num_chains=4)
-        monkeypatch.setenv("TULA_THREADS", "1")
-        serial = run_tula(tp, cfg)
-        monkeypatch.setenv("TULA_THREADS", "4")
-        threaded = run_tula(tp, cfg)
-        for ya, yb in zip(serial.ys, threaded.ys):
-            np.testing.assert_array_equal(ya, yb)
-
     def test_different_seeds_differ(self, tp):
         a = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=50, seed=0))
         b = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=50, seed=1))
         assert not np.array_equal(a.ys[0], b.ys[0])
-
-    def test_invalid_thread_env(self, tp, monkeypatch):
-        monkeypatch.setenv("TULA_THREADS", "zero")
-        with pytest.raises(ValueError, match="TULA_THREADS"):
-            run_tula(tp, SamplerConfig(step_size=0.05, num_steps=10, num_chains=2))
-        monkeypatch.setenv("TULA_THREADS", "0")
-        with pytest.raises(ValueError, match="TULA_THREADS"):
-            run_tula(tp, SamplerConfig(step_size=0.05, num_steps=10, num_chains=2))
 
 
 class TestRecording:
@@ -178,6 +167,17 @@ class TestDivergence:
             assert np.all(np.isfinite(y))  # finite prefix kept
             assert y.shape[0] < 201
 
+    def test_divergence_stays_in_its_chain(self, tp):
+        """A chain that leaves double range leaves its sibling untouched."""
+        def run(first):
+            return run_tula(tp, SamplerConfig(step_size=0.05, num_steps=200, seed=3, num_chains=2,
+                                              initial_point=np.array([first, [0.5, 0.5]])))
+        blown, healthy = run([1e200, 0.0]), run([1.0, 0.0])
+        assert blown.diverged == (True, False)
+        assert healthy.diverged == (False, False)
+        np.testing.assert_array_equal(blown.ys[1], healthy.ys[1])
+        np.testing.assert_array_equal(blown.steps[1], healthy.steps[1])
+
     def test_summary_reports_divergence(self, tp):
         cfg = SamplerConfig(step_size=5.0, num_steps=200, seed=1,
                             initial_point=np.array([1.0, 0.0]))
@@ -200,13 +200,6 @@ class TestRunUla:
         run = run_ula(entry.potential, SamplerConfig(step_size=0.01, num_steps=50, seed=0))
         assert run.transform is None
         np.testing.assert_array_equal(run.xs[0], run.ys[0])
-
-    def test_step_schedule_override(self, tp):
-        """A constant schedule reproduces the fixed-step run exactly."""
-        cfg = SamplerConfig(step_size=0.05, num_steps=40, seed=8)
-        fixed = run_tula(tp, cfg)
-        scheduled = run_tula(tp, cfg, step_schedule=lambda k: 0.05)
-        np.testing.assert_array_equal(fixed.ys[0], scheduled.ys[0])
 
 
 class TestPlanner:

@@ -1,4 +1,4 @@
-"""Tests for the radial profile: gluing, inversion, log helpers, serde.
+"""Tests for the radial profile: gluing, inversion, log-Jacobian terms, serde.
 
 Frozen reference numbers were computed independently with mpmath at 40
 significant digits (tools/freeze_oracles.py) and pasted here.
@@ -17,10 +17,6 @@ from tula.transform import (
     G1Report,
     GinSpec,
     RadialTransform,
-    d2log_g_over_r,
-    d2log_gprime,
-    dlog_g_over_r,
-    dlog_gprime,
     g_eval,
     g_inverse,
     ginbeta2_profile,
@@ -28,9 +24,8 @@ from tula.transform import (
     h_forward,
     h_inverse,
     log_det_jacobian,
-    log_g_over_r,
-    log_gprime,
-    tail_exponent,
+    log_jacobian_terms,
+    tail_jet,
     transform_from_dict,
     transform_from_json,
     transform_to_dict,
@@ -232,53 +227,61 @@ class TestLogHelpers:
 
     def test_log_gprime_matches_direct(self, t):
         r = np.linspace(0.05, 5.0, 80)
-        np.testing.assert_allclose(log_gprime(t, r), np.log(g_eval(t, r, 1)), rtol=1e-12)
+        (lgp,), _ = log_jacobian_terms(t, r, 0)
+        np.testing.assert_allclose(lgp, np.log(g_eval(t, r, 1)), rtol=1e-12)
 
     def test_log_g_over_r_matches_direct(self, t):
         r = np.linspace(0.05, 5.0, 80)
-        np.testing.assert_allclose(log_g_over_r(t, r), np.log(g_eval(t, r) / r), rtol=1e-12)
+        _, (lgr,) = log_jacobian_terms(t, r, 0)
+        np.testing.assert_allclose(lgr, np.log(g_eval(t, r) / r), rtol=1e-12)
 
     def test_first_log_derivatives(self, t):
         # avoid straddling the knot with the difference stencil
         r = np.concatenate([np.linspace(0.05, t.knot * 0.98, 40),
                             np.linspace(t.knot * 1.02, 5.0, 40)])
         h = 1e-6
-        fd = (np.asarray(log_gprime(t, r + h)) - np.asarray(log_gprime(t, r - h))) / (2 * h)
-        np.testing.assert_allclose(dlog_gprime(t, r), fd, rtol=1e-6, atol=1e-8)
-        fd2 = (np.asarray(log_g_over_r(t, r + h)) - np.asarray(log_g_over_r(t, r - h))) / (2 * h)
-        np.testing.assert_allclose(dlog_g_over_r(t, r), fd2, rtol=1e-6, atol=1e-8)
+        (lgp, dlgp), (lgr, dlgr) = log_jacobian_terms(t, r, 1)
+        (lgp_hi,), (lgr_hi,) = log_jacobian_terms(t, r + h, 0)
+        (lgp_lo,), (lgr_lo,) = log_jacobian_terms(t, r - h, 0)
+        fd = (lgp_hi - lgp_lo) / (2 * h)
+        np.testing.assert_allclose(dlgp, fd, rtol=1e-6, atol=1e-8)
+        fd2 = (lgr_hi - lgr_lo) / (2 * h)
+        np.testing.assert_allclose(dlgr, fd2, rtol=1e-6, atol=1e-8)
 
     def test_second_log_derivatives(self, t):
         r = np.concatenate([np.linspace(0.1, t.knot * 0.98, 40),
                             np.linspace(t.knot * 1.02, 5.0, 40)])
         h = 1e-5
-        fd = (np.asarray(dlog_gprime(t, r + h)) - np.asarray(dlog_gprime(t, r - h))) / (2 * h)
-        np.testing.assert_allclose(d2log_gprime(t, r), fd, rtol=1e-5, atol=1e-6)
-        fd2 = (np.asarray(dlog_g_over_r(t, r + h)) - np.asarray(dlog_g_over_r(t, r - h))) / (2 * h)
-        np.testing.assert_allclose(d2log_g_over_r(t, r), fd2, rtol=1e-5, atol=1e-6)
+        lgp, lgr = log_jacobian_terms(t, r, 2)
+        lgp_hi, lgr_hi = log_jacobian_terms(t, r + h, 1)
+        lgp_lo, lgr_lo = log_jacobian_terms(t, r - h, 1)
+        fd = (lgp_hi[1] - lgp_lo[1]) / (2 * h)
+        np.testing.assert_allclose(lgp[2], fd, rtol=1e-5, atol=1e-6)
+        fd2 = (lgr_hi[1] - lgr_lo[1]) / (2 * h)
+        np.testing.assert_allclose(lgr[2], fd2, rtol=1e-5, atol=1e-6)
 
     def test_log_space_survives_deep_tail(self):
         """Radii whose raw profile value overflows still get exact logs."""
         t = ginbeta2_transform(1.0, 3)
         r = np.array([30.0, 100.0, 500.0])
         assert not np.all(np.isfinite(g_eval(t, r)))  # raw value overflows
-        np.testing.assert_allclose(log_gprime(t, r), np.log(2.0 * r) + r**2, rtol=1e-14)
-        np.testing.assert_allclose(log_g_over_r(t, r), r**2 - np.log(r), rtol=1e-14)
+        (lgp,), (lgr,) = log_jacobian_terms(t, r, 0)
+        np.testing.assert_allclose(lgp, np.log(2.0 * r) + r**2, rtol=1e-14)
+        np.testing.assert_allclose(lgr, r**2 - np.log(r), rtol=1e-14)
 
     def test_origin_values_are_finite(self, t):
         c, p0 = t.gin.scale, t.gin.log_poly[0]
-        assert log_g_over_r(t, 0.0) == pytest.approx(math.log(c) + p0, rel=1e-12)
-        assert np.isfinite(dlog_g_over_r(t, 0.0))
-        assert np.isfinite(d2log_g_over_r(t, 0.0))
+        _, lgr = log_jacobian_terms(t, 0.0, 2)
+        assert lgr[0] == pytest.approx(math.log(c) + p0, rel=1e-12)
+        assert np.isfinite(lgr[1])
+        assert np.isfinite(lgr[2])
 
     def test_tail_exponent_values(self):
         t = ginbeta2_transform(0.5, 2)
-        u, du, d2u = tail_exponent(t, 3.0)
+        u, du, d2u = tail_jet(t, 3.0, 2).profile
         assert u == pytest.approx(4.5)
         assert du == pytest.approx(3.0)
         assert d2u == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="exponential tail"):
-            tail_exponent(warmup_transform(2), 3.0)
 
 
 class TestInverse:
@@ -368,7 +371,8 @@ class TestVectorMaps:
     def test_log_det_jacobian_matches_parts(self):
         t = ginbeta2_transform(0.7, 4)
         r = np.linspace(0.1, 3.0, 30)
-        expected = np.asarray(log_gprime(t, r)) + 3 * np.asarray(log_g_over_r(t, r))
+        (lgp,), (lgr,) = log_jacobian_terms(t, r, 0)
+        expected = lgp + 3 * lgr
         np.testing.assert_allclose(log_det_jacobian(t, r), expected, rtol=1e-14)
 
 

@@ -9,9 +9,12 @@ first, then, unless ``--trace-seed`` is negative, one ``--trace 1`` run of
 each tree.  Each tree runs its own ``perfbench/`` from its own root.  For
 every end-to-end metric the output records the per-pair values, both
 medians, both quartiles, the parent's interquartile range and the number
-of pairs the change won (ties count for neither side); for the traced run
-it records the per-layer metrics named in TRACED.  Results of several
-workloads accumulate in one ``--out`` file, one entry per workload.
+of pairs the change won (ties count for neither side), and for each side
+the summed ``attempted`` and ``failed`` operations and the number of runs
+that reported ``correct: false``; for the traced run it records the
+per-layer metrics named in TRACED.  Results of several workloads
+accumulate in one ``--out`` file, one entry per workload.  The exit status
+is 1 when any run, traced or not, reported ``correct: false``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,15 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
 
 
 def summarize(spec: dict, pairs: list[dict]) -> dict:
-    out = {}
+    """Per-side operation counts and per-metric comparisons of the pairs."""
+    out = {"operations": {}, "end_to_end": {}}
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        out["operations"][side] = {
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "incorrect_runs": sum(not r["correct"] for r in runs),
+        }
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [p["parent"]["metrics"][name] for p in pairs]
@@ -66,7 +77,7 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
         if len(pairs) >= 2:  # quartiles by statistics.quantiles' exclusive method
             pq, cq = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
             entry.update(parent_quartiles=pq, change_quartiles=cq, parent_iqr=pq[2] - pq[0])
-        out[name] = entry
+        out["end_to_end"][name] = entry
     return out
 
 
@@ -93,12 +104,15 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run(trees[side], args.workload, seed, args.seconds, 0)
         pairs.append(pair)
-    entry = {"seconds": args.seconds, "pairs": pairs, "end_to_end": summarize(spec, pairs)}
+    entry = {"seconds": args.seconds, "pairs": pairs, **summarize(spec, pairs)}
+    all_correct = not any(o["incorrect_runs"] for o in entry["operations"].values())
     if args.trace_seed >= 0:
         entry["traced"] = {"seed": args.trace_seed}
         for side, tree in trees.items():
             res = run(tree, args.workload, args.trace_seed, args.seconds, 1)
-            entry["traced"][side] = {k: res["metrics"][k] for k in TRACED}
+            entry["traced"][side] = {"correct": res["correct"],
+                                     **{k: res["metrics"][k] for k in TRACED}}
+            all_correct = all_correct and res["correct"]
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("machine", {"python": platform.python_version(),
@@ -110,6 +124,13 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: parent {m['parent_median']:.4g} change "
               f"{m['change_median']:.4g} {m['unit']}, change wins {m['change_wins']}/{len(pairs)}"
               + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else ""))
+    ops = entry["operations"]
+    print(f"{args.workload} operations: " + ", ".join(
+        f"{side} failed {o['failed']}/{o['attempted']} ({o['incorrect_runs']} incorrect runs)"
+        for side, o in ops.items()))
+    if not all_correct:
+        print(f"{args.workload}: a run reported correct: false", file=sys.stderr)
+        return 1
     return 0
 
 
