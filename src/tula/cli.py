@@ -121,9 +121,9 @@ def _build_entry(opts: dict[str, Any]) -> TargetZooEntry:
         dimension=None if opts.get("d") is None else int(opts["d"]),
         kappa=opts.get("kappa"),
         upsilon=opts.get("upsilon"),
-        vartheta=float(opts.get("vartheta") or 1.0),
+        vartheta=1.0 if opts.get("vartheta") is None else float(opts["vartheta"]),
         b=opts.get("b"),
-        knot=float(opts.get("knot") or 1.0),
+        knot=1.0 if opts.get("knot") is None else float(opts["knot"]),
     )
 
 

@@ -26,7 +26,8 @@ are views of one radial jet: it splits the radii at the knot once, takes
 the branch jets of :mod:`tula.transform` (profile pieces and log-Jacobian
 terms together) and composes the requested derivatives of ``f_h`` from
 them.  On the bulk branch of a target built from a closed transformed
-potential ``phi`` for this very transform, ``f_h'`` is ``phi'`` instead.
+potential ``phi`` for this very transform, ``f_h``, ``f_h'`` and ``f_h''``
+are ``phi``, ``phi'`` and ``phi''`` instead.
 
 The module also exposes the Ito form of the transformed dynamics mapped
 back to the original space: an SDE with drift ``b(x)`` and a radially
@@ -39,12 +40,12 @@ g^{-1}(|x|)``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import transform as tr
-from .targets import IsotropicPotential
+from .targets import IsotropicPotential, TransformedForm
 
 __all__ = [
     "TransformedPotential",
@@ -85,13 +86,14 @@ ORIGIN_RADIUS = 1e-10
 class TransformedPotential:
     """A target potential paired with a radial transform of equal dimension.
 
-    ``bulk_slope`` is ``phi'`` when the target was built from a closed
-    transformed potential ``phi`` for this very transform, else None.
+    ``closed_form`` is the target's closed transformed potential ``phi``
+    (with ``phi'`` and ``phi''``) when it was derived for this very
+    transform, else None.
     """
 
     target: IsotropicPotential
     transform: tr.RadialTransform
-    bulk_slope: Callable | None = dataclasses.field(init=False, repr=False, compare=False)
+    closed_form: TransformedForm | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target.dimension != self.transform.dimension:
@@ -100,8 +102,8 @@ class TransformedPotential:
                 f"transform {self.transform.dimension}"
             )
         form = self.target.transformed_form
-        slope = form.dvalue if form is not None and form.transform == self.transform else None
-        object.__setattr__(self, "bulk_slope", slope)
+        closed = form if form is not None and form.transform == self.transform else None
+        object.__setattr__(self, "closed_form", closed)
 
     @property
     def dimension(self) -> int:
@@ -139,10 +141,10 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
 
     Splits the radii at the knot once and takes one branch jet per branch.
     On the bulk branch of a target built from a closed transformed
-    potential for this transform, ``f_h'`` is that form's derivative
-    (``tp.bulk_slope``): composing ``f'`` with the profile there would
-    first invert the profile by Newton's method, only to recover the radius
-    the call started from.
+    potential for this transform (``tp.closed_form``), ``f_h^(k)`` is
+    ``phi^(k)``: composing ``f`` with the profile there would first invert
+    the profile by Newton's method, only to recover the radius the call
+    started from.
     """
     t, f = tp.transform, tp.target
     d1 = t.dimension - 1.0
@@ -150,15 +152,15 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     bulk, tail = tr._split(t, arr)
     if bulk.any():
         rb = arr[bulk]
-        composed = orders
-        if tp.bulk_slope is not None and 1 in orders:
-            outs[1][bulk] = tp.bulk_slope(rb)
-            composed = [k for k in orders if k != 1]
-        if composed:
-            jet = tr.bulk_jet(t.gin, rb, max(composed))
-            values = _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, composed)
-            for k, val in zip(composed, values):
-                outs[k][bulk] = val
+        form = tp.closed_form
+        if form is not None:
+            phi = (form.value, form.dvalue, form.d2value)
+            values = [phi[k](rb) for k in orders]
+        else:
+            jet = tr.bulk_jet(t.gin, rb, max(orders))
+            values = _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, orders)
+        for k, val in zip(orders, values):
+            outs[k][bulk] = val
     if tail.any():
         jet = tr.tail_jet(t, arr[tail], max(orders))
         if t.tail == "exp":
@@ -215,8 +217,7 @@ def transformed_value(tp: TransformedPotential, y):
 
 def transformed_log_density(tp: TransformedPotential, y):
     """Unnormalized transformed log-density, ``-f_h(y)``."""
-    val = transformed_value(tp, y)
-    return -val if np.isscalar(val) else -np.asarray(val)
+    return -transformed_value(tp, y)
 
 
 def transformed_gradient(tp: TransformedPotential, y):
@@ -238,6 +239,21 @@ def transformed_gradient(tp: TransformedPotential, y):
     return out[0] if single else out
 
 
+def _ito_pieces(tp: TransformedPotential, x):
+    """Checked ``x``, ``s = |x| > 0``, ``u = g^{-1}(s)``, ``g'(u)``, ``g''(u)``, ``f'(s)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] != tp.dimension:
+        raise ValueError(f"expected a single point of dimension {tp.dimension}")
+    s = float(np.linalg.norm(x))
+    if s == 0.0:
+        raise ValueError("the Ito decomposition is singular at the origin")
+    t = tp.transform
+    u = float(tr.g_inverse(t, s))
+    gp = float(tr.g_eval(t, u, 1))
+    gpp = float(tr.g_eval(t, u, 2))
+    return x, s, u, gp, gpp, float(tp.target.dvalue(s))
+
+
 def ito_drift_parts(tp: TransformedPotential, x):
     """The three pieces of the Ito drift at ``x != 0``, each a vector.
 
@@ -246,18 +262,8 @@ def ito_drift_parts(tp: TransformedPotential, x):
     Jacobian correction ``(grad h)^T grad log det grad h``, and the
     componentwise Laplacian of ``h``, all evaluated at ``u = g^{-1}(|x|)``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != tp.dimension:
-        raise ValueError(f"expected a single point of dimension {tp.dimension}")
-    s = float(np.linalg.norm(x))
-    if s == 0.0:
-        raise ValueError("the Ito decomposition is singular at the origin")
-    t, f = tp.transform, tp.target
-    d = t.dimension
-    u = float(tr.g_inverse(t, s))
-    gp = float(tr.g_eval(t, u, 1))
-    gpp = float(tr.g_eval(t, u, 2))
-    fp = float(f.dvalue(s))
+    x, s, u, gp, gpp, fp = _ito_pieces(tp, x)
+    d = tp.dimension
     unit = x / s
     grad_term = -(gp * gp) * fp * unit
     logdet_term = (gpp + (d - 1.0) * gp * gp / s - (d - 1.0) * gp / u) * unit
@@ -278,18 +284,8 @@ def ito_drift_diffusion(tp: TransformedPotential, x) -> ItoDecomposition:
     ``sqrt(2) |x| / u`` (each tangential direction), with
     ``u = g^{-1}(|x|)``.  Raises at the origin.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != tp.dimension:
-        raise ValueError(f"expected a single point of dimension {tp.dimension}")
-    s = float(np.linalg.norm(x))
-    if s == 0.0:
-        raise ValueError("the Ito decomposition is singular at the origin")
-    t, f = tp.transform, tp.target
-    d = t.dimension
-    u = float(tr.g_inverse(t, s))
-    gp = float(tr.g_eval(t, u, 1))
-    gpp = float(tr.g_eval(t, u, 2))
-    fp = float(f.dvalue(s))
+    x, s, u, gp, gpp, fp = _ito_pieces(tp, x)
+    d = tp.dimension
     radial = -gp * gp * fp + 2.0 * gpp + (d - 1.0) * gp * gp / s - (d - 1.0) * s / (u * u)
     drift = radial * x / s
     return ItoDecomposition(drift, (np.sqrt(2.0) * gp, np.sqrt(2.0) * s / u))

@@ -8,11 +8,12 @@ materializing the inner exponential (which overflows near ``b r**beta ~
 709``).
 
 The zoo pairs each potential with its canonical radial transform
-(:mod:`tula.transform`) and, where available, a closed expression for the
-transformed potential that the pairing is designed to produce
-(:class:`TransformedForm`).  Tests use that expression as a zero-variance
-identity, and the gradient uses its derivative on the bulk branch, where
-the general composition would first invert the profile by Newton's method.
+(:mod:`tula.transform`) and, where available, the closed transformed
+potential ``phi`` the pairing is designed to produce, with ``phi'`` and
+``phi''`` (:class:`TransformedForm`).  On the bulk branch of that pairing
+:mod:`tula.dynamics` takes ``f_h``, ``f_h'`` and ``f_h''`` from ``phi``
+outright, where the general composition would first invert the profile by
+Newton's method only to recover the radius it started from.
 
 Zoo construction
 ----------------
@@ -94,15 +95,16 @@ def _glued(seam: float, tail: Callable[[Array], Array], bulk: Callable[[Array], 
 class TransformedForm:
     """Closed transformed potential ``phi = f_h`` a potential was built from.
 
-    ``value`` and ``dvalue`` are ``phi`` and ``phi'`` as vectorized
-    callables of the radius.  They equal the composition ``f_h`` only when
-    the potential is paired with ``transform``, the transform ``phi`` was
-    derived for.
+    ``value``, ``dvalue`` and ``d2value`` are ``phi``, ``phi'`` and
+    ``phi''`` as vectorized callables of the radius.  On the bulk branch
+    they equal ``f_h`` and its derivatives only when the potential is
+    paired with ``transform``, the transform ``phi`` was derived for.
     """
 
     transform: tr.RadialTransform
     value: Callable
     dvalue: Callable
+    d2value: Callable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,14 +170,6 @@ class TargetZooEntry:
     transform: tr.RadialTransform
     kind: ExampleKind
     parameters: dict
-
-    @property
-    def expected_transformed_form(self) -> Callable | None:
-        """The closed radial expression the transformed potential is
-        designed to equal (None when no closed form exists, as for the
-        multivariate t family)."""
-        form = self.potential.transformed_form
-        return None if form is None else form.value
 
 
 # --- multivariate t -------------------------------------------------------
@@ -365,7 +359,7 @@ def _zoo_potential(
         moment_max=float(vartheta),
         seams=(seam,),
         parameters={"dimension": d, "b": b, "c_log": c_log, "vartheta": vartheta},
-        transformed_form=TransformedForm(t, _vectorized(phi), _vectorized(dphi)),
+        transformed_form=TransformedForm(t, *map(_vectorized, (phi, dphi, d2phi))),
     )
 
 
@@ -445,7 +439,7 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         moment_max=math.inf,
         seams=(seam,),
         parameters={"dimension": dimension, "knot": knot},
-        transformed_form=TransformedForm(t, _vectorized(phi), _vectorized(dphi)),
+        transformed_form=TransformedForm(t, *map(_vectorized, (phi, dphi, d2phi))),
     )
     return TargetZooEntry(pot, t, ExampleKind.WARMUP, {"dimension": dimension, "knot": knot})
 
@@ -463,7 +457,7 @@ def make_example(
     b: float | None = None,
     knot: float = 1.0,
 ) -> TargetZooEntry:
-    """Build a zoo entry: potential, canonical transform, expected form.
+    """Build a zoo entry: potential (with its closed form) and canonical transform.
 
     Parameters depend on the kind: the t family needs ``kappa`` (and pairs
     with ``b = d/(2 kappa)`` unless overridden); the tunable family

@@ -65,6 +65,8 @@ __all__ = [
 
 _EXP = "exp"
 _QUADRATIC = "quadratic"
+_NEWTON_TOL = 1e-12  # relative stopping rule of the bulk inversion in g_inverse
+_KNOT_REL_TOL = 1e-8  # of the knot_order checks in verify_g1_assumption
 
 
 def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
@@ -310,8 +312,8 @@ def g_eval(t: RadialTransform, r, order: int = 0):
 
     ``order`` 0 through 3.  Vectorized; scalar in, scalar out.  The tail
     branch owns the knot radius itself.  Note the raw tail value overflows
-    for ``b r**beta`` beyond ~709; use the log-space helpers when only
-    logarithmic information is needed.
+    for ``b r**beta`` beyond ~709; use :func:`log_jacobian_terms` or
+    :func:`tail_jet` when only logarithmic information is needed.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
@@ -319,7 +321,7 @@ def g_eval(t: RadialTransform, r, order: int = 0):
     bulk, tail = _split(t, arr)
     out = np.empty_like(arr)
     if bulk.any():
-        out[bulk] = t.gin.deriv(arr[bulk], order) if order else t.gin.value(arr[bulk])
+        out[bulk] = t.gin.deriv(arr[bulk], order)
     if tail.any():
         out[tail] = _tail_deriv(t, arr[tail], order)
     return _ret(out, scalar)
@@ -442,14 +444,14 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
     return tuple(_ret(v, scalar) for v in lgp), tuple(_ret(v, scalar) for v in lgr)
 
 
-def g_inverse(t: RadialTransform, s, tol: float = 1e-12):
+def g_inverse(t: RadialTransform, s):
     """Invert the profile: the radius ``r >= 0`` with ``g(r) = s``.
 
     Tail values invert in closed form (``(log s / b)**(1/beta)`` for the
     exponential kind, ``sqrt(s / a)`` for the quadratic one).  Bulk values
     use a bracketed Newton iteration seeded from a log-log table of the
     profile, falling back to bisection whenever the Newton step leaves the
-    current bracket, until ``|g(r) - s| <= tol * s`` (bulk values are
+    current bracket, until ``|g(r) - s| <= 1e-12 s`` (bulk values are
     positive; the bound is floored at the smallest normal float, so
     subnormal values still return).
     """
@@ -464,16 +466,14 @@ def g_inverse(t: RadialTransform, s, tol: float = 1e-12):
             out[tail] = np.sqrt(arr[tail] / t.tail_scale)
     bulk = ~tail & (arr > 0.0)  # zero maps to zero exactly
     if bulk.any():
-        out[bulk] = _invert_bulk(t, arr[bulk], tol)
+        out[bulk] = _invert_bulk(t, arr[bulk])
     return _ret(out, scalar)
 
 
 def _warm_start_table(t: RadialTransform) -> tuple[np.ndarray, np.ndarray]:
     """Cached log-log samples of the bulk profile for Newton warm starts.
 
-    Built lazily on first bulk inversion and stored on the instance; the
-    construction is idempotent, so a benign race between threads at worst
-    builds it twice.
+    Built lazily on first bulk inversion and stored on the instance.
     """
     table = getattr(t, "_bulk_table", None)
     if table is None:
@@ -483,7 +483,7 @@ def _warm_start_table(t: RadialTransform) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _invert_bulk(t: RadialTransform, s: np.ndarray, tol: float) -> np.ndarray:
+def _invert_bulk(t: RadialTransform, s: np.ndarray) -> np.ndarray:
     lo = np.zeros_like(s)
     hi = np.full_like(s, t.knot)
     log_values, log_radii = _warm_start_table(t)
@@ -494,7 +494,7 @@ def _invert_bulk(t: RadialTransform, s: np.ndarray, tol: float) -> np.ndarray:
     guess = np.exp(np.interp(log_s, log_values, log_radii) + np.minimum(log_s - log_values[0], 0.0))
     r = np.clip(guess, 0.0, t.knot)
     # relative, floored where tol * s underflows
-    target_tol = np.maximum(tol * s, np.finfo(float).tiny)
+    target_tol = np.maximum(_NEWTON_TOL * s, np.finfo(float).tiny)
     for _ in range(200):
         val = t.gin.value(r) - s
         done = np.abs(val) <= target_tol
@@ -608,19 +608,16 @@ def _bounded_towards_zero(radii: np.ndarray, values: np.ndarray) -> tuple[bool, 
     return worst <= 10.0 * scale, worst
 
 
-def verify_g1_assumption(
-    t: RadialTransform,
-    target=None,
-    knot_rel_tol: float = 1e-8,
-) -> G1Report:
+def verify_g1_assumption(t: RadialTransform, target=None) -> G1Report:
     """Numerically verify the profile gluing and origin-limit conditions.
 
     Checks, each reported as a :class:`G1Check`:
 
     * ``origin_value``: ``g_in(0) = 0``.
-    * ``knot_order{k}``: relative mismatch of the bulk and tail branches at
-      the knot for derivative orders ``k``; orders 0..3 for the exponential
-      tail, 0..2 for the quadratic kind (whose construction is only C2).
+    * ``knot_order{k}``: relative mismatch, at most ``1e-8``, of the bulk
+      and tail branches at the knot for derivative orders ``k``; orders
+      0..3 for the exponential tail, 0..2 for the quadratic kind (whose
+      construction is only C2).
     * ``knot_value``: bulk profile value ``e`` at the knot (exponential
       kind only).
     * ``bulk_monotone``: ``g_in' > 0`` on a dense grid up to the knot.
@@ -639,15 +636,15 @@ def verify_g1_assumption(
 
     max_order = 3 if t.tail == _EXP else 2
     for k in range(max_order + 1):
-        left = float(t.gin.deriv(np.asarray(knot), k)) if k else float(t.gin.value(np.asarray(knot)))
+        left = float(t.gin.deriv(np.asarray(knot), k))
         right = float(_tail_deriv(t, np.asarray([knot]), k)[0])
         rel = abs(left - right) / max(1.0, abs(right))
         checks.append(
             G1Check(
                 f"knot_order{k}",
                 rel,
-                knot_rel_tol,
-                rel <= knot_rel_tol,
+                _KNOT_REL_TOL,
+                rel <= _KNOT_REL_TOL,
                 f"bulk {left:.12g} vs tail {right:.12g}",
             )
         )

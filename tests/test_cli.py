@@ -83,6 +83,15 @@ class TestUsageErrors:
         assert rc == 2
         assert "init_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, option", [("example6", "vartheta"), ("warmup", "knot")])
+    def test_zero_tail_parameter_names_the_option(self, tmp_path, capsys, target, option):
+        """0 is a value, not a missing option: it reaches the zoo, which
+        rejects it by name, instead of silently becoming the default 1."""
+        rc = main(["gradcheck", "--target", target, "--d", "2", f"--{option}", "0",
+                   "--points", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert option in capsys.readouterr().err
+
     def test_classify_needs_constants(self, capsys):
         assert main(["classify", "--assumption", "strong", "--b", "0.5"]) == 2
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tula.transform
 from tula.dynamics import (
     HessianEigenvalues,
     TransformedPotential,
@@ -205,19 +206,30 @@ class TestHessianEigenvalues:
         assert eig.lambda_tangential * r == pytest.approx(grad_factor(tp, r), rel=1e-12)
 
 
-def _composed_slope(tp, r):
-    """f_h'(r) = f'(g(r)) g'(r) - (log g')'(r) - (d-1) (log(g/r))'(r), composed
-    from the target and the profile, without the target's closed form."""
+def _composed(tp, r, order):
+    """f_h^(order)(r) for f_h = f(g) - log g' - (d-1) log(g/r), composed from
+    the target and the profile, without the target's closed form."""
     t, f = tp.transform, tp.target
-    lgp, lgr = log_jacobian_terms(t, r, 1)
-    return (f.dvalue(g_eval(t, r, 0)) * g_eval(t, r, 1)
-            - lgp[1] - (t.dimension - 1.0) * lgr[1])
+    lgp, lgr = log_jacobian_terms(t, r, order)
+    g = g_eval(t, r, 0)
+    if order == 0:
+        outer = f.value(g)
+    elif order == 1:
+        outer = f.dvalue(g) * g_eval(t, r, 1)
+    else:
+        outer = f.d2value(g) * g_eval(t, r, 1) ** 2 + f.dvalue(g) * g_eval(t, r, 2)
+    return outer - lgp[order] - (t.dimension - 1.0) * lgr[order]
+
+
+# f_h, f_h' and f_h'' as the public views compute them
+_VIEWS = (value_radial, grad_factor, lambda tp, r: hessian_eigenvalues(tp, r).lambda_radial)
 
 
 class TestClosedFormBulkSlope:
-    """Zoo targets built from a closed transformed potential phi take the
-    bulk gradient from phi'; it must equal the general composition, which
-    inverts the profile by Newton's method to 1e-12."""
+    """Zoo targets built from a closed transformed potential phi take f_h,
+    f_h' and f_h'' on the bulk branch from phi, phi' and phi''; they must
+    equal the general composition, which inverts the profile by Newton's
+    method to 1e-12."""
 
     @pytest.mark.parametrize("kind, kwargs", [
         (ExampleKind.EXAMPLE2, {"upsilon": 1.0}),
@@ -232,33 +244,57 @@ class TestClosedFormBulkSlope:
     def test_matches_composition_across_knot(self, kind, kwargs, dimension):
         entry = make_example(kind, dimension, **kwargs)
         tp = TransformedPotential(entry.potential, entry.transform)
-        assert tp.bulk_slope is not None
+        assert tp.closed_form is not None
         knot = entry.transform.knot
         r = np.concatenate([np.geomspace(1e-4, 0.1, 200, endpoint=False),
                             np.linspace(0.1, 2.0, 1901)]) * knot
         # the Newton stopping rule |g(u) - s| <= 1e-12 s is relative, so the
         # composition stays accurate near the origin, where the slope is
-        # small; atol covers slopes near zero
-        np.testing.assert_allclose(grad_factor(tp, r), _composed_slope(tp, r),
-                                   rtol=1e-10, atol=1e-12)
+        # small; atol covers slopes near zero.  Near the origin the composed
+        # f_h and f_h'' carry about 4e-12 absolute error of their own.
+        for order, atol in ((0, 1e-11), (1, 1e-12), (2, 1e-11)):
+            np.testing.assert_allclose(_VIEWS[order](tp, r), _composed(tp, r, order),
+                                       rtol=1e-10, atol=atol, err_msg=f"order {order}")
 
     def test_equal_transform_takes_closed_form(self):
         entry = make_example(ExampleKind.EXAMPLE6, 2)
         tp = TransformedPotential(entry.potential, ginbeta2_transform(entry.transform.b, 2))
-        assert tp.bulk_slope is entry.potential.transformed_form.dvalue
+        assert tp.closed_form is entry.potential.transformed_form
 
     def test_other_transform_keeps_composition(self):
         """Paired with a transform it was not built for, a zoo potential's
-        transformed potential is not phi, and the gradient is composed."""
+        transformed potential is not phi, and f_h, f_h' and f_h'' are
+        composed."""
         entry = make_example(ExampleKind.EXAMPLE6, 2)  # built for b = 1
+        form = entry.potential.transformed_form
         tp = TransformedPotential(entry.potential, ginbeta2_transform(0.5, 2))
-        assert tp.bulk_slope is None
+        assert tp.closed_form is None
         r = np.linspace(0.05, 2.0 * tp.transform.knot, 400)
-        got = grad_factor(tp, r)
-        np.testing.assert_allclose(got, _composed_slope(tp, r), rtol=1e-10)
         bulk = r < tp.transform.knot
-        phi_slope = entry.potential.transformed_form.dvalue(r[bulk])
-        assert np.all(np.abs(got[bulk] - phi_slope) > 1e-6 * np.abs(phi_slope))
+        for order, phi in enumerate((form.value, form.dvalue, form.d2value)):
+            got = _VIEWS[order](tp, r)
+            np.testing.assert_allclose(got, _composed(tp, r, order), rtol=1e-10,
+                                       err_msg=f"order {order}")
+            want = phi(r[bulk])
+            assert np.all(np.abs(got[bulk] - want) > 1e-6 * np.abs(want)), order
+
+    def test_closed_pairing_never_inverts_g(self, monkeypatch):
+        """Values and Hessians of a closed pairing take phi on the bulk
+        branch and never run the Newton inversion of the profile."""
+        calls = []
+        invert = tula.transform._invert_bulk
+
+        def counted(*args):
+            calls.append(args)
+            return invert(*args)
+
+        monkeypatch.setattr(tula.transform, "_invert_bulk", counted)
+        entry = make_example(ExampleKind.EXAMPLE6, 2)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        r = np.linspace(0.05, 0.95, 64) * entry.transform.knot
+        hessian_eigenvalues(tp, r)
+        transformed_value(tp, np.stack([r, np.zeros_like(r)], axis=1))
+        assert calls == []
 
 
 def _bits(values):

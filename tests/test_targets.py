@@ -1,8 +1,9 @@
 """Target zoo tests.
 
 The load-bearing check here is the dual-route identity: every benchmark
-entry carries the closed radial form its transformed potential was built
-to equal, and the two must agree through the full composition machinery.
+entry carries the closed radial form phi its transformed potential was
+built to equal, and the x-side potential pulled back through the profile,
+f(g(r)) - log g'(r) - (d-1) log(g(r)/r), must agree with it.
 """
 
 import math
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tula.dynamics import TransformedPotential, transformed_value
 from tula.targets import (
     ExampleKind,
     IsotropicPotential,
@@ -22,9 +22,25 @@ from tula.targets import (
     parse_target_name,
     radial_log_density,
 )
+from tula.transform import g_eval, log_jacobian_terms
 
 # mpmath, 40 digits
 T_D2_K1_VALUE_AT_1 = 1.0397207708399180  # (3/2) log 2
+# example6, d = 2, vartheta = 1 (b = 1), bulk branch |x| < e:
+# f = u^2 + log g'(u) + log(g(u)/u) at u = g^{-1}(|x|), and f'
+EX6_D2_BULK = {
+    0.5: (1.681628911384157763411261, 0.2788627028758865731527105),
+    1.5: (2.165074183215356729264432, 1.058204708299940676865976),
+    2.5: (3.442427380486742887859631, 1.193938647797065783742645),
+}
+
+
+def _pulled_back(entry, r):
+    """f(g(r)) - log g'(r) - (d-1) log(g(r)/r): the x-side potential pulled
+    back through the profile, composed without the closed form."""
+    t = entry.transform
+    (lgp,), (lgr,) = log_jacobian_terms(t, r, 0)
+    return entry.potential.value(g_eval(t, r)) - lgp - (t.dimension - 1.0) * lgr
 
 
 class TestMultivariateT:
@@ -90,24 +106,26 @@ class TestZooEntries:
         """The pullback of the constructed density equals the closed form the
         construction targets, across bulk, knot region, and tail."""
         entry = make_example(kind, dimension, vartheta=1.5, **kwargs)
-        tp = TransformedPotential(entry.potential, entry.transform)
         r = np.geomspace(0.05, 8.0, 160)
-        y = np.zeros((r.size, dimension))
-        y[:, 0] = r
-        got = transformed_value(tp, y)
-        want = entry.expected_transformed_form(r)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        want = entry.potential.transformed_form.value(r)
+        np.testing.assert_allclose(_pulled_back(entry, r), want, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("dimension", [1, 2, 4])
     def test_warmup_transformed_form(self, dimension):
         entry = make_example(ExampleKind.WARMUP, dimension)
-        tp = TransformedPotential(entry.potential, entry.transform)
         r = np.geomspace(0.05, 6.0, 120)
-        y = np.zeros((r.size, dimension))
-        y[:, 0] = r
         d = float(dimension)
         want = np.sqrt(1.0 + (d * r * r) ** 2) - 0.5 * d * math.log(d) - math.log(2.0)
-        np.testing.assert_allclose(transformed_value(tp, y), want, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(_pulled_back(entry, r), want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("radius", sorted(EX6_D2_BULK))
+    def test_frozen_bulk_potential(self, radius):
+        """The x-side bulk potential, Newton inversion of g plus the log
+        terms, against 40-digit values (tools/freeze_oracles.py)."""
+        p = make_example(ExampleKind.EXAMPLE6, 2, vartheta=1.0).potential
+        value, slope = EX6_D2_BULK[radius]
+        assert p.value(radius) == pytest.approx(value, rel=1e-12)
+        assert p.dvalue(radius) == pytest.approx(slope, rel=1e-12)
 
     def test_default_tail_coefficient(self):
         entry = make_example(ExampleKind.EXAMPLE6, 4, vartheta=2.0)
@@ -117,7 +135,7 @@ class TestZooEntries:
     def test_t_entry_default_b(self):
         entry = make_example(ExampleKind.MULTIVARIATE_T, 3, kappa=2.0)
         assert entry.transform.b == pytest.approx(0.75)
-        assert entry.expected_transformed_form is None
+        assert entry.potential.transformed_form is None
 
     def test_t_entry_b_override(self):
         entry = make_example("t", 2, kappa=1.0, b=1.0)
@@ -169,12 +187,9 @@ class TestZooEntries:
     @settings(max_examples=25, deadline=None)
     def test_transformed_form_property(self, kind, dimension, vartheta):
         entry = make_example(kind, dimension, vartheta=vartheta)
-        tp = TransformedPotential(entry.potential, entry.transform)
         r = np.geomspace(0.1, 5.0, 24)
-        y = np.zeros((r.size, dimension))
-        y[:, 0] = r
         np.testing.assert_allclose(
-            transformed_value(tp, y), entry.expected_transformed_form(r),
+            _pulled_back(entry, r), entry.potential.transformed_form.value(r),
             rtol=1e-8, atol=1e-8,
         )
 

@@ -137,3 +137,23 @@ kl = mp.quad(
     [-mp.inf, 0, mp.inf],
 )
 print("KL t1d k2||k4:", mp.nstr(kl, 25))
+
+# 16. x-side potential of example6 (d = 2, vartheta = 1, so b = 1) on the
+#     bulk branch |x| < e: built from phi(u) = u^2, so at u = g^{-1}(|x|),
+#     f(|x|) = u^2 + log g'(u) + log(g(u)/u), and f'(|x|) is its u-derivative
+#     over g'(u).
+def gin_d1(b, r):
+    r = mp.mpf(r)
+    p = make_p(b)
+    pr = sum(c * r**k for k, c in enumerate(p))
+    dpr = sum(k * c * r**(k-1) for k, c in enumerate(p) if k >= 1)
+    return mp.sqrt(b) * (1 + r * dpr) * mp.exp(pr)
+
+def ex6_bulk_in_u(u):
+    return u**2 + mp.log(gin_d1(1, u)) + mp.log(gin(1, u) / u)
+
+for s in ('0.5', '1.5', '2.5'):
+    u = mp.findroot(lambda v: gin(1, v) - mp.mpf(s), mp.mpf('0.6'))
+    fx = ex6_bulk_in_u(u)
+    dfx = mp.diff(ex6_bulk_in_u, u) / gin_d1(1, u)
+    print(f"example6 d2 f({s}):", mp.nstr(fx, 25), f" f'({s}):", mp.nstr(dfx, 25))
