@@ -1,19 +1,29 @@
 """Quadrature oracle, assumption checks, LSI bound, classifier, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+from scipy.optimize import brentq
 from scipy.signal import lfilter
 
+import tula.transform
 from tula.analysis import (
+    _GK_GAUSS,
+    _GK_KRONROD,
+    _GK_NODES,
     KS_CRITICAL_1PCT,
     AssumptionKind,
     NotApplicableError,
     RadialQuadrature,
     Regime,
     UndefinedMomentError,
+    _cumulative_simpson,
+    _cumulative_trapezoid,
+    _integrate,
     check_assumption,
     classify_regime,
     effective_sample_size,
@@ -516,3 +526,85 @@ class TestKlQuadrature:
         f = lambda x: -0.5 * x * x
         with pytest.raises(ValueError, match="domain"):
             kl_quadrature_1d(f, f, domain=(2.0, 1.0))
+
+
+class TestQuadratureNumerics:
+    """The hand-written numerics behind the oracles, pinned against exact
+    values and against scipy as an independent reference."""
+
+    def test_sf_past_r_max_is_relatively_accurate(self, quad23):
+        """Tail-only integrals are purely relative, so sf keeps 11 digits of
+        P(|x| >= r) = (1 + r^2)^(-3/2) however small it gets."""
+        for r in (2e3, 1e4, 1e5, 1e7):
+            assert quad23.sf(r) == pytest.approx((1.0 + r * r) ** -1.5, rel=1e-11, abs=0.0)
+
+    def test_zoo_oracle_inverts_g_once_per_level(self, monkeypatch):
+        """The integrand is vectorised, so a zoo oracle runs the Newton
+        inversion of g once per refinement level, not once per node."""
+        calls = []
+        invert = tula.transform._invert_bulk
+
+        def counted(*args):
+            calls.append(args)
+            return invert(*args)
+
+        monkeypatch.setattr(tula.transform, "_invert_bulk", counted)
+        entry = make_example(ExampleKind.EXAMPLE3, 4, vartheta=1.0)
+        oracle = RadialQuadrature(entry.potential)
+        assert len(calls) <= 16
+        calls.clear()
+        oracle.sf(1.0)
+        assert len(calls) <= 8
+
+    def test_gauss_kronrod_weights_are_exact_to_their_degree(self):
+        """The 15-point Kronrod rule integrates x^k exactly on [-1, 1] for
+        k <= 22 and the 7-point Gauss rule for k <= 13, to a few ulp; each
+        fails one even degree further on."""
+        eps = np.finfo(float).eps
+        for weights, degree in ((_GK_KRONROD, 22), (_GK_GAUSS, 13)):
+            for k in range(degree + 1):
+                exact = 0.0 if k % 2 else 2.0 / (k + 1)
+                assert abs(_GK_NODES ** k @ weights - exact) <= 4 * eps, (degree, k)
+            k = degree + 2 - degree % 2
+            assert abs(_GK_NODES ** k @ weights - 2.0 / (k + 1)) > 1e-9, (degree, k)
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(_GK_NODES[1::2], nodes, rtol=0, atol=2 * eps)
+        np.testing.assert_allclose(_GK_GAUSS[1::2], weights, rtol=0, atol=2 * eps)
+
+    def test_integrator_on_the_half_line_and_past_its_limit(self):
+        integral = _integrate(lambda x: np.exp(-x), 0.0, math.inf, epsabs=0.0)
+        assert integral == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        with pytest.raises(ValueError, match="quadrature failed to converge"):
+            _integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+    def test_cumulative_rules_match_scipy_bitwise(self):
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 17, 1024, 1025):
+            y = rng.standard_normal(n)
+            x = np.cumsum(rng.uniform(0.1, 1.0, n))
+            dx = float(rng.uniform(0.01, 1.0))
+            assert np.array_equal(_cumulative_trapezoid(y, x),
+                                  cumulative_trapezoid(y, x, initial=0.0)), n
+            assert np.array_equal(_cumulative_simpson(y, dx),
+                                  cumulative_simpson(y, dx=dx, initial=0.0)), n
+
+    def test_lsi_bisection_matches_brentq(self):
+        """a0 is the balance point of the example3 d = 4 profile to 1e-14,
+        against brentq on the same balance function."""
+        entry = make_example(ExampleKind.EXAMPLE3, 4, vartheta=1.0)
+        est = estimate_lsi(TransformedPotential(entry.potential, entry.transform))
+        step = est.radii[0]
+        integral = est.beta_bar[0] * step + cumulative_simpson(est.beta_bar, dx=step, initial=0.0)
+        balance = lambda a: float(np.interp(a, est.radii, integral)) - 2.0 / a
+        root = brentq(balance, est.radii[0], est.radii[-1], xtol=1e-14, rtol=8.9e-16)
+        assert abs(est.a0 - root) <= 1e-14
+
+    def test_failures_raise_without_warnings(self):
+        """A divergent integral, or an integrand that is infinite at a node,
+        ends in the ValueError alone."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="quadrature failed"):
+                kl_quadrature_1d(lambda x: 0.0, lambda x: -0.5 * x * x)
+            with pytest.raises(ValueError, match="quadrature failed.*not finite"):
+                _integrate(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)

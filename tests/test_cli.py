@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +262,16 @@ class TestSampleCommand:
         assert "divergence" in capsys.readouterr().err
         assert read_json(tmp_path / "summary.json")["any_diverged"] is True
         assert not (tmp_path / "diagnostics.json").exists()
+
+
+def test_import_does_not_load_scipy():
+    """The package runs on numpy alone: importing the CLI, and with it every
+    tula module, loads no scipy module."""
+    src = Path(tula.transform.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, tula.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
