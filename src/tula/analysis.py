@@ -1037,7 +1037,9 @@ def radial_diagnostics(
     empirical radial CDF against the quadrature CDF, judged at the 1% level
     with the autocorrelation-effective sample size; empirical moments E|x|^p
     against quadrature values, judged at three Monte-Carlo standard errors;
-    and exceedance frequencies P(|x| > T) judged the same way.
+    and exceedance frequencies P(|x| > T) judged the same way, with the
+    standard error floored at sqrt(p (1 - p) / ESS) for the reference p and
+    the radius ESS of the KS check.
 
     Args:
       run: sampler output (all chains pooled after burn-in).
@@ -1092,7 +1094,10 @@ def radial_diagnostics(
         reference = quadrature.sf(threshold)
         indicators = [(s > threshold).astype(float) for s in per_chain]
         empirical = float(np.concatenate(indicators).mean())
-        se = _series_std_error(indicators)
+        # a run with no exceedance has a zero series error however likely
+        # that outcome is
+        se = max(_series_std_error(indicators),
+                 math.sqrt(reference * (1.0 - reference) / max(ess, 1.0)))
         tails.append(TailCheck(threshold=threshold, empirical=empirical, reference=reference,
                                std_error=se, within_3se=abs(empirical - reference) <= 3.0 * se))
 

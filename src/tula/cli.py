@@ -229,6 +229,10 @@ def cmd_sample(opts: dict[str, Any]) -> int:
     entry = _build_entry(opts)
     if opts.get("gamma") is None or opts.get("steps") is None:
         raise ValueError("sample needs --gamma and --steps")
+    thresholds = [5.0] if opts.get("threshold") is None else [
+        float(v) for v in np.atleast_1d(opts["threshold"])]
+    if not thresholds:
+        raise ValueError("threshold must name at least one radius")
     tp = TransformedPotential(entry.potential, entry.transform)
     cfg = SamplerConfig(
         step_size=float(opts["gamma"]),
@@ -262,11 +266,7 @@ def cmd_sample(opts: dict[str, Any]) -> int:
         recorded = min(arr.shape[0] for arr in run.ys)
         burn_in = opts.get("burn_in")
         burn_in = recorded // 2 if burn_in is None else int(burn_in)
-        thresholds = opts.get("threshold") or [5.0]
-        report = radial_diagnostics(
-            run, entry.potential, burn_in,
-            thresholds=[float(v) for v in np.atleast_1d(thresholds)],
-        )
+        report = radial_diagnostics(run, entry.potential, burn_in, thresholds=thresholds)
         _write_json(report.to_dict(), out / "diagnostics.json")
         print(json.dumps({
             "ks_statistic": report.ks.statistic,

@@ -148,28 +148,24 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     """
     t, f = tp.transform, tp.target
     d1 = t.dimension - 1.0
-    outs = {k: np.empty_like(arr) for k in orders}
-    bulk, tail = tr._split(t, arr)
-    if bulk.any():
-        rb = arr[bulk]
-        form = tp.closed_form
+    top = max(orders)
+    form = tp.closed_form
+
+    def bulk(rb):
         if form is not None:
             phi = (form.value, form.dvalue, form.d2value)
-            values = [phi[k](rb) for k in orders]
-        else:
-            jet = tr.bulk_jet(t.gin, rb, max(orders))
-            values = _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, orders)
-        for k, val in zip(orders, values):
-            outs[k][bulk] = val
-    if tail.any():
-        jet = tr.tail_jet(t, arr[tail], max(orders))
+            return [phi[k](rb) for k in orders]
+        jet = tr.bulk_jet(t.gin, rb, top)
+        return _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, orders)
+
+    def tail(rt):
         if t.tail == "exp":
             hooks = (f.log_value, f.dlog_value, f.d2log_value)
         else:
             hooks = (f.value, f.dvalue, f.d2value)
-        for k, val in zip(orders, _branch_derivatives(jet, hooks, d1, orders)):
-            outs[k][tail] = val
-    return [outs[k] for k in orders]
+        return _branch_derivatives(tr.tail_jet(t, rt, top), hooks, d1, orders)
+
+    return tr._piecewise(arr, t.knot, bulk, tail)
 
 
 def value_radial(tp: TransformedPotential, r):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import re
 from typing import Callable
@@ -80,15 +81,30 @@ def _glued(seam: float, tail: Callable[[Array], Array], bulk: Callable[[Array], 
 
     @_vectorized
     def glued(x: Array) -> Array:
-        out = np.empty_like(x)
-        at_tail = x >= seam
-        if at_tail.any():
-            out[at_tail] = tail(x[at_tail])
-        if not at_tail.all():
-            out[~at_tail] = bulk(x[~at_tail])
-        return out
+        return tr._piecewise(x, seam, lambda v: (bulk(v),), lambda v: (tail(v),))[0]
 
     return glued
+
+
+def _of_log_argument(value: Callable, dvalue: Callable, d2value: Callable):
+    """``F(t) = f(e^t)`` and its first two ``t``-derivatives from ``f``, ``f'``, ``f''``.
+
+    With ``s = e^t``: ``F' = s f'(s)`` and ``F'' = s^2 f''(s) + s f'(s)``.
+    For arguments where ``f`` has no form stable in ``t``.
+    """
+
+    def log_value(tt: Array) -> Array:
+        return value(np.exp(tt))
+
+    def dlog_value(tt: Array) -> Array:
+        s = np.exp(tt)
+        return dvalue(s) * s
+
+    def d2log_value(tt: Array) -> Array:
+        s = np.exp(tt)
+        return d2value(s) * s * s + dvalue(s) * s
+
+    return log_value, dlog_value, d2log_value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,50 +205,24 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         raise ValueError(f"kappa must be positive, got {kappa}")
     dk = float(dimension + kappa)
 
-    @_vectorized
-    def value(r: Array) -> Array:
-        small = r <= 1.0
-        out = np.empty_like(r)
-        out[small] = 0.5 * dk * np.log1p(r[small] ** 2)
-        big = ~small
-        out[big] = 0.5 * dk * (2.0 * np.log(r[big]) + np.log1p(r[big] ** -2))
-        return out
+    # radius forms split at 1 and softplus forms at 0, to stay exact at both ends
+    value = _glued(1.0, lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(r**-2)),
+                   lambda r: 0.5 * dk * np.log1p(r**2))
+    dvalue = _glued(1.0, lambda r: dk / (r + 1.0 / r), lambda r: dk * r / (1.0 + r**2))
 
-    @_vectorized
-    def dvalue(r: Array) -> Array:
-        small = r <= 1.0
-        out = np.empty_like(r)
-        out[small] = dk * r[small] / (1.0 + r[small] ** 2)
-        big = ~small
-        out[big] = dk / (r[big] + 1.0 / r[big])
-        return out
+    def d2value_big(r: Array) -> Array:
+        q = r**-2
+        return dk * (q * q - q) / (1.0 + q) ** 2
 
-    @_vectorized
-    def d2value(r: Array) -> Array:
-        small = r <= 1.0
-        out = np.empty_like(r)
-        rs = r[small]
-        out[small] = dk * (1.0 - rs * rs) / (1.0 + rs * rs) ** 2
-        q = r[~small] ** -2
-        out[~small] = dk * (q * q - q) / (1.0 + q) ** 2
-        return out
+    d2value = _glued(1.0, d2value_big, lambda r: dk * (1.0 - r * r) / (1.0 + r * r) ** 2)
+    log_value = _glued(0.0, lambda t: dk * (t + 0.5 * np.log1p(np.exp(-2.0 * t))),
+                       lambda t: 0.5 * dk * np.log1p(np.exp(2.0 * t)))
 
-    @_vectorized
-    def log_value(t: Array) -> Array:
-        pos = t >= 0.0
-        out = np.empty_like(t)
-        out[pos] = dk * (t[pos] + 0.5 * np.log1p(np.exp(-2.0 * t[pos])))
-        out[~pos] = 0.5 * dk * np.log1p(np.exp(2.0 * t[~pos]))
-        return out
+    def dlog_value_neg(t: Array) -> Array:
+        e = np.exp(2.0 * t)
+        return dk * e / (1.0 + e)
 
-    @_vectorized
-    def dlog_value(t: Array) -> Array:
-        pos = t >= 0.0
-        out = np.empty_like(t)
-        out[pos] = dk / (1.0 + np.exp(-2.0 * t[pos]))
-        e = np.exp(2.0 * t[~pos])
-        out[~pos] = dk * e / (1.0 + e)
-        return out
+    dlog_value = _glued(0.0, lambda t: dk / (1.0 + np.exp(-2.0 * t)), dlog_value_neg)
 
     @_vectorized
     def d2log_value(t: Array) -> Array:
@@ -265,8 +255,8 @@ def _bulk_parts(
     phi: Callable[[Array], Array],
     dphi: Callable[[Array], Array],
     d2phi: Callable[[Array], Array],
-) -> Callable[[Array, int], Array]:
-    """Bulk ``f``, ``f'`` or ``f''`` of a potential built from ``phi``.
+) -> tuple[Callable[[Array], Array], ...]:
+    """Bulk ``f``, ``f'`` and ``f''`` of a potential built from ``phi``.
 
     The change of variables run backwards: at ``u = g^{-1}(s)``,
     ``f(s) = phi(u) + log g'(u) + (d-1) log(g(u)/u)``, and the derivatives
@@ -287,7 +277,7 @@ def _bulk_parts(
         curv = d2phi(u) + lgp[2] + (d - 1.0) * lgr[2]
         return (curv - slope * lgp[1]) / (gp * gp)
 
-    return bulk_parts
+    return tuple(functools.partial(bulk_parts, order=k) for k in range(3))
 
 
 def _zoo_potential(
@@ -325,27 +315,20 @@ def _zoo_potential(
     def d2phi(u: Array) -> Array:
         return d + c_log * d * (1.0 - 0.5 * u * u) / (1.0 + 0.5 * u * u) ** 2
 
-    bulk_parts = _bulk_parts(t, phi, dphi, d2phi)
+    bulk = _bulk_parts(t, phi, dphi, d2phi)
 
     def tail_d2(r: Array) -> Array:
         tt = np.log(r)
         return (tail_d2log(tt) - tail_dlog(tt)) / (r * r)
 
-    def bulk_dlog(tt: Array) -> Array:
-        s = np.exp(tt)
-        return bulk_parts(s, 1) * s
-
-    def bulk_d2log(tt: Array) -> Array:
-        s = np.exp(tt)
-        return bulk_parts(s, 2) * s * s + bulk_parts(s, 1) * s
-
-    value = _glued(seam, lambda r: tail_log(np.log(r)), lambda s: bulk_parts(s, 0))
-    dvalue = _glued(seam, lambda r: tail_dlog(np.log(r)) / r, lambda s: bulk_parts(s, 1))
-    d2value = _glued(seam, tail_d2, lambda s: bulk_parts(s, 2))
+    value = _glued(seam, lambda r: tail_log(np.log(r)), bulk[0])
+    dvalue = _glued(seam, lambda r: tail_dlog(np.log(r)) / r, bulk[1])
+    d2value = _glued(seam, tail_d2, bulk[2])
     # F(t) = f(e^t): closed tail form for t >= 1, bulk composition below.
-    log_value = _glued(1.0, tail_log, lambda tt: bulk_parts(np.exp(tt), 0))
-    dlog_value = _glued(1.0, tail_dlog, bulk_dlog)
-    d2log_value = _glued(1.0, tail_d2log, bulk_d2log)
+    bulk_log = _of_log_argument(*bulk)
+    log_value = _glued(1.0, tail_log, bulk_log[0])
+    dlog_value = _glued(1.0, tail_dlog, bulk_log[1])
+    d2log_value = _glued(1.0, tail_d2log, bulk_log[2])
 
     return IsotropicPotential(
         dimension=d,
@@ -387,13 +370,8 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
     seam = t.seam  # = d * knot**2, the image of the knot
     const = -0.5 * d * math.log(d) - math.log(2.0)
 
-    def sq(s: Array) -> Array:
-        # sqrt(1 + s^2) without overflow for s beyond 1e154
-        big = s > 1.0
-        out = np.empty_like(s)
-        out[big] = s[big] * np.sqrt(1.0 + s[big] ** -2)
-        out[~big] = np.sqrt(1.0 + s[~big] ** 2)
-        return out
+    # sqrt(1 + s^2) without overflow for s beyond 1e154
+    sq = _glued(1.0, lambda s: s * np.sqrt(1.0 + s**-2), lambda s: np.sqrt(1.0 + s**2))
 
     # phi(r) = sqrt(1 + (d r^2)^2) + const and its first two derivatives
     def phi(u: Array) -> Array:
@@ -406,26 +384,11 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         root = np.sqrt(1.0 + (d * u * u) ** 2)
         return 6.0 * d * d * u * u / root - 4.0 * d**4 * u**6 / root**3
 
-    bulk_parts = _bulk_parts(t, phi, dphi, d2phi)
-    value = _glued(seam, lambda r: sq(r) + 0.5 * d * np.log(r), lambda s: bulk_parts(s, 0))
-    dvalue = _glued(seam, lambda r: r / sq(r) + 0.5 * d / r, lambda s: bulk_parts(s, 1))
-    d2value = _glued(seam, lambda r: 1.0 / sq(r) ** 3 - 0.5 * d / (r * r),
-                     lambda s: bulk_parts(s, 2))
-    @_vectorized
-    def log_value(tt: Array) -> Array:
-        return np.atleast_1d(np.asarray(value(np.exp(tt)), dtype=float))
-
-    @_vectorized
-    def dlog_value(tt: Array) -> Array:
-        s = np.exp(tt)
-        return np.atleast_1d(np.asarray(dvalue(s), dtype=float)) * s
-
-    @_vectorized
-    def d2log_value(tt: Array) -> Array:
-        s = np.exp(tt)
-        d2 = np.atleast_1d(np.asarray(d2value(s), dtype=float))
-        d1 = np.atleast_1d(np.asarray(dvalue(s), dtype=float))
-        return d2 * s * s + d1 * s
+    bulk = _bulk_parts(t, phi, dphi, d2phi)
+    value = _glued(seam, lambda r: sq(r) + 0.5 * d * np.log(r), bulk[0])
+    dvalue = _glued(seam, lambda r: r / sq(r) + 0.5 * d / r, bulk[1])
+    d2value = _glued(seam, lambda r: 1.0 / sq(r) ** 3 - 0.5 * d / (r * r), bulk[2])
+    log_value, dlog_value, d2log_value = map(_vectorized, _of_log_argument(value, dvalue, d2value))
 
     pot = IsotropicPotential(
         dimension=dimension,

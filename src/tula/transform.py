@@ -25,8 +25,13 @@ one jet (:class:`RadialJet`) that computes the profile pieces and these
 terms together, up to a requested derivative order: :func:`bulk_jet`
 shares one Horner pass per derivative of ``p`` and one ``exp(p)``, and
 :func:`tail_jet` shares the tail exponent ``u = b r**beta`` (or the
-quadratic profile).  :func:`log_jacobian_terms` assembles the log terms
-across the knot, and :func:`log_det_jacobian` is a view of it.
+quadratic profile).  The jets hold the only formulas for ``g`` and its
+derivatives: :func:`g_eval`, :meth:`GinSpec.deriv` and the Newton steps of
+:func:`g_inverse` read a jet's profile half, and on the exponential tail
+:func:`g_eval` composes ``g = e^u``.  :func:`log_jacobian_terms` assembles
+the log terms across the knot, and :func:`log_det_jacobian` is a view of
+it.  Every function here that is piecewise in the radius splits its input
+by one rule: the upper piece owns the boundary, so the tail owns the knot.
 """
 
 from __future__ import annotations
@@ -127,32 +132,17 @@ class GinSpec:
         return _horner(self._coeffs[order], r)
 
     def value(self, r):
-        return self.scale * r * np.exp(self.log_profile(r))
+        return self.deriv(r, 0)
 
     def deriv(self, r, order: int):
-        """``g_in`` derivative of the given order, vectorized in ``r``.
+        """``g_in`` derivative of the given order, 0 to 3, vectorized in ``r``.
 
-        Closed forms from differentiating ``c r exp(p)``; with ``q = p'``:
-
-        * order 1: ``c (1 + r q) e^p``
-        * order 2: ``c (2 q + r p'' + r q^2) e^p``
-        * order 3: ``c (3 q^2 + 3 p'' + 3 r q p'' + r q^3 + r p''') e^p``
+        The profile piece of :func:`bulk_jet`, at any radius: at and beyond
+        the knot it is the one-sided bulk reference the gluing checks use.
         """
-        r = np.asarray(r, dtype=float)
-        ep = np.exp(self.log_profile(r))
-        c = self.scale
-        if order == 0:
-            return c * r * ep
-        q = self.log_profile(r, 1)
-        if order == 1:
-            return c * (1.0 + r * q) * ep
-        p2 = self.log_profile(r, 2)
-        if order == 2:
-            return c * (2.0 * q + r * p2 + r * q * q) * ep
-        p3 = self.log_profile(r, 3)
-        if order == 3:
-            return c * (3.0 * q * q + 3.0 * p2 + 3.0 * r * q * p2 + r * q**3 + r * p3) * ep
-        raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
+        return _bulk_profile(self, np.asarray(r, dtype=float), order)[0][order]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -261,10 +251,27 @@ def warmup_transform(dimension: int, knot: float = 1.0) -> RadialTransform:
     )
 
 
-def _split(t: RadialTransform, r: np.ndarray):
-    """Masks for the two branches; tail owns the knot itself."""
-    bulk = r < t.knot
-    return bulk, ~bulk
+def _piecewise(x: np.ndarray, boundary: float, lower, upper) -> list:
+    """``lower`` on ``x < boundary`` and ``upper`` on the rest of ``x``.
+
+    ``x`` is a 1-d array; each piece maps its share of it to a sequence of
+    arrays, and the pieces' outputs are scattered back into arrays shaped
+    like ``x``.  The upper piece owns the boundary itself; NaN goes to the
+    lower piece.  A piece that covers all of ``x`` gets ``x`` itself.
+    """
+    up = x >= boundary
+    if up.all():
+        return list(upper(x))
+    down = ~up
+    if down.all():
+        return list(lower(x))
+    outs = []
+    for lo_val, hi_val in zip(lower(x[down]), upper(x[up])):
+        out = np.empty_like(x)
+        out[down] = lo_val
+        out[up] = hi_val
+        outs.append(out)
+    return outs
 
 
 def _check_radii(r) -> tuple[np.ndarray, bool]:
@@ -278,53 +285,6 @@ def _check_radii(r) -> tuple[np.ndarray, bool]:
 
 def _ret(value: np.ndarray, scalar: bool):
     return float(value[0]) if scalar else value
-
-
-def _tail_deriv(t: RadialTransform, r: np.ndarray, order: int) -> np.ndarray:
-    if t.tail == _QUADRATIC:
-        a = t.tail_scale
-        if order == 0:
-            return a * r * r
-        if order == 1:
-            return 2.0 * a * r
-        if order == 2:
-            return np.full_like(r, 2.0 * a)
-        return np.zeros_like(r)
-    b, beta = t.b, t.beta
-    with np.errstate(over="ignore"):
-        ex = np.exp(b * np.power(r, beta))
-    if order == 0:
-        return ex
-    bb = b * beta
-    if order == 1:
-        return bb * np.power(r, beta - 1.0) * ex
-    if order == 2:
-        return (bb * (beta - 1.0) * np.power(r, beta - 2.0) + bb * bb * np.power(r, 2.0 * beta - 2.0)) * ex
-    return (
-        bb * (beta - 1.0) * (beta - 2.0) * np.power(r, beta - 3.0)
-        + 3.0 * bb * bb * (beta - 1.0) * np.power(r, 2.0 * beta - 3.0)
-        + bb**3 * np.power(r, 3.0 * beta - 3.0)
-    ) * ex
-
-
-def g_eval(t: RadialTransform, r, order: int = 0):
-    """Profile value or derivative, piecewise across the knot.
-
-    ``order`` 0 through 3.  Vectorized; scalar in, scalar out.  The tail
-    branch owns the knot radius itself.  Note the raw tail value overflows
-    for ``b r**beta`` beyond ~709; use :func:`log_jacobian_terms` or
-    :func:`tail_jet` when only logarithmic information is needed.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
-    arr, scalar = _check_radii(r)
-    bulk, tail = _split(t, arr)
-    out = np.empty_like(arr)
-    if bulk.any():
-        out[bulk] = t.gin.deriv(arr[bulk], order)
-    if tail.any():
-        out[tail] = _tail_deriv(t, arr[tail], order)
-    return _ret(out, scalar)
 
 
 # --- branch jets ----------------------------------------------------------
@@ -342,14 +302,16 @@ def g_eval(t: RadialTransform, r, order: int = 0):
 
 
 class RadialJet(NamedTuple):
-    """One branch's radial pieces at a batch of radii, up to order ``k``.
+    """One branch's radial pieces at a batch of radii, up to order ``k <= 3``.
 
     ``profile[j]`` is the ``j``-th derivative of ``g`` on the bulk and the
     quadratic tail, and of the exponent ``u = b r**beta`` on the
-    exponential tail (where ``g = e^u`` leaves double range).
-    ``log_gprime[j]`` and ``log_g_over_r[j]`` are the ``j``-th derivatives
-    of ``log g'`` and ``log(g/r)``, the two terms of the log-Jacobian
-    ``log g' + (d - 1) log(g/r)``.  Each tuple holds ``k + 1`` arrays.
+    exponential tail (where ``g = e^u`` leaves double range); it holds
+    ``k + 1`` arrays.  ``log_gprime[j]`` and ``log_g_over_r[j]`` are the
+    ``j``-th derivatives of ``log g'`` and ``log(g/r)``, the two terms of
+    the log-Jacobian ``log g' + (d - 1) log(g/r)``, for ``j <= min(k, 2)``.
+    The two branch jets hold the only formulas for ``g`` and its
+    derivatives; :func:`g_eval` and :meth:`GinSpec.deriv` are views of them.
     """
 
     profile: tuple
@@ -357,69 +319,138 @@ class RadialJet(NamedTuple):
     log_g_over_r: tuple
 
 
-def bulk_jet(gin: GinSpec, r: np.ndarray, order: int) -> RadialJet:
-    """Jet of the bulk profile ``c r e^p`` at radii ``r``, order 0 to 2.
+def _bulk_profile(gin: GinSpec, r: np.ndarray, order: int) -> tuple[list, list, np.ndarray | None]:
+    """The profile half of :func:`bulk_jet`: ``g`` and its first ``order``
+    derivatives, with the derivatives ``p, ..., p^(order)`` they used and
+    ``r q`` (None at order 0).  One ``exp(p)`` serves every piece; with
+    ``q = p'``:
 
-    Evaluates ``p`` and its first ``order + 1`` derivatives once each and
-    shares one ``exp(p)`` among the profile pieces; the formulas are those
-    of :meth:`GinSpec.deriv` and the identities above.  No knot test: the
-    caller passes bulk radii.
+    * ``g'   = c (1 + r q) e^p``
+    * ``g''  = c (2 q + r p'' + r q^2) e^p``
+    * ``g''' = c (3 q^2 + 3 p'' + 3 r q p'' + r q^3 + r p''') e^p``
     """
     c = gin.scale
-    p = gin.log_profile(r)
-    q = gin.log_profile(r, 1)
-    ep = np.exp(p)
-    rq = r * q
-    den = 1.0 + rq
+    p = [gin.log_profile(r, j) for j in range(order + 1)]
+    ep = np.exp(p[0])
     g = [c * r * ep]
-    lgp = [math.log(c) + np.log1p(rq) + p]
-    lgr = [math.log(c) + p]
+    rq = None
     if order >= 1:
-        p2 = gin.log_profile(r, 2)
-        g.append(c * den * ep)
-        lgp.append(q + (q + r * p2) / den)
+        q = p[1]
+        rq = r * q
+        g.append(c * (1.0 + rq) * ep)
+    if order >= 2:
+        g.append(c * (2.0 * q + r * p[2] + rq * q) * ep)
+    if order >= 3:
+        g.append(c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * q**3 + r * p[3]) * ep)
+    return g, p, rq
+
+
+def bulk_jet(gin: GinSpec, r: np.ndarray, order: int) -> RadialJet:
+    """Jet of the bulk profile ``c r e^p`` at radii ``r``, order 0 to 3.
+
+    The profile pieces of :func:`_bulk_profile` and the log terms of the
+    identities above, sharing each derivative of ``p``.  No knot test: the
+    caller passes bulk radii.
+    """
+    g, p, rq = _bulk_profile(gin, r, order)
+    p += [gin.log_profile(r, j) for j in range(len(p), min(order, 2) + 2)]
+    q = p[1]
+    if rq is None:  # order 0: the profile needed no q
+        rq = r * q
+    den = 1.0 + rq
+    lgp = [math.log(gin.scale) + np.log1p(rq) + p[0]]
+    lgr = [math.log(gin.scale) + p[0]]
+    if order >= 1:
+        lgp.append(q + (q + r * p[2]) / den)
         lgr.append(q)
     if order >= 2:
-        p3 = gin.log_profile(r, 3)
-        g.append(c * (2.0 * q + r * p2 + rq * q) * ep)
-        lgp.append(p2 + ((2.0 * p2 + r * p3) * den - (q + r * p2) ** 2) / (den * den))
-        lgr.append(p2)
+        lgp.append(p[2] + ((2.0 * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den))
+        lgr.append(p[2])
     return RadialJet(tuple(g), tuple(lgp), tuple(lgr))
 
 
-def tail_jet(t: RadialTransform, r: np.ndarray, order: int) -> RadialJet:
-    """Jet of the tail profile at radii ``r >= knot``, order 0 to 2.
+def _tail_profile(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
+    """The profile half of :func:`tail_jet`, orders 0 to ``order``: the
+    exponent ``u = b r**beta`` and its derivatives on the exponential kind,
+    ``a r**2``, ``2 a r``, ``2 a``, ``0`` on the quadratic kind."""
+    if t.tail == _QUADRATIC:
+        a = t.tail_scale
+        return (a * r * r, 2.0 * a * r, np.full_like(r, 2.0 * a), np.zeros_like(r))[: order + 1]
+    b, beta = t.b, t.beta
+    u = [b * np.power(r, beta)]
+    if order >= 1:
+        u.append(b * beta * np.power(r, beta - 1.0))
+    if order >= 2:
+        u.append(b * beta * (beta - 1.0) * np.power(r, beta - 2.0))
+    if order >= 3:
+        u.append(b * beta * (beta - 1.0) * (beta - 2.0) * np.power(r, beta - 3.0))
+    return tuple(u)
 
+
+def tail_jet(t: RadialTransform, r: np.ndarray, order: int) -> RadialJet:
+    """Jet of the tail profile at radii ``r >= knot``, order 0 to 3.
+
+    The profile pieces of :func:`_tail_profile` with the log terms.
     Exponential kind: ``log g' = log(b beta) + (beta - 1) log r + u`` and
-    ``log(g/r) = u - log r``, with ``u`` computed once.  Quadratic kind
-    ``a r**2``: ``log g' = log(2a) + log r`` and ``log(g/r) = log a + log r``.
+    ``log(g/r) = u - log r``, sharing ``u``.  Quadratic kind ``a r**2``:
+    ``log g' = log(2a) + log r`` and ``log(g/r) = log a + log r``.
     """
+    profile = _tail_profile(t, r, order)
     logr = np.log(r)
     if t.tail == _QUADRATIC:
         a = t.tail_scale
-        profile = tuple(_tail_deriv(t, r, j) for j in range(order + 1))
         lgp = [math.log(2.0 * a) + logr]
         lgr = [math.log(a) + logr]
         if order >= 1:
             lgp.append(1.0 / r)
-            lgr.append(lgp[1])
+            lgr.append(1.0 / r)
         if order >= 2:
             lgp.append(-1.0 / (r * r))
-            lgr.append(lgp[2])
+            lgr.append(-1.0 / (r * r))
         return RadialJet(profile, tuple(lgp), tuple(lgr))
-    b, beta = t.b, t.beta
-    u = [b * np.power(r, beta)]
-    lgp = [math.log(b * beta) + (beta - 1.0) * logr + u[0]]
+    beta, u = t.beta, profile
+    lgp = [math.log(t.b * beta) + (beta - 1.0) * logr + u[0]]
     lgr = [u[0] - logr]
     if order >= 1:
-        u.append(b * beta * np.power(r, beta - 1.0))
         lgp.append((beta - 1.0) / r + u[1])
         lgr.append(u[1] - 1.0 / r)
     if order >= 2:
-        u.append(b * beta * (beta - 1.0) * np.power(r, beta - 2.0))
         lgp.append(-(beta - 1.0) / (r * r) + u[2])
         lgr.append(u[2] + 1.0 / (r * r))
-    return RadialJet(tuple(u), tuple(lgp), tuple(lgr))
+    return RadialJet(u, tuple(lgp), tuple(lgr))
+
+
+def g_eval(t: RadialTransform, r, order: int = 0):
+    """Profile value or derivative, piecewise across the knot.
+
+    ``order`` 0 through 3.  Vectorized; scalar in, scalar out.  The tail
+    branch owns the knot radius itself.  On the exponential tail the
+    derivatives of ``g = e^u`` are composed from those of the exponent:
+    ``g' = u' g``, ``g'' = (u'' + u'^2) g`` and ``g''' = (u''' + 3 u' u''
+    + u'^3) g``.  Note the raw tail value overflows for ``b r**beta``
+    beyond ~709; use :func:`log_jacobian_terms` or :func:`tail_jet` when
+    only logarithmic information is needed.
+    """
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
+    arr, scalar = _check_radii(r)
+
+    def tail(x):
+        u = _tail_profile(t, x, order)
+        if t.tail == _QUADRATIC:
+            return (u[order],)
+        with np.errstate(over="ignore"):
+            g = np.exp(u[0])
+        if order == 0:
+            return (g,)
+        if order == 1:
+            return (u[1] * g,)
+        if order == 2:
+            return ((u[2] + u[1] * u[1]) * g,)
+        return ((u[3] + 3.0 * u[1] * u[2] + u[1] ** 3) * g,)
+
+    (out,) = _piecewise(arr, t.knot, lambda x: (_bulk_profile(t.gin, x, order)[0][order],), tail)
+    return _ret(out, scalar)
 
 
 def log_jacobian_terms(t: RadialTransform, r, order: int):
@@ -430,18 +461,14 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
     scalar entries out.
     """
     arr, scalar = _check_radii(r)
-    bulk, tail = _split(t, arr)
-    lgp = [np.empty_like(arr) for _ in range(order + 1)]
-    lgr = [np.empty_like(arr) for _ in range(order + 1)]
-    jets = []
-    if bulk.any():
-        jets.append((bulk, bulk_jet(t.gin, arr[bulk], order)))
-    if tail.any():
-        jets.append((tail, tail_jet(t, arr[tail], order)))
-    for mask, jet in jets:
-        for out, val in zip(lgp + lgr, jet.log_gprime + jet.log_g_over_r):
-            out[mask] = val
-    return tuple(_ret(v, scalar) for v in lgp), tuple(_ret(v, scalar) for v in lgr)
+
+    def log_terms(jet: RadialJet) -> tuple:
+        return jet.log_gprime + jet.log_g_over_r
+
+    terms = [_ret(v, scalar) for v in _piecewise(
+        arr, t.knot, lambda x: log_terms(bulk_jet(t.gin, x, order)),
+        lambda x: log_terms(tail_jet(t, x, order)))]
+    return tuple(terms[: order + 1]), tuple(terms[order + 1:])
 
 
 def g_inverse(t: RadialTransform, s):
@@ -456,17 +483,20 @@ def g_inverse(t: RadialTransform, s):
     subnormal values still return).
     """
     arr, scalar = _check_radii(np.asarray(s, dtype=float))
-    out = np.zeros_like(arr)
-    seam = t.seam
-    tail = arr >= seam
-    if tail.any():
+
+    def bulk(x):
+        out = np.where(np.isnan(x), x, 0.0)  # zero maps to zero exactly, NaN to NaN
+        pos = x > 0.0
+        if pos.any():
+            out[pos] = _invert_bulk(t, x[pos])
+        return (out,)
+
+    def tail(x):
         if t.tail == _EXP:
-            out[tail] = np.power(np.log(arr[tail]) / t.b, 1.0 / t.beta)
-        else:
-            out[tail] = np.sqrt(arr[tail] / t.tail_scale)
-    bulk = ~tail & (arr > 0.0)  # zero maps to zero exactly
-    if bulk.any():
-        out[bulk] = _invert_bulk(t, arr[bulk])
+            return (np.power(np.log(x) / t.b, 1.0 / t.beta),)
+        return (np.sqrt(x / t.tail_scale),)
+
+    (out,) = _piecewise(arr, t.seam, bulk, tail)
     return _ret(out, scalar)
 
 
@@ -496,14 +526,15 @@ def _invert_bulk(t: RadialTransform, s: np.ndarray) -> np.ndarray:
     # relative, floored where tol * s underflows
     target_tol = np.maximum(_NEWTON_TOL * s, np.finfo(float).tiny)
     for _ in range(200):
-        val = t.gin.value(r) - s
+        g, slope = _bulk_profile(t.gin, r, 1)[0]
+        val = g - s
         done = np.abs(val) <= target_tol
         if np.all(done):
             break
         high = val > 0.0
         hi = np.where(high, r, hi)
         lo = np.where(high, lo, r)
-        step = val / t.gin.deriv(r, 1)
+        step = val / slope
         cand = r - step
         inside = (cand > lo) & (cand < hi)
         r = np.where(done, r, np.where(inside, cand, 0.5 * (lo + hi)))
@@ -520,7 +551,7 @@ def _radial_map(t: RadialTransform, x, radius_fn):
         raise ValueError(f"expected points of dimension {t.dimension}, got shape {x.shape}")
     r = np.linalg.norm(pts, axis=-1)
     out = np.zeros_like(pts)
-    pos = r > 0.0
+    pos = r != 0.0  # the origin stays fixed; a NaN coordinate maps to NaN
     if pos.any():
         # radii whose image exceeds the float range saturate to inf; the
         # warnings carry no more information than the non-finite output
@@ -636,8 +667,8 @@ def verify_g1_assumption(t: RadialTransform, target=None) -> G1Report:
 
     max_order = 3 if t.tail == _EXP else 2
     for k in range(max_order + 1):
-        left = float(t.gin.deriv(np.asarray(knot), k))
-        right = float(_tail_deriv(t, np.asarray([knot]), k)[0])
+        left = float(t.gin.deriv(knot, k))
+        right = g_eval(t, knot, k)
         rel = abs(left - right) / max(1.0, abs(right))
         checks.append(
             G1Check(

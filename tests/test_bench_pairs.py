@@ -42,3 +42,26 @@ def test_summarize_counts_operations_and_compares_metrics():
     rss = out["end_to_end"]["peak_rss_mb"]
     assert rss["change_wins"] == 1 and rss["change_median"] == 91.0
     assert rss["bound"] == 0.1 and rss["unit"] == "MB"
+
+
+def test_run_records_the_pass_count(tmp_path, capsys):
+    """`run` reads the pass count from the report line before the result
+    line, and `summarize` lists and medians it per side."""
+    fake = tmp_path / "perfbench" / "run.py"
+    fake.parent.mkdir()
+    fake.write_text(
+        "import json\n"
+        "print(json.dumps({'report': {'wall_s': {'median': 0.5, 'max': 0.7, 'n': 42}}}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 0, 'metrics': {\n"
+        "    'wall_s': {'value': 0.5}, 'peak_rss_mb': {'value': 60.0}}}))\n"
+    )
+    res = bench_pairs.run(tmp_path, "any", seed=1, seconds=1.0, trace=0)
+    assert res["passes"] == 42 and res["metrics"] == {"wall_s": 0.5, "peak_rss_mb": 60.0}
+    assert "peak_rss_mb=60 passes=42" in capsys.readouterr().out
+
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
+    pairs = [{"seed": s, "first": "parent", "parent": {**res, "passes": n},
+              "change": {**res, "passes": 2 * n}} for s, n in ((1, 10), (2, 30), (3, 20))]
+    out = bench_pairs.summarize(spec, pairs)
+    assert out["passes"] == {"parent": {"runs": [10, 30, 20], "median": 20},
+                             "change": {"runs": [20, 60, 40], "median": 40}}

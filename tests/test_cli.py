@@ -229,6 +229,38 @@ class TestSampleCommand:
         assert [t["threshold"] for t in payload["tails"]] == [2.0, 5.0]
         assert "pass" in payload
 
+    def test_threshold_zero_from_config_is_kept(self, tmp_path):
+        """Only a missing threshold means the default 5; 0 is a radius."""
+        config = tmp_path / "sample.json"
+        dump_config({"threshold": 0}, config)
+        rc = main(["sample", "--config", str(config), "--target", "t2_3", "--gamma", "0.01",
+                   "--steps", "100", "--out", str(tmp_path)])
+        assert rc == 0
+        tails = read_json(tmp_path / "diagnostics.json")["tails"]
+        assert [t["threshold"] for t in tails] == [0.0]
+
+    def test_empty_threshold_list_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "sample.json"
+        dump_config({"threshold": []}, config)
+        rc = main(["sample", "--config", str(config), "--target", "t2_3", "--gamma", "0.01",
+                   "--steps", "100", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "chain.csv").exists()
+
+    def test_tail_error_floored_when_no_radius_exceeds(self, tmp_path):
+        """With no recorded radius past T the series error is 0; the check
+        falls back to the reference's binomial error at the radius ESS."""
+        rc = main(["sample", "--target", "t2_3", "--gamma", "0.005", "--steps", "400",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        payload = read_json(tmp_path / "diagnostics.json")
+        (tail,) = payload["tails"]
+        p, ess = tail["reference"], payload["ks"]["ess"]
+        assert tail["empirical"] == 0.0 and 0.0 < p < 0.01
+        assert tail["std_error"] == pytest.approx(math.sqrt(p * (1.0 - p) / ess), rel=1e-12)
+        assert tail["within_3se"] is True
+
     def test_explicit_burn_in(self, tmp_path):
         rc = main(["sample", "--target", "t2_3", "--gamma", "0.01",
                    "--steps", "120", "--seed", "2", "--burn-in", "30",

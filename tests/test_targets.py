@@ -127,6 +127,18 @@ class TestZooEntries:
         assert p.value(radius) == pytest.approx(value, rel=1e-12)
         assert p.dvalue(radius) == pytest.approx(slope, rel=1e-12)
 
+    @pytest.mark.parametrize("kind,kwargs", [
+        (ExampleKind.EXAMPLE6, {}), (ExampleKind.EXAMPLE2, {"upsilon": 1.0}),
+        (ExampleKind.WARMUP, {}), (ExampleKind.MULTIVARIATE_T, {"kappa": 3.0}),
+    ])
+    def test_nan_radius_gives_nan(self, kind, kwargs):
+        """NaN goes to the bulk branch, whose inversion of g must not turn
+        it into the origin's finite potential."""
+        p = make_example(kind, 2, **kwargs).potential
+        for fn in (p.value, p.dvalue, p.d2value, p.log_value, p.dlog_value, p.d2log_value):
+            assert math.isnan(fn(math.nan))
+            assert np.isnan(fn(np.array([0.5, math.nan, 5.0]))).tolist() == [False, True, False]
+
     def test_default_tail_coefficient(self):
         entry = make_example(ExampleKind.EXAMPLE6, 4, vartheta=2.0)
         assert entry.transform.b == pytest.approx(1.0)  # d / (2 vartheta)

@@ -17,6 +17,7 @@ from tula.transform import (
     G1Report,
     GinSpec,
     RadialTransform,
+    bulk_jet,
     g_eval,
     g_inverse,
     ginbeta2_profile,
@@ -37,6 +38,40 @@ from tula.transform import (
 
 # mpmath, 40 digits: root of g(r) = 1.5 for the b = 1 profile
 G_INVERSE_1P5_B1 = 0.6594523327744627
+
+# mpmath, 40 digits: g and its first three derivatives at 0.9 knot (bulk)
+# and 1.1 knot (tail), for ginbeta2_transform(b, 2) and warmup_transform(2)
+PROFILE_JETS = [
+    ("ginbeta2", 0.25, 0.9, ("2.247368143743945538987213829353944165839",
+                             "2.033318813430911081651676085518144061511",
+                             "2.805705723691303364818342184935488840924",
+                             "5.810125367592820833538864646093430835757")),
+    ("ginbeta2", 0.25, 1.1, ("3.353484652549023681003589427375712039867",
+                             "3.688833117803926049103948370113283243854",
+                             "5.734458755858830494516137920812467588172",
+                             "9.996737749248639593071700083006997590843")),
+    ("ginbeta2", 1.0, 0.9, ("2.247368143743945538987213829353944165839",
+                            "4.066637626861822163303352171036288123021",
+                            "11.2228228947652134592733687397419553637",
+                            "46.48100294074256666831091716874744668606")),
+    ("ginbeta2", 1.0, 1.1, ("3.353484652549023681003589427375712039867",
+                            "7.377666235607852098207896740226566487707",
+                            "22.93783502343532197806455168324987035269",
+                            "79.97390199398911674457360066405598072675")),
+    ("ginbeta2", 5.0, 0.9, ("2.247368143743945538987213829353944165839",
+                            "9.093278173521459128166882896594818072571",
+                            "56.11411447382606729636684369870977681849",
+                            "519.6734111893400413817262923476169617894")),
+    ("ginbeta2", 5.0, 1.1, ("3.353484652549023681003589427375712039867",
+                            "16.49696321812413677465759652501812894816",
+                            "114.6891751171766098903227584162493517634",
+                            "894.1354064223282131864417316559825889902")),
+    ("warmup", None, 0.9, ("1.621664890292232842929121418147602721328",
+                           "3.553247959618092406951363818430080629399",
+                           "4.810506730562879505264945774793048712548",
+                           "-4.534642072745487191888587072109123718418")),
+    ("warmup", None, 1.1, ("2.42", "4.4", "4.0", "0.0")),
+]
 
 
 class TestGinSpec:
@@ -67,6 +102,16 @@ class TestGinSpec:
 
     def test_value_at_zero(self):
         assert ginbeta2_profile(2.0).value(np.asarray(0.0)) == 0.0
+
+    @given(st.floats(0.05, 5.0), st.floats(0.0, 1.0), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_deriv_is_the_bulk_jet(self, b, frac, order):
+        """GinSpec.deriv reads the bulk jet's profile, bit for bit."""
+        spec = ginbeta2_profile(b)
+        r = np.asarray(frac * b**-0.5)
+        jet = bulk_jet(spec, r, order)
+        assert len(jet.profile) == order + 1
+        assert spec.deriv(r, order).tobytes() == jet.profile[order].tobytes()
 
     @pytest.mark.parametrize("spec", [
         *(ginbeta2_profile(b) for b in (0.1, 0.25, 0.75, 1.0, 3.0)),
@@ -214,6 +259,15 @@ class TestEvaluation:
         np.testing.assert_allclose(g_eval(t, r, 2), 6.0 - 2.0 * r**0, rtol=1e-14)
         np.testing.assert_allclose(g_eval(t, r, 3), 0.0, atol=0)
 
+    @pytest.mark.parametrize("kind,b,frac,expected", PROFILE_JETS)
+    def test_frozen_derivatives_either_side_of_knot(self, kind, b, frac, expected):
+        """g_eval orders 0-3 against 40-digit values: the bulk jet below the
+        knot, the composed exp tail g = e^u and the quadratic tail above."""
+        t = ginbeta2_transform(b, 2) if kind == "ginbeta2" else warmup_transform(2)
+        r = frac * t.knot
+        for order, value in enumerate(expected):
+            assert g_eval(t, r, order) == pytest.approx(float(value), rel=1e-13, abs=0.0)
+
 
 class TestLogHelpers:
     """Log-space forms must agree with direct logs where those don't overflow
@@ -310,6 +364,13 @@ class TestInverse:
         r = np.geomspace(1e-3, 50.0, 1000)
         np.testing.assert_allclose(g_inverse(t, g_eval(t, r)), r, rtol=1e-9)
 
+    @pytest.mark.parametrize("t", [ginbeta2_transform(1.0, 2), warmup_transform(2)])
+    def test_nan_maps_to_nan(self, t):
+        """NaN is neither a tail value nor positive, yet must not become 0."""
+        assert math.isnan(g_inverse(t, math.nan))
+        out = g_inverse(t, np.array([0.0, math.nan, 1.5, 2.0 * t.seam]))
+        assert out[0] == 0.0 and math.isnan(out[1]) and np.isfinite(out[2:]).all()
+
     def test_zero_and_tiny_values(self):
         """The bulk stopping rule is relative, so tiny values keep their
         digits down to the smallest normal floats, and subnormals return."""
@@ -347,6 +408,14 @@ class TestVectorMaps:
         t = ginbeta2_transform(1.0, 2)
         np.testing.assert_array_equal(h_forward(t, np.zeros(2)), np.zeros(2))
         np.testing.assert_array_equal(h_inverse(t, np.zeros(2)), np.zeros(2))
+
+    def test_nan_coordinate_maps_to_nan(self):
+        """A point with a NaN coordinate has a NaN radius, not the origin's."""
+        t = ginbeta2_transform(1.0, 2)
+        for h in (h_forward, h_inverse):
+            assert np.isnan(h(t, [math.nan, 0.0])).all()
+            out = h(t, np.array([[math.nan, 0.0], [0.0, 0.0], [0.3, 0.4]]))
+            assert np.isnan(out[0]).all() and (out[1] == 0.0).all() and np.isfinite(out[2]).all()
 
     def test_round_trip_batch(self):
         t = ginbeta2_transform(0.5, 4)

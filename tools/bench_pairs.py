@@ -10,8 +10,9 @@ each tree.  Each tree runs its own ``perfbench/`` from its own root.  For
 every end-to-end metric the output records the per-pair values, both
 medians, both quartiles, the parent's interquartile range and the number
 of pairs the change won (ties count for neither side), and for each side
-the summed ``attempted`` and ``failed`` operations and the number of runs
-that reported ``correct: false``; for the traced run it records the
+the summed ``attempted`` and ``failed`` operations, the number of runs
+that reported ``correct: false`` and the pass count of every run (with
+its median); for the traced run it records the
 per-layer metrics named in TRACED.  Results of several workloads
 accumulate in one ``--out`` file, one entry per workload.  The exit status
 is 1 when any run, traced or not, reported ``correct: false``.
@@ -34,11 +35,14 @@ TRACED = (
     "dynamics.transformed_gradient_us_per_call",
     "dynamics.hessian_eigenvalues_ns_per_radius",
     "transform.h_forward.calls",
+    "transform.h_forward_ns_per_point",
+    "transform.g_inverse_ns_per_point",
 )
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark invocation; returns its result line (the last stdout line)."""
+    """One benchmark invocation: its result line (the last stdout line) and the
+    number of passes its report line (the one before) counts."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -46,18 +50,25 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{tree} seed {seed} trace {trace}: exit {proc.returncode}\n{proc.stderr}")
-    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    line = json.loads(lines[-1])
+    passes = json.loads(lines[-2])["report"]["wall_s"]["n"]
     values = {name: m["value"] for name, m in line["metrics"].items()}
     print(f"{tree.name} seed {seed} trace {trace}: correct={line['correct']} "
-          + " ".join(f"{k}={v:.4g}" for k, v in values.items() if trace == 0 or k in TRACED),
+          + " ".join(f"{k}={v:.4g}" + (f" passes={passes}" if k == "peak_rss_mb" else "")
+                     for k, v in values.items() if trace == 0 or k in TRACED),
           flush=True)
     return {"correct": line["correct"], "attempted": line["attempted"],
-            "failed": line["failed"], "metrics": values}
+            "failed": line["failed"], "passes": passes, "metrics": values}
 
 
 def summarize(spec: dict, pairs: list[dict]) -> dict:
-    """Per-side operation counts and per-metric comparisons of the pairs."""
-    out = {"operations": {}, "end_to_end": {}}
+    """Per-side operation and pass counts and per-metric comparisons of the pairs.
+
+    A worker keeps every pass's outputs, so ``peak_rss_mb`` reads against the
+    number of passes that fit in the run.
+    """
+    out = {"operations": {}, "passes": {}, "end_to_end": {}}
     for side in ("parent", "change"):
         runs = [p[side] for p in pairs]
         out["operations"][side] = {
@@ -65,6 +76,9 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
             "failed": sum(r["failed"] for r in runs),
             "incorrect_runs": sum(not r["correct"] for r in runs),
         }
+        counts = [r["passes"] for r in runs if "passes" in r]
+        out["passes"][side] = {"runs": counts,
+                               "median": statistics.median(counts) if counts else None}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [p["parent"]["metrics"][name] for p in pairs]
@@ -120,10 +134,13 @@ def main(argv=None) -> int:
                                "cpus": len(os.sched_getaffinity(0))})
     doc.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    passes = entry["passes"]
     for name, m in entry["end_to_end"].items():
         print(f"{args.workload} {name}: parent {m['parent_median']:.4g} change "
               f"{m['change_median']:.4g} {m['unit']}, change wins {m['change_wins']}/{len(pairs)}"
-              + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else ""))
+              + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else "")
+              + (f", median passes parent {passes['parent']['median']} change "
+                 f"{passes['change']['median']}" if name == "peak_rss_mb" else ""))
     ops = entry["operations"]
     print(f"{args.workload} operations: " + ", ".join(
         f"{side} failed {o['failed']}/{o['attempted']} ({o['incorrect_runs']} incorrect runs)"

@@ -157,3 +157,19 @@ for s in ('0.5', '1.5', '2.5'):
     fx = ex6_bulk_in_u(u)
     dfx = mp.diff(ex6_bulk_in_u, u) / gin_d1(1, u)
     print(f"example6 d2 f({s}):", mp.nstr(fx, 25), f" f'({s}):", mp.nstr(dfx, 25))
+
+# 17. g, g', g'', g''' on either side of the knot, at 0.9 knot (bulk) and
+#     1.1 knot (tail): ginbeta2 profiles (d = 2) glued to exp(b r^2) at the
+#     knot b^(-1/2), and the warm-up profile (d = 2, knot 1) glued to d r^2.
+def profile_jets(bulk, tail, knot):
+    for side, fn in (("bulk", bulk), ("tail", tail)):
+        r = (mp.mpf('0.9') if side == "bulk" else mp.mpf('1.1')) * knot
+        yield side, [mp.diff(fn, r, k) for k in range(4)]
+
+for bb in ('0.25', '1', '5'):
+    bv = mp.mpf(bb)
+    jets = profile_jets(lambda r: gin(bv, r), lambda r: mp.exp(bv * r**2), 1 / mp.sqrt(bv))
+    for side, vals in jets:
+        print(f"ginbeta2 b={bb} {side}:", ", ".join(mp.nstr(v, 40) for v in vals))
+for side, vals in profile_jets(gin_w, lambda r: dw * r**2, R):
+    print(f"warmup d=2 {side}:", ", ".join(mp.nstr(v, 40) for v in vals))
