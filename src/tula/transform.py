@@ -458,8 +458,10 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
 
     The two log-Jacobian tuples of the branch jets, assembled over radii on
     either side of the knot (the tail owns the knot itself).  Scalar in,
-    scalar entries out.
+    scalar entries out.  ``order`` 0 through 2.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be in {{0, 1, 2}}, got {order}")
     arr, scalar = _check_radii(r)
 
     def log_terms(jet: RadialJet) -> tuple:

@@ -314,6 +314,14 @@ class TestLogHelpers:
         fd2 = (lgr_hi[1] - lgr_lo[1]) / (2 * h)
         np.testing.assert_allclose(lgr[2], fd2, rtol=1e-5, atol=1e-6)
 
+    def test_order_outside_the_log_tuples_rejected(self):
+        """The jets carry log terms to order 2; order 3 used to come back
+        with uninitialised entries."""
+        t = ginbeta2_transform(1.0, 2)
+        for order in (-1, 3):
+            with pytest.raises(ValueError, match="order"):
+                log_jacobian_terms(t, np.array([0.5, 2.0]), order)
+
     def test_log_space_survives_deep_tail(self):
         """Radii whose raw profile value overflows still get exact logs."""
         t = ginbeta2_transform(1.0, 3)
