@@ -197,8 +197,8 @@ class RadialQuadrature:
     """
 
     def __init__(self, potential: IsotropicPotential, r_max: float = 1.0e3) -> None:
-        if r_max <= 0:
-            raise ValueError("r_max must be positive")
+        if not (r_max > 0 and math.isfinite(r_max)):
+            raise ValueError(f"r_max must be positive and finite, got {r_max}")
         self.potential = potential
         self.r_max = float(r_max)
 
@@ -394,7 +394,7 @@ def check_assumption(
     Args:
       tp: transformed potential under test.
       which: assumption tag; accepts the enum, full names, or "A1".."A5".
-      grid: strictly increasing radii inside the tail branch (r >= knot).
+      grid: strictly increasing finite radii inside the tail branch (r >= knot).
         Defaults to 512 log-spaced points on [max(knot, 0.1), 100].
       candidate_constants: any of alpha/A/B (A1), mu/theta (A2), rho (A3),
         L (A4), m/alpha1/C_tail (A5).
@@ -416,6 +416,8 @@ def check_assumption(
         radii = np.asarray(grid, dtype=float)
         if radii.ndim != 1 or radii.size < 2:
             raise ValueError("grid must be a 1-d array with at least two radii")
+        if not np.isfinite(radii).all():
+            raise ValueError("grid radii must be finite")
         if np.any(np.diff(radii) <= 0):
             raise ValueError("grid must be strictly increasing")
         if radii[0] < t.knot * (1.0 - 1e-12):
@@ -648,11 +650,11 @@ def estimate_lsi(
     Raises:
       NotApplicableError: the smaller eigenvalue is nonpositive somewhere on
         (0, r_max], so the curvature bound does not apply.
-      ValueError: the balance equation has no root inside (0, r_max); raise
-        r_max.
+      ValueError: r_max is not positive and finite, or the balance equation
+        has no root inside (0, r_max); raise r_max.
     """
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+    if not (r_max > 0 and math.isfinite(r_max)):
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
 
@@ -1052,11 +1054,15 @@ def radial_diagnostics(
       oracle: reuse a prebuilt RadialQuadrature (must match `potential`).
 
     Raises:
-      ValueError: burn-in leaves no samples.
+      ValueError: burn-in leaves no samples, or a threshold is negative or
+        not finite.
       UndefinedMomentError: an explicitly requested moment does not exist.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
+    thresholds = [float(v) for v in thresholds]
+    if not all(math.isfinite(v) and v >= 0.0 for v in thresholds):
+        raise ValueError(f"thresholds must be finite radii >= 0, got {thresholds}")
     per_chain = _pooled_series(run, burn_in)
     radii = np.concatenate(per_chain)
     n = int(radii.size)
@@ -1090,7 +1096,6 @@ def radial_diagnostics(
 
     tails = []
     for threshold in thresholds:
-        threshold = float(threshold)
         reference = quadrature.sf(threshold)
         indicators = [(s > threshold).astype(float) for s in per_chain]
         empirical = float(np.concatenate(indicators).mean())

@@ -22,12 +22,12 @@ log-argument hooks, ``F(t) = f(e^t)``: with ``u = b r**beta``,
 so the exploding profile value ``exp(b r**beta)`` never appears.
 
 :func:`value_radial`, :func:`grad_factor` and :func:`hessian_eigenvalues`
-are views of one radial jet: it splits the radii at the knot once, takes
-the branch jets of :mod:`tula.transform` (profile pieces and log-Jacobian
-terms together) and composes the requested derivatives of ``f_h`` from
-them.  On the bulk branch of a target built from a closed transformed
+are views of one radial jet.  For a target built from a closed transformed
 potential ``phi`` for this very transform, ``f_h``, ``f_h'`` and ``f_h''``
-are ``phi``, ``phi'`` and ``phi''`` instead.
+are ``phi``, ``phi'`` and ``phi''`` at every radius.  Any other pairing
+splits the radii at the knot once, takes the branch jets of
+:mod:`tula.transform` (profile pieces and log-Jacobian terms together) and
+composes the requested derivatives of ``f_h`` from them.
 
 The module also exposes the Ito form of the transformed dynamics mapped
 back to the original space: an SDE with drift ``b(x)`` and a radially
@@ -139,22 +139,20 @@ def _branch_derivatives(jet: tr.RadialJet, hooks, d1: float, orders) -> list:
 def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ...]) -> list:
     """``f_h^(k)`` at the radii ``arr`` for each ``k`` in ``orders`` (0 to 2).
 
-    Splits the radii at the knot once and takes one branch jet per branch.
-    On the bulk branch of a target built from a closed transformed
-    potential for this transform (``tp.closed_form``), ``f_h^(k)`` is
-    ``phi^(k)``: composing ``f`` with the profile there would first invert
-    the profile by Newton's method, only to recover the radius the call
-    started from.
+    For a target built from a closed transformed potential for this
+    transform (``tp.closed_form``), ``f_h^(k)`` is ``phi^(k)`` at every
+    radius.  Otherwise it splits the radii at the knot once and composes
+    ``f`` with one branch jet per branch.
     """
+    form = tp.closed_form
+    if form is not None:
+        phi = (form.value, form.dvalue, form.d2value)
+        return [phi[k](arr) for k in orders]
     t, f = tp.transform, tp.target
     d1 = t.dimension - 1.0
     top = max(orders)
-    form = tp.closed_form
 
     def bulk(rb):
-        if form is not None:
-            phi = (form.value, form.dvalue, form.d2value)
-            return [phi[k](rb) for k in orders]
         jet = tr.bulk_jet(t.gin, rb, top)
         return _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, orders)
 

@@ -7,13 +7,13 @@ f(e^t)`` used to evaluate compositions ``f(exp(b r**beta))`` without ever
 materializing the inner exponential (which overflows near ``b r**beta ~
 709``).
 
-The zoo pairs each potential with its canonical radial transform
-(:mod:`tula.transform`) and, where available, the closed transformed
-potential ``phi`` the pairing is designed to produce, with ``phi'`` and
-``phi''`` (:class:`TransformedForm`).  On the bulk branch of that pairing
-:mod:`tula.dynamics` takes ``f_h``, ``f_h'`` and ``f_h''`` from ``phi``
-outright, where the general composition would first invert the profile by
-Newton's method only to recover the radius it started from.
+Every zoo entry but the multivariate t is defined once, by the closed
+transformed potential ``phi`` it is built from, with ``phi'`` and ``phi''``
+(:class:`TransformedForm`), for its canonical radial transform
+(:mod:`tula.transform`).  The change of variables run backwards gives ``f``
+on both branches of the profile, and paired with that transform
+:mod:`tula.dynamics` takes ``f_h``, ``f_h'`` and ``f_h''`` from ``phi`` at
+every radius.
 
 Zoo construction
 ----------------
@@ -23,19 +23,13 @@ share one template.  Pick a tail weight ``vartheta > 0``, set
 
     phi(r) = (d/2) r**2 + c_log * d * log(1 + r**2/2) + C
 
-with a per-entry coefficient ``c_log``.  Working the change of variables
-backwards fixes the original potential uniquely: in the tail
-``|x| >= e``, with ``t = log |x|``,
-
-    f(|x|) = d (1 + 1/(2b)) t + (c_log d + 1 - d/2) log t
-             + c_log d log(1 + 2b/t) + C + (1 - c_log d) log 2
-             + (d/2 - c_log d) log b
-
-and in the bulk ``f`` is ``phi`` plus the log-Jacobian, evaluated at
-``u = g^{-1}(|x|)``.  The entries differ only in ``c_log`` (1, 1/2, 1/4, 0
-for the four log-Sobolev benchmark targets; ``1/2 + upsilon`` for the
-tunable family) and in ``C``.  Densities have moments of order ``p``
-exactly for ``p < vartheta``.
+with a per-entry coefficient ``c_log``: 1, 1/2, 1/4, 0 for the four
+log-Sobolev benchmark targets and ``1/2 + upsilon`` for the tunable family.
+At ``u = g^{-1}(|x|)``, ``f(|x|) = phi(u) + log g'(u) + (d-1) log(g(u)/u)``;
+in the tail ``|x| >= e`` this is a closed function of ``log |x|`` (worked
+out in ``tools/freeze_oracles.py``).  Densities have moments of order ``p``
+exactly for ``p < vartheta``.  The warm-up target takes ``phi(r) = sqrt(1 +
+(d r^2)^2) + C`` for a transform with quadratic tail ``d r^2``.
 """
 
 from __future__ import annotations
@@ -247,63 +241,90 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x) == int(x) else str(float(x))
 
 
-# --- the shared zoo template ----------------------------------------------
+# --- potentials built from their transformed potential --------------------
 
 
-def _bulk_parts(
+def _pullback(
     t: tr.RadialTransform,
     phi: Callable[[Array], Array],
     dphi: Callable[[Array], Array],
     d2phi: Callable[[Array], Array],
-) -> tuple[Callable[[Array], Array], ...]:
-    """Bulk ``f``, ``f'`` and ``f''`` of a potential built from ``phi``.
+) -> dict:
+    """The fields of the potential built from ``phi`` for ``t``.
 
-    The change of variables run backwards: at ``u = g^{-1}(s)``,
-    ``f(s) = phi(u) + log g'(u) + (d-1) log(g(u)/u)``, and the derivatives
-    follow by the chain rule through ``ds = g'(u) du``.
+    The change of variables run backwards, on each branch at the root ``r``
+    of its jet's profile ``p`` (``g``, or ``u = b r**beta`` on the
+    exponential tail): the outer function is ``phi + LJ`` with the
+    log-Jacobian ``LJ = log g' + (d-1) log(g/r)``, and its ``p``-derivatives
+    are ``(phi' + LJ')/p'`` and ``((phi'' + LJ'') - (phi' + LJ') p''/p')/p'^2``.
+    The bulk root is ``g^{-1}(s)`` and the quadratic tail's ``sqrt(s/a)``;
+    the exponential tail works in the log argument ``t = log s`` at ``r =
+    (t/b)**(1/beta)``, which gives ``F`` outright and ``f' = F'/s``, ``f'' =
+    (F'' - F')/s^2``.  Returns the hooks, the seam and the transformed form
+    as keyword arguments of :class:`IsotropicPotential`.
     """
-    d = t.dimension
+    d1 = t.dimension - 1.0
 
-    def bulk_parts(s: Array, order: int) -> Array:
-        u = np.atleast_1d(np.asarray(tr.g_inverse(t, s), dtype=float))
-        # a root can land on the knot itself, which the tail owns
-        lgp, lgr = tr.log_jacobian_terms(t, u, order)
-        if order == 0:
-            return phi(u) + lgp[0] + (d - 1.0) * lgr[0]
-        gp = t.gin.deriv(u, 1)
-        slope = dphi(u) + lgp[1] + (d - 1.0) * lgr[1]
-        if order == 1:
-            return slope / gp
-        curv = d2phi(u) + lgp[2] + (d - 1.0) * lgr[2]
-        return (curv - slope * lgp[1]) / (gp * gp)
+    def outer(jet: tr.RadialJet, r: Array, order: int) -> list:
+        p, lgp, lgr = jet
+        out = [phi(r) + lgp[0] + d1 * lgr[0]]
+        if order >= 1:
+            slope = dphi(r) + lgp[1] + d1 * lgr[1]
+            out.append(slope / p[1])
+        if order >= 2:
+            curv = d2phi(r) + lgp[2] + d1 * lgr[2]
+            out.append((curv - slope * p[2] / p[1]) / (p[1] * p[1]))
+        return out
 
-    return tuple(functools.partial(bulk_parts, order=k) for k in range(3))
+    def bulk(s: Array, k: int) -> Array:
+        r = tr.g_inverse(t, s)
+        return outer(tr.bulk_jet(t.gin, r, k), r, k)[k]
+
+    def on_tail(r: Array, k: int) -> list:
+        return outer(tr.tail_jet(t, r, k), r, k)
+
+    bulk_hooks = [functools.partial(bulk, k=k) for k in range(3)]
+    if t.tail == "exp":
+
+        def log_tail(tt: Array, k: int) -> list:
+            return on_tail(np.power(tt / t.b, 1.0 / t.beta), k)
+
+        def tail(s: Array, k: int) -> Array:
+            F = log_tail(np.log(s), k)
+            if k == 0:
+                return F[0]
+            return F[1] / s if k == 1 else (F[2] - F[1]) / (s * s)
+
+    else:
+
+        def tail(s: Array, k: int) -> Array:
+            return on_tail(np.sqrt(s / t.tail_scale), k)[k]
+
+    hooks = [_glued(t.seam, functools.partial(tail, k=k), bulk_hooks[k]) for k in range(3)]
+    if t.tail == "exp":  # F from the tail jet past the log seam log(e) = 1, f(e^t) below
+        log_hooks = [_glued(1.0, lambda tt, k=k: log_tail(tt, k)[k], bulk_log)
+                     for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
+    else:
+        log_hooks = list(map(_vectorized, _of_log_argument(*hooks)))
+    names = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
+    return {
+        **dict(zip(names, hooks + log_hooks)),
+        "seams": (t.seam,),
+        "transformed_form": TransformedForm(t, *map(_vectorized, (phi, dphi, d2phi))),
+    }
 
 
-def _zoo_potential(
-    name: str,
-    t: tr.RadialTransform,
+def _zoo_entry(
+    kind: ExampleKind,
+    dimension: int,
     c_log: float,
     const_bulk: float,
     vartheta: float,
-) -> IsotropicPotential:
-    # Tail coefficients from the template in the module docstring.
-    d = t.dimension
-    b = t.b
-    k1 = d * (1.0 + 1.0 / (2.0 * b))
-    c_ll = c_log * d + 1.0 - 0.5 * d
-    c_lb = c_log * d
-    const_tail = const_bulk + (1.0 - c_log * d) * math.log(2.0) + (0.5 * d - c_log * d) * math.log(b)
-    seam = t.seam  # = e
-
-    def tail_log(tt: Array) -> Array:
-        return k1 * tt + c_ll * np.log(tt) + c_lb * np.log1p(2.0 * b / tt) + const_tail
-
-    def tail_dlog(tt: Array) -> Array:
-        return k1 + c_ll / tt - 2.0 * b * c_lb / (tt * (tt + 2.0 * b))
-
-    def tail_d2log(tt: Array) -> Array:
-        return -c_ll / (tt * tt) + 2.0 * b * c_lb * (2.0 * tt + 2.0 * b) / (tt * (tt + 2.0 * b)) ** 2
+    extra: dict,
+) -> TargetZooEntry:
+    d = dimension
+    b = d / (2.0 * vartheta)
+    t = tr.ginbeta2_transform(b, d)
 
     # phi and its first two derivatives, from the template
     def phi(u: Array) -> Array:
@@ -315,50 +336,14 @@ def _zoo_potential(
     def d2phi(u: Array) -> Array:
         return d + c_log * d * (1.0 - 0.5 * u * u) / (1.0 + 0.5 * u * u) ** 2
 
-    bulk = _bulk_parts(t, phi, dphi, d2phi)
-
-    def tail_d2(r: Array) -> Array:
-        tt = np.log(r)
-        return (tail_d2log(tt) - tail_dlog(tt)) / (r * r)
-
-    value = _glued(seam, lambda r: tail_log(np.log(r)), bulk[0])
-    dvalue = _glued(seam, lambda r: tail_dlog(np.log(r)) / r, bulk[1])
-    d2value = _glued(seam, tail_d2, bulk[2])
-    # F(t) = f(e^t): closed tail form for t >= 1, bulk composition below.
-    bulk_log = _of_log_argument(*bulk)
-    log_value = _glued(1.0, tail_log, bulk_log[0])
-    dlog_value = _glued(1.0, tail_dlog, bulk_log[1])
-    d2log_value = _glued(1.0, tail_d2log, bulk_log[2])
-
-    return IsotropicPotential(
+    pot = IsotropicPotential(
         dimension=d,
-        name=name,
-        value=value,
-        dvalue=dvalue,
-        d2value=d2value,
-        log_value=log_value,
-        dlog_value=dlog_value,
-        d2log_value=d2log_value,
+        name=kind.value,
         moment_max=float(vartheta),
-        seams=(seam,),
         parameters={"dimension": d, "b": b, "c_log": c_log, "vartheta": vartheta},
-        transformed_form=TransformedForm(t, *map(_vectorized, (phi, dphi, d2phi))),
+        **_pullback(t, phi, dphi, d2phi),
     )
-
-
-def _zoo_entry(
-    kind: ExampleKind,
-    dimension: int,
-    c_log: float,
-    const_bulk: float,
-    vartheta: float,
-    extra: dict,
-) -> TargetZooEntry:
-    b = dimension / (2.0 * vartheta)
-    t = tr.ginbeta2_transform(b, dimension)
-    pot = _zoo_potential(kind.value, t, c_log, const_bulk, vartheta)
-    params = {"dimension": dimension, "vartheta": vartheta, "b": b, **extra}
-    return TargetZooEntry(pot, t, kind, params)
+    return TargetZooEntry(pot, t, kind, {"dimension": d, "vartheta": vartheta, "b": b, **extra})
 
 
 # --- warm-up ---------------------------------------------------------------
@@ -367,42 +352,30 @@ def _zoo_entry(
 def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
     t = tr.warmup_transform(dimension, knot)
     d = float(dimension)
-    seam = t.seam  # = d * knot**2, the image of the knot
     const = -0.5 * d * math.log(d) - math.log(2.0)
 
-    # sqrt(1 + s^2) without overflow for s beyond 1e154
-    sq = _glued(1.0, lambda s: s * np.sqrt(1.0 + s**-2), lambda s: np.sqrt(1.0 + s**2))
+    # phi(r) = sqrt(1 + (d r^2)^2) + const and its first two derivatives,
+    # through w = d r^2 / sqrt(1 + (d r^2)^2) so that nothing overflows
+    # before d r^2 itself does
+    def w(u: Array) -> Array:
+        return d * u * u / np.hypot(1.0, d * u * u)
 
-    # phi(r) = sqrt(1 + (d r^2)^2) + const and its first two derivatives
     def phi(u: Array) -> Array:
-        return np.sqrt(1.0 + (d * u * u) ** 2) + const
+        return np.hypot(1.0, d * u * u) + const
 
     def dphi(u: Array) -> Array:
-        return 2.0 * d * d * u**3 / np.sqrt(1.0 + (d * u * u) ** 2)
+        return 2.0 * d * u * w(u)
 
     def d2phi(u: Array) -> Array:
-        root = np.sqrt(1.0 + (d * u * u) ** 2)
-        return 6.0 * d * d * u * u / root - 4.0 * d**4 * u**6 / root**3
-
-    bulk = _bulk_parts(t, phi, dphi, d2phi)
-    value = _glued(seam, lambda r: sq(r) + 0.5 * d * np.log(r), bulk[0])
-    dvalue = _glued(seam, lambda r: r / sq(r) + 0.5 * d / r, bulk[1])
-    d2value = _glued(seam, lambda r: 1.0 / sq(r) ** 3 - 0.5 * d / (r * r), bulk[2])
-    log_value, dlog_value, d2log_value = map(_vectorized, _of_log_argument(value, dvalue, d2value))
+        wu = w(u)
+        return 6.0 * d * wu - 4.0 * d * wu**3
 
     pot = IsotropicPotential(
         dimension=dimension,
         name="warmup",
-        value=value,
-        dvalue=dvalue,
-        d2value=d2value,
-        log_value=log_value,
-        dlog_value=dlog_value,
-        d2log_value=d2log_value,
         moment_max=math.inf,
-        seams=(seam,),
         parameters={"dimension": dimension, "knot": knot},
-        transformed_form=TransformedForm(t, *map(_vectorized, (phi, dphi, d2phi))),
+        **_pullback(t, phi, dphi, d2phi),
     )
     return TargetZooEntry(pot, t, ExampleKind.WARMUP, {"dimension": dimension, "knot": knot})
 

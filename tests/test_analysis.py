@@ -111,6 +111,9 @@ class TestRadialQuadrature:
     def test_r_max_validation(self, t23):
         with pytest.raises(ValueError, match="r_max"):
             RadialQuadrature(t23.potential, r_max=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r_max must be positive and finite"):
+                RadialQuadrature(t23.potential, r_max=bad)
 
 
 class TestAssumptionChecks:
@@ -194,6 +197,11 @@ class TestAssumptionChecks:
             check_assumption(tp_t32, "A4", grid=[0.5, 2.0, 4.0])
         with pytest.raises(ValueError, match="at least two"):
             check_assumption(tp_t32, "A4", grid=[2.0])
+        for bad in (math.nan, math.inf):  # NaN also defeats the increasing test
+            with pytest.raises(ValueError, match="grid radii must be finite"):
+                check_assumption(tp_t32, "A1", grid=[bad, 5.0, 10.0])
+            with pytest.raises(ValueError, match="grid radii must be finite"):
+                check_assumption(tp_t32, "A1", grid=[2.0, 5.0, bad])
 
     def test_constant_range_validation(self, tp_t32):
         with pytest.raises(ValueError, match="alpha"):
@@ -262,6 +270,9 @@ class TestLsiEstimate:
         tp = TransformedPotential(entry.potential, entry.transform)
         with pytest.raises(ValueError, match="r_max"):
             estimate_lsi(tp, r_max=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r_max must be positive and finite"):
+                estimate_lsi(tp, r_max=bad)
         with pytest.raises(ValueError, match="grid_size"):
             estimate_lsi(tp, grid_size=8)
 
@@ -462,6 +473,12 @@ class TestRadialDiagnostics:
         with pytest.raises(UndefinedMomentError):
             radial_diagnostics(run_heavy, entry.potential, burn_in=50,
                                moment_orders=(1.5,))
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    def test_threshold_must_be_a_radius(self, diag_setup, bad):
+        potential, run = diag_setup
+        with pytest.raises(ValueError, match="thresholds"):
+            radial_diagnostics(run, potential, burn_in=500, thresholds=(5.0, bad))
 
     def test_burn_in_validation(self, diag_setup):
         potential, run = diag_setup

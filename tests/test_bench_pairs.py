@@ -1,6 +1,7 @@
 """The before/after summary of tools/bench_pairs.py on synthetic pairs."""
 
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,34 @@ def test_run_records_the_pass_count(tmp_path, capsys):
     out = bench_pairs.summarize(spec, pairs)
     assert out["passes"] == {"parent": {"runs": [10, 30, 20], "median": 20},
                              "change": {"runs": [20, 60, 40], "median": 40}}
+
+
+
+def test_rss_fit_separates_harness_from_program_memory():
+    """The line runs through every run of both sides.  When both sides grow
+    0.5 MB per pass and the change sits 2 MB below, moved along that line to
+    the parent's median pass count each side reads its program's memory."""
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
+
+    def run(passes, rss):
+        return {"correct": True, "attempted": 1, "failed": 0, "passes": passes,
+                "metrics": {"peak_rss_mb": rss}}
+
+    pairs = [{"seed": s, "first": "parent", "parent": run(n, 40.0 + 0.5 * n),
+              "change": run(n + 6, 38.0 + 0.5 * (n + 6))}
+             for s, n in ((1, 10), (2, 30), (3, 20), (4, 16))]
+    fit = bench_pairs.summarize(spec, pairs)["rss_fit"]
+    assert fit["at_passes"] == 18  # the parent's median pass count
+    want = statistics.linear_regression([10, 30, 20, 16, 16, 36, 26, 22],
+                                        [45, 55, 50, 48, 46, 56, 51, 49])
+    assert (fit["slope_mb_per_pass"], fit["intercept_mb"]) == pytest.approx(tuple(want))
+
+    same = [{**p, "change": run(p["parent"]["passes"], p["parent"]["metrics"]["peak_rss_mb"] - 2.0)}
+            for p in pairs]
+    fit = bench_pairs.summarize(spec, same)["rss_fit"]
+    assert fit["slope_mb_per_pass"] == pytest.approx(0.5)
+    assert fit["intercept_mb"] == pytest.approx(39.0)
+    assert fit["rss_at_passes"] == pytest.approx({"parent": 49.0, "change": 47.0})
+
+    flat = [{**p, "parent": run(20, 50.0), "change": run(20, 49.0)} for p in pairs]
+    assert bench_pairs.summarize(spec, flat)["rss_fit"] is None  # one pass count: no line

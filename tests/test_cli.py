@@ -96,6 +96,25 @@ class TestUsageErrors:
         assert rc == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_threshold_that_is_not_a_radius_names_the_option(self, tmp_path, capsys, threshold):
+        """A negative threshold made a tail check that cannot fail, and NaN
+        failed inside the quadrature without naming the option."""
+        rc = main(["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "50",
+                   "--threshold", threshold, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "thresholds" in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.json").exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["check", "--assumption", "A1", "--grid-min", "nan"], "grid"),
+        (["lsi", "--r-max", "nan"], "r_max"),
+    ])
+    def test_non_finite_cutoff_names_the_option(self, tmp_path, capsys, argv, option):
+        rc = main([*argv, "--target", "example6", "--d", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert option in capsys.readouterr().err
+
     def test_classify_needs_constants(self, capsys):
         assert main(["classify", "--assumption", "strong", "--b", "0.5"]) == 2
 

@@ -6,6 +6,7 @@ Reference numbers for the d=2, kappa=1, b=1 configuration come from a
 below the knot at 1) and the log-space tail branch (r = 2).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -279,8 +280,9 @@ class TestClosedFormBulkSlope:
             assert np.all(np.abs(got[bulk] - want) > 1e-6 * np.abs(want)), order
 
     def test_closed_pairing_never_inverts_g(self, monkeypatch):
-        """Values and Hessians of a closed pairing take phi on the bulk
-        branch and never run the Newton inversion of the profile."""
+        """Values, gradients and Hessians of a closed pairing are phi, phi'
+        and phi'' bit for bit on both branches: they never run the Newton
+        inversion of the profile nor call the target's f or F hooks."""
         calls = []
         invert = tula.transform._invert_bulk
 
@@ -289,11 +291,36 @@ class TestClosedFormBulkSlope:
             return invert(*args)
 
         monkeypatch.setattr(tula.transform, "_invert_bulk", counted)
-        entry = make_example(ExampleKind.EXAMPLE6, 2)
-        tp = TransformedPotential(entry.potential, entry.transform)
-        r = np.linspace(0.05, 0.95, 64) * entry.transform.knot
-        hessian_eigenvalues(tp, r)
-        transformed_value(tp, np.stack([r, np.zeros_like(r)], axis=1))
+        hooks = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
+        hook_calls = []
+
+        def counting(name, fn):
+            def wrapped(x):
+                hook_calls.append(name)
+                return fn(x)
+            return wrapped
+
+        for kind, kwargs in ((ExampleKind.EXAMPLE2, {"upsilon": 1.0}), (ExampleKind.EXAMPLE3, {}),
+                             (ExampleKind.EXAMPLE4, {}), (ExampleKind.EXAMPLE5, {}),
+                             (ExampleKind.EXAMPLE6, {}), (ExampleKind.WARMUP, {})):
+            for dimension in (1, 2, 5):
+                entry = make_example(kind, dimension, **kwargs)
+                pot = entry.potential
+                target = dataclasses.replace(
+                    pot, **{h: counting(h, getattr(pot, h)) for h in hooks})
+                tp = TransformedPotential(target, entry.transform)
+                form = pot.transformed_form
+                r = np.linspace(0.05, 50.0, 300) * entry.transform.knot
+                assert _bits(value_radial(tp, r)) == _bits(form.value(r))
+                assert _bits(grad_factor(tp, r)) == _bits(form.dvalue(r))
+                eig = hessian_eigenvalues(tp, r)
+                assert _bits(eig.lambda_radial) == _bits(form.d2value(r))
+                assert _bits(eig.lambda_tangential) == _bits(form.dvalue(r) / r)
+                y = np.zeros((r.size, dimension))
+                y[:, 0] = r
+                transformed_value(tp, y)
+                transformed_gradient(tp, y)
+                assert hook_calls == [], (kind, dimension)
         assert calls == []
 
 

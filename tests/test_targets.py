@@ -34,6 +34,47 @@ EX6_D2_BULK = {
     2.5: (3.442427380486742887859631, 1.193938647797065783742645),
 }
 
+# f, f', f'' at |x| and F, F', F'' at t = log |x| on the tail, from the
+# closed tail formulas in tools/freeze_oracles.py (mpmath, 40 digits).  The
+# warm-up's F(1e4) = f(e^1e4) leaves double range.
+TAIL_ORACLES = {
+    ("example6", 2): {
+        "x": {5.0: (5.52146091786224643321951, 0.6, -0.12),
+              50.0: (12.42921619684438348527348, 0.06, -0.0012),
+              1e6: (42.13967885445276762174108, 0.000003, -3.0e-12)},
+        "t": {2.0: (6.693147180559945309417232, 3.0, 0.0),
+              40.0: (120.6931471805599453094172, 3.0, 0.0),
+              1e4: (30000.69314718055994530942, 3.0, 0.0)},
+    },
+    ("example3", 4): {
+        "x": {5.0: (11.003370746655066547394, 1.018349797958213838461099,
+                    -0.1933125623871485615172236),
+              50.0: (23.00385849936852973836818, 0.1049987496853888746609991,
+                     -0.002099396967563874270359701),
+              1e6: (74.50630280265803276984826, 0.000005152141042300139927875166,
+                    -5.15950452406227121195216e-12)},
+        "t": {2.0: (13.00815479355254814674652, 5.166666666666666666666667,
+                    0.1388888888888888888888889),
+              40.0: (207.982143178759381801647, 5.065909090909090909090909,
+                     -0.001441115702479338842975207),
+              1e4: (50024.16688489321412940265, 5.000299840063974410235906,
+                    -2.996801918976511754354636e-8)},
+    },
+    ("warmup", 2): {
+        "x": {5.0: (6.708457426026885204628983, 1.180580675690920159620812,
+                    -0.03245707172545446031060914),
+              50.0: (53.92202200562809607261455, 1.019800059980006997480924,
+                     -0.0003920047976011194962216639),
+              1e6: (1000013.815511057964274104, 1.0000009999995, -9.999990000000000015e-13)},
+        "t": {2.0: (9.456416701951698130973631, 8.322304025585548618407318,
+                    7.454004523195998531559113),
+              40.0: (235385266837020025.4078999, 235385266837019986.4078999,
+                     235385266837019985.4078999)},
+    },
+}
+# phi, phi', phi'' of the warm-up (d = 2) where d u^2 is beyond 1e154
+WARMUP_D2_PHI_FAR = {1e80: (2.0e160, 4.0e80, 4.0), 1e120: (2.0e240, 4.0e120, 4.0)}
+
 
 def _pulled_back(entry, r):
     """f(g(r)) - log g'(r) - (d-1) log(g(r)/r): the x-side potential pulled
@@ -126,6 +167,29 @@ class TestZooEntries:
         value, slope = EX6_D2_BULK[radius]
         assert p.value(radius) == pytest.approx(value, rel=1e-12)
         assert p.dvalue(radius) == pytest.approx(slope, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, dimension", sorted(TAIL_ORACLES))
+    def test_frozen_tail_potential(self, kind, dimension):
+        """f on the tail is pulled back from phi; the oracles come from the
+        closed tail formulas, independent of that pullback."""
+        p = make_example(kind, dimension).potential
+        for side, hooks in (("x", (p.value, p.dvalue, p.d2value)),
+                            ("t", (p.log_value, p.dlog_value, p.d2log_value))):
+            for arg, want in TAIL_ORACLES[kind, dimension][side].items():
+                for k, (hook, value) in enumerate(zip(hooks, want)):
+                    # the warm-up's f'' at |x| = 1e6 is (phi'' - phi'/r + ...)/(2 a r)^2
+                    # with phi'' and phi'/r both near 2d: the pullback keeps
+                    # about 16 - log10 |x| of its digits
+                    rtol = 1e-9 if (kind, side, arg, k) == ("warmup", "x", 1e6, 2) else 1e-12
+                    np.testing.assert_allclose(hook(arg), value, rtol=rtol, atol=0.0,
+                                               err_msg=f"{kind} {side}={arg} order {k}")
+
+    @pytest.mark.parametrize("u", sorted(WARMUP_D2_PHI_FAR))
+    def test_warmup_phi_far_out(self, u):
+        """phi serves every radius, so it must not overflow before d u^2 does."""
+        form = make_example(ExampleKind.WARMUP, 2).potential.transformed_form
+        for hook, value in zip((form.value, form.dvalue, form.d2value), WARMUP_D2_PHI_FAR[u]):
+            assert hook(u) == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("kind,kwargs", [
         (ExampleKind.EXAMPLE6, {}), (ExampleKind.EXAMPLE2, {"upsilon": 1.0}),

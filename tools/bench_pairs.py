@@ -12,8 +12,13 @@ medians, both quartiles, the parent's interquartile range and the number
 of pairs the change won (ties count for neither side), and for each side
 the summed ``attempted`` and ``failed`` operations, the number of runs
 that reported ``correct: false`` and the pass count of every run (with
-its median); for the traced run it records the
-per-layer metrics named in TRACED.  Results of several workloads
+its median).  A worker keeps every pass's outputs, so ``peak_rss_mb``
+grows with the pass count: a least-squares line of ``peak_rss_mb``
+against the pass count over all runs gives the harness's memory per pass
+(slope) and what is left at zero passes (intercept), and each side's
+median RSS moved along that line to the parent's median pass count
+compares the two programs at equal harness memory.  For the traced run it
+records the per-layer metrics named in TRACED.  Results of several workloads
 accumulate in one ``--out`` file, one entry per workload.  The exit status
 is 1 when any run, traced or not, reported ``correct: false``.
 """
@@ -62,11 +67,27 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
             "failed": line["failed"], "passes": passes, "metrics": values}
 
 
-def summarize(spec: dict, pairs: list[dict]) -> dict:
-    """Per-side operation and pass counts and per-metric comparisons of the pairs.
+def rss_fit(pairs: list[dict], at_passes: float) -> dict | None:
+    """The least-squares line of ``peak_rss_mb`` against the pass count over
+    every run of both sides, and each side's median of ``peak_rss_mb`` moved
+    along it to ``at_passes``; None without two distinct pass counts."""
+    runs = {side: [(p[side]["passes"], p[side]["metrics"]["peak_rss_mb"]) for p in pairs
+                   if "passes" in p[side] and "peak_rss_mb" in p[side]["metrics"]]
+            for side in ("parent", "change")}
+    points = runs["parent"] + runs["change"]
+    if len({n for n, _ in points}) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(*zip(*points))
+    return {"slope_mb_per_pass": slope, "intercept_mb": intercept, "at_passes": at_passes,
+            "rss_at_passes": {side: statistics.median(rss - slope * (n - at_passes)
+                                                      for n, rss in side_runs)
+                              for side, side_runs in runs.items() if side_runs}}
 
-    A worker keeps every pass's outputs, so ``peak_rss_mb`` reads against the
-    number of passes that fit in the run.
+
+def summarize(spec: dict, pairs: list[dict]) -> dict:
+    """Per-side operation and pass counts, per-metric comparisons of the
+    pairs and the RSS-against-passes line (:func:`rss_fit`, at the parent's
+    median pass count).
     """
     out = {"operations": {}, "passes": {}, "end_to_end": {}}
     for side in ("parent", "change"):
@@ -92,6 +113,8 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
             pq, cq = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
             entry.update(parent_quartiles=pq, change_quartiles=cq, parent_iqr=pq[2] - pq[0])
         out["end_to_end"][name] = entry
+    if out["passes"]["parent"]["median"] is not None:
+        out["rss_fit"] = rss_fit(pairs, out["passes"]["parent"]["median"])
     return out
 
 
@@ -141,6 +164,11 @@ def main(argv=None) -> int:
               + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else "")
               + (f", median passes parent {passes['parent']['median']} change "
                  f"{passes['change']['median']}" if name == "peak_rss_mb" else ""))
+    fit = entry.get("rss_fit")
+    if fit:
+        print(f"{args.workload} peak_rss_mb = {fit['intercept_mb']:.4g} MB + "
+              f"{1024 * fit['slope_mb_per_pass']:.4g} KB per pass; at {fit['at_passes']} passes "
+              + ", ".join(f"{side} {v:.4g} MB" for side, v in fit["rss_at_passes"].items()))
     ops = entry["operations"]
     print(f"{args.workload} operations: " + ", ".join(
         f"{side} failed {o['failed']}/{o['attempted']} ({o['incorrect_runs']} incorrect runs)"

@@ -173,3 +173,49 @@ for bb in ('0.25', '1', '5'):
         print(f"ginbeta2 b={bb} {side}:", ", ".join(mp.nstr(v, 40) for v in vals))
 for side, vals in profile_jets(gin_w, lambda r: dw * r**2, R):
     print(f"warmup d=2 {side}:", ", ".join(mp.nstr(v, 40) for v in vals))
+
+# 18. tails of the zoo targets in closed form.  A zoo entry built from
+#     phi(r) = (d/2) r^2 + c d log(1 + r^2/2) + C for exp(b r^2), worked
+#     backwards at r = sqrt(t/b), t = log |x| >= 1, has the log-argument
+#     potential
+#       F(t) = d (1 + 1/(2b)) t + (c d + 1 - d/2) log t + c d log(1 + 2b/t)
+#              + C + (1 - c d) log 2 + (d/2 - c d) log b,
+#     with f(|x|) = F(log |x|), f' = F'/|x|, f'' = (F'' - F')/|x|^2.  The
+#     warm-up (phi(r) = sqrt(1 + (d r^2)^2) - (d/2) log d - log 2 for d r^2)
+#     has f(s) = sqrt(1 + s^2) + (d/2) log s for s >= d knot^2, and F(t) =
+#     f(e^t); its F at t = 1e4 leaves double range.
+def zoo_tail_F(d, b, c, C=0):
+    d, b, c = mp.mpf(d), mp.mpf(b), mp.mpf(c)
+    return lambda t: (d * (1 + 1 / (2 * b)) * t + (c * d + 1 - d / 2) * mp.log(t)
+                      + c * d * mp.log(1 + 2 * b / t) + C + (1 - c * d) * mp.log(2)
+                      + (d / 2 - c * d) * mp.log(b))
+
+def x_side(F):
+    return lambda x: F(mp.log(x))
+
+def warmup_tail_f(d):
+    d = mp.mpf(d)
+    return lambda s: mp.sqrt(1 + s**2) + d / 2 * mp.log(s)
+
+tails = (("example6 d=2", x_side(zoo_tail_F(2, 1, 0)), zoo_tail_F(2, 1, 0), ('2', '40', '1e4')),
+         ("example3 d=4", x_side(zoo_tail_F(4, 2, 1)), zoo_tail_F(4, 2, 1), ('2', '40', '1e4')),
+         ("warmup d=2", warmup_tail_f(2), lambda t: warmup_tail_f(2)(mp.exp(t)), ('2', '40')))
+for name, f, F, ts in tails:
+    for x in ('5', '50', '1e6'):
+        vals = [mp.diff(f, mp.mpf(x), k) for k in range(3)]
+        print(f"{name} f, f', f'' at {x}:", ", ".join(mp.nstr(v, 25) for v in vals))
+    for t in ts:
+        vals = [mp.diff(F, mp.mpf(t), k) for k in range(3)]
+        print(f"{name} F, F', F'' at {t}:", ", ".join(mp.nstr(v, 25) for v in vals))
+
+# 19. the warm-up phi (d = 2) far out, where d r^2 is beyond 1e154
+dw2 = mp.mpf(2)
+phi_w = lambda r: mp.sqrt(1 + (dw2 * r**2)**2) - dw2 / 2 * mp.log(dw2) - mp.log(2)
+for u in ('1e80', '1e120'):
+    uu = mp.mpf(u)
+    x = dw2 * uu**2
+    # with x = d r^2: phi' = 2 d^2 r^3/sqrt(1 + x^2) and
+    # phi'' = 6 d^2 r^2/sqrt(1 + x^2) - 4 d^4 r^6/(1 + x^2)^(3/2)
+    vals = (phi_w(uu), 2 * dw2**2 * uu**3 / mp.sqrt(1 + x**2),
+            6 * dw2**2 * uu**2 / mp.sqrt(1 + x**2) - 4 * dw2**4 * uu**6 / (1 + x**2)**mp.mpf('1.5'))
+    print(f"warmup d=2 phi, phi', phi'' at {u}:", ", ".join(mp.nstr(v, 25) for v in vals))
