@@ -203,8 +203,7 @@ class RadialQuadrature:
         self.r_max = float(r_max)
 
         scan = np.concatenate(([0.0], np.geomspace(1e-6, self.r_max, 2048)))
-        with np.errstate(divide="ignore"):
-            scan_vals = radial_log_density(potential, scan)
+        scan_vals = radial_log_density(potential, scan)
         self._shift = float(np.max(scan_vals))
         if not math.isfinite(self._shift):
             raise ValueError("radial density is nowhere finite on the scan grid")
@@ -225,8 +224,7 @@ class RadialQuadrature:
             np.linspace(0.0, min(30.0, self.r_max), 6001),
             np.geomspace(min(30.0, self.r_max), self.r_max, 2048),
         ]))
-        with np.errstate(divide="ignore"):
-            dens = np.exp(np.clip(radial_log_density(potential, grid) - self._shift, -745.0, None))
+        dens = np.exp(np.clip(radial_log_density(potential, grid) - self._shift, -745.0, None))
         self._table_r = grid
         self._table_cdf = _cumulative_trapezoid(dens, grid) / mass
 
@@ -1024,6 +1022,15 @@ def _series_std_error(per_chain: list[np.ndarray]) -> float:
     return float(pooled.std(ddof=1) / math.sqrt(max(ess, 1.0))) if pooled.size > 1 else 0.0
 
 
+def _tail_thresholds(thresholds: Sequence[float]) -> list[float]:
+    """The radii of the exceedance checks as floats; raises unless each is
+    finite and >= 0 (below 0 the check cannot fail)."""
+    values = [float(v) for v in thresholds]
+    if not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise ValueError(f"thresholds must be finite radii >= 0, got {values}")
+    return values
+
+
 def radial_diagnostics(
     run: ChainRun,
     potential: IsotropicPotential,
@@ -1060,9 +1067,7 @@ def radial_diagnostics(
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    thresholds = [float(v) for v in thresholds]
-    if not all(math.isfinite(v) and v >= 0.0 for v in thresholds):
-        raise ValueError(f"thresholds must be finite radii >= 0, got {thresholds}")
+    thresholds = _tail_thresholds(thresholds)
     per_chain = _pooled_series(run, burn_in)
     radii = np.concatenate(per_chain)
     n = int(radii.size)

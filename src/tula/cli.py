@@ -24,6 +24,7 @@ import numpy as np
 
 from .analysis import (
     NotApplicableError,
+    _tail_thresholds,
     check_assumption,
     classify_regime,
     estimate_lsi,
@@ -46,35 +47,31 @@ __all__ = [
 GRADCHECK_GRAD_TOL = 1e-5
 GRADCHECK_HESS_TOL = 1e-4
 
-_TARGET_KEYS = ("target", "d", "kappa", "upsilon", "vartheta", "b", "knot")
+# the target options every target-taking subcommand shares
+_TARGET_DEFAULTS: dict[str, Any] = {
+    "target": None, "d": None, "kappa": None, "upsilon": None, "vartheta": 1.0,
+    "b": None, "knot": 1.0,
+}
 
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "sample": {
-        "target": None, "d": None, "kappa": None, "upsilon": None, "vartheta": 1.0,
-        "b": None, "knot": 1.0, "gamma": None, "steps": None, "seed": 0, "chains": 1,
+        **_TARGET_DEFAULTS, "gamma": None, "steps": None, "seed": 0, "chains": 1,
         "thin": 1, "burn_in": None, "init_scale": None, "threshold": None,
         "skip_diagnostics": False, "out": ".",
     },
     "check": {
-        "target": None, "d": None, "kappa": None, "upsilon": None, "vartheta": 1.0,
-        "b": None, "knot": 1.0, "assumption": None, "grid_min": None, "grid_max": None,
+        **_TARGET_DEFAULTS, "assumption": None, "grid_min": None, "grid_max": None,
         "grid_points": None, "A": None, "B": None, "alpha": None, "mu": None,
         "theta": None, "rho": None, "L": None, "m": None, "alpha1": None,
         "c_tail": None, "out": ".",
     },
-    "lsi": {
-        "target": None, "d": None, "kappa": None, "upsilon": None, "vartheta": 1.0,
-        "b": None, "knot": 1.0, "r_max": 12.0, "grid_size": 1024, "out": ".",
-    },
+    "lsi": {**_TARGET_DEFAULTS, "r_max": 12.0, "grid_size": 1024, "out": "."},
     "classify": {
         "assumption": None, "vartheta": None, "d": 1, "b": None, "beta": 2.0,
         "alpha": None, "A": None, "B": None, "mu": None, "theta": None, "rho": None,
         "out": ".",
     },
-    "gradcheck": {
-        "target": None, "d": None, "kappa": None, "upsilon": None, "vartheta": 1.0,
-        "b": None, "knot": 1.0, "points": 1000, "seed": 0, "out": ".",
-    },
+    "gradcheck": {**_TARGET_DEFAULTS, "points": 1000, "seed": 0, "out": "."},
 }
 
 
@@ -135,7 +132,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _target_echo(opts: dict[str, Any]) -> dict[str, Any]:
-    return {k: opts.get(k) for k in _TARGET_KEYS if opts.get(k) is not None}
+    return {k: opts.get(k) for k in _TARGET_DEFAULTS if opts.get(k) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +226,9 @@ def cmd_sample(opts: dict[str, Any]) -> int:
     entry = _build_entry(opts)
     if opts.get("gamma") is None or opts.get("steps") is None:
         raise ValueError("sample needs --gamma and --steps")
-    thresholds = [5.0] if opts.get("threshold") is None else [
-        float(v) for v in np.atleast_1d(opts["threshold"])]
+    # checked before any step runs, so a bad threshold leaves no artifacts
+    thresholds = _tail_thresholds(
+        [5.0] if opts.get("threshold") is None else np.atleast_1d(opts["threshold"]))
     if not thresholds:
         raise ValueError("threshold must name at least one radius")
     tp = TransformedPotential(entry.potential, entry.transform)

@@ -27,7 +27,10 @@ potential ``phi`` for this very transform, ``f_h``, ``f_h'`` and ``f_h''``
 are ``phi``, ``phi'`` and ``phi''`` at every radius.  Any other pairing
 splits the radii at the knot once, takes the branch jets of
 :mod:`tula.transform` (profile pieces and log-Jacobian terms together) and
-composes the requested derivatives of ``f_h`` from them.
+composes the requested derivatives of ``f_h`` from them.  Radii and points
+enter through the calling convention of :mod:`tula.transform`; the
+gradient is zero within ``ORIGIN_RADIUS`` of the origin and rejects a
+non-finite point.
 
 The module also exposes the Ito form of the transformed dynamics mapped
 back to the original space: an SDE with drift ``b(x)`` and a radially
@@ -168,14 +171,12 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
 
 def value_radial(tp: TransformedPotential, r):
     """``f_h`` as a function of the radius; vectorized, finite at 0."""
-    arr, scalar = tr._check_radii(r)
-    return tr._ret(_radial_jet(tp, arr, (0,))[0], scalar)
+    return tr._radial(lambda x: _radial_jet(tp, x, (0,))[0], r)
 
 
 def grad_factor(tp: TransformedPotential, r):
     """Radial derivative ``f_h'(r)``; the gradient is this times ``y / r``."""
-    arr, scalar = tr._check_radii(r)
-    return tr._ret(_radial_jet(tp, arr, (1,))[0], scalar)
+    return tr._radial(lambda x: _radial_jet(tp, x, (1,))[0], r)
 
 
 def hessian_eigenvalues(tp: TransformedPotential, r):
@@ -186,27 +187,19 @@ def hessian_eigenvalues(tp: TransformedPotential, r):
     orthogonal complement.  Raises for nonpositive radii, where the
     spectral split is undefined.
     """
-    arr, scalar = tr._check_radii(r)
-    if (arr <= 0.0).any():
-        raise ValueError("hessian eigenvalues need r > 0")
-    slope, curv = _radial_jet(tp, arr, (1, 2))
-    return HessianEigenvalues(tr._ret(curv, scalar), tr._ret(slope / arr, scalar))
 
+    def eigenvalues(x):
+        if (x <= 0.0).any():
+            raise ValueError("hessian eigenvalues need r > 0")
+        slope, curv = _radial_jet(tp, x, (1, 2))
+        return curv, slope / x
 
-def _batched(y, dimension: int):
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = np.atleast_2d(y)
-    if pts.shape[-1] != dimension:
-        raise ValueError(f"expected dimension {dimension}, got shape {y.shape}")
-    return pts, single
+    return HessianEigenvalues(*tr._radial(eigenvalues, r))
 
 
 def transformed_value(tp: TransformedPotential, y):
     """``f_h(y)`` for a point or a batch of points."""
-    pts, single = _batched(y, tp.dimension)
-    vals = np.atleast_1d(np.asarray(value_radial(tp, np.linalg.norm(pts, axis=-1)), dtype=float))
-    return float(vals[0]) if single else vals
+    return value_radial(tp, np.linalg.norm(tr._points(y, tp.dimension), axis=-1))
 
 
 def transformed_log_density(tp: TransformedPotential, y):
@@ -218,34 +211,26 @@ def transformed_gradient(tp: TransformedPotential, y):
     """``grad f_h(y)``; returns the zero vector within 1e-10 of the origin.
 
     The gradient of a smooth radial function vanishes at the origin, and
-    the cutoff avoids dividing by a vanishing radius.
+    the cutoff avoids dividing by a vanishing radius.  Raises on a
+    non-finite point.
     """
-    pts, single = _batched(y, tp.dimension)
-    if not np.isfinite(pts).all():
+    if not np.isfinite(y).all():
         raise ValueError("gradient of a non-finite point")
-    r = np.linalg.norm(pts, axis=-1)
-    out = np.zeros_like(pts)
-    live = r >= ORIGIN_RADIUS
-    if live.any():
-        rl = r[live]
-        rho = _radial_jet(tp, rl, (1,))[0]
-        out[live] = pts[live] * (rho / rl)[:, None]
-    return out[0] if single else out
+    return tr._radial_field(y, tp.dimension, lambda r: _radial_jet(tp, r, (1,))[0],
+                            lambda r: r < ORIGIN_RADIUS)
 
 
 def _ito_pieces(tp: TransformedPotential, x):
     """Checked ``x``, ``s = |x| > 0``, ``u = g^{-1}(s)``, ``g'(u)``, ``g''(u)``, ``f'(s)``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != tp.dimension:
+    x = tr._points(x, tp.dimension)
+    if x.ndim != 1:
         raise ValueError(f"expected a single point of dimension {tp.dimension}")
     s = float(np.linalg.norm(x))
     if s == 0.0:
         raise ValueError("the Ito decomposition is singular at the origin")
     t = tp.transform
-    u = float(tr.g_inverse(t, s))
-    gp = float(tr.g_eval(t, u, 1))
-    gpp = float(tr.g_eval(t, u, 2))
-    return x, s, u, gp, gpp, float(tp.target.dvalue(s))
+    u = tr.g_inverse(t, s)
+    return x, s, u, tr.g_eval(t, u, 1), tr.g_eval(t, u, 2), tp.target.dvalue(s)
 
 
 def ito_drift_parts(tp: TransformedPotential, x):

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import transform as tr
-from .dynamics import TransformedPotential, transformed_gradient
+from .dynamics import ORIGIN_RADIUS, TransformedPotential, transformed_gradient
 from .targets import IsotropicPotential
 
 __all__ = [
@@ -162,15 +162,11 @@ def _estimate_sharpness(grad_fn: Callable[[np.ndarray], np.ndarray], dim: int) -
     # gradient along the first axis; only used for the default initial scale
     radii = np.geomspace(1e-2, 10.0, 64)
     eps = 1e-5
+    plus, minus = np.zeros((radii.size, dim)), np.zeros((radii.size, dim))
+    plus[:, 0], minus[:, 0] = radii + eps, radii - eps
     worst = 1.0
-    for r in radii:
-        e = np.zeros(dim)
-        e[0] = r
-        ep = e.copy()
-        ep[0] = r + eps
-        em = e.copy()
-        em[0] = r - eps
-        d = np.linalg.norm(grad_fn(ep) - grad_fn(em)) / (2.0 * eps)
+    for diff in grad_fn(plus) - grad_fn(minus):
+        d = np.linalg.norm(diff) / (2.0 * eps)
         if np.isfinite(d):
             worst = max(worst, float(d))
     return worst
@@ -255,10 +251,7 @@ def run_ula(p: IsotropicPotential, cfg: SamplerConfig) -> ChainRun:
     """Same loop directly on the target potential (no transform)."""
 
     def grad(x: np.ndarray) -> np.ndarray:
-        r = float(np.linalg.norm(x))
-        if r < 1e-10:
-            return np.zeros_like(x)
-        return float(p.dvalue(r)) / r * x
+        return tr._radial_field(x, p.dimension, p.dvalue, lambda r: r < ORIGIN_RADIUS)
 
     return _run(grad, p.dimension, cfg, None)
 

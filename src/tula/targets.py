@@ -60,24 +60,14 @@ __all__ = [
 Array = np.ndarray
 
 
-def _vectorized(fn: Callable[[Array], Array]):
-    def wrapped(r):
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        out = fn(np.atleast_1d(arr))
-        return float(out[0]) if scalar else out
-
-    return wrapped
-
-
 def _glued(seam: float, tail: Callable[[Array], Array], bulk: Callable[[Array], Array]):
-    """Vectorized ``tail`` at arguments ``>= seam`` and ``bulk`` below."""
+    """Hook of ``tail`` at arguments ``>= seam`` and ``bulk`` below.  No hook
+    checks its argument: the package calls them at radii it checked or computed."""
 
-    @_vectorized
     def glued(x: Array) -> Array:
         return tr._piecewise(x, seam, lambda v: (bulk(v),), lambda v: (tail(v),))[0]
 
-    return glued
+    return functools.partial(tr._radial, glued, check=False)
 
 
 def _of_log_argument(value: Callable, dvalue: Callable, d2value: Callable):
@@ -218,7 +208,6 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
 
     dlog_value = _glued(0.0, lambda t: dk / (1.0 + np.exp(-2.0 * t)), dlog_value_neg)
 
-    @_vectorized
     def d2log_value(t: Array) -> Array:
         w = np.exp(-2.0 * np.abs(t))
         return dk * 2.0 * w / (1.0 + w) ** 2
@@ -231,7 +220,7 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         d2value=d2value,
         log_value=log_value,
         dlog_value=dlog_value,
-        d2log_value=d2log_value,
+        d2log_value=functools.partial(tr._radial, d2log_value, check=False),
         moment_max=float(kappa),
         parameters={"dimension": dimension, "kappa": float(kappa)},
     )
@@ -305,12 +294,14 @@ def _pullback(
         log_hooks = [_glued(1.0, lambda tt, k=k: log_tail(tt, k)[k], bulk_log)
                      for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
     else:
-        log_hooks = list(map(_vectorized, _of_log_argument(*hooks)))
+        log_hooks = [functools.partial(tr._radial, fn, check=False)
+                     for fn in _of_log_argument(*hooks)]
     names = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
+    form = [functools.partial(tr._radial, fn, check=False) for fn in (phi, dphi, d2phi)]
     return {
         **dict(zip(names, hooks + log_hooks)),
         "seams": (t.seam,),
-        "transformed_form": TransformedForm(t, *map(_vectorized, (phi, dphi, d2phi))),
+        "transformed_form": TransformedForm(t, *form),
     }
 
 
@@ -443,18 +434,14 @@ def radial_log_density(p: IsotropicPotential, r):
 
     At ``r = 0`` this is ``-f(0)`` in one dimension and ``-inf`` otherwise.
     """
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if (arr < 0.0).any():
-        raise ValueError("radii must be nonnegative")
-    fval = np.atleast_1d(np.asarray(p.value(arr), dtype=float))
-    if p.dimension == 1:
-        out = -fval
-    else:
+
+    def log_density(x: Array) -> Array:
+        if p.dimension == 1:
+            return -p.value(x)
         with np.errstate(divide="ignore"):
-            out = (p.dimension - 1.0) * np.log(arr) - fval
-    return float(out[0]) if scalar else out
+            return (p.dimension - 1.0) * np.log(x) - p.value(x)
+
+    return tr._radial(log_density, r)
 
 
 _T_NAME = re.compile(r"^t(\d+)_([0-9.]+)$")

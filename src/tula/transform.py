@@ -32,6 +32,12 @@ derivatives: :func:`g_eval`, :meth:`GinSpec.deriv` and the Newton steps of
 the log terms across the knot, and :func:`log_det_jacobian` is a view of
 it.  Every function here that is piecewise in the radius splits its input
 by one rule: the upper piece owns the boundary, so the tail owns the knot.
+
+The module also owns the package's calling convention.  A radial function
+takes a scalar, giving a float, or an array, giving an array of its shape;
+NaN passes through, and a negative radius raises except in the potential
+hooks.  A radial field ``s(|x|) x/|x|`` (``h``, ``h^{-1}``, the gradients)
+takes a point or a batch of points, with its caller's rule at the origin.
 """
 
 from __future__ import annotations
@@ -142,7 +148,7 @@ class GinSpec:
         """
         if order not in (0, 1, 2, 3):
             raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
-        return _bulk_profile(self, np.asarray(r, dtype=float), order)[0][order]
+        return _radial(lambda x: _bulk_profile(self, x, order)[0][order], r)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,17 +280,57 @@ def _piecewise(x: np.ndarray, boundary: float, lower, upper) -> list:
     return outs
 
 
-def _check_radii(r) -> tuple[np.ndarray, bool]:
+# --- calling convention ---------------------------------------------------
+
+
+def _radial(fn, r, check: bool = True):
+    """``fn`` of ``r``, taken as a float array of at least one dimension.
+
+    A scalar ``r`` gives a float back (a tuple of floats when ``fn`` returns
+    a sequence of arrays); an array gives what ``fn`` returns, shaped like
+    ``r``.  NaN passes through.  ``check`` rejects negative radii; the
+    potential hooks of :mod:`tula.targets` turn it off.
+    """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if (arr < 0.0).any():
+    if scalar:
+        arr = arr.reshape(1)
+    if check and (arr < 0.0).any():
         raise ValueError("radii must be nonnegative")
-    return arr, scalar
+    out = fn(arr)
+    if not scalar:
+        return out
+    if isinstance(out, np.ndarray):
+        return float(out[0])
+    return tuple(float(v[0]) for v in out)
 
 
-def _ret(value: np.ndarray, scalar: bool):
-    return float(value[0]) if scalar else value
+def _points(x, dimension: int) -> np.ndarray:
+    """``x`` as a float array of one point (shape ``(d,)``) or of a batch of
+    points (shape ``(..., d)``)."""
+    pts = np.asarray(x, dtype=float)
+    if pts.shape[-1:] != (dimension,):
+        raise ValueError(f"expected points of dimension {dimension}, got shape {pts.shape}")
+    return pts
+
+
+def _radial_field(x, dimension: int, s, at_origin):
+    """The field ``s(r) x / r``, ``r = |x|``, at a point or each point of a batch.
+
+    ``s`` maps a 1-d array of radii to the radial component.  Rows where the
+    caller's rule ``at_origin(r)`` holds are zero and never reach ``s``.
+    """
+    pts = _points(x, dimension)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None]
+    r = np.linalg.norm(pts, axis=-1)
+    out = np.zeros_like(pts)
+    live = ~at_origin(r)
+    if live.any():
+        rl = r[live]
+        out[live] = pts[live] * (s(rl) / rl)[:, None]
+    return out[0] if single else out
 
 
 # --- branch jets ----------------------------------------------------------
@@ -433,7 +479,6 @@ def g_eval(t: RadialTransform, r, order: int = 0):
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
-    arr, scalar = _check_radii(r)
 
     def tail(x):
         u = _tail_profile(t, x, order)
@@ -449,8 +494,8 @@ def g_eval(t: RadialTransform, r, order: int = 0):
             return ((u[2] + u[1] * u[1]) * g,)
         return ((u[3] + 3.0 * u[1] * u[2] + u[1] ** 3) * g,)
 
-    (out,) = _piecewise(arr, t.knot, lambda x: (_bulk_profile(t.gin, x, order)[0][order],), tail)
-    return _ret(out, scalar)
+    bulk = lambda x: (_bulk_profile(t.gin, x, order)[0][order],)
+    return _radial(lambda x: _piecewise(x, t.knot, bulk, tail)[0], r)
 
 
 def log_jacobian_terms(t: RadialTransform, r, order: int):
@@ -462,14 +507,13 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be in {{0, 1, 2}}, got {order}")
-    arr, scalar = _check_radii(r)
 
     def log_terms(jet: RadialJet) -> tuple:
         return jet.log_gprime + jet.log_g_over_r
 
-    terms = [_ret(v, scalar) for v in _piecewise(
-        arr, t.knot, lambda x: log_terms(bulk_jet(t.gin, x, order)),
-        lambda x: log_terms(tail_jet(t, x, order)))]
+    terms = _radial(lambda x: _piecewise(
+        x, t.knot, lambda xb: log_terms(bulk_jet(t.gin, xb, order)),
+        lambda xt: log_terms(tail_jet(t, xt, order))), r)
     return tuple(terms[: order + 1]), tuple(terms[order + 1:])
 
 
@@ -484,8 +528,6 @@ def g_inverse(t: RadialTransform, s):
     positive; the bound is floored at the smallest normal float, so
     subnormal values still return).
     """
-    arr, scalar = _check_radii(np.asarray(s, dtype=float))
-
     def bulk(x):
         out = np.where(np.isnan(x), x, 0.0)  # zero maps to zero exactly, NaN to NaN
         pos = x > 0.0
@@ -498,8 +540,7 @@ def g_inverse(t: RadialTransform, s):
             return (np.power(np.log(x) / t.b, 1.0 / t.beta),)
         return (np.sqrt(x / t.tail_scale),)
 
-    (out,) = _piecewise(arr, t.seam, bulk, tail)
-    return _ret(out, scalar)
+    return _radial(lambda x: _piecewise(x, t.seam, bulk, tail)[0], s)
 
 
 def _warm_start_table(t: RadialTransform) -> tuple[np.ndarray, np.ndarray]:
@@ -545,32 +586,20 @@ def _invert_bulk(t: RadialTransform, s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _radial_map(t: RadialTransform, x, radius_fn):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != t.dimension:
-        raise ValueError(f"expected points of dimension {t.dimension}, got shape {x.shape}")
-    r = np.linalg.norm(pts, axis=-1)
-    out = np.zeros_like(pts)
-    pos = r != 0.0  # the origin stays fixed; a NaN coordinate maps to NaN
-    if pos.any():
-        # radii whose image exceeds the float range saturate to inf; the
-        # warnings carry no more information than the non-finite output
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = radius_fn(r[pos]) / r[pos]
-            out[pos] = pts[pos] * scale[:, None]
-    return out[0] if single else out
-
-
 def h_forward(t: RadialTransform, x):
-    """Apply ``h(x) = g(|x|) x / |x|``; the origin is a fixed point."""
-    return _radial_map(t, x, lambda r: g_eval(t, r, 0))
+    """Apply ``h(x) = g(|x|) x / |x|`` to a point or a batch of points.
+
+    The origin is a fixed point and a NaN coordinate maps to NaN.  An image
+    past the float range saturates to inf, without numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _radial_field(x, t.dimension, lambda r: g_eval(t, r, 0), lambda r: r == 0.0)
 
 
 def h_inverse(t: RadialTransform, x):
-    """Apply ``h^{-1}(x) = g^{-1}(|x|) x / |x|``."""
-    return _radial_map(t, x, lambda r: g_inverse(t, r))
+    """Apply ``h^{-1}(x) = g^{-1}(|x|) x / |x|``, with the rules of :func:`h_forward`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _radial_field(x, t.dimension, lambda r: g_inverse(t, r), lambda r: r == 0.0)
 
 
 def log_det_jacobian(t: RadialTransform, r):
@@ -664,12 +693,12 @@ def verify_g1_assumption(t: RadialTransform, target=None) -> G1Report:
     checks: list[G1Check] = []
     knot = t.knot
 
-    v0 = float(t.gin.value(np.asarray(0.0)))
+    v0 = t.gin.value(0.0)
     checks.append(G1Check("origin_value", abs(v0), 0.0, v0 == 0.0))
 
     max_order = 3 if t.tail == _EXP else 2
     for k in range(max_order + 1):
-        left = float(t.gin.deriv(knot, k))
+        left = t.gin.deriv(knot, k)
         right = g_eval(t, knot, k)
         rel = abs(left - right) / max(1.0, abs(right))
         checks.append(
@@ -682,7 +711,7 @@ def verify_g1_assumption(t: RadialTransform, target=None) -> G1Report:
             )
         )
     if t.tail == _EXP:
-        val = float(t.gin.value(np.asarray(knot)))
+        val = t.gin.value(knot)
         rel = abs(val - math.e) / math.e
         checks.append(G1Check("knot_value", rel, 1e-10, rel <= 1e-10, f"g_in(knot) = {val:.15g}"))
 

@@ -97,3 +97,24 @@ def test_rss_fit_separates_harness_from_program_memory():
 
     flat = [{**p, "parent": run(20, 50.0), "change": run(20, 49.0)} for p in pairs]
     assert bench_pairs.summarize(spec, flat)["rss_fit"] is None  # one pass count: no line
+
+
+def test_rss_headroom_from_a_synthetic_fit():
+    """A line of 0.5 MB per pass over 39 MB reaches 1.1 times the parent's
+    median of 48 MB (52.8 MB) at 27.6 passes; against the parent's median of
+    18 passes that leaves a pass speed-up of 27.6 / 18."""
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
+
+    def run(passes, rss):
+        return {"correct": True, "attempted": 1, "failed": 0, "passes": passes,
+                "metrics": {"peak_rss_mb": rss}}
+
+    pairs = [{"seed": s, "first": "parent", "parent": run(n, 39.0 + 0.5 * n),
+              "change": run(n, 39.0 + 0.5 * n)} for s, n in ((1, 12), (2, 30), (3, 22), (4, 14))]
+    room = bench_pairs.summarize(spec, pairs)["rss_fit"]["headroom"]
+    assert room["limit_mb"] == pytest.approx(52.8)
+    assert room["passes"] == pytest.approx(27.6)
+    assert room["speedup"] == pytest.approx(27.6 / 18)
+
+    fit = {"slope_mb_per_pass": 0.0, "intercept_mb": 50.0, "at_passes": 18}
+    assert bench_pairs.rss_headroom(fit, 50.0, 0.1) is None  # flat: no pass count reaches it

@@ -99,11 +99,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize("threshold", ["-1", "nan"])
     def test_threshold_that_is_not_a_radius_names_the_option(self, tmp_path, capsys, threshold):
         """A negative threshold made a tail check that cannot fail, and NaN
-        failed inside the quadrature without naming the option."""
+        failed inside the quadrature without naming the option.  Either is
+        a usage error before any step runs, so the run writes nothing."""
         rc = main(["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "50",
                    "--threshold", threshold, "--out", str(tmp_path)])
         assert rc == 2
         assert "thresholds" in capsys.readouterr().err
+        assert not (tmp_path / "chain.csv").exists()
         assert not (tmp_path / "diagnostics.json").exists()
 
     @pytest.mark.parametrize("argv, option", [

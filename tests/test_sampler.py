@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from tula.dynamics import TransformedPotential
+from tula.dynamics import TransformedPotential, transformed_gradient
 from tula.sampler import (
     ChainRun,
     DivergenceError,
     SamplerConfig,
+    _estimate_sharpness,
     plan_step_size,
     run_summary,
     run_tula,
@@ -154,6 +155,26 @@ class TestRecording:
         """No initial point and no scale: the curvature-probe default."""
         run = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=10, seed=2))
         assert np.all(np.isfinite(run.ys[0]))
+
+    @pytest.mark.parametrize("kind, d, kwargs", [
+        (ExampleKind.MULTIVARIATE_T, 2, {"kappa": 3.0}), (ExampleKind.EXAMPLE6, 2, {}),
+        (ExampleKind.WARMUP, 3, {}), (ExampleKind.EXAMPLE3, 5, {}),
+    ])
+    def test_curvature_probe_equals_its_loop_form(self, kind, d, kwargs):
+        """The curvature probe behind the default scale takes the gradient at
+        its 64 radii in two batched calls; it equals the point-by-point loop
+        bit for bit."""
+        entry = make_example(kind, d, **kwargs)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        grad = lambda y: transformed_gradient(tp, y)
+        eps, worst = 1e-5, 1.0
+        for r in np.geomspace(1e-2, 10.0, 64):
+            plus, minus = np.zeros(d), np.zeros(d)
+            plus[0], minus[0] = r + eps, r - eps
+            slope = np.linalg.norm(grad(plus) - grad(minus)) / (2.0 * eps)
+            if np.isfinite(slope):
+                worst = max(worst, float(slope))
+        assert _estimate_sharpness(grad, d) == worst
 
 
 class TestDivergence:

@@ -111,7 +111,7 @@ class TestGinSpec:
         r = np.asarray(frac * b**-0.5)
         jet = bulk_jet(spec, r, order)
         assert len(jet.profile) == order + 1
-        assert spec.deriv(r, order).tobytes() == jet.profile[order].tobytes()
+        assert np.float64(spec.deriv(r, order)).tobytes() == jet.profile[order].tobytes()
 
     @pytest.mark.parametrize("spec", [
         *(ginbeta2_profile(b) for b in (0.1, 0.25, 0.75, 1.0, 3.0)),

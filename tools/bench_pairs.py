@@ -12,15 +12,20 @@ medians, both quartiles, the parent's interquartile range and the number
 of pairs the change won (ties count for neither side), and for each side
 the summed ``attempted`` and ``failed`` operations, the number of runs
 that reported ``correct: false`` and the pass count of every run (with
-its median).  A worker keeps every pass's outputs, so ``peak_rss_mb``
-grows with the pass count: a least-squares line of ``peak_rss_mb``
-against the pass count over all runs gives the harness's memory per pass
-(slope) and what is left at zero passes (intercept), and each side's
-median RSS moved along that line to the parent's median pass count
-compares the two programs at equal harness memory.  For the traced run it
-records the per-layer metrics named in TRACED.  Results of several workloads
-accumulate in one ``--out`` file, one entry per workload.  The exit status
-is 1 when any run, traced or not, reported ``correct: false``.
+its median).  ``peak_rss_mb`` grows with the pass count, since the worker
+keeps every pass's outputs and the pooled check of a sampling workload
+copies every pass's samples at the end of a run: a least-squares line of ``peak_rss_mb`` against the pass
+count over all runs gives the harness's memory per pass (slope) and what
+is left at zero passes (intercept), and each side's median RSS moved along
+that line to the parent's median pass count compares the two programs at
+equal harness memory.  The same line gives the RSS headroom: the pass
+count at which it reaches the parent's median ``peak_rss_mb`` times one
+plus the metric's bound, and that count over the parent's median pass
+count, the pass speed-up that fits before the harness alone fails the
+memory bound.  For the traced run it records the per-layer metrics named
+in TRACED.  Results of several workloads accumulate in one ``--out`` file,
+one entry per workload.  The exit status is 1 when any run, traced or not,
+reported ``correct: false``.
 """
 
 from __future__ import annotations
@@ -84,6 +89,18 @@ def rss_fit(pairs: list[dict], at_passes: float) -> dict | None:
                               for side, side_runs in runs.items() if side_runs}}
 
 
+def rss_headroom(fit: dict, parent_median_mb: float, bound: float) -> dict | None:
+    """Where the line of :func:`rss_fit` reaches ``parent_median_mb * (1 +
+    bound)``: that limit, the pass count there and its ratio to the parent's
+    median pass count (the speed-up that fits); None when the line does not
+    grow."""
+    if fit["slope_mb_per_pass"] <= 0.0:
+        return None
+    limit = parent_median_mb * (1.0 + bound)
+    passes = (limit - fit["intercept_mb"]) / fit["slope_mb_per_pass"]
+    return {"limit_mb": limit, "passes": passes, "speedup": passes / fit["at_passes"]}
+
+
 def summarize(spec: dict, pairs: list[dict]) -> dict:
     """Per-side operation and pass counts, per-metric comparisons of the
     pairs and the RSS-against-passes line (:func:`rss_fit`, at the parent's
@@ -114,7 +131,10 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
             entry.update(parent_quartiles=pq, change_quartiles=cq, parent_iqr=pq[2] - pq[0])
         out["end_to_end"][name] = entry
     if out["passes"]["parent"]["median"] is not None:
-        out["rss_fit"] = rss_fit(pairs, out["passes"]["parent"]["median"])
+        fit = out["rss_fit"] = rss_fit(pairs, out["passes"]["parent"]["median"])
+        rss = out["end_to_end"].get("peak_rss_mb")
+        if fit and rss:
+            fit["headroom"] = rss_headroom(fit, rss["parent_median"], rss["bound"])
     return out
 
 
@@ -169,6 +189,11 @@ def main(argv=None) -> int:
         print(f"{args.workload} peak_rss_mb = {fit['intercept_mb']:.4g} MB + "
               f"{1024 * fit['slope_mb_per_pass']:.4g} KB per pass; at {fit['at_passes']} passes "
               + ", ".join(f"{side} {v:.4g} MB" for side, v in fit["rss_at_passes"].items()))
+        room = fit.get("headroom")
+        print(f"{args.workload} peak_rss_mb headroom: " + (
+            f"the line reaches {room['limit_mb']:.4g} MB (the parent's median times 1 + bound) "
+            f"at {room['passes']:.1f} passes, so a pass up to {room['speedup']:.2f}x faster "
+            f"than the parent's fits" if room else "the line does not grow"))
     ops = entry["operations"]
     print(f"{args.workload} operations: " + ", ".join(
         f"{side} failed {o['failed']}/{o['attempted']} ({o['incorrect_runs']} incorrect runs)"
