@@ -14,11 +14,14 @@ Four groups of utilities live here:
 Everything is plain numerics on grids: the checks report what holds on the
 grid with the supplied or fitted constants, they are not certificates.
 Every integral of the oracles runs through `_integrate`, a globally
-adaptive 7-15 Gauss-Kronrod rule (QUADPACK's qk15 pair) that evaluates
-each refinement level in one vectorised call; the radial oracle asks it
-for epsabs 1e-13 and epsrel 1e-11, and for epsrel 1e-11 alone on a tail
-(R, inf), and the KL integral for 1e-10 in both.  The module needs numpy
-only.
+adaptive 7-15 Gauss-Kronrod rule (QUADPACK's qk15 pair) that owns every
+interval end, finite or infinite, evaluates each refinement level in one
+vectorised call and gives up past one panel limit, `_PANEL_LIMIT` = 500;
+the radial oracle asks it for epsabs 1e-13 and epsrel 1e-11, and for
+epsrel 1e-11 alone on a tail (R, inf), and the KL integral for 1e-10 in
+both.  Every integrand is array in, array out: the log-densities given to
+`kl_quadrature_1d` are called only with 1-d arrays of points, as every
+radial function of the package is.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ _GK_NODES = np.array([*(-x for x in _XGK), 0.0, *_XGK[::-1]])
 _GK_KRONROD = np.array([*_WGK, *_WGK[-2::-1]])
 _GK_GAUSS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
                       0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
+# The most panels one `_integrate` call may hold before it gives up.
+_PANEL_LIMIT = 500
 
 
 def _integrate(
@@ -102,22 +107,29 @@ def _integrate(
     points: Sequence[float] = (),
     epsabs: float = 1e-13,
     epsrel: float = 1e-11,
-    limit: int = 500,
 ) -> float:
-    """Integral of the vectorised `fn` over (a, b), for finite a and finite
-    or infinite b, by globally adaptive 7-15 Gauss-Kronrod quadrature.
+    """Integral of the vectorised `fn` over (a, b), where either end may be
+    infinite, by globally adaptive 7-15 Gauss-Kronrod quadrature.
 
     The panels start at the increasing breakpoints `points` inside a finite
     (a, b); (a, inf) maps onto (0, 1] through r = a + (1 - s)/s and starts
-    as one panel.  Each refinement level evaluates the 15 nodes of every new
-    panel in one call of `fn`, and |K - G| is a panel's error estimate.  The
-    integration stops when the summed estimate is at most max(epsabs,
-    epsrel |I|); until then every panel whose estimate exceeds an equal
-    share of that tolerance is bisected.
+    as one panel; (-inf, b) is (-b, inf) of fn(-x), and (-inf, inf) is split
+    at 0 into two such integrals, each to the full tolerance.  Each
+    refinement level evaluates the 15 nodes of every new panel in one call
+    of `fn`, and |K - G| is a panel's error estimate.  The integration stops
+    when the summed estimate is at most max(epsabs, epsrel |I|); until then
+    every panel whose estimate exceeds an equal share of that tolerance is
+    bisected.
 
     Raises:
-      ValueError: the panels outgrow `limit`, or the estimate is not finite.
+      ValueError: the panels outgrow `_PANEL_LIMIT`, or the estimate is not finite.
     """
+    if a == -math.inf:
+        mirrored = lambda x: fn(-x)
+        if b == math.inf:
+            return (_integrate(mirrored, 0.0, math.inf, epsabs=epsabs, epsrel=epsrel)
+                    + _integrate(fn, 0.0, math.inf, epsabs=epsabs, epsrel=epsrel))
+        return _integrate(mirrored, -b, math.inf, epsabs=epsabs, epsrel=epsrel)
     if math.isinf(b):
         edges = [0.0, 1.0]
         integrand = lambda s: fn(a + (1.0 - s) / s) / (s * s)
@@ -143,9 +155,9 @@ def _integrate(
             if total_error <= tol:
                 return total
             split = errors > tol / errors.size
-            if errors.size + np.count_nonzero(split) > limit:
+            if errors.size + np.count_nonzero(split) > _PANEL_LIMIT:
                 raise ValueError(f"quadrature failed to converge on ({a:g}, {b:g}) within "
-                                 f"{limit} panels: error estimate {total_error:.3g} against "
+                                 f"{_PANEL_LIMIT} panels: error estimate {total_error:.3g} against "
                                  f"tolerance {tol:.3g}")
             mid = 0.5 * (lo[split] + hi[split])
             new_lo = np.concatenate((lo[split], mid))
@@ -1125,27 +1137,8 @@ def radial_diagnostics(
 # one-dimensional KL quadrature
 
 
-def _integrate_line(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    epsabs: float,
-    epsrel: float,
-) -> float:
-    """`_integrate` of a scalar callable, evaluated node by node, over (lo,
-    hi) where either end may be infinite; (-inf, inf) is split at 0."""
-    nodewise = lambda xs: np.array([fn(float(x)) for x in xs])
-    mirrored = lambda xs: nodewise(-xs)
-    integrate = lambda g, a, b: _integrate(g, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)
-    if lo == -math.inf and hi == math.inf:
-        return integrate(mirrored, 0.0, math.inf) + integrate(nodewise, 0.0, math.inf)
-    if lo == -math.inf:
-        return integrate(mirrored, -hi, math.inf)
-    return integrate(nodewise, lo, hi)
-
-
 def _log_normalizer(
-    log_density: Callable[[float], float],
+    log_density: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
 ) -> float:
@@ -1153,37 +1146,43 @@ def _log_normalizer(
     scan_lo = lo if math.isfinite(lo) else -100.0
     scan_hi = hi if math.isfinite(hi) else 100.0
     scan = np.linspace(scan_lo, scan_hi, 4001)
-    vals = np.array([log_density(float(x)) for x in scan])
+    with np.errstate(all="ignore"):
+        vals = np.asarray(log_density(scan), dtype=float)
+    if vals.shape != scan.shape:
+        raise ValueError("a log-density must map an array of points to an array of their shape")
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         raise ValueError("log-density is nowhere finite on the scan window")
     shift = float(finite.max())
 
-    def shifted(x: float) -> float:
+    def shifted(x: np.ndarray) -> np.ndarray:
         v = log_density(x) - shift
-        return math.exp(v) if v > -745.0 else 0.0
+        return np.where(v > -745.0, np.exp(v), 0.0)
 
-    mass = _integrate_line(shifted, lo, hi, epsabs=1e-13, epsrel=1e-11)
+    mass = _integrate(shifted, lo, hi, epsabs=1e-13, epsrel=1e-11)
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError("density is not normalizable on the domain")
     return math.log(mass) + shift
 
 
 def kl_quadrature_1d(
-    log_density_a: Callable[[float], float],
-    log_density_b: Callable[[float], float],
+    log_density_a: Callable[[np.ndarray], np.ndarray],
+    log_density_b: Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float] = (-np.inf, np.inf),
 ) -> float:
     """KL(a || b) for one-dimensional densities given by unnormalized
     log-density callables.
 
-    Both densities are normalized numerically on the domain first (epsabs
-    1e-13, epsrel 1e-11 on the density scaled to peak 1 on a scan grid),
-    then the divergence integral runs to epsabs and epsrel 1e-10.  Every
-    integral is the adaptive 7-15 Gauss-Kronrod rule of `_integrate`,
-    calling the callables once per node, with an infinite domain split at
-    0.  Non-integrable inputs surface as ValueError ("quadrature failed to
-    converge").
+    Each callable maps a 1-d array of points to the array of their
+    log-densities, like every radial function of the package, and is called
+    only with arrays: once for a 4001-point scan, then once per refinement
+    level of an integral.  Both densities are normalized numerically on the
+    domain first (epsabs 1e-13, epsrel 1e-11 on the density scaled to peak 1
+    on the scan), then the divergence integral runs to epsabs and epsrel
+    1e-10.  Every integral is the adaptive 7-15 Gauss-Kronrod rule of
+    `_integrate`, with an infinite domain split at 0 and at most
+    `_PANEL_LIMIT` (500) panels.  Non-integrable inputs surface as
+    ValueError ("quadrature failed to converge").
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
@@ -1192,10 +1191,8 @@ def kl_quadrature_1d(
     log_za = _log_normalizer(log_density_a, lo, hi)
     log_zb = _log_normalizer(log_density_b, lo, hi)
 
-    def integrand(x: float) -> float:
+    def integrand(x: np.ndarray) -> np.ndarray:
         la = log_density_a(x) - log_za
-        if la < -745.0:
-            return 0.0
-        return math.exp(la) * (la - (log_density_b(x) - log_zb))
+        return np.where(la < -745.0, 0.0, np.exp(la) * (la - (log_density_b(x) - log_zb)))
 
-    return _integrate_line(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10)
+    return _integrate(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10)

@@ -27,6 +27,7 @@ from .analysis import (
     _tail_thresholds,
     check_assumption,
     classify_regime,
+    default_assumption_grid,
     estimate_lsi,
     radial_diagnostics,
 )
@@ -284,11 +285,10 @@ def cmd_check(opts: dict[str, Any]) -> int:
 
     grid = None
     if any(opts.get(k) is not None for k in ("grid_min", "grid_max", "grid_points")):
-        lo = float(opts["grid_min"]) if opts.get("grid_min") is not None else max(
-            entry.transform.knot, 0.1
-        )
-        hi = float(opts["grid_max"]) if opts.get("grid_max") is not None else 100.0
-        num = int(opts["grid_points"]) if opts.get("grid_points") is not None else 512
+        default = default_assumption_grid(tp)  # supplies what the flags leave out
+        lo = float(opts["grid_min"]) if opts.get("grid_min") is not None else default[0]
+        hi = float(opts["grid_max"]) if opts.get("grid_max") is not None else default[-1]
+        num = int(opts["grid_points"]) if opts.get("grid_points") is not None else default.size
         grid = np.geomspace(lo, hi, num)
 
     candidates = {}

@@ -57,6 +57,7 @@ __all__ = [
     "transformed_value",
     "transformed_gradient",
     "transformed_log_density",
+    "value_radial",
     "hessian_eigenvalues",
     "grad_factor",
     "ito_drift_diffusion",

@@ -195,10 +195,10 @@ def test_criterion_4_kl_preservation():
     a4 = make_example(ExampleKind.MULTIVARIATE_T, 1, kappa=4.0, b=0.25)
     tp2 = TransformedPotential(a2.potential, a2.transform)
     tp4 = TransformedPotential(a4.potential, a4.transform)
-    kl_a_x = kl_quadrature_1d(lambda x: -float(a2.potential.value(abs(x))),
-                              lambda x: -float(a4.potential.value(abs(x))))
-    kl_a_y = kl_quadrature_1d(lambda y: -float(transformed_value(tp2, np.array([y]))),
-                              lambda y: -float(transformed_value(tp4, np.array([y]))))
+    kl_a_x = kl_quadrature_1d(lambda x: -a2.potential.value(np.abs(x)),
+                              lambda x: -a4.potential.value(np.abs(x)))
+    kl_a_y = kl_quadrature_1d(lambda y: -transformed_value(tp2, y[:, None]),
+                              lambda y: -transformed_value(tp4, y[:, None]))
     diff_a = abs(kl_a_x - kl_a_y)
     anchored = abs(kl_a_x - KL_T1_2_VS_4) < 1e-9
 
@@ -207,10 +207,10 @@ def test_criterion_4_kl_preservation():
     b5 = make_example(ExampleKind.EXAMPLE5, 1, vartheta=2.0)
     tp6 = TransformedPotential(b6.potential, b6.transform)
     tp5 = TransformedPotential(b5.potential, b5.transform)
-    kl_b_x = kl_quadrature_1d(lambda x: -float(b6.potential.value(abs(x))),
-                              lambda x: -float(b5.potential.value(abs(x))))
-    kl_b_y = kl_quadrature_1d(lambda y: -float(transformed_value(tp6, np.array([y]))),
-                              lambda y: -float(transformed_value(tp5, np.array([y]))))
+    kl_b_x = kl_quadrature_1d(lambda x: -b6.potential.value(np.abs(x)),
+                              lambda x: -b5.potential.value(np.abs(x)))
+    kl_b_y = kl_quadrature_1d(lambda y: -transformed_value(tp6, y[:, None]),
+                              lambda y: -transformed_value(tp5, y[:, None]))
     diff_b = abs(kl_b_x - kl_b_y)
 
     elapsed = time.perf_counter() - start

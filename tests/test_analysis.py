@@ -31,7 +31,7 @@ from tula.analysis import (
     kl_quadrature_1d,
     radial_diagnostics,
 )
-from tula.dynamics import TransformedPotential
+from tula.dynamics import TransformedPotential, transformed_value
 from tula.sampler import SamplerConfig, run_tula
 from tula.targets import ExampleKind, make_example
 
@@ -45,6 +45,11 @@ T23_TAIL_5 = 0.007542928274545539689
 # KL between the 1-d heavy-tailed densities with decay exponents 2 and 4,
 # same mpmath oracle
 KL_T1_2_VS_4 = 0.2082405307719450
+
+# KL(example6 || example5) at d = 1, criterion 4's pair B, from their closed
+# y-side densities exp(-y^2/2) and exp(-y^2/2 - log(1 + y^2/2)/4), same
+# mpmath oracle
+KL_EX6_VS_EX5_D1 = 0.0037814784568213561767523928783
 
 
 @pytest.fixture(scope="module")
@@ -510,9 +515,40 @@ class TestKlQuadrature:
     def test_frozen_heavy_tail_pair(self):
         a = make_example(ExampleKind.MULTIVARIATE_T, 1, kappa=2.0).potential
         b = make_example(ExampleKind.MULTIVARIATE_T, 1, kappa=4.0).potential
-        kl = kl_quadrature_1d(lambda x: -float(a.value(abs(x))),
-                              lambda x: -float(b.value(abs(x))))
+        kl = kl_quadrature_1d(lambda x: -a.value(np.abs(x)),
+                              lambda x: -b.value(np.abs(x)))
         assert kl == pytest.approx(KL_T1_2_VS_4, rel=1e-10)
+
+    def test_frozen_benchmark_pair_on_both_sides(self):
+        """Pair B of criterion 4 against its oracle: the y side to 1e-12
+        relative, the x side to the divergence integral's epsabs."""
+        b6 = make_example(ExampleKind.EXAMPLE6, 1, vartheta=2.0)
+        b5 = make_example(ExampleKind.EXAMPLE5, 1, vartheta=2.0)
+        tp6 = TransformedPotential(b6.potential, b6.transform)
+        tp5 = TransformedPotential(b5.potential, b5.transform)
+        kl_y = kl_quadrature_1d(lambda y: -transformed_value(tp6, y[:, None]),
+                                lambda y: -transformed_value(tp5, y[:, None]))
+        assert kl_y == pytest.approx(KL_EX6_VS_EX5_D1, rel=1e-12, abs=0.0)
+        kl_x = kl_quadrature_1d(lambda x: -b6.potential.value(np.abs(x)),
+                                lambda x: -b5.potential.value(np.abs(x)))
+        assert kl_x == pytest.approx(KL_EX6_VS_EX5_D1, rel=0.0, abs=1e-10)
+
+    def test_callables_see_only_arrays(self):
+        """Each log-density is called with whole arrays of points, a few
+        dozen times, never once per node."""
+        calls = []
+
+        def counted(log_density):
+            def wrapped(x):
+                calls.append(x)
+                return log_density(x)
+            return wrapped
+
+        kl = kl_quadrature_1d(counted(lambda x: -0.5 * x * x),
+                              counted(lambda x: -0.5 * (x - 1.0) ** 2))
+        assert kl == pytest.approx(0.5, rel=1e-9)
+        assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in calls)
+        assert len(calls) < 100
 
     def test_shifted_gaussians(self):
         kl = kl_quadrature_1d(lambda x: -0.5 * x * x,
@@ -533,7 +569,7 @@ class TestKlQuadrature:
 
     def test_divergent_inputs_raise(self):
         gauss = lambda x: -0.5 * x * x
-        flat = lambda x: 0.0
+        flat = lambda x: np.zeros_like(x)
         with pytest.raises(ValueError, match="quadrature failed"):
             kl_quadrature_1d(flat, gauss)
         with pytest.raises(ValueError, match="quadrature failed"):
@@ -543,6 +579,13 @@ class TestKlQuadrature:
         f = lambda x: -0.5 * x * x
         with pytest.raises(ValueError, match="domain"):
             kl_quadrature_1d(f, f, domain=(2.0, 1.0))
+
+    def test_a_scalar_log_density_is_rejected_by_name(self):
+        gauss = lambda x: -0.5 * x * x
+        with pytest.raises(ValueError, match="array of points to an array"):
+            kl_quadrature_1d(lambda x: 0.0, gauss)
+        with pytest.raises(ValueError, match="array of points to an array"):
+            kl_quadrature_1d(gauss, lambda x: float(-0.5 * x[0] ** 2))
 
 
 class TestQuadratureNumerics:
@@ -591,6 +634,10 @@ class TestQuadratureNumerics:
     def test_integrator_on_the_half_line_and_past_its_limit(self):
         integral = _integrate(lambda x: np.exp(-x), 0.0, math.inf, epsabs=0.0)
         assert integral == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        integral = _integrate(np.exp, -math.inf, 0.0, epsabs=0.0)
+        assert integral == pytest.approx(1.0, rel=1e-13, abs=0.0)
+        integral = _integrate(lambda x: np.exp(-x * x), -math.inf, math.inf, epsabs=0.0)
+        assert integral == pytest.approx(math.sqrt(math.pi), rel=1e-13, abs=0.0)
         with pytest.raises(ValueError, match="quadrature failed to converge"):
             _integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
@@ -622,6 +669,6 @@ class TestQuadratureNumerics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="quadrature failed"):
-                kl_quadrature_1d(lambda x: 0.0, lambda x: -0.5 * x * x)
+                kl_quadrature_1d(lambda x: np.zeros_like(x), lambda x: -0.5 * x * x)
             with pytest.raises(ValueError, match="quadrature failed.*not finite"):
                 _integrate(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)

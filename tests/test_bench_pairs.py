@@ -118,3 +118,29 @@ def test_rss_headroom_from_a_synthetic_fit():
 
     fit = {"slope_mb_per_pass": 0.0, "intercept_mb": 50.0, "at_passes": 18}
     assert bench_pairs.rss_headroom(fit, 50.0, 0.1) is None  # flat: no pass count reaches it
+
+
+def test_beyond_bound_compares_medians_against_the_relative_bound():
+    """A metric is beyond its bound when the change's median is worse than
+    the parent's by more than bound times the parent's median, in the
+    direction the metric calls worse; being better never counts."""
+    spec = {"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+        {"name": "steps_per_s", "unit": "1/s", "better": "higher", "bound": 0.1},
+    ]}
+
+    def summary(wall, rss, speed):
+        run = lambda w, r, v: {"correct": True, "attempted": 1, "failed": 0,
+                               "metrics": {"wall_s": w, "peak_rss_mb": r, "steps_per_s": v}}
+        pairs = [{"seed": s, "first": "parent", "parent": run(2.0, 50.0, 100.0),
+                  "change": run(wall, rss, speed)} for s in (1, 2, 3)]
+        return {name: m["beyond_bound"]
+                for name, m in bench_pairs.summarize(spec, pairs)["end_to_end"].items()}
+
+    assert summary(2.4, 54.0, 95.0) == {"wall_s": False, "peak_rss_mb": False,
+                                        "steps_per_s": False}
+    assert summary(2.6, 55.5, 89.0) == {"wall_s": True, "peak_rss_mb": True,
+                                        "steps_per_s": True}
+    assert summary(0.5, 20.0, 500.0) == {"wall_s": False, "peak_rss_mb": False,
+                                         "steps_per_s": False}

@@ -174,6 +174,18 @@ class TestCheckCommand:
         assert grid[0] == pytest.approx(2.0)
         assert grid[-1] == pytest.approx(50.0)
 
+    def test_grid_flags_fill_in_from_the_default_grid(self, tmp_path):
+        """With the knot at 100 the default grid runs over [100, 200]; a
+        lone --grid-points keeps those ends instead of ending at 100."""
+        args = ["check", "--target", "t", "--d", "2", "--kappa", "3", "--b", "1e-4",
+                "--assumption", "A1"]
+        assert main([*args, "--out", str(tmp_path / "default")]) in (0, 1)
+        default = read_json(tmp_path / "default" / "assumption.json")["grid"]
+        assert main([*args, "--grid-points", "64", "--out", str(tmp_path / "sized")]) in (0, 1)
+        grid = read_json(tmp_path / "sized" / "assumption.json")["grid"]
+        assert len(default) == 512 and len(grid) == 64
+        assert (grid[0], grid[-1]) == (default[0], default[-1]) == (100.0, 200.0)
+
 
 class TestLsiCommand:
     def test_artifacts_match_direct_estimate(self, tmp_path):
@@ -328,3 +340,13 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+def test_top_level_names_are_exported_by_their_modules():
+    """Every name `tula` exports, other than its version, is in the
+    `__all__` of the module it comes from."""
+    for name in tula.__all__:
+        if name == "__version__":
+            continue
+        module = sys.modules[getattr(tula, name).__module__]
+        assert name in module.__all__, (name, module.__name__)

@@ -9,7 +9,9 @@ first, then, unless ``--trace-seed`` is negative, one ``--trace 1`` run of
 each tree.  Each tree runs its own ``perfbench/`` from its own root.  For
 every end-to-end metric the output records the per-pair values, both
 medians, both quartiles, the parent's interquartile range and the number
-of pairs the change won (ties count for neither side), and for each side
+of pairs the change won (ties count for neither side) and whether the
+change's median is worse than the parent's by more than the metric's
+relative bound in ``BENCHMARK.json`` (``beyond_bound``), and for each side
 the summed ``attempted`` and ``failed`` operations, the number of runs
 that reported ``correct: false`` and the pass count of every run (with
 its median).  ``peak_rss_mb`` grows with the pass count, since the worker
@@ -122,10 +124,12 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        pm, cm = statistics.median(parent), statistics.median(change)
+        worse = (cm - pm) if lower else (pm - cm)
         entry = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                  "parent": parent, "change": change, "change_wins": wins,
-                 "parent_median": statistics.median(parent),
-                 "change_median": statistics.median(change)}
+                 "parent_median": pm, "change_median": cm,
+                 "beyond_bound": worse > metric["bound"] * abs(pm)}
         if len(pairs) >= 2:  # quartiles by statistics.quantiles' exclusive method
             pq, cq = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
             entry.update(parent_quartiles=pq, change_quartiles=cq, parent_iqr=pq[2] - pq[0])
@@ -182,6 +186,7 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: parent {m['parent_median']:.4g} change "
               f"{m['change_median']:.4g} {m['unit']}, change wins {m['change_wins']}/{len(pairs)}"
               + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else "")
+              + f", beyond the {m['bound']:.0%} bound: {m['beyond_bound']}"
               + (f", median passes parent {passes['parent']['median']} change "
                  f"{passes['change']['median']}" if name == "peak_rss_mb" else ""))
     fit = entry.get("rss_fit")

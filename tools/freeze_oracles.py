@@ -219,3 +219,15 @@ for u in ('1e80', '1e120'):
     vals = (phi_w(uu), 2 * dw2**2 * uu**3 / mp.sqrt(1 + x**2),
             6 * dw2**2 * uu**2 / mp.sqrt(1 + x**2) - 4 * dw2**4 * uu**6 / (1 + x**2)**mp.mpf('1.5'))
     print(f"warmup d=2 phi, phi', phi'' at {u}:", ", ".join(mp.nstr(v, 25) for v in vals))
+
+# 20. KL of criterion 4's pair B on the y side (d = 1): the transformed
+#     potentials of example6 and example5 are closed, phi_6(y) = y^2/2 and
+#     phi_5(y) = y^2/2 + (1/4) log(1 + y^2/2), so KL(e^-phi_6 || e^-phi_5)
+#     needs no transform.  The map preserves KL, so this also pins the x side.
+phi6 = lambda y: y**2 / 2
+phi5 = lambda y: y**2 / 2 + mp.log(1 + y**2 / 2) / 4
+z6 = mp.quad(lambda y: mp.exp(-phi6(y)), [-mp.inf, 0, mp.inf])
+z5 = mp.quad(lambda y: mp.exp(-phi5(y)), [-mp.inf, 0, mp.inf])
+kl_b = mp.quad(lambda y: mp.exp(-phi6(y)) / z6 * (phi5(y) - phi6(y) + mp.log(z5) - mp.log(z6)),
+               [-mp.inf, 0, mp.inf])
+print("KL example6 || example5 d=1 (y side):", mp.nstr(kl_b, 30))
