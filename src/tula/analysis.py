@@ -36,6 +36,7 @@ import numpy as np
 from .dynamics import TransformedPotential, grad_factor, hessian_eigenvalues
 from .sampler import ChainRun
 from .targets import IsotropicPotential, radial_log_density
+from .transform import _tail_root
 
 __all__ = [
     "AssumptionKind",
@@ -112,25 +113,28 @@ def _integrate(
     infinite, by globally adaptive 7-15 Gauss-Kronrod quadrature.
 
     The panels start at the increasing breakpoints `points` inside a finite
-    (a, b); (a, inf) maps onto (0, 1] through r = a + (1 - s)/s and starts
-    as one panel; (-inf, b) is (-b, inf) of fn(-x), and (-inf, inf) is split
-    at 0 into two such integrals, each to the full tolerance.  Each
-    refinement level evaluates the 15 nodes of every new panel in one call
-    of `fn`, and |K - G| is a panel's error estimate.  The integration stops
-    when the summed estimate is at most max(epsabs, epsrel |I|); until then
-    every panel whose estimate exceeds an equal share of that tolerance is
-    bisected.
+    (a, b).  An interval with an infinite end is split at `points` (at 0 for
+    (-inf, inf) without them) into pieces, each to the full tolerance;
+    (a, inf) maps onto (0, 1] through r = a + (1 - s)/s as one panel, whose
+    nodes skip (a + 38, a + 233), so a point should mark where its mass
+    lies; (-inf, b) is (-b, inf) of fn(-x).  Each refinement level
+    evaluates the 15 nodes of every new panel in one call of `fn`, and
+    |K - G| is a panel's error estimate.  The integration stops when the
+    summed estimate is at most max(epsabs, epsrel |I|); until then every
+    panel whose estimate exceeds an equal share of that tolerance is bisected.
 
     Raises:
       ValueError: the panels outgrow `_PANEL_LIMIT`, or the estimate is not finite.
     """
-    if a == -math.inf:
-        mirrored = lambda x: fn(-x)
-        if b == math.inf:
-            return (_integrate(mirrored, 0.0, math.inf, epsabs=epsabs, epsrel=epsrel)
-                    + _integrate(fn, 0.0, math.inf, epsabs=epsabs, epsrel=epsrel))
-        return _integrate(mirrored, -b, math.inf, epsabs=epsabs, epsrel=epsrel)
-    if math.isinf(b):
+    if math.isinf(a) or math.isinf(b):
+        if not points and a == -b:
+            points = (0.0,)
+        if points:
+            cuts = [a, *points, b]
+            return sum(_integrate(fn, lo, hi, epsabs=epsabs, epsrel=epsrel)
+                       for lo, hi in zip(cuts[:-1], cuts[1:]))
+        if a == -math.inf:
+            return _integrate(lambda x: fn(-x), -b, math.inf, epsabs=epsabs, epsrel=epsrel)
         edges = [0.0, 1.0]
         integrand = lambda s: fn(a + (1.0 - s) / s) / (s * s)
     else:
@@ -446,7 +450,7 @@ def check_assumption(
         lhs = grad_factor(tp, radii) * radii ** 2
         alpha = _as_float(cand, "alpha")
         if alpha is None:
-            alpha = t.beta if t.tail == "exp" else 2.0
+            alpha = t.beta
             fitted.append("alpha")
         if not 1.0 <= alpha <= 2.0:
             raise ValueError(f"alpha must lie in [1, 2], got {alpha:g}")
@@ -472,7 +476,7 @@ def check_assumption(
         lhs = np.minimum(eig.lambda_radial, eig.lambda_tangential)
         theta = _as_float(cand, "theta")
         if theta is None:
-            theta = max(0.0, 2.0 - t.beta) if t.tail == "exp" else 0.0
+            theta = max(0.0, 2.0 - t.beta)
             fitted.append("theta")
         if theta < 0:
             raise ValueError("theta must be nonnegative")
@@ -563,7 +567,7 @@ def _check_tail(
     lam = radii[radii >= math.e * (1.0 - 1e-12)]
     if lam.size < 2:
         raise ValueError("grid must contain at least two thresholds >= e for the tail check")
-    psi_inv = (np.log(lam) / t.b) ** (1.0 / t.beta)
+    psi_inv = _tail_root(t, np.log(lam))
 
     oracle = RadialQuadrature(tp.target)
     sf = np.array([oracle.sf(m + x) for x in lam])
@@ -590,7 +594,7 @@ def _check_tail(
             # P(|x| >= m + lam) <= P(|x| >= m) must stay below the bound at
             # the worst threshold lam = N5.
             head = oracle.sf(m)
-            extended = (np.log(start) / t.b) ** (1.0 / t.beta)
+            extended = _tail_root(t, np.log(start))
             extended /= math.log(2.0 / head) ** (1.0 / alpha1)
             constants["C_tail_extended"] = max(cconst, extended)
 
@@ -1141,28 +1145,35 @@ def _log_normalizer(
     log_density: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-) -> float:
-    """log integral of exp(log_density) over (lo, hi)."""
-    scan_lo = lo if math.isfinite(lo) else -100.0
-    scan_hi = hi if math.isfinite(hi) else 100.0
+) -> tuple[float, tuple[float, ...]]:
+    """log integral of exp(log_density) over (lo, hi), and the scan's mode
+    as a breakpoint tuple (empty when the mode is an end of the domain)."""
+    scan_lo = lo if math.isfinite(lo) else min(hi, 100.0) - 200.0
+    scan_hi = hi if math.isfinite(hi) else max(lo, -100.0) + 200.0
     scan = np.linspace(scan_lo, scan_hi, 4001)
     with np.errstate(all="ignore"):
         vals = np.asarray(log_density(scan), dtype=float)
     if vals.shape != scan.shape:
         raise ValueError("a log-density must map an array of points to an array of their shape")
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
+    finite = np.isfinite(vals)
+    if not finite.any():
         raise ValueError("log-density is nowhere finite on the scan window")
-    shift = float(finite.max())
+    for end, edge, inner in ((lo, 0, 1), (hi, -1, -2)):
+        if math.isinf(end) and vals[edge] > vals[inner]:
+            raise ValueError(f"log-density is still rising at {scan[edge]:g}, the infinite "
+                             f"side's edge of its scan window [{scan_lo:g}, {scan_hi:g}]")
+    peak = int(np.argmax(np.where(finite, vals, -np.inf)))
+    shift, mode = float(vals[peak]), float(scan[peak])
+    split = (mode,) if lo < mode < hi else ()
 
     def shifted(x: np.ndarray) -> np.ndarray:
         v = log_density(x) - shift
         return np.where(v > -745.0, np.exp(v), 0.0)
 
-    mass = _integrate(shifted, lo, hi, epsabs=1e-13, epsrel=1e-11)
+    mass = _integrate(shifted, lo, hi, split, epsabs=1e-13, epsrel=1e-11)
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError("density is not normalizable on the domain")
-    return math.log(mass) + shift
+    return math.log(mass) + shift, split
 
 
 def kl_quadrature_1d(
@@ -1176,23 +1187,26 @@ def kl_quadrature_1d(
     Each callable maps a 1-d array of points to the array of their
     log-densities, like every radial function of the package, and is called
     only with arrays: once for a 4001-point scan, then once per refinement
-    level of an integral.  Both densities are normalized numerically on the
-    domain first (epsabs 1e-13, epsrel 1e-11 on the density scaled to peak 1
-    on the scan), then the divergence integral runs to epsabs and epsrel
-    1e-10.  Every integral is the adaptive 7-15 Gauss-Kronrod rule of
-    `_integrate`, with an infinite domain split at 0 and at most
-    `_PANEL_LIMIT` (500) panels.  Non-integrable inputs surface as
-    ValueError ("quadrature failed to converge").
+    level of an integral.  The scan covers the domain cut to [min(hi, 100)
+    - 200, max(lo, -100) + 200], and a log-density still rising at its edge
+    on an infinite side is refused by name.  Both densities are normalized
+    numerically on the domain first (epsabs 1e-13, epsrel 1e-11 on the
+    density scaled to peak 1 on the scan), then the divergence integral
+    runs to epsabs and epsrel 1e-10.  Every integral is the adaptive 7-15
+    Gauss-Kronrod rule of `_integrate` with at most `_PANEL_LIMIT` (500)
+    panels, split at the scanned mode of its density (of a for the
+    divergence) unless that is a domain end.  Non-integrable inputs surface
+    as ValueError ("quadrature failed to converge").
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise ValueError("domain must satisfy lo < hi")
 
-    log_za = _log_normalizer(log_density_a, lo, hi)
-    log_zb = _log_normalizer(log_density_b, lo, hi)
+    log_za, split_a = _log_normalizer(log_density_a, lo, hi)
+    log_zb, _ = _log_normalizer(log_density_b, lo, hi)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         la = log_density_a(x) - log_za
         return np.where(la < -745.0, 0.0, np.exp(la) * (la - (log_density_b(x) - log_zb)))
 
-    return _integrate(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10)
+    return _integrate(integrand, lo, hi, split_a, epsabs=1e-10, epsrel=1e-10)

@@ -13,13 +13,15 @@ radial functions of ``r = |y|``:
 * the Hessian has the radial eigenvalue ``f_h''(r)`` (multiplicity 1) and
   the tangential eigenvalue ``rho(r)/r`` (multiplicity ``d - 1``).
 
-On the exponential tail branch these are evaluated through the target's
-log-argument hooks, ``F(t) = f(e^t)``: with ``u = b r**beta``,
+On every tail branch these are evaluated through the target's
+log-argument hooks, ``F(t) = f(e^t)``, at the tail exponent ``u = log g``
+(``b r**beta``, or ``log a + 2 log r`` on the quadratic kind):
 
     f(g) = F(u),   f'(g) g' = F'(u) u',   f''(g) g'^2 + f'(g) g'' =
     F''(u) u'^2 + F'(u) u'',
 
-so the exploding profile value ``exp(b r**beta)`` never appears.
+so the profile value ``g = e^u``, which may leave double range, never
+appears.
 
 :func:`value_radial`, :func:`grad_factor` and :func:`hessian_eigenvalues`
 are views of one radial jet.  For a target built from a closed transformed
@@ -114,7 +116,7 @@ class TransformedPotential:
         return self.transform.dimension
 
 
-# outer derivatives f^(j) (or F^(j) on the exponential tail) that f_h^(k) needs
+# outer derivatives f^(j) (F^(j) on a tail) that f_h^(k) needs
 _OUTER = {0: (0,), 1: (1,), 2: (1, 2)}
 
 
@@ -122,8 +124,8 @@ def _branch_derivatives(jet: tr.RadialJet, hooks, d1: float, orders) -> list:
     """``f_h^(k)`` for ``k`` in ``orders`` on one branch, from its jet.
 
     ``hooks`` are the outer function and its first two derivatives,
-    evaluated at ``jet.profile[0]``: ``f`` of ``g``, or ``F`` of ``u`` on
-    the exponential tail.
+    evaluated at ``jet.profile[0]``: ``f`` of ``g`` on the bulk, ``F`` of
+    ``u`` on the tail.
     """
     p = jet.profile
     needed = {j for k in orders for j in _OUTER[k]}
@@ -146,7 +148,7 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     For a target built from a closed transformed potential for this
     transform (``tp.closed_form``), ``f_h^(k)`` is ``phi^(k)`` at every
     radius.  Otherwise it splits the radii at the knot once and composes
-    ``f`` with one branch jet per branch.
+    ``f`` with the bulk jet and ``F`` with the tail jet.
     """
     form = tp.closed_form
     if form is not None:
@@ -161,11 +163,8 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
         return _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, orders)
 
     def tail(rt):
-        if t.tail == "exp":
-            hooks = (f.log_value, f.dlog_value, f.d2log_value)
-        else:
-            hooks = (f.value, f.dvalue, f.d2value)
-        return _branch_derivatives(tr.tail_jet(t, rt, top), hooks, d1, orders)
+        jet = tr.tail_jet(t, rt, top)
+        return _branch_derivatives(jet, (f.log_value, f.dlog_value, f.d2log_value), d1, orders)
 
     return tr._piecewise(arr, t.knot, bulk, tail)
 

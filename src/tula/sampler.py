@@ -201,24 +201,25 @@ def _run_chain(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     gamma = cfg.step_size
     root = math.sqrt(2.0 * gamma)
-    y = np.asarray(y0, dtype=float).copy()
-    recorded = [y.copy()]
-    steps = [0]
+    y = np.asarray(y0, dtype=float)
+    recorded = np.empty((cfg.num_steps // cfg.thin + 1, y.shape[0]))
+    recorded[0] = y
+    count = 1
     diverged = False
     # a diverging chain overflows on its way out; the isfinite check below
     # already turns that into a flag, so the numpy warnings add only noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.num_steps + 1):
             y = y - gamma * grad_fn(y) + root * rng.standard_normal(y.shape[0])
-            # the norm check keeps every recorded radius representable, not
-            # just every coordinate; the squared norm overflows first
-            if not (np.all(np.isfinite(y)) and np.isfinite(y @ y)):
+            # a NaN or infinite coordinate makes the sum of squares non-finite, and
+            # it overflows first, so this keeps every recorded radius representable
+            if not np.isfinite(y @ y):
                 diverged = True
                 break
             if k % cfg.thin == 0:
-                recorded.append(y.copy())
-                steps.append(k)
-    return np.asarray(recorded), np.asarray(steps, dtype=int), diverged
+                recorded[count] = y
+                count += 1
+    return recorded[:count], np.arange(count) * cfg.thin, diverged
 
 
 def _run(

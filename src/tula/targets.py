@@ -2,16 +2,17 @@
 
 Every target here is rotation invariant: ``pi(x) ∝ exp(-f(|x|))`` for a
 radial potential ``f``.  The :class:`IsotropicPotential` record carries
-``f`` with two derivatives plus optional log-argument forms ``F(t) =
-f(e^t)`` used to evaluate compositions ``f(exp(b r**beta))`` without ever
-materializing the inner exponential (which overflows near ``b r**beta ~
-709``).
+``f`` with two derivatives plus log-argument forms ``F(t) = f(e^t)``,
+through which :mod:`tula.dynamics` composes ``f`` with every tail profile
+``g = e^u``, without ever materializing ``e^u`` (which overflows near
+``u ~ 709``).
 
 Every zoo entry but the multivariate t is defined once, by the closed
 transformed potential ``phi`` it is built from, with ``phi'`` and ``phi''``
 (:class:`TransformedForm`), for its canonical radial transform
 (:mod:`tula.transform`).  The change of variables run backwards gives ``f``
-on both branches of the profile, and paired with that transform
+on the bulk and ``F`` on every tail, at the radius ``transform._tail_root``
+returns for the exponent ``u = log g``; paired with that transform
 :mod:`tula.dynamics` takes ``f_h``, ``f_h'`` and ``f_h''`` from ``phi`` at
 every radius.
 
@@ -121,8 +122,8 @@ class IsotropicPotential:
         ``f``, ``f'``, ``f''`` as vectorized callables of the radius.
     log_value, dlog_value, d2log_value:
         ``F(t) = f(e^t)`` and its first two ``t``-derivatives, in forms
-        stable for large ``t``.  Used wherever ``f`` is composed with an
-        exponentially growing profile.
+        stable for large ``t``.  Used wherever ``f`` is composed with a
+        tail profile ``g = e^u``.
     moment_max:
         Radial moments ``E |x|**p`` are finite exactly for
         ``p < moment_max``.
@@ -242,15 +243,16 @@ def _pullback(
     """The fields of the potential built from ``phi`` for ``t``.
 
     The change of variables run backwards, on each branch at the root ``r``
-    of its jet's profile ``p`` (``g``, or ``u = b r**beta`` on the
-    exponential tail): the outer function is ``phi + LJ`` with the
+    of its jet's profile ``p`` (``g`` on the bulk, the exponent ``u = log
+    g`` on the tail): the outer function is ``phi + LJ`` with the
     log-Jacobian ``LJ = log g' + (d-1) log(g/r)``, and its ``p``-derivatives
     are ``(phi' + LJ')/p'`` and ``((phi'' + LJ'') - (phi' + LJ') p''/p')/p'^2``.
-    The bulk root is ``g^{-1}(s)`` and the quadratic tail's ``sqrt(s/a)``;
-    the exponential tail works in the log argument ``t = log s`` at ``r =
-    (t/b)**(1/beta)``, which gives ``F`` outright and ``f' = F'/s``, ``f'' =
-    (F'' - F')/s^2``.  Returns the hooks, the seam and the transformed form
-    as keyword arguments of :class:`IsotropicPotential`.
+    The bulk root is ``g^{-1}(s)``.  The tail works in the log argument
+    ``t = log s`` at the root ``r`` of ``u(r) = t`` (``transform._tail_root``),
+    which gives ``F`` outright and ``f' = F'/s``, ``f'' = (F'' - F')/s^2``;
+    ``F`` is the tail's above ``log(seam)`` and ``f(e^t)`` below it.
+    Returns the hooks, the seam and the transformed form as keyword
+    arguments of :class:`IsotropicPotential`.
     """
     d1 = t.dimension - 1.0
 
@@ -269,33 +271,20 @@ def _pullback(
         r = tr.g_inverse(t, s)
         return outer(tr.bulk_jet(t.gin, r, k), r, k)[k]
 
-    def on_tail(r: Array, k: int) -> list:
+    def log_tail(tt: Array, k: int) -> list:
+        r = tr._tail_root(t, tt)
         return outer(tr.tail_jet(t, r, k), r, k)
 
+    def tail(s: Array, k: int) -> Array:
+        F = log_tail(np.log(s), k)
+        if k == 0:
+            return F[0]
+        return F[1] / s if k == 1 else (F[2] - F[1]) / (s * s)
+
     bulk_hooks = [functools.partial(bulk, k=k) for k in range(3)]
-    if t.tail == "exp":
-
-        def log_tail(tt: Array, k: int) -> list:
-            return on_tail(np.power(tt / t.b, 1.0 / t.beta), k)
-
-        def tail(s: Array, k: int) -> Array:
-            F = log_tail(np.log(s), k)
-            if k == 0:
-                return F[0]
-            return F[1] / s if k == 1 else (F[2] - F[1]) / (s * s)
-
-    else:
-
-        def tail(s: Array, k: int) -> Array:
-            return on_tail(np.sqrt(s / t.tail_scale), k)[k]
-
     hooks = [_glued(t.seam, functools.partial(tail, k=k), bulk_hooks[k]) for k in range(3)]
-    if t.tail == "exp":  # F from the tail jet past the log seam log(e) = 1, f(e^t) below
-        log_hooks = [_glued(1.0, lambda tt, k=k: log_tail(tt, k)[k], bulk_log)
-                     for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
-    else:
-        log_hooks = [functools.partial(tr._radial, fn, check=False)
-                     for fn in _of_log_argument(*hooks)]
+    log_hooks = [_glued(math.log(t.seam), lambda tt, k=k: log_tail(tt, k)[k], bulk_log)
+                 for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
     names = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
     form = [functools.partial(tr._radial, fn, check=False) for fn in (phi, dphi, d2phi)]
     return {

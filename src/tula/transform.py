@@ -12,9 +12,10 @@ Profiles are piecewise in the radius with a single knot:
 
 * bulk, ``r < knot``: ``g_in(r) = c * r * exp(p(r))`` for a polynomial ``p``
   with zero linear coefficient (:class:`GinSpec`);
-* tail, ``r >= knot``: either ``exp(b r**beta)`` with ``beta in (1, 2]``
-  (knot at ``b**(-1/beta)``), or ``a r**2`` beyond an explicit knot radius
-  (the quadratic kind used by the warm-up construction).
+* tail, ``r >= knot``: ``g = e^u`` with ``u = b r**beta``, ``beta in (1,
+  2]`` (knot at ``b**(-1/beta)``), or ``u = log a + 2 log r`` (``g = a
+  r**2``, ``beta = 2``) beyond an explicit knot radius (the quadratic kind
+  used by the warm-up construction).
 
 Many quantities downstream (gradients, Hessian eigenvalues, log-densities)
 need the profile only through the log-Jacobian terms ``log g'`` and
@@ -24,14 +25,17 @@ overflow: ``exp(b r**beta)`` leaves double range near ``r ~ 26`` for
 one jet (:class:`RadialJet`) that computes the profile pieces and these
 terms together, up to a requested derivative order: :func:`bulk_jet`
 shares one Horner pass per derivative of ``p`` and one ``exp(p)``, and
-:func:`tail_jet` shares the tail exponent ``u = b r**beta`` (or the
-quadratic profile).  The jets hold the only formulas for ``g`` and its
-derivatives: :func:`g_eval`, :meth:`GinSpec.deriv` and the Newton steps of
-:func:`g_inverse` read a jet's profile half, and on the exponential tail
-:func:`g_eval` composes ``g = e^u``.  :func:`log_jacobian_terms` assembles
-the log terms across the knot, and :func:`log_det_jacobian` is a view of
-it.  Every function here that is piecewise in the radius splits its input
-by one rule: the upper piece owns the boundary, so the tail owns the knot.
+:func:`tail_jet` shares the exponent ``u = log g`` of either tail kind.
+A jet's profile is ``g`` on the bulk and ``u`` on every tail, so callers
+compose every tail through ``F(u) = f(e^u)``, and :func:`_tail_root`
+inverts ``u`` for both kinds; only this module tells the kinds apart.
+:func:`g_eval` composes ``g = e^u`` on the exponential tail and keeps the
+exact ``a r**2``, whose knot maps onto the seam, on the quadratic one.
+:meth:`GinSpec.deriv` and the Newton steps of :func:`g_inverse` read the
+bulk jet's profile.  :func:`log_jacobian_terms` assembles the log terms
+across the knot, and :func:`log_det_jacobian` is a view of it.  Every
+function here that is piecewise in the radius splits its input by one
+rule: the upper piece owns the boundary, so the tail owns the knot.
 
 The module also owns the package's calling convention.  A radial function
 takes a scalar, giving a float, or an array, giving an array of its shape;
@@ -156,8 +160,8 @@ class RadialTransform:
     """Piecewise radial profile plus the dimension it acts in.
 
     ``tail`` selects the tail branch: ``"exp"`` uses ``exp(b r**beta)``
-    beyond the knot ``b**(-1/beta)``; ``"quadratic"`` uses
-    ``tail_scale * r**2`` beyond ``tail_knot``.  For the exponential kind
+    beyond the knot ``b**(-1/beta)``; ``"quadratic"``, with ``beta = 2``,
+    uses ``tail_scale * r**2`` beyond ``tail_knot``.  For the exponential kind
     the profile value at the knot is ``e`` by construction, and a valid
     bulk profile matches it there to third order.
     """
@@ -181,6 +185,8 @@ class RadialTransform:
         elif self.tail == _QUADRATIC:
             if not (self.tail_scale > 0.0 and self.tail_knot > 0.0):
                 raise ValueError("quadratic tail needs positive tail_scale and tail_knot")
+            if self.beta != 2.0:
+                raise ValueError(f"a quadratic tail has beta = 2, got {self.beta}")
         else:
             raise ValueError(f"unknown tail kind {self.tail!r}")
 
@@ -350,14 +356,12 @@ def _radial_field(x, dimension: int, s, at_origin):
 class RadialJet(NamedTuple):
     """One branch's radial pieces at a batch of radii, up to order ``k <= 3``.
 
-    ``profile[j]`` is the ``j``-th derivative of ``g`` on the bulk and the
-    quadratic tail, and of the exponent ``u = b r**beta`` on the
-    exponential tail (where ``g = e^u`` leaves double range); it holds
-    ``k + 1`` arrays.  ``log_gprime[j]`` and ``log_g_over_r[j]`` are the
-    ``j``-th derivatives of ``log g'`` and ``log(g/r)``, the two terms of
-    the log-Jacobian ``log g' + (d - 1) log(g/r)``, for ``j <= min(k, 2)``.
-    The two branch jets hold the only formulas for ``g`` and its
-    derivatives; :func:`g_eval` and :meth:`GinSpec.deriv` are views of them.
+    ``profile[j]`` is the ``j``-th derivative of ``g`` on the bulk, and of
+    the exponent ``u = log g`` on every tail (where ``g = e^u`` may leave
+    double range); it holds ``k + 1`` arrays.  ``log_gprime[j]`` and
+    ``log_g_over_r[j]`` are the ``j``-th derivatives of ``log g'`` and
+    ``log(g/r)``, the two terms of the log-Jacobian ``log g' + (d - 1)
+    log(g/r)``, for ``j <= min(k, 2)``.
     """
 
     profile: tuple
@@ -417,11 +421,10 @@ def bulk_jet(gin: GinSpec, r: np.ndarray, order: int) -> RadialJet:
 
 def _tail_profile(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
     """The profile half of :func:`tail_jet`, orders 0 to ``order``: the
-    exponent ``u = b r**beta`` and its derivatives on the exponential kind,
-    ``a r**2``, ``2 a r``, ``2 a``, ``0`` on the quadratic kind."""
+    exponent ``u = log g`` and its derivatives, ``b r**beta`` on the
+    exponential kind and ``log a + 2 log r`` on the quadratic kind."""
     if t.tail == _QUADRATIC:
-        a = t.tail_scale
-        return (a * r * r, 2.0 * a * r, np.full_like(r, 2.0 * a), np.zeros_like(r))[: order + 1]
+        return (math.log(t.tail_scale) + 2.0 * np.log(r), 2.0 / r, -2.0 / r**2, 4.0 / r**3)[: order + 1]
     b, beta = t.b, t.beta
     u = [b * np.power(r, beta)]
     if order >= 1:
@@ -433,35 +436,32 @@ def _tail_profile(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
     return tuple(u)
 
 
+def _tail_root(t: RadialTransform, log_s):
+    """The tail radius whose exponent ``u`` is ``log_s``: ``(log_s / b)**(1/beta)``
+    on the exponential kind and ``exp((log_s - log a) / 2)`` on the quadratic kind."""
+    if t.tail == _QUADRATIC:
+        return np.exp(0.5 * (log_s - math.log(t.tail_scale)))
+    return np.power(log_s / t.b, 1.0 / t.beta)
+
+
 def tail_jet(t: RadialTransform, r: np.ndarray, order: int) -> RadialJet:
     """Jet of the tail profile at radii ``r >= knot``, order 0 to 3.
 
-    The profile pieces of :func:`_tail_profile` with the log terms.
-    Exponential kind: ``log g' = log(b beta) + (beta - 1) log r + u`` and
-    ``log(g/r) = u - log r``, sharing ``u``.  Quadratic kind ``a r**2``:
-    ``log g' = log(2a) + log r`` and ``log(g/r) = log a + log r``.
+    The exponent ``u = log g`` of :func:`_tail_profile` with the log terms
+    ``log g' = log c + k log r + u`` and ``log(g/r) = u - log r``, where
+    ``u' = c r**k``: ``(c, k)`` is ``(b beta, beta - 1)`` on the exponential
+    kind and ``(2, -1)`` on the quadratic kind.
     """
-    profile = _tail_profile(t, r, order)
+    u = _tail_profile(t, r, order)
+    c, k = (2.0, -1.0) if t.tail == _QUADRATIC else (t.b * t.beta, t.beta - 1.0)
     logr = np.log(r)
-    if t.tail == _QUADRATIC:
-        a = t.tail_scale
-        lgp = [math.log(2.0 * a) + logr]
-        lgr = [math.log(a) + logr]
-        if order >= 1:
-            lgp.append(1.0 / r)
-            lgr.append(1.0 / r)
-        if order >= 2:
-            lgp.append(-1.0 / (r * r))
-            lgr.append(-1.0 / (r * r))
-        return RadialJet(profile, tuple(lgp), tuple(lgr))
-    beta, u = t.beta, profile
-    lgp = [math.log(t.b * beta) + (beta - 1.0) * logr + u[0]]
+    lgp = [math.log(c) + k * logr + u[0]]
     lgr = [u[0] - logr]
     if order >= 1:
-        lgp.append((beta - 1.0) / r + u[1])
+        lgp.append(k / r + u[1])
         lgr.append(u[1] - 1.0 / r)
     if order >= 2:
-        lgp.append(-(beta - 1.0) / (r * r) + u[2])
+        lgp.append(-k / (r * r) + u[2])
         lgr.append(u[2] + 1.0 / (r * r))
     return RadialJet(u, tuple(lgp), tuple(lgr))
 
@@ -470,20 +470,20 @@ def g_eval(t: RadialTransform, r, order: int = 0):
     """Profile value or derivative, piecewise across the knot.
 
     ``order`` 0 through 3.  Vectorized; scalar in, scalar out.  The tail
-    branch owns the knot radius itself.  On the exponential tail the
-    derivatives of ``g = e^u`` are composed from those of the exponent:
-    ``g' = u' g``, ``g'' = (u'' + u'^2) g`` and ``g''' = (u''' + 3 u' u''
-    + u'^3) g``.  Note the raw tail value overflows for ``b r**beta``
-    beyond ~709; use :func:`log_jacobian_terms` or :func:`tail_jet` when
-    only logarithmic information is needed.
+    branch owns the knot radius itself.  The quadratic tail is the exact
+    ``a r**2``, so that ``g(knot)`` is the seam; the exponential tail
+    composes ``g = e^u`` and ``g' = u' g``, ``g'' = (u'' + u'^2) g``,
+    ``g''' = (u''' + 3 u' u'' + u'^3) g``, which overflow once ``u`` passes
+    ~709; :func:`log_jacobian_terms` and :func:`tail_jet` stay in log space.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
 
     def tail(x):
-        u = _tail_profile(t, x, order)
         if t.tail == _QUADRATIC:
-            return (u[order],)
+            a = t.tail_scale
+            return ((a * x * x, 2.0 * a * x, np.full_like(x, 2.0 * a), np.zeros_like(x))[order],)
+        u = _tail_profile(t, x, order)
         with np.errstate(over="ignore"):
             g = np.exp(u[0])
         if order == 0:
@@ -520,13 +520,12 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
 def g_inverse(t: RadialTransform, s):
     """Invert the profile: the radius ``r >= 0`` with ``g(r) = s``.
 
-    Tail values invert in closed form (``(log s / b)**(1/beta)`` for the
-    exponential kind, ``sqrt(s / a)`` for the quadratic one).  Bulk values
-    use a bracketed Newton iteration seeded from a log-log table of the
-    profile, falling back to bisection whenever the Newton step leaves the
-    current bracket, until ``|g(r) - s| <= 1e-12 s`` (bulk values are
-    positive; the bound is floored at the smallest normal float, so
-    subnormal values still return).
+    Tail values invert their exponent ``u = log s`` in closed form
+    (:func:`_tail_root`).  Bulk values use a bracketed Newton iteration
+    seeded from a log-log table of the profile, falling back to bisection
+    whenever the Newton step leaves the current bracket, until ``|g(r) - s|
+    <= 1e-12 s`` (bulk values are positive; the bound is floored at the
+    smallest normal float, so subnormal values still return).
     """
     def bulk(x):
         out = np.where(np.isnan(x), x, 0.0)  # zero maps to zero exactly, NaN to NaN
@@ -535,11 +534,7 @@ def g_inverse(t: RadialTransform, s):
             out[pos] = _invert_bulk(t, x[pos])
         return (out,)
 
-    def tail(x):
-        if t.tail == _EXP:
-            return (np.power(np.log(x) / t.b, 1.0 / t.beta),)
-        return (np.sqrt(x / t.tail_scale),)
-
+    tail = lambda x: (_tail_root(t, np.log(x)),)
     return _radial(lambda x: _piecewise(x, t.seam, bulk, tail)[0], s)
 
 

@@ -575,6 +575,25 @@ class TestKlQuadrature:
         with pytest.raises(ValueError, match="quadrature failed"):
             kl_quadrature_1d(gauss, flat)
 
+    @pytest.mark.parametrize("m", [30.0, 90.0, -90.0])
+    def test_mass_away_from_zero(self, m):
+        """Unit Gaussians at m and m + 1 are 0.5 apart wherever m lies in the
+        scan window; the first panel of a half-line has no node between 38
+        and 233, so each integral is split at the scanned mode."""
+        kl = kl_quadrature_1d(lambda x: -0.5 * (x - m) ** 2,
+                              lambda x: -0.5 * (x - m - 1.0) ** 2)
+        assert kl == pytest.approx(0.5, rel=1e-12, abs=0.0)
+
+    def test_mass_beyond_the_scan_window_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="still rising.*scan window"):
+            kl_quadrature_1d(lambda x: -0.5 * (x - 300.0) ** 2,
+                             lambda x: -0.5 * (x - 301.0) ** 2)
+        with pytest.raises(ValueError, match="still rising.*scan window"):
+            kl_quadrature_1d(lambda x: -0.5 * x * x, lambda x: -0.5 * (x + 300.0) ** 2)
+        kl = kl_quadrature_1d(lambda x: -0.5 * (x - 300.0) ** 2,
+                              lambda x: -0.5 * (x - 301.0) ** 2, domain=(200.0, math.inf))
+        assert kl == pytest.approx(0.5, rel=1e-12, abs=0.0)
+
     def test_domain_validation(self):
         f = lambda x: -0.5 * x * x
         with pytest.raises(ValueError, match="domain"):
@@ -640,6 +659,18 @@ class TestQuadratureNumerics:
         assert integral == pytest.approx(math.sqrt(math.pi), rel=1e-13, abs=0.0)
         with pytest.raises(ValueError, match="quadrature failed to converge"):
             _integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+    def test_integrator_splits_an_infinite_interval_at_its_points(self):
+        """A peak between 38 and 233 past the split reads as zero; a point
+        at the peak splits every interval with an infinite end there."""
+        peak = lambda x: np.exp(-0.5 * (x - 100.0) ** 2)
+        root = math.sqrt(2.0 * math.pi)
+        assert _integrate(peak, -math.inf, math.inf, epsabs=0.0) < 1e-100
+        for a, b in ((-math.inf, math.inf), (0.0, math.inf), (-math.inf, 200.0)):
+            integral = _integrate(peak, a, b, points=(100.0,), epsabs=0.0)
+            assert integral == pytest.approx(root, rel=1e-13, abs=0.0), (a, b)
+        integral = _integrate(peak, -math.inf, math.inf, points=(50.0, 100.0, 150.0), epsabs=0.0)
+        assert integral == pytest.approx(root, rel=1e-13, abs=0.0)
 
     def test_cumulative_rules_match_scipy_bitwise(self):
         rng = np.random.default_rng(7)

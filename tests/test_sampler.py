@@ -12,6 +12,7 @@ from tula.sampler import (
     DivergenceError,
     SamplerConfig,
     _estimate_sharpness,
+    _run_chain,
     plan_step_size,
     run_summary,
     run_tula,
@@ -215,6 +216,37 @@ class TestDivergence:
             assert summary[key] > 0.0
 
 
+class TestChainEngine:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160])
+    def test_one_finiteness_test_flags_every_bad_state(self, bad):
+        """A NaN or infinite coordinate, or a finite one whose square
+        overflows, ends the chain at that step with its finite prefix."""
+        def grad(y):
+            return np.array([-bad, 0.0]) if abs(y[0]) > 5.0 else np.zeros(2)
+
+        cfg = SamplerConfig(step_size=1.0, num_steps=50, thin=2)
+        y0 = np.array([10.0, 0.0])
+        ys, steps, diverged = _run_chain(grad, y0, cfg, np.random.default_rng(0))
+        assert diverged
+        assert ys.shape == (1, 2) and steps.tolist() == [0]
+        np.testing.assert_array_equal(ys[0], y0)
+
+    def test_records_match_the_step_indices(self):
+        """Thinned records hold the iterates at steps 0, thin, 2 thin, ...,
+        including after a divergence part way through."""
+        state = {"k": 0}
+
+        def grad(y):
+            state["k"] += 1
+            return np.array([-np.inf, 0.0]) if state["k"] == 9 else np.zeros(2)
+
+        cfg = SamplerConfig(step_size=0.5, num_steps=20, thin=3)
+        ys, steps, diverged = _run_chain(grad, np.zeros(2), cfg, np.random.default_rng(1))
+        assert diverged
+        assert steps.dtype == np.int64 and steps.tolist() == [0, 3, 6]
+        assert ys.shape == (3, 2) and np.all(np.isfinite(ys))
+
+
 class TestRunUla:
     def test_untransformed_run_keeps_spaces_equal(self):
         entry = make_example(ExampleKind.WARMUP, 2)
@@ -239,6 +271,25 @@ class TestPlanner:
         below, _ = plan_step_size(2.0, 1.0, 4, 8.0, 4.0)
         assert cap == above == 1.0 / 8.0
         assert below == pytest.approx(cap / 2.0)
+
+    @pytest.mark.parametrize("accuracy", [0.1, 0.01])
+    @pytest.mark.parametrize("d", [2, 5, 10, 50])
+    def test_plan_is_sound_on_the_exact_ar1_family(self, d, accuracy):
+        """On example6, f_h = (d/2)|y|^2: L = d, C = 1/d, and the chain from
+        N(0, I) is N(0, c_n I) at step n, c_n = a^(2n) + s2 (1 - a^(2n)) with
+        a = 1 - gamma d and s2 = 1/(d (1 - gamma d/2)).  Its exact KL to the
+        target N(0, I/d) at the planned (gamma, n) meets the accuracy."""
+        entry = make_example(ExampleKind.EXAMPLE6, d)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        y = np.linspace(0.1, 3.0, 4 * d).reshape(4, d)
+        np.testing.assert_allclose(transformed_gradient(tp, y), d * y, rtol=1e-12)
+        initial_kl = 0.5 * d * (d - 1.0 - math.log(d))  # KL(N(0, I) || N(0, I/d))
+        gamma, n = plan_step_size(float(d), 1.0 / d, d, accuracy, initial_kl)
+        decay = math.exp(2.0 * n * math.log1p(-gamma * d))  # a^(2n)
+        stationary_excess = 0.5 * gamma * d / (1.0 - 0.5 * gamma * d)  # d s2 - 1
+        excess = stationary_excess + (d - 1.0 - stationary_excess) * decay  # d c_n - 1
+        kl = 0.5 * d * (excess - math.log1p(excess))
+        assert 0.0 < kl <= accuracy
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,9 @@ from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tula.analysis import RadialQuadrature, check_assumption
+from tula.dynamics import TransformedPotential
+from tula.targets import make_example
 from tula.transform import (
     G1Report,
     GinSpec,
@@ -27,6 +30,8 @@ from tula.transform import (
     log_det_jacobian,
     log_jacobian_terms,
     tail_jet,
+    _tail_profile,
+    _tail_root,
     transform_from_dict,
     transform_from_json,
     transform_to_dict,
@@ -149,6 +154,14 @@ class TestRadialTransformValidation:
             RadialTransform(
                 b=0.0, beta=2.0, gin=warmup_profile(2), dimension=2,
                 tail="quadratic", tail_scale=0.0, tail_knot=1.0,
+            )
+
+    def test_quadratic_tail_has_beta_two(self):
+        """Both tail kinds read the power of their exponent from beta."""
+        with pytest.raises(ValueError, match="beta = 2"):
+            RadialTransform(
+                b=0.0, beta=1.5, gin=warmup_profile(2), dimension=2,
+                tail="quadratic", tail_scale=2.0, tail_knot=1.0,
             )
 
     def test_unknown_tail_kind(self):
@@ -344,6 +357,58 @@ class TestLogHelpers:
         assert u == pytest.approx(4.5)
         assert du == pytest.approx(3.0)
         assert d2u == pytest.approx(1.0)
+
+
+class TestTailExponent:
+    """Every tail is g = e^u: one jet of u, one set of log terms, one root."""
+
+    @pytest.fixture(params=[ginbeta2_transform(0.5, 2),
+                            RadialTransform(b=0.75, beta=1.5, gin=ginbeta2_profile(0.75), dimension=3),
+                            warmup_transform(2), warmup_transform(3, knot=0.8)],
+                    ids=["b0.5", "beta1.5", "warmup", "warmup-knot0.8"])
+    def t(self, request):
+        return request.param
+
+    def test_log_terms_match_the_profile_in_closed_form(self, t):
+        """log g', log(g/r) and their first two derivatives from the jets, on
+        radii either side of the knot, against g_eval's g to g''' in closed
+        form; the tail jet's u is log g."""
+        r = t.knot * np.array([0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0, 6.0])
+        g, g1, g2, g3 = (g_eval(t, r, k) for k in range(4))
+        want_lgp = (np.log(g1), g2 / g1, g3 / g1 - (g2 / g1) ** 2)
+        want_lgr = (np.log(g / r), g1 / g - 1.0 / r, g2 / g - (g1 / g) ** 2 + 1.0 / r**2)
+        lgp, lgr = log_jacobian_terms(t, r, 2)
+        tail = r >= t.knot
+        jet = tail_jet(t, r[tail], 2)
+        for k in range(3):
+            np.testing.assert_allclose(lgp[k], want_lgp[k], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(lgr[k], want_lgr[k], rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(jet.log_gprime[k], lgp[k][tail])
+            np.testing.assert_array_equal(jet.log_g_over_r[k], lgr[k][tail])
+        np.testing.assert_allclose(jet.profile[0], np.log(g[tail]), rtol=1e-14)
+
+    def test_root_inverts_the_exponent(self, t):
+        r = t.knot * np.array([1.0, 1.5, 10.0, 1e3, 1e6])
+        np.testing.assert_allclose(_tail_root(t, _tail_profile(t, r, 0)[0]), r, rtol=1e-14)
+
+    def test_exponential_kind_is_the_closed_form_bit_for_bit(self):
+        """On the exponential kind u is b r**beta, and g's tail inverse and
+        A5's psi^-1 are (log s / b)**(1/beta), to the last bit."""
+        entry = make_example("t", 3, kappa=2.0, b=0.75)
+        t = entry.transform
+        r = np.geomspace(t.knot, 50.0, 97)
+        assert _tail_profile(t, r, 0)[0].tobytes() == (t.b * r**t.beta).tobytes()
+        s = np.geomspace(math.e, 1e300, 97)
+        closed = (np.log(s) / t.b) ** (1.0 / t.beta)
+        assert g_inverse(t, s).tobytes() == closed.tobytes()
+        assert _tail_root(t, np.log(s)).tobytes() == closed.tobytes()
+        lam = np.geomspace(math.e, 100.0, 16)
+        report = check_assumption(TransformedPotential(entry.potential, t), "A5", grid=lam,
+                                  candidate_constants={"m": 0.0, "alpha1": 1.0, "C_tail": 2.0})
+        oracle = RadialQuadrature(entry.potential)
+        sf = np.array([oracle.sf(x) for x in lam])
+        psi_inv = (np.log(lam) / t.b) ** (1.0 / t.beta)
+        assert report.margins.tobytes() == (2.0 * np.exp(-(psi_inv / 2.0)) - sf).tobytes()
 
 
 class TestInverse:
