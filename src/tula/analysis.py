@@ -251,7 +251,7 @@ class RadialQuadrature:
         return np.where(v > -745.0, np.exp(v), 0.0)
 
     def cdf(self, radius: float) -> float:
-        """P(|x| <= radius), as 1 - sf(radius)."""
+        """P(|x| <= radius), as 1 - sf(radius); NaN for a NaN radius."""
         radius = float(radius)
         if radius <= 0.0:
             return 0.0
@@ -260,8 +260,11 @@ class RadialQuadrature:
     def sf(self, radius: float) -> float:
         """P(|x| >= radius) by adaptive Gauss-Kronrod quadrature: (radius,
         r_max) to epsabs 1e-13 and epsrel 1e-11 plus the stored remainder
-        below r_max, and (radius, inf) to epsrel 1e-11 alone at or past it."""
+        below r_max, and (radius, inf) to epsrel 1e-11 alone at or past it.
+        A NaN radius gives NaN, as in `batch_cdf`."""
         radius = float(radius)
+        if math.isnan(radius):
+            return radius
         if radius <= 0.0:
             return 1.0
         if radius >= self.r_max:
@@ -283,8 +286,8 @@ class RadialQuadrature:
         epsabs 1e-13 and epsrel 1e-11, (r_max, inf) to epsrel 1e-11 alone.
         """
         order = float(order)
-        if order < 0:
-            raise ValueError("moment order must be nonnegative")
+        if not order >= 0:
+            raise ValueError(f"moment order must be nonnegative, got {order!r}")
         if order >= self.potential.moment_max:
             raise UndefinedMomentError(
                 f"E|x|^{order:g} does not exist for target {self.potential.name!r}: "
@@ -326,6 +329,36 @@ class AssumptionKind(str, enum.Enum):
                 return kind
         raise ValueError(f"unknown assumption {which!r}; expected one of "
                          + ", ".join(k.value for k in cls))
+
+
+# The interval of every constant the A1-A5 checks and the case tables take.
+# No end is closed at inf, so NaN and +-inf lie in none of them.
+_RANGES = {
+    "alpha": "[1, 2]", "A": "(0, inf)", "B": "[0, inf)",  # A1 dissipativity
+    "mu": "(0, inf)", "theta": "[0, inf)",  # A2 degenerate convexity
+    "rho": "(0, inf)",  # A3 strong convexity
+    "L": "(0, inf)",  # A4 gradient Lipschitz
+    "m": "[0, inf)", "alpha1": "[0, 1]", "C_tail": "(0, inf)",  # A5 tail
+    "vartheta": "(0, inf)", "b": "(0, inf)", "beta": "(1, 2]",  # case tables only
+}
+# the candidate constants of `check_assumption`: all but the case tables' own
+_CHECK_NAMES = tuple(name for name in _RANGES if name not in ("vartheta", "b", "beta"))
+
+
+def _inside(name: str, value: float) -> bool:
+    """Whether `value` lies in the interval `_RANGES[name]`."""
+    interval = _RANGES[name]
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    return (lo < value < hi or (interval[0] == "[" and value == lo)
+            or (interval[-1] == "]" and value == hi))
+
+
+def _in_range(name: str, value: float) -> float:
+    """`value` as a float, raising unless it lies in `_RANGES[name]`."""
+    value = float(value)
+    if not _inside(name, value):
+        raise ValueError(f"{name} must lie in {_RANGES[name]}, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -382,12 +415,6 @@ def _upper_half(values: np.ndarray) -> np.ndarray:
     return values[len(values) // 2:]
 
 
-def _as_float(constants: Mapping[str, float], key: str) -> float | None:
-    if key not in constants or constants[key] is None:
-        return None
-    return float(constants[key])
-
-
 def check_assumption(
     tp: TransformedPotential,
     which: AssumptionKind | str,
@@ -402,8 +429,11 @@ def check_assumption(
     A5.  When `candidate_constants` supplies the assumption's constants the
     report says where the inequality holds with them; missing constants are
     fitted from the grid (infimum or supremum over the upper half of the
-    grid, with a small safety factor).  Fitted constants describe this grid
-    only, they are a heuristic rather than a certificate.
+    grid, with a small safety factor), except B and m, which default to 0.
+    Fitted constants describe this grid only, they are a heuristic rather
+    than a certificate.  The check passes when its margins are positive
+    through the grid's end and every constant, fitted or not, lies in its
+    range, so a fitted A, mu, rho or L at or below 0 fails it.
 
     Args:
       tp: transformed potential under test.
@@ -411,17 +441,26 @@ def check_assumption(
       grid: strictly increasing finite radii inside the tail branch (r >= knot).
         Defaults to 512 log-spaced points on [max(knot, 0.1), 100].
       candidate_constants: any of alpha/A/B (A1), mu/theta (A2), rho (A3),
-        L (A4), m/alpha1/C_tail (A5).
+        L (A4), m/alpha1/C_tail (A5), each inside its range in `_RANGES`
+        (the README's table): alpha in [1, 2], alpha1 in [0, 1], B, theta
+        and m >= 0, the others > 0, all finite.  Every supplied constant is
+        checked, whichever assumption it belongs to.
 
     Returns:
       AssumptionReport with the merged constants and the pointwise margins.
 
     Raises:
-      ValueError: unknown tag, a malformed grid, or constants outside their
-        stated ranges.
+      ValueError: unknown tag or constant name, a malformed grid, or a
+        constant outside its range (NaN and +-inf included).
     """
     kind = AssumptionKind.parse(which)
-    cand = dict(candidate_constants or {})
+    cand = {}
+    for name, value in (candidate_constants or {}).items():
+        if name not in _CHECK_NAMES:
+            raise ValueError(f"unknown candidate constant {name!r}; expected one of "
+                             + ", ".join(_CHECK_NAMES))
+        if value is not None:
+            cand[name] = _in_range(name, value)
     t = tp.transform
 
     if grid is None:
@@ -440,156 +479,75 @@ def check_assumption(
                 f"assumption checks live on the tail branch r >= {t.knot:g}"
             )
 
-    if kind is AssumptionKind.A5_TAIL:
-        return _check_tail(tp, radii, cand)
-
     fitted: list[str] = []
-    constants: dict[str, float] = {}
+
+    def resolve(name: str, fit: Callable[[], float]) -> float:
+        """The candidate `name`, else `fit()`, which the report lists as fitted."""
+        if name in cand:
+            return cand[name]
+        fitted.append(name)
+        return fit()
 
     if kind is AssumptionKind.A1_DISSIPATIVITY:
         lhs = grad_factor(tp, radii) * radii ** 2
-        alpha = _as_float(cand, "alpha")
-        if alpha is None:
-            alpha = t.beta
-            fitted.append("alpha")
-        if not 1.0 <= alpha <= 2.0:
-            raise ValueError(f"alpha must lie in [1, 2], got {alpha:g}")
-        bconst = _as_float(cand, "B")
-        if bconst is None:
-            bconst = 0.0
-        elif bconst < 0:
-            raise ValueError("B must be nonnegative")
-        aconst = _as_float(cand, "A")
-        if aconst is None:
-            aconst = 0.99 * float(np.min(_upper_half((lhs + bconst) / radii ** alpha)))
-            fitted.append("A")
-        rhs = aconst * radii ** alpha - bconst
-        margins = lhs - rhs
-        start = _suffix_start(radii, margins > 0.0)
+        alpha = resolve("alpha", lambda: t.beta)
+        bconst = cand.get("B", 0.0)
+        aconst = resolve(
+            "A", lambda: 0.99 * float(np.min(_upper_half((lhs + bconst) / radii ** alpha))))
+        margins = lhs - (aconst * radii ** alpha - bconst)
         constants = {"alpha": alpha, "A": aconst, "B": bconst}
-        ok = start is not None and aconst > 0.0
-        if start is not None:
-            constants["N1"] = start
-
-    elif kind is AssumptionKind.A2_DEGENERATE_CONVEXITY:
-        eig = hessian_eigenvalues(tp, radii)
-        lhs = np.minimum(eig.lambda_radial, eig.lambda_tangential)
-        theta = _as_float(cand, "theta")
-        if theta is None:
-            theta = max(0.0, 2.0 - t.beta)
-            fitted.append("theta")
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-        envelope = (1.0 + 0.25 * radii ** 2) ** (theta / 2.0)
-        mu = _as_float(cand, "mu")
-        if mu is None:
-            mu = 0.99 * float(np.min(_upper_half(lhs * envelope)))
-            fitted.append("mu")
-        elif mu <= 0:
-            raise ValueError("mu must be positive")
-        margins = lhs - mu / envelope
-        start = _suffix_start(radii, margins > 0.0)
-        constants = {"mu": mu, "theta": theta}
-        ok = start is not None and mu > 0.0
-        if start is not None:
-            constants["N2"] = start
-
-    elif kind is AssumptionKind.A3_STRONG_CONVEXITY:
-        eig = hessian_eigenvalues(tp, radii)
-        lhs = np.minimum(eig.lambda_radial, eig.lambda_tangential)
-        rho = _as_float(cand, "rho")
-        if rho is None:
-            rho = 0.99 * float(np.min(_upper_half(lhs)))
-            fitted.append("rho")
-        margins = lhs - rho
-        start = _suffix_start(radii, margins > 0.0)
-        constants = {"rho": rho}
-        ok = start is not None and rho > 0.0
-        if start is not None:
-            constants["N3"] = start
-
-    elif kind is AssumptionKind.A4_GRADIENT_LIPSCHITZ:
-        eig = hessian_eigenvalues(tp, radii)
-        lhs = np.maximum(eig.lambda_radial, eig.lambda_tangential)
-        lconst = _as_float(cand, "L")
-        if lconst is None:
-            lconst = 1.01 * float(np.max(lhs))
-            fitted.append("L")
-        elif lconst <= 0:
-            raise ValueError("L must be positive")
-        margins = lconst - lhs
-        start = _suffix_start(radii, margins > 0.0)
-        constants = {"L": lconst}
-        ok = start is not None
-        if start is not None:
-            constants["N4"] = start
-
-    else:  # pragma: no cover - parse() exhausts the enum
-        raise ValueError(f"unhandled assumption {kind}")
-
-    return AssumptionReport(
-        assumption=kind,
-        grid=radii,
-        fitted_constants=constants,
-        fitted_names=tuple(fitted),
-        satisfied_from_radius=start,
-        passed=bool(ok),
-        margins=margins,
-    )
-
-
-def _check_tail(
-    tp: TransformedPotential,
-    radii: np.ndarray,
-    cand: dict[str, float],
-) -> AssumptionReport:
-    """A5: pi{|x| >= m + lam} <= 2 exp(-(psi_inv(lam)/C)^alpha1) on a grid of
-    thresholds lam.  psi_inv is the analytic inverse of the tail profile
-    e^{b r^beta}, so thresholds below e (the tail image's left edge) are
-    dropped from the grid."""
-    t = tp.transform
-    if t.tail != "exp":
-        raise ValueError("the tail assumption is defined for exponential-tail transforms only")
-
-    fitted: list[str] = []
-    m = _as_float(cand, "m")
-    if m is None:
-        m = 0.0
-    elif m < 0:
-        raise ValueError("m must be nonnegative")
-    alpha1 = _as_float(cand, "alpha1")
-    if alpha1 is None:
-        alpha1 = 1.0
-        fitted.append("alpha1")
-    if not 0.0 <= alpha1 <= 1.0:
-        raise ValueError(f"alpha1 must lie in [0, 1], got {alpha1:g}")
-
-    lam = radii[radii >= math.e * (1.0 - 1e-12)]
-    if lam.size < 2:
-        raise ValueError("grid must contain at least two thresholds >= e for the tail check")
-    psi_inv = _tail_root(t, np.log(lam))
-
-    oracle = RadialQuadrature(tp.target)
-    sf = np.array([oracle.sf(m + x) for x in lam])
-
-    cconst = _as_float(cand, "C_tail")
-    if cconst is None:
-        if alpha1 == 0.0:
+    elif kind is AssumptionKind.A5_TAIL:
+        # A5: pi{|x| >= m + lam} <= 2 exp(-(psi_inv(lam)/C)^alpha1) on the
+        # thresholds lam of the grid at or above e, the tail image's left
+        # edge; psi_inv inverts the tail profile e^{b r^beta} in closed form.
+        if t.tail != "exp":
+            raise ValueError("the tail assumption is defined for exponential-tail transforms only")
+        m = cand.get("m", 0.0)
+        alpha1 = resolve("alpha1", lambda: 1.0)
+        radii = radii[radii >= math.e * (1.0 - 1e-12)]
+        if radii.size < 2:
+            raise ValueError("grid must contain at least two thresholds >= e for the tail check")
+        if alpha1 == 0.0 and "C_tail" not in cand:
             raise ValueError("fitting C_tail requires alpha1 > 0")
-        with np.errstate(divide="ignore"):
-            required = psi_inv / np.log(2.0 / np.maximum(sf, 5e-324)) ** (1.0 / alpha1)
-        cconst = float(np.max(_upper_half(required))) * (1.0 + 1e-9)
-        fitted.append("C_tail")
-    elif cconst <= 0:
-        raise ValueError("C_tail must be positive")
+        psi_inv = _tail_root(t, np.log(radii))
+        oracle = RadialQuadrature(tp.target)
+        # one query per threshold: a batched table would make the audit
+        # pass faster than its memory headroom allows (ROADMAP items 1 and 4)
+        sf = np.array([oracle.sf(m + x) for x in radii])
 
-    rhs = 2.0 * np.exp(-((psi_inv / cconst) ** alpha1))
-    margins = rhs - sf
-    start = _suffix_start(lam, margins > 0.0)
-    constants = {"m": m, "alpha1": alpha1, "C_tail": cconst}
+        def fit_tail_scale() -> float:
+            with np.errstate(divide="ignore"):
+                required = psi_inv / np.log(2.0 / np.maximum(sf, 5e-324)) ** (1.0 / alpha1)
+            return float(np.max(_upper_half(required))) * (1.0 + 1e-9)
+
+        cconst = resolve("C_tail", fit_tail_scale)
+        margins = 2.0 * np.exp(-((psi_inv / cconst) ** alpha1)) - sf
+        constants = {"m": m, "alpha1": alpha1, "C_tail": cconst}
+    else:
+        eig = hessian_eigenvalues(tp, radii)
+        if kind is AssumptionKind.A4_GRADIENT_LIPSCHITZ:
+            lhs = np.maximum(eig.lambda_radial, eig.lambda_tangential)
+            lconst = resolve("L", lambda: 1.01 * float(np.max(lhs)))
+            margins = lconst - lhs
+            constants = {"L": lconst}
+        else:
+            lhs = np.minimum(eig.lambda_radial, eig.lambda_tangential)
+            if kind is AssumptionKind.A2_DEGENERATE_CONVEXITY:
+                theta = resolve("theta", lambda: max(0.0, 2.0 - t.beta))
+                envelope = (1.0 + 0.25 * radii ** 2) ** (theta / 2.0)
+                mu = resolve("mu", lambda: 0.99 * float(np.min(_upper_half(lhs * envelope))))
+                margins = lhs - mu / envelope
+                constants = {"mu": mu, "theta": theta}
+            else:
+                rho = resolve("rho", lambda: 0.99 * float(np.min(_upper_half(lhs))))
+                margins = lhs - rho
+                constants = {"rho": rho}
+
+    start = _suffix_start(radii, margins > 0.0)
+    passed = start is not None and all(_inside(name, v) for name, v in constants.items())
     if start is not None:
-        constants["N5"] = start
-        if alpha1 > 0.0:
+        constants["N" + kind.value[1]] = start
+        if kind is AssumptionKind.A5_TAIL and alpha1 > 0.0:
             # Enlarged constant covering every threshold below N5 as well:
             # P(|x| >= m + lam) <= P(|x| >= m) must stay below the bound at
             # the worst threshold lam = N5.
@@ -599,12 +557,12 @@ def _check_tail(
             constants["C_tail_extended"] = max(cconst, extended)
 
     return AssumptionReport(
-        assumption=AssumptionKind.A5_TAIL,
-        grid=lam,
+        assumption=kind,
+        grid=radii,
         fitted_constants=constants,
         fitted_names=tuple(fitted),
         satisfied_from_radius=start,
-        passed=start is not None,
+        passed=passed,
         margins=margins,
     )
 
@@ -796,31 +754,36 @@ def classify_regime(
     Args:
       basis: "dissipativity" | "degenerate_convexity" | "strong_convexity"
         (or the legacy tags "A3" | "A5" | "A1").
-      vartheta: tail exponent of the comparison weight, positive.
+      vartheta: tail exponent of the comparison weight.
       dimension: ambient dimension, a positive integer.
-      b, beta: tail profile parameters, b > 0 and beta in (1, 2].
+      b, beta: tail profile parameters.
       alpha, A, B: dissipativity growth data (B defaults to 0).
       mu, theta: degenerate-convexity data.
       rho: strong-convexity constant.
+
+    Every constant supplied, whatever the basis, must lie in its range in
+    `_RANGES` (the README's table): vartheta, b, A, mu and rho > 0, B and
+    theta >= 0, alpha in [1, 2] and beta in (1, 2], all finite.
 
     Returns:
       RegimeVerdict; exactly one rule fires per input.
 
     Raises:
-      ValueError: unknown basis, missing constants for the chosen basis, or
-        parameters outside the case table's domain.
+      ValueError: unknown basis, a constant outside its range (NaN and +-inf
+        included), a dimension that is not a positive integer, missing
+        constants for the chosen basis, or alpha < beta on the dissipativity
+        basis, which its case table does not cover.
     """
     key = _BASIS_ALIASES.get(str(basis).strip().lower())
     if key is None:
         raise ValueError(f"unknown classification basis {basis!r}")
-    if not vartheta > 0:
-        raise ValueError("vartheta must be positive")
+    supplied = dict(vartheta=vartheta, b=b, beta=beta, alpha=alpha, A=A, B=B, mu=mu,
+                    theta=theta, rho=rho)
+    for name, value in supplied.items():
+        if value is not None:
+            _in_range(name, value)
     if not (isinstance(dimension, (int, np.integer)) and dimension >= 1):
         raise ValueError("dimension must be a positive integer")
-    if not b > 0:
-        raise ValueError("b must be positive")
-    if not 1.0 < beta <= 2.0:
-        raise ValueError("beta must lie in (1, 2]")
 
     d = int(dimension)
     params: dict[str, float] = {
@@ -831,13 +794,7 @@ def classify_regime(
     if key == "dissipativity":
         if A is None or alpha is None:
             raise ValueError("dissipativity classification needs alpha and A")
-        if A <= 0:
-            raise ValueError("A must be positive")
-        if not 1.0 <= alpha <= 2.0:
-            raise ValueError("alpha must lie in [1, 2]")
         bconst = 0.0 if B is None else float(B)
-        if bconst < 0:
-            raise ValueError("B must be nonnegative")
         params.update(alpha=float(alpha), A=float(A), B=bconst)
         if alpha < beta and not _isclose(alpha, beta):
             raise ValueError("the dissipativity case table covers alpha >= beta only")
@@ -863,10 +820,6 @@ def classify_regime(
     if key == "degenerate_convexity":
         if mu is None or theta is None:
             raise ValueError("degenerate-convexity classification needs mu and theta")
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
         params.update(mu=float(mu), theta=float(theta))
         crit = 2.0 - beta
 
@@ -901,8 +854,6 @@ def classify_regime(
     # strong convexity
     if rho is None:
         raise ValueError("strong-convexity classification needs rho")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     params.update(rho=float(rho))
     witness = {
         "power_coefficient": rho / (2.0 * b ** (2.0 / beta)),

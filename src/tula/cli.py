@@ -54,6 +54,20 @@ _TARGET_DEFAULTS: dict[str, Any] = {
     "b": None, "knot": 1.0,
 }
 
+# the candidate constants of `check`: flag, config key, constant name, help
+_CHECK_CONSTANTS = (
+    ("--A", "A", "A", "dissipativity growth constant"),
+    ("--B", "B", "B", "dissipativity offset"),
+    ("--alpha", "alpha", "alpha", "dissipativity exponent"),
+    ("--mu", "mu", "mu", "degenerate convexity level"),
+    ("--theta", "theta", "theta", "degenerate convexity decay"),
+    ("--rho", "rho", "rho", "strong convexity level"),
+    ("--L", "L", "L", "gradient Lipschitz bound"),
+    ("--m", "m", "m", "tail shift"),
+    ("--alpha1", "alpha1", "alpha1", "tail stretch exponent"),
+    ("--C-tail", "c_tail", "C_tail", "tail scale"),
+)
+
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "sample": {
         **_TARGET_DEFAULTS, "gamma": None, "steps": None, "seed": 0, "chains": 1,
@@ -62,9 +76,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     },
     "check": {
         **_TARGET_DEFAULTS, "assumption": None, "grid_min": None, "grid_max": None,
-        "grid_points": None, "A": None, "B": None, "alpha": None, "mu": None,
-        "theta": None, "rho": None, "L": None, "m": None, "alpha1": None,
-        "c_tail": None, "out": ".",
+        "grid_points": None, **{key: None for _, key, _, _ in _CHECK_CONSTANTS}, "out": ".",
     },
     "lsi": {**_TARGET_DEFAULTS, "r_max": 12.0, "grid_size": 1024, "out": "."},
     "classify": {
@@ -291,13 +303,8 @@ def cmd_check(opts: dict[str, Any]) -> int:
         num = int(opts["grid_points"]) if opts.get("grid_points") is not None else default.size
         grid = np.geomspace(lo, hi, num)
 
-    candidates = {}
-    for flag, key in (
-        ("A", "A"), ("B", "B"), ("alpha", "alpha"), ("mu", "mu"), ("theta", "theta"),
-        ("rho", "rho"), ("L", "L"), ("m", "m"), ("alpha1", "alpha1"), ("c_tail", "C_tail"),
-    ):
-        if opts.get(flag) is not None:
-            candidates[key] = float(opts[flag])
+    candidates = {name: float(opts[key]) for _, key, name, _ in _CHECK_CONSTANTS
+                  if opts.get(key) is not None}
 
     report = check_assumption(tp, str(opts["assumption"]), grid=grid,
                               candidate_constants=candidates or None)
@@ -416,19 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--grid-min", dest="grid_min", type=float)
     check.add_argument("--grid-max", dest="grid_max", type=float)
     check.add_argument("--grid-points", dest="grid_points", type=int)
-    for flag, dest, doc in (
-        ("--A", "A", "dissipativity growth constant"),
-        ("--B", "B", "dissipativity offset"),
-        ("--alpha", "alpha", "dissipativity exponent"),
-        ("--mu", "mu", "degenerate convexity level"),
-        ("--theta", "theta", "degenerate convexity decay"),
-        ("--rho", "rho", "strong convexity level"),
-        ("--L", "L", "gradient Lipschitz bound"),
-        ("--m", "m", "tail shift"),
-        ("--alpha1", "alpha1", "tail stretch exponent"),
-        ("--C-tail", "c_tail", "tail scale"),
-    ):
-        check.add_argument(flag, dest=dest, type=float, help=doc)
+    for flag, key, _, doc in _CHECK_CONSTANTS:
+        check.add_argument(flag, dest=key, type=float, help=doc)
 
     lsi = commands.add_parser("lsi", help="log-Sobolev constant estimate")
     _add_target_flags(lsi)

@@ -520,12 +520,14 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
 def g_inverse(t: RadialTransform, s):
     """Invert the profile: the radius ``r >= 0`` with ``g(r) = s``.
 
-    Tail values invert their exponent ``u = log s`` in closed form
-    (:func:`_tail_root`).  Bulk values use a bracketed Newton iteration
-    seeded from a log-log table of the profile, falling back to bisection
-    whenever the Newton step leaves the current bracket, until ``|g(r) - s|
-    <= 1e-12 s`` (bulk values are positive; the bound is floored at the
-    smallest normal float, so subnormal values still return).
+    Tail values invert in closed form: the exponential kind through its
+    exponent ``u = log s`` (:func:`_tail_root`), the quadratic kind ``s = a
+    r**2`` as ``sqrt(s) / sqrt(a)``, which keeps the digits ``log s`` would
+    lose.  Bulk values use a bracketed Newton iteration seeded from a
+    log-log table of the profile, falling back to bisection whenever the
+    Newton step leaves the current bracket, until ``|g(r) - s| <= 1e-12 s``
+    (bulk values are positive; the bound is floored at the smallest normal
+    float, so subnormal values still return).
     """
     def bulk(x):
         out = np.where(np.isnan(x), x, 0.0)  # zero maps to zero exactly, NaN to NaN
@@ -534,7 +536,10 @@ def g_inverse(t: RadialTransform, s):
             out[pos] = _invert_bulk(t, x[pos])
         return (out,)
 
-    tail = lambda x: (_tail_root(t, np.log(x)),)
+    if t.tail == _QUADRATIC:
+        tail = lambda x: (np.sqrt(x) / math.sqrt(t.tail_scale),)
+    else:
+        tail = lambda x: (_tail_root(t, np.log(x)),)
     return _radial(lambda x: _piecewise(x, t.seam, bulk, tail)[0], s)
 
 

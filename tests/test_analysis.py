@@ -102,8 +102,16 @@ class TestRadialQuadrature:
             quad23.moment(3.0)
         with pytest.raises(UndefinedMomentError):
             quad23.moment(4.5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            quad23.moment(-1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="moment order must be nonnegative"):
+                quad23.moment(bad)
+
+    def test_nan_radius_gives_nan(self, quad23):
+        """As in batch_cdf and every radial function, a NaN radius is NaN;
+        it used to fail inside the integrator."""
+        assert math.isnan(quad23.sf(math.nan))
+        assert math.isnan(quad23.cdf(math.nan))
+        assert math.isnan(quad23.batch_cdf(np.array([math.nan]))[0])
 
     def test_batch_cdf_tracks_scalar(self, quad23):
         radii = np.geomspace(0.05, 50.0, 200)
@@ -119,6 +127,85 @@ class TestRadialQuadrature:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="r_max must be positive and finite"):
                 RadialQuadrature(t23.potential, r_max=bad)
+
+
+# The range of every constant the checks and the case tables take, from the
+# paper's assumptions: name, values just outside it, and its included ends.
+CONSTANT_RANGES = [
+    ("alpha", (math.nextafter(1.0, 0.0), math.nextafter(2.0, 3.0)), (1.0, 2.0)),
+    ("A", (0.0,), ()),
+    ("B", (-5e-324,), (0.0,)),
+    ("mu", (0.0,), ()),
+    ("theta", (-5e-324,), (0.0,)),
+    ("rho", (0.0,), ()),
+    ("L", (0.0,), ()),
+    ("m", (-5e-324,), (0.0,)),
+    ("alpha1", (-5e-324, math.nextafter(1.0, 2.0)), (0.0, 1.0)),
+    ("C_tail", (0.0,), ()),
+    ("vartheta", (0.0,), ()),
+    ("b", (0.0,), ()),
+    ("beta", (1.0, math.nextafter(2.0, 3.0)), (2.0,)),
+]
+CASE_TABLE_ONLY = ("vartheta", "b", "beta")
+CHECK_RANGES = [r for r in CONSTANT_RANGES if r[0] not in CASE_TABLE_ONLY]
+
+
+def _out_of_range(ranges):
+    return [(name, bad) for name, outside, _ in ranges
+            for bad in (math.nan, math.inf, -math.inf, *outside)]
+
+
+class TestConstantRanges:
+    """Every constant is checked against its range on entry, so NaN, +-inf
+    and values just outside it raise by name instead of giving a report:
+    before, L, B or C_tail = inf passed its check vacuously, A3 took
+    rho = -1, and classify_regime took rho = NaN."""
+
+    @pytest.mark.parametrize("name, bad", _out_of_range(CHECK_RANGES))
+    @pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "A5"])
+    def test_check_rejects_out_of_range(self, tp_t32, kind, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in "):
+            check_assumption(tp_t32, kind, candidate_constants={name: bad})
+
+    @pytest.mark.parametrize("name, end", [(name, end) for name, _, ends in CHECK_RANGES
+                                           for end in ends])
+    def test_check_accepts_included_ends(self, tp_t32, name, end):
+        kind = {"alpha": "A1", "B": "A1", "theta": "A2"}.get(name, "A5")
+        cand = {name: end, **({"C_tail": 1.0} if name == "alpha1" else {})}
+        rep = check_assumption(tp_t32, kind, grid=np.geomspace(3.0, 50.0, 16),
+                               candidate_constants=cand)
+        assert rep.fitted_constants[name] == end
+
+    @pytest.mark.parametrize("name", ["Lip", "c_tail", "beta", "vartheta"])
+    def test_check_rejects_unknown_names(self, tp_t32, name):
+        with pytest.raises(ValueError, match=f"unknown candidate constant '{name}'"):
+            check_assumption(tp_t32, "A4", candidate_constants={"L": 6.0, name: 1.0})
+
+    # a valid call of each basis, and the basis whose case table takes a constant
+    BASES = {
+        "dissipativity": dict(vartheta=1.0, dimension=3, b=0.75, alpha=2.0, A=3.0, B=0.0),
+        "degenerate": dict(vartheta=1.0, dimension=2, b=1.0, beta=1.5, mu=1.0, theta=0.5),
+        "strong": dict(vartheta=0.5, dimension=3, b=0.5, rho=1.0),
+    }
+    BASIS_OF = {"alpha": "dissipativity", "A": "dissipativity", "B": "dissipativity",
+                "mu": "degenerate", "theta": "degenerate", "rho": "strong"}
+
+    @pytest.mark.parametrize("name, bad", _out_of_range(
+        [r for r in CONSTANT_RANGES if r[0] not in ("m", "alpha1", "C_tail", "L")]))
+    def test_classify_rejects_out_of_range(self, name, bad):
+        basis = self.BASIS_OF.get(name, "strong")
+        with pytest.raises(ValueError, match=rf"^{name} must lie in "):
+            classify_regime(basis, **{**self.BASES[basis], name: bad})
+        other = "strong" if basis != "strong" else "dissipativity"
+        with pytest.raises(ValueError, match=rf"^{name} must lie in "):
+            classify_regime(other, **{**self.BASES[other], name: bad})
+
+    @pytest.mark.parametrize("name, end", [("alpha", 2.0), ("B", 0.0), ("theta", 0.0),
+                                           ("beta", 2.0)])
+    def test_classify_accepts_included_ends(self, name, end):
+        basis = self.BASIS_OF.get(name, "strong")
+        verdict = classify_regime(basis, **{**self.BASES[basis], name: end})
+        assert verdict.parameters[name] == end
 
 
 class TestAssumptionChecks:

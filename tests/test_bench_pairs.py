@@ -144,3 +144,29 @@ def test_beyond_bound_compares_medians_against_the_relative_bound():
                                         "steps_per_s": True}
     assert summary(0.5, 20.0, 500.0) == {"wall_s": False, "peak_rss_mb": False,
                                          "steps_per_s": False}
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    """A metric is unresolved when the parent's interquartile range exceeds
+    bound times its median, unless every change run is better than every
+    parent run.  BENCH_9's audit peak_rss_mb (IQR 7.53 MB against a 7.62 MB
+    bound) and BENCH_12's gauss6 setup_s (IQR 0.033 s against 0.0425 s)
+    sat just inside it."""
+    spec = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+                           {"name": "speed", "unit": "1/s", "better": "higher", "bound": 0.1}]}
+
+    def unresolved(parent, change):
+        run = lambda v: {"correct": True, "attempted": 1, "failed": 0,
+                         "metrics": {"wall_s": v, "speed": v}}
+        pairs = [{"seed": s, "first": "parent", "parent": run(p), "change": run(c)}
+                 for s, (p, c) in enumerate(zip(parent, change))]
+        return {name: m["unresolved"]
+                for name, m in bench_pairs.summarize(spec, pairs)["end_to_end"].items()}
+
+    wide = [1.0, 1.2, 1.5, 1.8, 2.0]  # exclusive quartiles 1.1 and 1.9: IQR 0.8 > 0.25 * 1.5
+    assert unresolved(wide, [1.4, 1.5, 1.5, 1.6, 1.6]) == {"wall_s": True, "speed": True}
+    # every change run better than every parent run, in each metric's direction
+    assert unresolved(wide, [0.5, 0.6, 0.7, 0.8, 0.9])["wall_s"] is False
+    assert unresolved(wide, [2.1, 2.2, 2.3, 2.4, 2.5])["speed"] is False
+    narrow = [1.45, 1.48, 1.5, 1.52, 1.55]  # IQR 0.07 <= 0.1 * 1.5
+    assert unresolved(narrow, [1.0, 1.6, 1.9, 2.0, 2.0]) == {"wall_s": False, "speed": False}

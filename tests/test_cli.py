@@ -117,6 +117,20 @@ class TestUsageErrors:
         assert rc == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["check", "--target", "t3_2", "--assumption", "A1", "--A", "nan"], "A"),
+        (["check", "--target", "t3_2", "--assumption", "A3", "--rho", "-1"], "rho"),
+        (["check", "--target", "t3_2", "--assumption", "A4", "--L", "inf"], "L"),
+        (["classify", "--assumption", "strong", "--vartheta", "1", "--b", "0.5",
+          "--rho", "nan"], "rho"),
+    ])
+    def test_constant_out_of_range_names_it(self, tmp_path, capsys, argv, name):
+        """A NaN, infinite or out-of-range constant is a usage error naming
+        it; before, these wrote a report or a verdict."""
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert f"error: {name} must lie in " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_classify_needs_constants(self, capsys):
         assert main(["classify", "--assumption", "strong", "--b", "0.5"]) == 2
 

@@ -6,6 +6,7 @@ significant digits (tools/freeze_oracles.py) and pasted here.
 
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -422,6 +423,20 @@ class TestInverse:
         assert g_inverse(t, math.exp(9.0)) == pytest.approx(3.0, rel=1e-14)
         w = warmup_transform(2, knot=1.0)
         assert g_inverse(w, 18.0) == pytest.approx(3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_quadratic_tail_root_keeps_its_digits(self, d):
+        """The quadratic tail's root is taken from s itself, within 2 ulp of
+        the 40-digit sqrt(s/a) from the seam to 1e308; a root through log s
+        lost digits like eps log(s)/2 (1.6e-14 relative at s = 1e300)."""
+        t = warmup_transform(d)
+        s = np.geomspace(t.seam, 1e308, 601)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for value, root in zip(s, g_inverse(t, s)):
+                exact = (Decimal(float(value)) / Decimal(t.tail_scale)).sqrt()
+                ulp = Decimal(math.ulp(float(exact)))
+                assert abs(Decimal(float(root)) - exact) <= 2 * ulp, value
 
     @pytest.mark.parametrize("b", [0.25, 1.0, 2.0])
     def test_round_trip_thousand_points(self, b):

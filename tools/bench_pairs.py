@@ -9,10 +9,14 @@ first, then, unless ``--trace-seed`` is negative, one ``--trace 1`` run of
 each tree.  Each tree runs its own ``perfbench/`` from its own root.  For
 every end-to-end metric the output records the per-pair values, both
 medians, both quartiles, the parent's interquartile range and the number
-of pairs the change won (ties count for neither side) and whether the
+of pairs the change won (ties count for neither side), whether the
 change's median is worse than the parent's by more than the metric's
-relative bound in ``BENCHMARK.json`` (``beyond_bound``), and for each side
-the summed ``attempted`` and ``failed`` operations, the number of runs
+relative bound in ``BENCHMARK.json`` (``beyond_bound``), and whether the
+comparison is ``unresolved``: the parent's interquartile range exceeds
+that bound times the parent's median and not every change run is better
+than every parent run, so the runs spread too widely to call the metric
+unchanged.  For each side it records the summed ``attempted`` and
+``failed`` operations, the number of runs
 that reported ``correct: false`` and the pass count of every run (with
 its median).  ``peak_rss_mb`` grows with the pass count, since the worker
 keeps every pass's outputs and the pooled check of a sampling workload
@@ -132,7 +136,10 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
                  "beyond_bound": worse > metric["bound"] * abs(pm)}
         if len(pairs) >= 2:  # quartiles by statistics.quantiles' exclusive method
             pq, cq = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
-            entry.update(parent_quartiles=pq, change_quartiles=cq, parent_iqr=pq[2] - pq[0])
+            iqr = pq[2] - pq[0]
+            beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+            entry.update(parent_quartiles=pq, change_quartiles=cq, parent_iqr=iqr,
+                         unresolved=iqr > metric["bound"] * abs(pm) and not beats_all)
         out["end_to_end"][name] = entry
     if out["passes"]["parent"]["median"] is not None:
         fit = out["rss_fit"] = rss_fit(pairs, out["passes"]["parent"]["median"])
@@ -187,6 +194,7 @@ def main(argv=None) -> int:
               f"{m['change_median']:.4g} {m['unit']}, change wins {m['change_wins']}/{len(pairs)}"
               + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else "")
               + f", beyond the {m['bound']:.0%} bound: {m['beyond_bound']}"
+              + (f", unresolved: {m['unresolved']}" if "unresolved" in m else "")
               + (f", median passes parent {passes['parent']['median']} change "
                  f"{passes['change']['median']}" if name == "peak_rss_mb" else ""))
     fit = entry.get("rss_fit")
