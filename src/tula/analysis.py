@@ -622,13 +622,14 @@ def estimate_lsi(
     Raises:
       NotApplicableError: the smaller eigenvalue is nonpositive somewhere on
         (0, r_max], so the curvature bound does not apply.
-      ValueError: r_max is not positive and finite, or the balance equation
-        has no root inside (0, r_max); raise r_max.
+      ValueError: r_max is not positive and finite, grid_size lies outside
+        [16, 2**20] (each radius takes a few dozen float64 temporaries), or
+        the balance equation has no root inside (0, r_max); raise r_max.
     """
     if not (r_max > 0 and math.isfinite(r_max)):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
+    if not 16 <= grid_size <= 2**20:
+        raise ValueError(f"grid_size must lie in [16, {2**20}], got {grid_size}")
 
     step = r_max / grid_size
     radii = np.linspace(step, r_max, grid_size)

@@ -301,6 +301,8 @@ def cmd_check(opts: dict[str, Any]) -> int:
         lo = float(opts["grid_min"]) if opts.get("grid_min") is not None else default[0]
         hi = float(opts["grid_max"]) if opts.get("grid_max") is not None else default[-1]
         num = int(opts["grid_points"]) if opts.get("grid_points") is not None else default.size
+        if num < 2:
+            raise ValueError(f"grid_points must be at least 2, got {num}")
         grid = np.geomspace(lo, hi, num)
 
     candidates = {name: float(opts[key]) for _, key, name, _ in _CHECK_CONSTANTS

@@ -116,39 +116,15 @@ class TransformedPotential:
         return self.transform.dimension
 
 
-# outer derivatives f^(j) (F^(j) on a tail) that f_h^(k) needs
-_OUTER = {0: (0,), 1: (1,), 2: (1, 2)}
-
-
-def _branch_derivatives(jet: tr.RadialJet, hooks, d1: float, orders) -> list:
-    """``f_h^(k)`` for ``k`` in ``orders`` on one branch, from its jet.
-
-    ``hooks`` are the outer function and its first two derivatives,
-    evaluated at ``jet.profile[0]``: ``f`` of ``g`` on the bulk, ``F`` of
-    ``u`` on the tail.
-    """
-    p = jet.profile
-    needed = {j for k in orders for j in _OUTER[k]}
-    outer = {j: np.asarray(hooks[j](p[0]), dtype=float) for j in needed}
-    out = []
-    for k in orders:
-        if k == 0:
-            chain = outer[0]
-        elif k == 1:
-            chain = outer[1] * p[1]
-        else:
-            chain = outer[2] * p[1] * p[1] + outer[1] * p[2]
-        out.append(chain - jet.log_gprime[k] - d1 * jet.log_g_over_r[k])
-    return out
-
-
 def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ...]) -> list:
     """``f_h^(k)`` at the radii ``arr`` for each ``k`` in ``orders`` (0 to 2).
 
     For a target built from a closed transformed potential for this
     transform (``tp.closed_form``), ``f_h^(k)`` is ``phi^(k)`` at every
     radius.  Otherwise it splits the radii at the knot once and composes
-    ``f`` with the bulk jet and ``F`` with the tail jet.
+    ``f`` with the bulk jet and ``F`` with the tail jet at the asked orders,
+    calling each hook at most once: ``f_h`` reads ``f``, ``f_h'`` reads
+    ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.
     """
     form = tp.closed_form
     if form is not None:
@@ -156,17 +132,25 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
         return [phi[k](arr) for k in orders]
     t, f = tp.transform, tp.target
     d1 = t.dimension - 1.0
-    top = max(orders)
 
-    def bulk(rb):
-        jet = tr.bulk_jet(t.gin, rb, top)
-        return _branch_derivatives(jet, (f.value, f.dvalue, f.d2value), d1, orders)
+    def compose(jet: tr.RadialJet, hooks) -> list:
+        p, lgp, lgr = jet
+        f1 = hooks[1](p[0]) if max(orders) >= 1 else None
+        out = []
+        for k in orders:
+            if k == 0:
+                chain = hooks[0](p[0])
+            elif k == 1:
+                chain = f1 * p[1]
+            else:
+                chain = hooks[2](p[0]) * p[1] * p[1] + f1 * p[2]
+            out.append(chain - lgp[k] - d1 * lgr[k])
+        return out
 
-    def tail(rt):
-        jet = tr.tail_jet(t, rt, top)
-        return _branch_derivatives(jet, (f.log_value, f.dlog_value, f.d2log_value), d1, orders)
-
-    return tr._piecewise(arr, t.knot, bulk, tail)
+    return tr._piecewise(
+        arr, t.knot,
+        lambda rb: compose(tr.bulk_jet(t.gin, rb, orders), (f.value, f.dvalue, f.d2value)),
+        lambda rt: compose(tr.tail_jet(t, rt, orders), (f.log_value, f.dlog_value, f.d2log_value)))
 
 
 def value_radial(tp: TransformedPotential, r):

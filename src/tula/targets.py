@@ -269,11 +269,11 @@ def _pullback(
 
     def bulk(s: Array, k: int) -> Array:
         r = tr.g_inverse(t, s)
-        return outer(tr.bulk_jet(t.gin, r, k), r, k)[k]
+        return outer(tr.bulk_jet(t.gin, r, range(k + 1)), r, k)[k]
 
     def log_tail(tt: Array, k: int) -> list:
         r = tr._tail_root(t, tt)
-        return outer(tr.tail_jet(t, r, k), r, k)
+        return outer(tr.tail_jet(t, r, range(k + 1)), r, k)
 
     def tail(s: Array, k: int) -> Array:
         F = log_tail(np.log(s), k)

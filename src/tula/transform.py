@@ -23,7 +23,7 @@ need the profile only through the log-Jacobian terms ``log g'`` and
 overflow: ``exp(b r**beta)`` leaves double range near ``r ~ 26`` for
 ``b = 1, beta = 2`` while the log-space forms stay exact.  Each branch has
 one jet (:class:`RadialJet`) that computes the profile pieces and these
-terms together, up to a requested derivative order: :func:`bulk_jet`
+terms together, at the derivative orders a caller asks for: :func:`bulk_jet`
 shares one Horner pass per derivative of ``p`` and one ``exp(p)``, and
 :func:`tail_jet` shares the exponent ``u = log g`` of either tail kind.
 A jet's profile is ``g`` on the bulk and ``u`` on every tail, so callers
@@ -90,16 +90,9 @@ def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
 
 
-def _horner(coeffs: tuple[float, ...], r):
-    """Polynomial with the given coefficients, lowest order first, at ``r``.
-
-    Same operation order as ``numpy.polynomial.polynomial.polyval``, so the
-    values match it bit for bit, without its per-call array set-up.
-    """
-    acc = coeffs[-1] + r * 0
-    for c in coeffs[-2::-1]:
-        acc = c + acc * r
-    return acc
+# 0-d operands of the jets: numpy combines an array with a 0-d array in
+# about half the time it takes with a Python float
+_ZERO, _ONE = np.zeros(()), np.ones(())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,14 +107,17 @@ class GinSpec:
         Coefficients of ``p``, lowest order first.  The linear coefficient
         must vanish; otherwise the origin limits of the transformed
         geometry diverge like ``1/r``.
+
+    It holds the coefficients of ``p`` and its first three derivatives,
+    ``scale`` and ``log(scale)`` as 0-d float64 arrays (``_coeffs``,
+    ``_scale``, ``_log_scale``), so each step of a jet is one array ufunc.
     """
 
     scale: float
     log_poly: tuple[float, ...]
-    # coefficients of p and its first three derivatives, lowest order first
-    _coeffs: tuple[tuple[float, ...], ...] = dataclasses.field(
-        init=False, repr=False, compare=False
-    )
+    _coeffs: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _log_scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
@@ -135,11 +131,20 @@ class GinSpec:
             )
         p1 = _polyder(self.log_poly)
         p2 = _polyder(p1)
-        object.__setattr__(self, "_coeffs", (self.log_poly, p1, p2, _polyder(p2)))
+        coeffs = (self.log_poly, p1, p2, _polyder(p2))
+        object.__setattr__(self, "_coeffs", tuple(tuple(map(np.array, c)) for c in coeffs))
+        object.__setattr__(self, "_scale", np.array(self.scale))
+        object.__setattr__(self, "_log_scale", np.array(math.log(self.scale)))
 
     def log_profile(self, r, order: int = 0):
-        """Evaluate ``p`` or one of its first three derivatives."""
-        return _horner(self._coeffs[order], r)
+        """Evaluate ``p`` or one of its first three derivatives by Horner's
+        rule in the operation order of ``numpy.polynomial.polynomial.polyval``,
+        so the values match it bit for bit, without its per-call set-up."""
+        coeffs = self._coeffs[order]
+        acc = coeffs[-1] + r * _ZERO
+        for c in coeffs[-2::-1]:
+            acc = c + acc * r
+        return acc
 
     def value(self, r):
         return self.deriv(r, 0)
@@ -269,14 +274,16 @@ def _piecewise(x: np.ndarray, boundary: float, lower, upper) -> list:
     ``x`` is a 1-d array; each piece maps its share of it to a sequence of
     arrays, and the pieces' outputs are scattered back into arrays shaped
     like ``x``.  The upper piece owns the boundary itself; NaN goes to the
-    lower piece.  A piece that covers all of ``x`` gets ``x`` itself.
+    lower piece.  A piece that covers all of ``x`` gets ``x`` itself, at
+    the cost of one comparison and one count (a sampler step's one radius).
     """
     up = x >= boundary
-    if up.all():
+    n_up = np.count_nonzero(up)
+    if n_up == x.size:
         return list(upper(x))
-    down = ~up
-    if down.all():
+    if n_up == 0:
         return list(lower(x))
+    down = ~up
     outs = []
     for lo_val, hi_val in zip(lower(x[down]), upper(x[up])):
         out = np.empty_like(x)
@@ -354,69 +361,72 @@ def _radial_field(x, dimension: int, s, at_origin):
 
 
 class RadialJet(NamedTuple):
-    """One branch's radial pieces at a batch of radii, up to order ``k <= 3``.
+    """One branch's radial pieces at a batch of radii for the derivative
+    orders a caller asks for, the largest ``k <= 3``.
 
     ``profile[j]`` is the ``j``-th derivative of ``g`` on the bulk, and of
     the exponent ``u = log g`` on every tail (where ``g = e^u`` may leave
-    double range); it holds ``k + 1`` arrays.  ``log_gprime[j]`` and
-    ``log_g_over_r[j]`` are the ``j``-th derivatives of ``log g'`` and
-    ``log(g/r)``, the two terms of the log-Jacobian ``log g' + (d - 1)
-    log(g/r)``, for ``j <= min(k, 2)``.
+    double range); it holds ``k + 1`` arrays.  ``log_gprime`` and
+    ``log_g_over_r`` map each asked order ``j <= 2``, and no other, to the
+    ``j``-th derivative of ``log g'`` and ``log(g/r)``, the two terms of
+    the log-Jacobian ``log g' + (d - 1) log(g/r)``.
     """
 
     profile: tuple
-    log_gprime: tuple
-    log_g_over_r: tuple
+    log_gprime: dict
+    log_g_over_r: dict
 
 
 def _bulk_profile(gin: GinSpec, r: np.ndarray, order: int) -> tuple[list, list, np.ndarray | None]:
     """The profile half of :func:`bulk_jet`: ``g`` and its first ``order``
     derivatives, with the derivatives ``p, ..., p^(order)`` they used and
-    ``r q`` (None at order 0).  One ``exp(p)`` serves every piece; with
+    ``1 + r q`` (None at order 0).  One ``exp(p)`` serves every piece; with
     ``q = p'``:
 
     * ``g'   = c (1 + r q) e^p``
     * ``g''  = c (2 q + r p'' + r q^2) e^p``
     * ``g''' = c (3 q^2 + 3 p'' + 3 r q p'' + r q^3 + r p''') e^p``
     """
-    c = gin.scale
+    c = gin._scale
     p = [gin.log_profile(r, j) for j in range(order + 1)]
     ep = np.exp(p[0])
     g = [c * r * ep]
-    rq = None
+    den = None
     if order >= 1:
         q = p[1]
         rq = r * q
-        g.append(c * (1.0 + rq) * ep)
+        den = _ONE + rq
+        g.append(c * den * ep)
     if order >= 2:
         g.append(c * (2.0 * q + r * p[2] + rq * q) * ep)
     if order >= 3:
         g.append(c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * q**3 + r * p[3]) * ep)
-    return g, p, rq
+    return g, p, den
 
 
-def bulk_jet(gin: GinSpec, r: np.ndarray, order: int) -> RadialJet:
-    """Jet of the bulk profile ``c r e^p`` at radii ``r``, order 0 to 3.
+def bulk_jet(gin: GinSpec, r: np.ndarray, orders) -> RadialJet:
+    """Jet of the bulk profile ``c r e^p`` at radii ``r`` for the derivative
+    orders ``orders``, a collection of integers from 0 to 3.
 
     The profile pieces of :func:`_bulk_profile` and the log terms of the
-    identities above, sharing each derivative of ``p``.  No knot test: the
-    caller passes bulk radii.
+    identities above at the asked orders, sharing each derivative of
+    ``p``.  No knot test: the caller passes bulk radii.
     """
-    g, p, rq = _bulk_profile(gin, r, order)
-    p += [gin.log_profile(r, j) for j in range(len(p), min(order, 2) + 2)]
+    top = max(orders)
+    g, p, den = _bulk_profile(gin, r, top)
+    p += [gin.log_profile(r, j) for j in range(len(p), min(top, 2) + 2)]
     q = p[1]
-    if rq is None:  # order 0: the profile needed no q
-        rq = r * q
-    den = 1.0 + rq
-    lgp = [math.log(gin.scale) + np.log1p(rq) + p[0]]
-    lgr = [math.log(gin.scale) + p[0]]
-    if order >= 1:
-        lgp.append(q + (q + r * p[2]) / den)
-        lgr.append(q)
-    if order >= 2:
-        lgp.append(p[2] + ((2.0 * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den))
-        lgr.append(p[2])
-    return RadialJet(tuple(g), tuple(lgp), tuple(lgr))
+    lgp, lgr = {}, {}
+    if 0 in orders:
+        lgp[0] = gin._log_scale + np.log1p(r * q) + p[0]
+        lgr[0] = gin._log_scale + p[0]
+    if 1 in orders:
+        lgp[1] = q + (q + r * p[2]) / den
+        lgr[1] = q
+    if 2 in orders:
+        lgp[2] = p[2] + ((2.0 * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den)
+        lgr[2] = p[2]
+    return RadialJet(tuple(g), lgp, lgr)
 
 
 def _tail_profile(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
@@ -444,26 +454,29 @@ def _tail_root(t: RadialTransform, log_s):
     return np.power(log_s / t.b, 1.0 / t.beta)
 
 
-def tail_jet(t: RadialTransform, r: np.ndarray, order: int) -> RadialJet:
-    """Jet of the tail profile at radii ``r >= knot``, order 0 to 3.
+def tail_jet(t: RadialTransform, r: np.ndarray, orders) -> RadialJet:
+    """Jet of the tail profile at radii ``r >= knot`` for the derivative
+    orders ``orders``, a collection of integers from 0 to 3.
 
     The exponent ``u = log g`` of :func:`_tail_profile` with the log terms
-    ``log g' = log c + k log r + u`` and ``log(g/r) = u - log r``, where
-    ``u' = c r**k``: ``(c, k)`` is ``(b beta, beta - 1)`` on the exponential
-    kind and ``(2, -1)`` on the quadratic kind.
+    ``log g' = log c + k log r + u`` and ``log(g/r) = u - log r`` at the
+    asked orders, where ``u' = c r**k``: ``(c, k)`` is ``(b beta, beta -
+    1)`` on the exponential kind and ``(2, -1)`` on the quadratic kind.
     """
-    u = _tail_profile(t, r, order)
+    u = _tail_profile(t, r, max(orders))
     c, k = (2.0, -1.0) if t.tail == _QUADRATIC else (t.b * t.beta, t.beta - 1.0)
-    logr = np.log(r)
-    lgp = [math.log(c) + k * logr + u[0]]
-    lgr = [u[0] - logr]
-    if order >= 1:
-        lgp.append(k / r + u[1])
-        lgr.append(u[1] - 1.0 / r)
-    if order >= 2:
-        lgp.append(-k / (r * r) + u[2])
-        lgr.append(u[2] + 1.0 / (r * r))
-    return RadialJet(u, tuple(lgp), tuple(lgr))
+    lgp, lgr = {}, {}
+    if 0 in orders:
+        logr = np.log(r)
+        lgp[0] = math.log(c) + k * logr + u[0]
+        lgr[0] = u[0] - logr
+    if 1 in orders:
+        lgp[1] = k / r + u[1]
+        lgr[1] = u[1] - 1.0 / r
+    if 2 in orders:
+        lgp[2] = -k / (r * r) + u[2]
+        lgr[2] = u[2] + 1.0 / (r * r)
+    return RadialJet(u, lgp, lgr)
 
 
 def g_eval(t: RadialTransform, r, order: int = 0):
@@ -509,11 +522,11 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
         raise ValueError(f"order must be in {{0, 1, 2}}, got {order}")
 
     def log_terms(jet: RadialJet) -> tuple:
-        return jet.log_gprime + jet.log_g_over_r
+        return (*jet.log_gprime.values(), *jet.log_g_over_r.values())
 
     terms = _radial(lambda x: _piecewise(
-        x, t.knot, lambda xb: log_terms(bulk_jet(t.gin, xb, order)),
-        lambda xt: log_terms(tail_jet(t, xt, order))), r)
+        x, t.knot, lambda xb: log_terms(bulk_jet(t.gin, xb, range(order + 1))),
+        lambda xt: log_terms(tail_jet(t, xt, range(order + 1)))), r)
     return tuple(terms[: order + 1]), tuple(terms[order + 1:])
 
 
@@ -720,7 +733,7 @@ def verify_g1_assumption(t: RadialTransform, target=None) -> G1Report:
     checks.append(G1Check("bulk_monotone", min_slope, 0.0, min_slope > 0.0, "min g_in' on (0, knot]"))
 
     radii = np.geomspace(1e-8, knot, 161)
-    jet = bulk_jet(t.gin, radii, 2)
+    jet = bulk_jet(t.gin, radii, (1, 2))
     limits = {
         "limit_dlog_gprime_over_r": jet.log_gprime[1] / radii,
         "limit_dlog_g_over_r_over_r": jet.log_g_over_r[1] / radii,

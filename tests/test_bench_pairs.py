@@ -1,6 +1,7 @@
 """The before/after summary of tools/bench_pairs.py on synthetic pairs."""
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -68,6 +69,32 @@ def test_run_records_the_pass_count(tmp_path, capsys):
                              "change": {"runs": [20, 60, 40], "median": 40}}
 
 
+def test_main_prints_the_pass_ratio_against_the_headroom(tmp_path, capsys):
+    """Two fake trees on one line of 0.5 MB per pass over 39 MB: the change
+    runs twice the parent's passes, past the 1.1x RSS bound's headroom, and
+    the printed headroom line says so."""
+    for name, scale in (("parent", 1), ("change", 2)):
+        run_py = tmp_path / name / "perfbench" / "run.py"
+        run_py.parent.mkdir(parents=True)
+        run_py.write_text(
+            "import json, sys\n"
+            f"n = {scale} * (10 + int(sys.argv[sys.argv.index('--seed') + 1]))\n"
+            "print(json.dumps({'report': {'wall_s': {'n': n}}}))\n"
+            "print(json.dumps({'correct': True, 'attempted': n, 'failed': 0, 'metrics': {\n"
+            "    'peak_rss_mb': {'value': 39.0 + 0.5 * n}}}))\n"
+        )
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}')
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "w", "--pairs", "3",
+                             "--first-seed", "1", "--out", str(out)]) == 0
+    room = json.loads(out.read_text())["workloads"]["w"]["rss_fit"]["headroom"]
+    assert room["pass_ratio"] == 2.0 and room["over_headroom"] is True
+    assert (f"a pass up to {room['speedup']:.2f}x faster than the parent's fits; the change "
+            "ran 2.00x the parent's median passes, over the headroom: True"
+            in capsys.readouterr().out)
+
 
 def test_rss_fit_separates_harness_from_program_memory():
     """The line runs through every run of both sides.  When both sides grow
@@ -115,6 +142,17 @@ def test_rss_headroom_from_a_synthetic_fit():
     assert room["limit_mb"] == pytest.approx(52.8)
     assert room["passes"] == pytest.approx(27.6)
     assert room["speedup"] == pytest.approx(27.6 / 18)
+    assert room["pass_ratio"] == 1.0 and room["over_headroom"] is False
+
+    # on the same line, a change that ran a median of 29 passes (29/18 = 1.61
+    # times the parent's) is past the 1.53 speed-up that fits; 27 passes is not
+    for change_passes, ratio, over in (((24, 36, 30, 28), 29 / 18, True),
+                                       ((24, 34, 28, 26), 27 / 18, False)):
+        moved = [{**p, "change": run(n, 39.0 + 0.5 * n)} for p, n in zip(pairs, change_passes)]
+        room = bench_pairs.summarize(spec, moved)["rss_fit"]["headroom"]
+        assert room["speedup"] == pytest.approx(27.6 / 18)
+        assert room["pass_ratio"] == pytest.approx(ratio)
+        assert room["over_headroom"] is over
 
     fit = {"slope_mb_per_pass": 0.0, "intercept_mb": 50.0, "at_passes": 18}
     assert bench_pairs.rss_headroom(fit, 50.0, 0.1) is None  # flat: no pass count reaches it

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,28 @@ class TestUsageErrors:
         rc = main([*argv, "--target", "example6", "--d", "2", "--out", str(tmp_path)])
         assert rc == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lsi", "--grid-size", "100000000000"],
+         "grid_size must lie in [16, 1048576], got 100000000000"),
+        *((["check", "--assumption", "A1", "--grid-points", n],
+           f"grid_points must be at least 2, got {n}") for n in ("-1", "0", "1")),
+    ], ids=["grid-size-1e11", "grid-points-neg1", "grid-points-0", "grid-points-1"])
+    def test_grid_size_out_of_range_names_the_option(self, tmp_path, capsys, argv, message):
+        """A grid too large to allocate, or with fewer than two radii, is a
+        usage error naming its option, raised before any grid is built:
+        `--grid-size 100000000000` died allocating 745 GiB with exit 1, and
+        `--grid-points -1` exited 2 with numpy's message."""
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--target", "t3_2", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert peak < 16 * 2**20
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, name", [
         (["check", "--target", "t3_2", "--assumption", "A1", "--A", "nan"], "A"),

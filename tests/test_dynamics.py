@@ -381,6 +381,28 @@ class TestJetPointwise:
                 for j in range(3):
                     assert _bits(batch[term][j]) == _bits([s[term][j] for s in singles]), (term, j)
 
+    @pytest.mark.parametrize("name", ["t2_3", "t3_2", "example3-on-b0.37"])
+    def test_one_radius_equals_its_place_in_a_long_batch(self, name):
+        """On a composed pairing one radius, as a sampler step evaluates it,
+        gets bit for bit what it gets inside a 1024-radius batch that
+        straddles the knot, as the checks and diagnostics evaluate them."""
+        if name.startswith("t"):
+            entry = parse_target_name(name)
+            tp = TransformedPotential(entry.potential, entry.transform)
+        else:  # a zoo potential paired with a transform it was not built for
+            entry = make_example(ExampleKind.EXAMPLE3, 4)
+            tp = TransformedPotential(entry.potential, ginbeta2_transform(0.37, 4))
+        assert tp.closed_form is None
+        knot = tp.transform.knot
+        r = np.sort(np.concatenate([np.geomspace(1e-3 * knot, 50.0 * knot, 1021),
+                                    [np.nextafter(knot, 0.0), knot, np.nextafter(knot, np.inf)]]))
+        batch = np.stack([value_radial(tp, r), grad_factor(tp, r), *hessian_eigenvalues(tp, r)])
+        picked = sorted({*range(0, r.size, 4), *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
+        for i in picked:
+            alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
+                              *hessian_eigenvalues(tp, r[i])])
+            assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+
 
 class TestQuadraticTailBranch:
     """The warm-up transform exercises the non-exponential code paths."""

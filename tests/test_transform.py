@@ -115,7 +115,7 @@ class TestGinSpec:
         """GinSpec.deriv reads the bulk jet's profile, bit for bit."""
         spec = ginbeta2_profile(b)
         r = np.asarray(frac * b**-0.5)
-        jet = bulk_jet(spec, r, order)
+        jet = bulk_jet(spec, r, (order,))
         assert len(jet.profile) == order + 1
         assert np.float64(spec.deriv(r, order)).tobytes() == jet.profile[order].tobytes()
 
@@ -125,14 +125,24 @@ class TestGinSpec:
     ])
     def test_log_profile_matches_polyval_bitwise(self, spec):
         """The profile exponent and its derivatives are evaluated by Horner's
-        rule in numpy's polyval order, so they equal polyval bit for bit."""
+        rule in numpy's polyval order, on coefficients the spec holds as 0-d
+        float64 arrays, so they equal polyval bit for bit for array and
+        scalar radii alike."""
         r = np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 400), [np.inf]])
         for order in range(4):
             coeffs = npoly.polyder(spec.log_poly, order)
+            held = spec._coeffs[order]
+            assert all(type(c) is np.ndarray and c.shape == () and c.dtype == np.float64
+                       for c in held)
+            assert np.array(held).tobytes() == coeffs.tobytes()
             with np.errstate(invalid="ignore"):  # inf * 0 starts both at nan
                 assert spec.log_profile(r, order).tobytes() == npoly.polyval(r, coeffs).tobytes()
             for x in (0.0, 0.37, 1.0):
-                assert spec.log_profile(x, order) == npoly.polyval(x, coeffs)
+                want = np.float64(npoly.polyval(x, coeffs)).tobytes()
+                for arg in (x, np.float64(x), np.asarray(x), np.array([x])):
+                    assert np.asarray(spec.log_profile(arg, order)).tobytes() == want
+        assert spec._scale.shape == () and float(spec._scale) == spec.scale
+        assert spec._log_scale.shape == () and float(spec._log_scale) == math.log(spec.scale)
 
 
 class TestRadialTransformValidation:
@@ -354,7 +364,7 @@ class TestLogHelpers:
 
     def test_tail_exponent_values(self):
         t = ginbeta2_transform(0.5, 2)
-        u, du, d2u = tail_jet(t, 3.0, 2).profile
+        u, du, d2u = tail_jet(t, 3.0, (2,)).profile
         assert u == pytest.approx(4.5)
         assert du == pytest.approx(3.0)
         assert d2u == pytest.approx(1.0)
@@ -380,7 +390,7 @@ class TestTailExponent:
         want_lgr = (np.log(g / r), g1 / g - 1.0 / r, g2 / g - (g1 / g) ** 2 + 1.0 / r**2)
         lgp, lgr = log_jacobian_terms(t, r, 2)
         tail = r >= t.knot
-        jet = tail_jet(t, r[tail], 2)
+        jet = tail_jet(t, r[tail], range(3))
         for k in range(3):
             np.testing.assert_allclose(lgp[k], want_lgp[k], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(lgr[k], want_lgr[k], rtol=1e-12, atol=1e-12)

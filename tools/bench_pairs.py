@@ -28,9 +28,12 @@ equal harness memory.  The same line gives the RSS headroom: the pass
 count at which it reaches the parent's median ``peak_rss_mb`` times one
 plus the metric's bound, and that count over the parent's median pass
 count, the pass speed-up that fits before the harness alone fails the
-memory bound.  For the traced run it records the per-layer metrics named
-in TRACED.  Results of several workloads accumulate in one ``--out`` file,
-one entry per workload.  The exit status is 1 when any run, traced or not,
+memory bound.  Next to it stand the change's median pass count over the
+parent's (``pass_ratio``) and ``over_headroom``, true when that ratio
+exceeds the speed-up that fits, so a faster change shows when its extra
+passes alone reach the memory bound.  For the traced run it records the
+per-layer metrics named in TRACED.  Results of several workloads
+accumulate in one ``--out`` file, one entry per workload.  The exit status is 1 when any run, traced or not,
 reported ``correct: false``.
 """
 
@@ -145,7 +148,10 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
         fit = out["rss_fit"] = rss_fit(pairs, out["passes"]["parent"]["median"])
         rss = out["end_to_end"].get("peak_rss_mb")
         if fit and rss:
-            fit["headroom"] = rss_headroom(fit, rss["parent_median"], rss["bound"])
+            room = fit["headroom"] = rss_headroom(fit, rss["parent_median"], rss["bound"])
+            if room:
+                ratio = out["passes"]["change"]["median"] / out["passes"]["parent"]["median"]
+                room.update(pass_ratio=ratio, over_headroom=ratio > room["speedup"])
     return out
 
 
@@ -206,7 +212,9 @@ def main(argv=None) -> int:
         print(f"{args.workload} peak_rss_mb headroom: " + (
             f"the line reaches {room['limit_mb']:.4g} MB (the parent's median times 1 + bound) "
             f"at {room['passes']:.1f} passes, so a pass up to {room['speedup']:.2f}x faster "
-            f"than the parent's fits" if room else "the line does not grow"))
+            f"than the parent's fits; the change ran {room['pass_ratio']:.2f}x the parent's "
+            f"median passes, over the headroom: {room['over_headroom']}"
+            if room else "the line does not grow"))
     ops = entry["operations"]
     print(f"{args.workload} operations: " + ", ".join(
         f"{side} failed {o['failed']}/{o['attempted']} ({o['incorrect_runs']} incorrect runs)"
