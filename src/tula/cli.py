@@ -5,8 +5,10 @@ CSV/JSON artifacts, `check` evaluates one of the A1-A5 conditions, `lsi`
 estimates the log-Sobolev bound, `classify` applies the Poincare case
 tables, and `gradcheck` runs the finite-difference oracle suites.
 
-Every option can also come from a JSON config file (`--config`); explicit
-command-line flags win over the file, which wins over built-in defaults.
+Each subcommand declares its options once, in `_COMMANDS`: the parser, the
+defaults and the config-file checks all come from that table.  Every option
+can also come from a JSON config file (`--config`); explicit command-line
+flags win over the file, which wins over built-in defaults.
 Exit codes: 0 success, 1 failed check or diverged chain, 2 usage or config
 errors.
 """
@@ -18,7 +20,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .analysis import (
     radial_diagnostics,
 )
 from .dynamics import TransformedPotential, hessian_eigenvalues, transformed_gradient, transformed_value
-from .sampler import SamplerConfig, run_summary, run_tula, write_chain_csv
-from .targets import TargetZooEntry, parse_target_name
+from .sampler import SamplerConfig, _check_seed, run_summary, run_tula, write_chain_csv
+from .targets import parse_target_name
 from .transform import transform_to_dict
 
 __all__ = [
@@ -48,45 +50,6 @@ __all__ = [
 GRADCHECK_GRAD_TOL = 1e-5
 GRADCHECK_HESS_TOL = 1e-4
 
-# the target options every target-taking subcommand shares
-_TARGET_DEFAULTS: dict[str, Any] = {
-    "target": None, "d": None, "kappa": None, "upsilon": None, "vartheta": 1.0,
-    "b": None, "knot": 1.0,
-}
-
-# the candidate constants of `check`: flag, config key, constant name, help
-_CHECK_CONSTANTS = (
-    ("--A", "A", "A", "dissipativity growth constant"),
-    ("--B", "B", "B", "dissipativity offset"),
-    ("--alpha", "alpha", "alpha", "dissipativity exponent"),
-    ("--mu", "mu", "mu", "degenerate convexity level"),
-    ("--theta", "theta", "theta", "degenerate convexity decay"),
-    ("--rho", "rho", "rho", "strong convexity level"),
-    ("--L", "L", "L", "gradient Lipschitz bound"),
-    ("--m", "m", "m", "tail shift"),
-    ("--alpha1", "alpha1", "alpha1", "tail stretch exponent"),
-    ("--C-tail", "c_tail", "C_tail", "tail scale"),
-)
-
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "sample": {
-        **_TARGET_DEFAULTS, "gamma": None, "steps": None, "seed": 0, "chains": 1,
-        "thin": 1, "burn_in": None, "init_scale": None, "threshold": None,
-        "skip_diagnostics": False, "out": ".",
-    },
-    "check": {
-        **_TARGET_DEFAULTS, "assumption": None, "grid_min": None, "grid_max": None,
-        "grid_points": None, **{key: None for _, key, _, _ in _CHECK_CONSTANTS}, "out": ".",
-    },
-    "lsi": {**_TARGET_DEFAULTS, "r_max": 12.0, "grid_size": 1024, "out": "."},
-    "classify": {
-        "assumption": None, "vartheta": None, "d": 1, "b": None, "beta": 2.0,
-        "alpha": None, "A": None, "B": None, "mu": None, "theta": None, "rho": None,
-        "out": ".",
-    },
-    "gradcheck": {**_TARGET_DEFAULTS, "points": 1000, "seed": 0, "out": "."},
-}
-
 
 def load_config(path: str | Path) -> dict[str, Any]:
     """Read a JSON config file into a flat option mapping."""
@@ -98,54 +61,12 @@ def load_config(path: str | Path) -> dict[str, Any]:
 
 
 def dump_config(options: dict[str, Any], path: str | Path) -> None:
-    """Write an option mapping back to disk; load_config inverts this."""
+    """Write a mapping as sorted, indented JSON, making its directory;
+    load_config inverts this."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(options, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _merge_options(command: str, ns: argparse.Namespace) -> dict[str, Any]:
-    """defaults <- config file <- explicit flags, rejecting unknown keys."""
-    merged = dict(_DEFAULTS[command])
-    config_path = getattr(ns, "config", None)
-    if config_path is not None:
-        file_opts = load_config(config_path)
-        unknown = set(file_opts) - set(merged)
-        if unknown:
-            raise ValueError(
-                f"unknown config keys for {command!r}: {', '.join(sorted(unknown))}"
-            )
-        merged.update(file_opts)
-    for key in merged:
-        value = getattr(ns, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _build_entry(opts: dict[str, Any]) -> TargetZooEntry:
-    if not opts.get("target"):
-        raise ValueError("a target name is required (--target)")
-    return parse_target_name(
-        str(opts["target"]),
-        dimension=None if opts.get("d") is None else int(opts["d"]),
-        kappa=opts.get("kappa"),
-        upsilon=opts.get("upsilon"),
-        vartheta=1.0 if opts.get("vartheta") is None else float(opts["vartheta"]),
-        b=opts.get("b"),
-        knot=1.0 if opts.get("knot") is None else float(opts["knot"]),
-    )
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _target_echo(opts: dict[str, Any]) -> dict[str, Any]:
-    return {k: opts.get(k) for k in _TARGET_DEFAULTS if opts.get(k) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +84,9 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
     differences of the value; the radial and tangential eigenvalues against
     directional second differences along and across the position vector.
     """
-    if num_points < 1:
-        raise ValueError("num_points must be positive")
+    if not 1 <= num_points <= 2**20:
+        raise ValueError(f"num_points must lie in [1, {2**20}], got {num_points}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     d, t = tp.dimension, tp.transform
 
@@ -235,24 +157,28 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
 # subcommands
 
 
+def _pairing(opts: dict[str, Any]) -> TransformedPotential:
+    """The named zoo target paired with its transform."""
+    entry = parse_target_name(
+        opts["target"], dimension=opts["d"], kappa=opts["kappa"], upsilon=opts["upsilon"],
+        vartheta=opts["vartheta"], b=opts["b"], knot=opts["knot"],
+    )
+    return TransformedPotential(entry.potential, entry.transform)
+
+
+def _target_echo(opts: dict[str, Any]) -> dict[str, Any]:
+    return {opt.dest: opts[opt.dest] for opt in _TARGET if opts[opt.dest] is not None}
+
+
 def cmd_sample(opts: dict[str, Any]) -> int:
-    entry = _build_entry(opts)
-    if opts.get("gamma") is None or opts.get("steps") is None:
-        raise ValueError("sample needs --gamma and --steps")
+    tp = _pairing(opts)
     # checked before any step runs, so a bad threshold leaves no artifacts
-    thresholds = _tail_thresholds(
-        [5.0] if opts.get("threshold") is None else np.atleast_1d(opts["threshold"]))
+    thresholds = _tail_thresholds(opts["threshold"])
     if not thresholds:
         raise ValueError("threshold must name at least one radius")
-    tp = TransformedPotential(entry.potential, entry.transform)
-    cfg = SamplerConfig(
-        step_size=float(opts["gamma"]),
-        num_steps=int(opts["steps"]),
-        seed=int(opts["seed"]),
-        thin=int(opts["thin"]),
-        num_chains=int(opts["chains"]),
-        init_scale=None if opts.get("init_scale") is None else float(opts["init_scale"]),
-    )
+    cfg = SamplerConfig(step_size=opts["gamma"], num_steps=opts["steps"], seed=opts["seed"],
+                        thin=opts["thin"], num_chains=opts["chains"],
+                        init_scale=opts["init_scale"])
     run = run_tula(tp, cfg)
 
     out = Path(opts["out"])
@@ -266,19 +192,19 @@ def cmd_sample(opts: dict[str, Any]) -> int:
 
     summary = run_summary(run)
     summary["target"] = _target_echo(opts)
-    summary["transform"] = transform_to_dict(entry.transform)
-    _write_json(summary, out / "summary.json")
+    summary["transform"] = transform_to_dict(tp.transform)
+    dump_config(summary, out / "summary.json")
 
     if run.any_diverged:
         print(f"divergence detected; summary written to {out / 'summary.json'}", file=sys.stderr)
         return 1
 
-    if not opts.get("skip_diagnostics"):
-        recorded = min(arr.shape[0] for arr in run.ys)
-        burn_in = opts.get("burn_in")
-        burn_in = recorded // 2 if burn_in is None else int(burn_in)
-        report = radial_diagnostics(run, entry.potential, burn_in, thresholds=thresholds)
-        _write_json(report.to_dict(), out / "diagnostics.json")
+    if not opts["skip_diagnostics"]:
+        burn_in = opts["burn_in"]
+        if burn_in is None:
+            burn_in = min(arr.shape[0] for arr in run.ys) // 2
+        report = radial_diagnostics(run, tp.target, burn_in, thresholds=thresholds)
+        dump_config(report.to_dict(), out / "diagnostics.json")
         print(json.dumps({
             "ks_statistic": report.ks.statistic,
             "ks_critical_1pct": report.ks.critical_1pct,
@@ -290,29 +216,28 @@ def cmd_sample(opts: dict[str, Any]) -> int:
 
 
 def cmd_check(opts: dict[str, Any]) -> int:
-    entry = _build_entry(opts)
-    if not opts.get("assumption"):
-        raise ValueError("check needs --assumption (A1..A5 or a full name)")
-    tp = TransformedPotential(entry.potential, entry.transform)
+    tp = _pairing(opts)
 
     grid = None
-    if any(opts.get(k) is not None for k in ("grid_min", "grid_max", "grid_points")):
+    lo, hi, num = opts["grid_min"], opts["grid_max"], opts["grid_points"]
+    if (lo, hi, num) != (None, None, None):
         default = default_assumption_grid(tp)  # supplies what the flags leave out
-        lo = float(opts["grid_min"]) if opts.get("grid_min") is not None else default[0]
-        hi = float(opts["grid_max"]) if opts.get("grid_max") is not None else default[-1]
-        num = int(opts["grid_points"]) if opts.get("grid_points") is not None else default.size
-        if num < 2:
-            raise ValueError(f"grid_points must be at least 2, got {num}")
+        lo = default[0] if lo is None else lo
+        hi = default[-1] if hi is None else hi
+        num = default.size if num is None else num
+        if not 2 <= num <= 2**20:  # before the grid is allocated
+            raise ValueError(f"grid_points must be at least 2, got {num}" if num < 2
+                             else f"grid_points must be at most {2**20}, got {num}")
         grid = np.geomspace(lo, hi, num)
 
-    candidates = {name: float(opts[key]) for _, key, name, _ in _CHECK_CONSTANTS
-                  if opts.get(key) is not None}
+    candidates = {opt.flag[2:].replace("-", "_"): opts[opt.dest] for opt in _CONSTANTS
+                  if opts[opt.dest] is not None}
 
-    report = check_assumption(tp, str(opts["assumption"]), grid=grid,
+    report = check_assumption(tp, opts["assumption"], grid=grid,
                               candidate_constants=candidates or None)
     payload = report.to_dict()
     payload["target"] = _target_echo(opts)
-    _write_json(payload, Path(opts["out"]) / "assumption.json")
+    dump_config(payload, Path(opts["out"]) / "assumption.json")
     print(json.dumps({
         "assumption": payload["assumption"],
         "fitted_constants": payload["fitted_constants"],
@@ -323,14 +248,13 @@ def cmd_check(opts: dict[str, Any]) -> int:
 
 
 def cmd_lsi(opts: dict[str, Any]) -> int:
-    entry = _build_entry(opts)
-    tp = TransformedPotential(entry.potential, entry.transform)
-    estimate = estimate_lsi(tp, r_max=float(opts["r_max"]), grid_size=int(opts["grid_size"]))
+    tp = _pairing(opts)
+    estimate = estimate_lsi(tp, r_max=opts["r_max"], grid_size=opts["grid_size"])
 
     out = Path(opts["out"])
     payload = estimate.to_dict()
     payload["target"] = _target_echo(opts)
-    _write_json(payload, out / "lsi.json")
+    dump_config(payload, out / "lsi.json")
     with open(out / "lsi_table.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("r,lambda1,lambda2,beta_bar\n")
         for r, lam1, lam2, bb in estimate.table_rows():
@@ -340,131 +264,183 @@ def cmd_lsi(opts: dict[str, Any]) -> int:
 
 
 def cmd_classify(opts: dict[str, Any]) -> int:
-    if not opts.get("assumption"):
-        raise ValueError("classify needs --assumption")
-    if opts.get("vartheta") is None or opts.get("b") is None:
-        raise ValueError("classify needs --vartheta and --b")
     verdict = classify_regime(
-        str(opts["assumption"]),
-        vartheta=float(opts["vartheta"]),
-        dimension=int(opts["d"]),
-        b=float(opts["b"]),
-        beta=float(opts["beta"]),
-        alpha=opts.get("alpha"),
-        A=opts.get("A"),
-        B=opts.get("B"),
-        mu=opts.get("mu"),
-        theta=opts.get("theta"),
-        rho=opts.get("rho"),
+        opts["assumption"], vartheta=opts["vartheta"], dimension=opts["d"], b=opts["b"],
+        beta=opts["beta"], **{opt.dest: opts[opt.dest] for opt in _CONSTANTS[:6]},
     )
     payload = verdict.to_dict()
-    _write_json(payload, Path(opts["out"]) / "verdict.json")
+    dump_config(payload, Path(opts["out"]) / "verdict.json")
     print(json.dumps(payload, indent=2))
     return 0
 
 
 def cmd_gradcheck(opts: dict[str, Any]) -> int:
-    entry = _build_entry(opts)
-    tp = TransformedPotential(entry.potential, entry.transform)
-    result = run_gradient_suite(tp, num_points=int(opts["points"]), seed=int(opts["seed"]))
+    tp = _pairing(opts)
+    result = run_gradient_suite(tp, num_points=opts["points"], seed=opts["seed"])
     result["target"] = _target_echo(opts)
-    _write_json(result, Path(opts["out"]) / "gradcheck.json")
+    dump_config(result, Path(opts["out"]) / "gradcheck.json")
     print(json.dumps(result, indent=2))
     return 0 if result["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# options and argument parsing
+
+_REQUIRED: Any = object()  # the default of an option that a flag or the config file must set
 
 
-def _add_target_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--target", help="t{d}_{kappa}, t, example2..example6, or warmup")
-    sub.add_argument("--d", type=int, help="ambient dimension")
-    sub.add_argument("--kappa", type=float, help="degrees of freedom for the t family")
-    sub.add_argument("--upsilon", type=float, help="tunable log-weight for example2")
-    sub.add_argument("--vartheta", type=float, help="tail weight of the benchmark entries")
-    sub.add_argument("--b", type=float, help="tail growth coefficient (default d/(2 kappa))")
-    sub.add_argument("--knot", type=float, help="warm-up profile knot radius")
+class Option(NamedTuple):
+    """One option: flag, type, default and help.  Its config key is the
+    flag's name with underscores unless `key` names another.  Type `list`
+    is a repeatable float flag; its config value is a number or a list."""
+
+    flag: str
+    type: type
+    default: Any
+    help: str
+    key: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.key or self.flag[2:].replace("-", "_")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with option defaults; flags win")
-    sub.add_argument("--out", help="output directory (default: current directory)")
+_TARGET = (
+    Option("--target", str, _REQUIRED, "t{d}_{kappa}, t, example2..example6, or warmup"),
+    Option("--d", int, None, "ambient dimension"),
+    Option("--kappa", float, None, "degrees of freedom for the t family"),
+    Option("--upsilon", float, None, "tunable log-weight for example2"),
+    Option("--vartheta", float, 1.0, "tail weight of the benchmark entries"),
+    Option("--b", float, None, "tail growth coefficient (default d/(2 kappa))"),
+    Option("--knot", float, 1.0, "warm-up profile knot radius"),
+)
+_OUT = Option("--out", str, ".", "output directory")
+
+# the candidate constants of `check`, named as their flags (--C-tail sets
+# C_tail); `classify` takes the first six
+_CONSTANTS = (
+    Option("--alpha", float, None, "dissipativity exponent"),
+    Option("--A", float, None, "dissipativity growth constant"),
+    Option("--B", float, None, "dissipativity offset"),
+    Option("--mu", float, None, "degenerate convexity level"),
+    Option("--theta", float, None, "degenerate convexity decay"),
+    Option("--rho", float, None, "strong convexity level"),
+    Option("--L", float, None, "gradient Lipschitz bound"),
+    Option("--m", float, None, "tail shift"),
+    Option("--alpha1", float, None, "tail stretch exponent"),
+    Option("--C-tail", float, None, "tail scale", key="c_tail"),
+)
+
+# subcommand -> (handler, help, options)
+_COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, tuple[Option, ...]]] = {
+    "sample": (cmd_sample, "run chains, write CSV/JSON artifacts", (
+        *_TARGET,
+        Option("--gamma", float, _REQUIRED, "step size"),
+        Option("--steps", int, _REQUIRED, "number of iterations"),
+        Option("--seed", int, 0, "base seed"),
+        Option("--chains", int, 1, "number of chains"),
+        Option("--thin", int, 1, "record every k-th iterate"),
+        Option("--burn-in", int, None, "recorded rows dropped before diagnostics (default: half)"),
+        Option("--init-scale", float, None, "Gaussian scale for random starts"),
+        Option("--threshold", list, (5.0,), "tail threshold for diagnostics (repeatable)"),
+        Option("--skip-diagnostics", bool, False, "skip the quadrature diagnostics"),
+        _OUT,
+    )),
+    "check": (cmd_check, "evaluate one of the A1..A5 conditions", (
+        *_TARGET,
+        Option("--assumption", str, _REQUIRED, "A1..A5 or dissipativity/degenerate_convexity/"
+               "strong_convexity/gradient_lipschitz/tail"),
+        Option("--grid-min", float, None, "first grid radius (default: the default grid's)"),
+        Option("--grid-max", float, None, "last grid radius (default: the default grid's)"),
+        Option("--grid-points", int, None,
+               "grid size in [2, 2**20] (default: the default grid's)"),
+        *_CONSTANTS,
+        _OUT,
+    )),
+    "lsi": (cmd_lsi, "log-Sobolev constant estimate", (
+        *_TARGET,
+        Option("--r-max", float, 12.0, "profile radius cutoff"),
+        Option("--grid-size", int, 1024, "profile grid size in [16, 2**20]"),
+        _OUT,
+    )),
+    "classify": (cmd_classify, "Poincare-regime case tables", (
+        Option("--assumption", str, _REQUIRED, "A3/dissipativity, A5/degenerate_convexity, "
+               "or A1/strong_convexity (classification-table tags)"),
+        Option("--vartheta", float, _REQUIRED, "tail weight"),
+        Option("--d", int, 1, "dimension"),
+        Option("--b", float, _REQUIRED, "tail growth coefficient"),
+        Option("--beta", float, 2.0, "tail exponent in (1, 2]"),
+        *_CONSTANTS[:6],
+        _OUT,
+    )),
+    "gradcheck": (cmd_gradcheck, "finite-difference oracle suites", (
+        *_TARGET,
+        Option("--points", int, 1000, "sample size in [1, 2**20]"),
+        Option("--seed", int, 0, "RNG seed"),
+        _OUT,
+    )),
+}
+
+
+def _typed(key: str, kind: type, value: Any) -> Any:
+    """A config value as its option's type: an integer serves as a float,
+    true and false serve only a bool."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind is list:
+        return [_typed(key, float, v) for v in (value if type(value) is list else [value])]
+    if type(value) is not kind:
+        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _merge_options(command: str, ns: argparse.Namespace) -> dict[str, Any]:
+    """defaults <- config file <- explicit flags.  A config key must be an
+    option of the command and its value of the option's type; null leaves
+    the key unset."""
+    table = {opt.dest: opt for opt in _COMMANDS[command][2]}
+    merged = {key: opt.default for key, opt in table.items()}
+    if ns.config is not None:
+        file_opts = load_config(ns.config)
+        unknown = sorted(set(file_opts) - set(table))
+        if unknown:
+            raise ValueError(f"unknown config keys for {command!r}: {', '.join(unknown)}")
+        merged.update({key: _typed(key, table[key].type, value)
+                       for key, value in file_opts.items() if value is not None})
+    merged.update({key: getattr(ns, key) for key in table if getattr(ns, key) is not None})
+    missing = [table[key].flag for key, value in merged.items() if value is _REQUIRED]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    return merged
+
+
+def _help(opt: Option) -> str:
+    if opt.default is None:
+        return opt.help
+    if opt.default is _REQUIRED:
+        return f"{opt.help} (required)"
+    shown = ", ".join(map(str, opt.default)) if opt.type is list else opt.default
+    return f"{opt.help} (default {shown})"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per `_COMMANDS` entry.  Every flag defaults to None,
+    so `_merge_options` can tell a flag given from one left out."""
     parser = argparse.ArgumentParser(
         prog="tula",
         description="Sample heavy-tailed densities through a radial diffeomorphism "
         "and verify the conditions that make the chain mix.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sample = commands.add_parser("sample", help="run chains, write CSV/JSON artifacts")
-    _add_target_flags(sample)
-    _add_common(sample)
-    sample.add_argument("--gamma", type=float, help="step size")
-    sample.add_argument("--steps", type=int, help="number of iterations")
-    sample.add_argument("--seed", type=int, help="base seed (default 0)")
-    sample.add_argument("--chains", type=int, help="number of chains (default 1)")
-    sample.add_argument("--thin", type=int, help="record every k-th iterate (default 1)")
-    sample.add_argument("--burn-in", dest="burn_in", type=int,
-                        help="recorded rows dropped before diagnostics (default: half)")
-    sample.add_argument("--init-scale", dest="init_scale", type=float,
-                        help="Gaussian scale for random starts")
-    sample.add_argument("--threshold", type=float, action="append",
-                        help="tail threshold for diagnostics (repeatable; default 5)")
-    sample.add_argument("--skip-diagnostics", dest="skip_diagnostics", action="store_const",
-                        const=True, help="skip the quadrature diagnostics")
-
-    check = commands.add_parser("check", help="evaluate one of the A1..A5 conditions")
-    _add_target_flags(check)
-    _add_common(check)
-    check.add_argument("--assumption", help="A1..A5 or dissipativity/degenerate_convexity/"
-                       "strong_convexity/gradient_lipschitz/tail")
-    check.add_argument("--grid-min", dest="grid_min", type=float)
-    check.add_argument("--grid-max", dest="grid_max", type=float)
-    check.add_argument("--grid-points", dest="grid_points", type=int)
-    for flag, key, _, doc in _CHECK_CONSTANTS:
-        check.add_argument(flag, dest=key, type=float, help=doc)
-
-    lsi = commands.add_parser("lsi", help="log-Sobolev constant estimate")
-    _add_target_flags(lsi)
-    _add_common(lsi)
-    lsi.add_argument("--r-max", dest="r_max", type=float, help="profile radius cutoff (default 12)")
-    lsi.add_argument("--grid-size", dest="grid_size", type=int, help="profile grid (default 1024)")
-
-    classify = commands.add_parser("classify", help="Poincare-regime case tables")
-    _add_common(classify)
-    classify.add_argument("--assumption", help="A3/dissipativity, A5/degenerate_convexity, "
-                          "or A1/strong_convexity (classification-table tags)")
-    classify.add_argument("--vartheta", type=float)
-    classify.add_argument("--d", type=int, help="dimension (default 1)")
-    classify.add_argument("--b", type=float)
-    classify.add_argument("--beta", type=float, help="tail exponent in (1, 2] (default 2)")
-    classify.add_argument("--alpha", type=float)
-    classify.add_argument("--A", type=float)
-    classify.add_argument("--B", type=float)
-    classify.add_argument("--mu", type=float)
-    classify.add_argument("--theta", type=float)
-    classify.add_argument("--rho", type=float)
-
-    gradcheck = commands.add_parser("gradcheck", help="finite-difference oracle suites")
-    _add_target_flags(gradcheck)
-    _add_common(gradcheck)
-    gradcheck.add_argument("--points", type=int, help="sample size (default 1000)")
-    gradcheck.add_argument("--seed", type=int, help="RNG seed (default 0)")
-
+    for command, (_, doc, options) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=doc)
+        sub.add_argument("--config", help="JSON file with option defaults; flags win")
+        for opt in options:
+            kind = ({"action": "store_const", "const": True} if opt.type is bool
+                    else {"action": "append", "type": float} if opt.type is list
+                    else {"type": opt.type})
+            sub.add_argument(opt.flag, dest=opt.dest, help=_help(opt), **kind)
     return parser
-
-
-_HANDLERS = {
-    "sample": cmd_sample,
-    "check": cmd_check,
-    "lsi": cmd_lsi,
-    "classify": cmd_classify,
-    "gradcheck": cmd_gradcheck,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -472,13 +448,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         opts = _merge_options(ns.command, ns)
-        return _HANDLERS[ns.command](opts)
-    except NotApplicableError as exc:
+        return _COMMANDS[ns.command][0](opts)
+    except (ValueError, OSError) as exc:  # JSONDecodeError and NotApplicableError included
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NotApplicableError) else 2
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ class SamplerConfig:
     init_scale: float | None = None
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.num_steps < 1:
@@ -151,6 +152,11 @@ def tula_step(tp: TransformedPotential, y: np.ndarray, gamma: float, noise: np.n
     if noise.shape != y.shape:
         raise ValueError(f"noise shape {noise.shape} does not match state {y.shape}")
     return y - gamma * transformed_gradient(tp, y) + math.sqrt(2.0 * gamma) * noise
+
+
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:

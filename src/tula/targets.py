@@ -450,13 +450,18 @@ def parse_target_name(
 
     Accepts ``t{d}_{kappa}`` (for example ``t2_3``), plain ``t`` with
     explicit ``dimension``/``kappa``, ``example2`` .. ``example6``, and
-    ``warmup``.  Raises ``ValueError`` for names outside the zoo.
+    ``warmup``.  Raises ``ValueError`` for names outside the zoo, and for a
+    ``dimension`` or ``kappa`` that contradicts a ``t{d}_{kappa}`` name.
     """
     m = _T_NAME.match(name)
     if m:
-        return make_example(
-            ExampleKind.MULTIVARIATE_T, int(m.group(1)), kappa=float(m.group(2)), b=b
-        )
+        named = {"dimension": int(m.group(1)), "kappa": float(m.group(2))}
+        for option, given in (("dimension", dimension), ("kappa", kappa)):
+            if given is not None and given != named[option]:
+                raise ValueError(f"{option} {given} contradicts target {name!r} "
+                                 f"({option} {named[option]})")
+        return make_example(ExampleKind.MULTIVARIATE_T, named["dimension"],
+                            kappa=named["kappa"], b=b)
     try:
         kind = ExampleKind(name)
     except ValueError:

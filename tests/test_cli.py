@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tula.cli
 import tula.transform
 from tula.analysis import classify_regime, estimate_lsi
 from tula.cli import dump_config, load_config, main, run_gradient_suite
@@ -62,6 +63,46 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         rc = main(["classify", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("options, key", [
+        ({"chains": 2.7}, "chains"),
+        ({"steps": "20"}, "steps"),
+        ({"skip_diagnostics": "no"}, "skip_diagnostics"),
+        ({"d": True}, "d"),
+        ({"kappa": "3"}, "kappa"),
+        ({"threshold": [5.0, "6"]}, "threshold"),
+    ])
+    def test_config_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, options, key):
+        """Config values skipped the flags' types: 2.7 chains ran 2, "no"
+        skipped the diagnostics and "3" for kappa died with a TypeError."""
+        cfg = tmp_path / "config.json"
+        dump_config({"target": "t", "d": 2, "kappa": 3.0, "gamma": 0.01, "steps": 20,
+                     **options}, cfg)
+        out = tmp_path / "out"
+        rc = main(["sample", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"error: config key {key!r} must be of type " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_config_value_means_unset(self, tmp_path):
+        """null leaves a key at its default, or, for a required option, missing."""
+        cfg = tmp_path / "config.json"
+        dump_config({"target": "t2_3", "gamma": 0.01, "steps": 20, "seed": None,
+                     "chains": None, "burn_in": None, "skip_diagnostics": None}, cfg)
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "20",
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("chain.csv", "summary.json", "diagnostics.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        dump_config({"target": "t2_3", "gamma": None, "steps": 20}, cfg)
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+
+    def test_integer_serves_a_float_option(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        dump_config({"assumption": "strong", "vartheta": 2, "b": 1, "rho": 1}, cfg)
+        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        direct = classify_regime("strong", vartheta=2.0, dimension=1, b=1.0, rho=1.0)
+        assert read_json(tmp_path / "verdict.json") == direct.to_dict()
 
 
 class TestUsageErrors:
@@ -123,7 +164,12 @@ class TestUsageErrors:
          "grid_size must lie in [16, 1048576], got 100000000000"),
         *((["check", "--assumption", "A1", "--grid-points", n],
            f"grid_points must be at least 2, got {n}") for n in ("-1", "0", "1")),
-    ], ids=["grid-size-1e11", "grid-points-neg1", "grid-points-0", "grid-points-1"])
+        (["check", "--assumption", "A1", "--grid-points", "100000000000"],
+         "grid_points must be at most 1048576, got 100000000000"),
+        (["gradcheck", "--points", "100000000000"],
+         "num_points must lie in [1, 1048576], got 100000000000"),
+    ], ids=["grid-size-1e11", "grid-points-neg1", "grid-points-0", "grid-points-1",
+            "grid-points-1e11", "points-1e11"])
     def test_grid_size_out_of_range_names_the_option(self, tmp_path, capsys, argv, message):
         """A grid too large to allocate, or with fewer than two radii, is a
         usage error naming its option, raised before any grid is built:
@@ -156,6 +202,28 @@ class TestUsageErrors:
 
     def test_classify_needs_constants(self, capsys):
         assert main(["classify", "--assumption", "strong", "--b", "0.5"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "10", "--seed", "-1"],
+        ["gradcheck", "--target", "t2_3", "--points", "4", "--seed", "-1"],
+    ])
+    def test_negative_seed_names_it(self, tmp_path, capsys, argv):
+        """`--seed -1` exited 2 with numpy's "expected non-negative integer",
+        which names nothing."""
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_option_contradicting_the_target_name_is_a_usage_error(self, tmp_path, capsys):
+        """`--target t2_3 --d 5 --kappa 7` ran d = 2, kappa = 3 and echoed
+        d = 5, kappa = 7 into gradcheck.json."""
+        rc = main(["gradcheck", "--target", "t2_3", "--d", "5", "--kappa", "7",
+                   "--points", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "dimension 5 contradicts target 't2_3'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(["gradcheck", "--target", "t2_3", "--d", "2", "--kappa", "3",
+                     "--points", "4", "--out", str(tmp_path)]) == 0
 
 
 class TestClassifyCommand:
@@ -364,6 +432,36 @@ class TestSampleCommand:
         assert "divergence" in capsys.readouterr().err
         assert read_json(tmp_path / "summary.json")["any_diverged"] is True
         assert not (tmp_path / "diagnostics.json").exists()
+
+
+def test_sample_calls_each_traced_function_once(tmp_path, monkeypatch):
+    """The benchmark's tracer wraps these names as `tula.cli` globals, so
+    `cmd_sample` must look each up there, once per run."""
+    names = ("run_tula", "write_chain_csv", "run_summary", "radial_diagnostics")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(tula.cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(tula.cli, name, counted)
+    rc = main(["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "50",
+               "--chains", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("sample", "number of chains (default 1)"),
+    ("check", "output directory (default .)"),
+    ("lsi", "profile grid size in [16, 2**20] (default 1024)"),
+    ("classify", "tail exponent in (1, 2] (default 2.0)"),
+    ("gradcheck", "sample size in [1, 2**20] (default 1000)"),
+])
+def test_help_shows_the_table_defaults(capsys, command, shown):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert shown in " ".join(capsys.readouterr().out.split())
 
 
 def test_import_does_not_load_scipy():

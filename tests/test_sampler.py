@@ -80,6 +80,15 @@ class TestSamplerConfig:
             with pytest.raises(ValueError, match="initial_point"):
                 SamplerConfig(step_size=0.1, num_steps=10, initial_point=point)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_that_is_not_a_natural_number_names_it(self, seed):
+        """A negative seed failed in numpy's SeedSequence, naming nothing."""
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SamplerConfig(step_size=0.1, num_steps=10, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert SamplerConfig(step_size=0.1, num_steps=10, seed=np.int64(3)).seed == 3
+
     def test_to_dict_round_trips_through_json_types(self):
         cfg = SamplerConfig(step_size=0.05, num_steps=100, seed=7,
                             initial_point=np.array([1.0, 2.0]), num_chains=3)

@@ -7,6 +7,7 @@ f(g(r)) - log g'(r) - (d-1) log(g(r)/r), must agree with it.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,22 @@ class TestParseTargetName:
     def test_t_with_decimal_kappa(self):
         entry = parse_target_name("t3_2.5")
         assert entry.parameters["kappa"] == 2.5
+
+    @pytest.mark.parametrize("options, message", [
+        ({"dimension": 5}, "dimension 5 contradicts target 't2_3' (dimension 2)"),
+        ({"kappa": 7.0}, "kappa 7.0 contradicts target 't2_3' (kappa 3.0)"),
+        ({"dimension": 2, "kappa": 2.5}, "kappa 2.5 contradicts"),
+    ])
+    def test_t_shorthand_rejects_a_contradicting_option(self, options, message):
+        """A dimension or kappa that differs from the one the name gives was
+        silently dropped, so the run and its echo disagreed."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_target_name("t2_3", **options)
+
+    def test_t_shorthand_accepts_equal_options(self):
+        entry = parse_target_name("t2_3", dimension=2, kappa=3.0)
+        assert entry.parameters == parse_target_name("t2_3").parameters
+        assert parse_target_name("t2_3", kappa=3).parameters["kappa"] == 3.0
 
     def test_t_plain_needs_dimension_and_kappa(self):
         entry = parse_target_name("t", dimension=4, kappa=1.0)
