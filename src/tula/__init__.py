@@ -4,145 +4,18 @@ diffeomorphically transformed potential.
 The pieces compose left to right: `transform` builds the radial map h,
 `targets` the benchmark potentials, `dynamics` the transformed potential
 f_h and its derivatives, `sampler` the discrete chains, and `analysis`
-the verifiers and diagnostics.  `cli` exposes all of it as the `tula`
-command.
+the verifiers and diagnostics.  The package exports every public name of
+these five modules; `cli` exposes all of it as the `tula` command.
 """
 
-from .analysis import (
-    AssumptionKind,
-    AssumptionReport,
-    DiagnosticsReport,
-    LsiEstimate,
-    NotApplicableError,
-    RadialQuadrature,
-    Regime,
-    RegimeVerdict,
-    UndefinedMomentError,
-    check_assumption,
-    classify_regime,
-    effective_sample_size,
-    estimate_lsi,
-    kl_quadrature_1d,
-    radial_diagnostics,
-)
-from .dynamics import (
-    HessianEigenvalues,
-    ItoDecomposition,
-    TransformedPotential,
-    grad_factor,
-    hessian_eigenvalues,
-    ito_drift_diffusion,
-    ito_drift_parts,
-    transformed_gradient,
-    transformed_log_density,
-    transformed_value,
-    value_radial,
-)
-from .sampler import (
-    ChainRun,
-    DivergenceError,
-    SamplerConfig,
-    plan_step_size,
-    run_summary,
-    run_tula,
-    run_ula,
-    tula_step,
-    write_chain_csv,
-)
-from .targets import (
-    ExampleKind,
-    IsotropicPotential,
-    TargetZooEntry,
-    TransformedForm,
-    available_targets,
-    make_example,
-    make_multivariate_t,
-    parse_target_name,
-    radial_log_density,
-)
-from .transform import (
-    G1Report,
-    GinSpec,
-    RadialTransform,
-    g_eval,
-    g_inverse,
-    ginbeta2_profile,
-    ginbeta2_transform,
-    h_forward,
-    h_inverse,
-    log_det_jacobian,
-    transform_from_dict,
-    transform_from_json,
-    transform_to_dict,
-    transform_to_json,
-    verify_g1_assumption,
-    warmup_profile,
-    warmup_transform,
-)
+from . import analysis, dynamics, sampler, targets, transform
+from .analysis import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .sampler import *  # noqa: F403
+from .targets import *  # noqa: F403
+from .transform import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionKind",
-    "AssumptionReport",
-    "ChainRun",
-    "DiagnosticsReport",
-    "DivergenceError",
-    "ExampleKind",
-    "G1Report",
-    "GinSpec",
-    "HessianEigenvalues",
-    "IsotropicPotential",
-    "ItoDecomposition",
-    "LsiEstimate",
-    "NotApplicableError",
-    "RadialQuadrature",
-    "RadialTransform",
-    "Regime",
-    "RegimeVerdict",
-    "SamplerConfig",
-    "TargetZooEntry",
-    "TransformedForm",
-    "TransformedPotential",
-    "UndefinedMomentError",
-    "available_targets",
-    "check_assumption",
-    "classify_regime",
-    "effective_sample_size",
-    "estimate_lsi",
-    "g_eval",
-    "g_inverse",
-    "ginbeta2_profile",
-    "ginbeta2_transform",
-    "grad_factor",
-    "h_forward",
-    "h_inverse",
-    "hessian_eigenvalues",
-    "ito_drift_diffusion",
-    "ito_drift_parts",
-    "kl_quadrature_1d",
-    "log_det_jacobian",
-    "make_example",
-    "make_multivariate_t",
-    "parse_target_name",
-    "plan_step_size",
-    "radial_diagnostics",
-    "radial_log_density",
-    "run_summary",
-    "run_tula",
-    "run_ula",
-    "tula_step",
-    "transform_from_dict",
-    "transform_from_json",
-    "transform_to_dict",
-    "transform_to_json",
-    "transformed_gradient",
-    "transformed_log_density",
-    "transformed_value",
-    "value_radial",
-    "verify_g1_assumption",
-    "warmup_profile",
-    "warmup_transform",
-    "write_chain_csv",
-    "__version__",
-]
+__all__ = [*analysis.__all__, *dynamics.__all__, *sampler.__all__, *targets.__all__,
+           *transform.__all__, "__version__"]

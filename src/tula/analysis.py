@@ -34,9 +34,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dynamics import TransformedPotential, grad_factor, hessian_eigenvalues
-from .sampler import ChainRun
+from .sampler import ChainRun, _is_count
 from .targets import IsotropicPotential, radial_log_density
-from .transform import _tail_root
+from .transform import _record_dict, _tail_root
 
 __all__ = [
     "AssumptionKind",
@@ -383,15 +383,8 @@ class AssumptionReport:
     margins: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "assumption": self.assumption.value,
-            "grid": [float(r) for r in self.grid],
-            "fitted_constants": {k: float(v) for k, v in self.fitted_constants.items()},
-            "fitted_names": list(self.fitted_names),
-            "satisfied_from_radius": self.satisfied_from_radius,
-            "pass": self.passed,
-            "margins": [float(m) for m in self.margins],
-        }
+        return {("pass" if key == "passed" else key): value
+                for key, value in _record_dict(self).items()}
 
 
 def default_assumption_grid(tp: TransformedPotential, num: int = 512) -> np.ndarray:
@@ -554,7 +547,7 @@ def check_assumption(
             head = oracle.sf(m)
             extended = _tail_root(t, np.log(start))
             extended /= math.log(2.0 / head) ** (1.0 / alpha1)
-            constants["C_tail_extended"] = max(cconst, extended)
+            constants["C_tail_extended"] = float(max(cconst, extended))
 
     return AssumptionReport(
         assumption=kind,
@@ -704,13 +697,7 @@ class RegimeVerdict:
     parameters: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "rule_fired": self.rule_fired,
-            "witness": None if self.witness is None else dict(self.witness),
-            "basis": self.basis,
-            "parameters": dict(self.parameters),
-        }
+        return _record_dict(self)
 
 
 _BASIS_ALIASES = {
@@ -971,15 +958,7 @@ class DiagnosticsReport:
                 and all(t.within_3se for t in self.tails))
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "burn_in": self.burn_in,
-            "ks": dataclasses.asdict(self.ks),
-            "moments": [dataclasses.asdict(m) for m in self.moments],
-            "tails": [dataclasses.asdict(t) for t in self.tails],
-            "truncated_mass": self.truncated_mass,
-            "pass": self.all_passed,
-        }
+        return {**_record_dict(self), "pass": self.all_passed}
 
 
 def _series_std_error(per_chain: list[np.ndarray]) -> float:
@@ -1029,12 +1008,12 @@ def radial_diagnostics(
       oracle: reuse a prebuilt RadialQuadrature (must match `potential`).
 
     Raises:
-      ValueError: burn-in leaves no samples, or a threshold is negative or
-        not finite.
+      ValueError: burn_in is not a nonnegative integer or leaves no
+        samples, or a threshold is negative or not finite.
       UndefinedMomentError: an explicitly requested moment does not exist.
     """
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+    if not _is_count(burn_in, 0):
+        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
     thresholds = _tail_thresholds(thresholds)
     per_chain = _pooled_series(run, burn_in)
     radii = np.concatenate(per_chain)

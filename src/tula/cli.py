@@ -310,9 +310,9 @@ _TARGET = (
     Option("--d", int, None, "ambient dimension"),
     Option("--kappa", float, None, "degrees of freedom for the t family"),
     Option("--upsilon", float, None, "tunable log-weight for example2"),
-    Option("--vartheta", float, 1.0, "tail weight of the benchmark entries"),
-    Option("--b", float, None, "tail growth coefficient (default d/(2 kappa))"),
-    Option("--knot", float, 1.0, "warm-up profile knot radius"),
+    Option("--vartheta", float, None, "tail weight for example2..example6 (default 1.0)"),
+    Option("--b", float, None, "tail growth coefficient for the t family (default d/(2 kappa))"),
+    Option("--knot", float, None, "warm-up profile knot radius (default 1.0)"),
 )
 _OUT = Option("--out", str, ".", "output directory")
 

@@ -76,12 +76,9 @@ class SamplerConfig:
         _check_seed(self.seed)
         if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if self.num_chains < 1:
-            raise ValueError(f"num_chains must be >= 1, got {self.num_chains}")
+        for name in ("num_steps", "thin", "num_chains"):
+            if not _is_count(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if self.init_scale is not None and not (
             self.init_scale > 0.0 and math.isfinite(self.init_scale)
         ):
@@ -93,10 +90,7 @@ class SamplerConfig:
             object.__setattr__(self, "initial_point", point)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if self.initial_point is not None:
-            d["initial_point"] = self.initial_point.tolist()
-        return d
+        return tr._record_dict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,7 +123,10 @@ class ChainRun:
 
     def pooled(self, space: str = "x", burn_in: int = 0) -> np.ndarray:
         """Stack recorded samples from all chains, dropping ``burn_in``
-        recorded entries per chain.  Raises when nothing survives."""
+        recorded entries per chain.  Raises when ``burn_in`` is not a
+        nonnegative integer or when nothing survives."""
+        if not _is_count(burn_in, 0):
+            raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
         series = self.xs if space == "x" else self.ys
         kept = [s[burn_in:] for s in series if s.shape[0] > burn_in]
         if not kept:
@@ -146,16 +143,21 @@ def tula_step(tp: TransformedPotential, y: np.ndarray, gamma: float, noise: np.n
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DivergenceError("non-finite chain state")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     noise = np.asarray(noise, dtype=float)
     if noise.shape != y.shape:
         raise ValueError(f"noise shape {noise.shape} does not match state {y.shape}")
     return y - gamma * transformed_gradient(tp, y) + math.sqrt(2.0 * gamma) * noise
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether `value` is an integer >= `least`; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
 def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_count(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
@@ -271,16 +273,23 @@ def plan_step_size(
     ``gamma = min(1, accuracy / (4 d)) / (2 L^2 C)`` for gradient-Lipschitz
     constant ``L`` and log-Sobolev constant ``C``, and ``n`` is
     ``ceil((C / (2 gamma)) log(2 H0 / accuracy))`` for the initial KL
-    divergence ``H0``.  Returns ``(gamma, n)``.
+    divergence ``H0``.  Returns ``(gamma, n)``.  Raises ``ValueError``
+    naming an input that is not positive and finite, a dimension that is
+    not an integer >= 1, or a plan outside the float range.
     """
-    if not (lipschitz > 0.0 and lsi_constant > 0.0):
-        raise ValueError("lipschitz and lsi_constant must be positive")
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if not (accuracy > 0.0 and initial_kl > 0.0):
-        raise ValueError("accuracy and initial_kl must be positive")
-    gamma = min(1.0, accuracy / (4.0 * dimension)) / (2.0 * lipschitz**2 * lsi_constant)
-    steps = max(0, math.ceil(lsi_constant / (2.0 * gamma) * math.log(2.0 * initial_kl / accuracy)))
+    given = {"lipschitz": lipschitz, "lsi_constant": lsi_constant, "accuracy": accuracy,
+             "initial_kl": initial_kl}
+    for name, value in given.items():
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not _is_count(dimension, 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+    try:
+        gamma = min(1.0, accuracy / (4.0 * dimension)) / (2.0 * lipschitz**2 * lsi_constant)
+        steps = max(0, math.ceil(lsi_constant / (2.0 * gamma)
+                                 * math.log(2.0 * initial_kl / accuracy)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the planned step size or step count leaves the float range") from None
     return gamma, steps
 
 

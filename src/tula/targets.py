@@ -363,25 +363,45 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
 # --- public factory --------------------------------------------------------
 
 
+# the parameters each kind takes besides its dimension; make_example and
+# parse_target_name reject any other
+_PARAMETERS = {
+    ExampleKind.WARMUP: ("knot",),
+    ExampleKind.MULTIVARIATE_T: ("kappa", "b"),
+    ExampleKind.EXAMPLE2: ("upsilon", "vartheta"),
+    ExampleKind.EXAMPLE3: ("vartheta",),
+    ExampleKind.EXAMPLE4: ("vartheta",),
+    ExampleKind.EXAMPLE5: ("vartheta",),
+    ExampleKind.EXAMPLE6: ("vartheta",),
+}
+
+
 def make_example(
     kind: ExampleKind | str,
     dimension: int,
     *,
     kappa: float | None = None,
     upsilon: float | None = None,
-    vartheta: float = 1.0,
+    vartheta: float | None = None,
     b: float | None = None,
-    knot: float = 1.0,
+    knot: float | None = None,
 ) -> TargetZooEntry:
     """Build a zoo entry: potential (with its closed form) and canonical transform.
 
-    Parameters depend on the kind: the t family needs ``kappa`` (and pairs
-    with ``b = d/(2 kappa)`` unless overridden); the tunable family
-    (``example2``) needs ``upsilon`` in ``(-3/2, 15/2)``; the remaining
-    benchmark entries take a tail weight ``vartheta > 0``; the warm-up
-    takes its knot radius.
+    Each kind takes only its own parameters; any other one given raises
+    ``ValueError`` naming it.  The t family needs ``kappa`` (and
+    pairs with ``b = d/(2 kappa)`` unless overridden); the tunable family
+    (``example2``) needs ``upsilon`` in ``(-3/2, 15/2)``; it and the
+    remaining benchmark entries take a tail weight ``vartheta > 0``
+    (default 1); the warm-up takes its knot radius (default 1).
     """
     kind = ExampleKind(kind)
+    given = {"kappa": kappa, "upsilon": upsilon, "vartheta": vartheta, "b": b, "knot": knot}
+    foreign = [name for name, value in given.items()
+               if value is not None and name not in _PARAMETERS[kind]]
+    if foreign:
+        raise ValueError(f"target {kind.value!r} takes no {', '.join(foreign)}; "
+                         f"it takes {' and '.join(_PARAMETERS[kind])}")
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if kind is ExampleKind.MULTIVARIATE_T:
@@ -394,7 +414,8 @@ def make_example(
             pot, t, kind, {"dimension": dimension, "kappa": float(kappa), "b": b_val}
         )
     if kind is ExampleKind.WARMUP:
-        return _warmup_entry(dimension, knot)
+        return _warmup_entry(dimension, 1.0 if knot is None else knot)
+    vartheta = 1.0 if vartheta is None else vartheta
     if not vartheta > 0.0:
         raise ValueError(f"vartheta must be positive, got {vartheta}")
     if kind is ExampleKind.EXAMPLE2:
@@ -442,16 +463,17 @@ def parse_target_name(
     dimension: int | None = None,
     kappa: float | None = None,
     upsilon: float | None = None,
-    vartheta: float = 1.0,
+    vartheta: float | None = None,
     b: float | None = None,
-    knot: float = 1.0,
+    knot: float | None = None,
 ) -> TargetZooEntry:
     """Resolve a command-line target name into a zoo entry.
 
     Accepts ``t{d}_{kappa}`` (for example ``t2_3``), plain ``t`` with
     explicit ``dimension``/``kappa``, ``example2`` .. ``example6``, and
-    ``warmup``.  Raises ``ValueError`` for names outside the zoo, and for a
-    ``dimension`` or ``kappa`` that contradicts a ``t{d}_{kappa}`` name.
+    ``warmup``.  Raises ``ValueError`` for names outside the zoo, for a
+    ``dimension`` or ``kappa`` that contradicts a ``t{d}_{kappa}`` name,
+    and, as :func:`make_example` does, for a parameter the kind does not take.
     """
     m = _T_NAME.match(name)
     if m:
@@ -460,23 +482,16 @@ def parse_target_name(
             if given is not None and given != named[option]:
                 raise ValueError(f"{option} {given} contradicts target {name!r} "
                                  f"({option} {named[option]})")
-        return make_example(ExampleKind.MULTIVARIATE_T, named["dimension"],
-                            kappa=named["kappa"], b=b)
-    try:
-        kind = ExampleKind(name)
-    except ValueError:
-        raise ValueError(f"unknown target {name!r}; known: {', '.join(available_targets())}")
-    if dimension is None:
-        raise ValueError(f"target {name!r} needs an explicit dimension")
-    return make_example(
-        kind,
-        dimension,
-        kappa=kappa,
-        upsilon=upsilon,
-        vartheta=vartheta,
-        b=b,
-        knot=knot,
-    )
+        kind, dimension, kappa = ExampleKind.MULTIVARIATE_T, named["dimension"], named["kappa"]
+    else:
+        try:
+            kind = ExampleKind(name)
+        except ValueError:
+            raise ValueError(f"unknown target {name!r}; known: {', '.join(available_targets())}")
+        if dimension is None:
+            raise ValueError(f"target {name!r} needs an explicit dimension")
+    return make_example(kind, dimension, kappa=kappa, upsilon=upsilon, vartheta=vartheta,
+                        b=b, knot=knot)
 
 
 def available_targets() -> list[str]:

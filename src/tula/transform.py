@@ -47,6 +47,7 @@ takes a point or a batch of points, with its caller's rule at the origin.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import math
 from typing import NamedTuple
@@ -630,6 +631,19 @@ def log_det_jacobian(t: RadialTransform, r):
 # --- verification ---------------------------------------------------------
 
 
+def _record_dict(record) -> dict:
+    """A dataclass record's fields, nested records included, as JSON-ready
+    values: enums as their values, arrays and tuples as lists."""
+
+    def fields(pairs: list) -> dict:
+        return {key: value.value if isinstance(value, enum.Enum)
+                else value.tolist() if isinstance(value, np.ndarray)
+                else list(value) if isinstance(value, tuple) else value
+                for key, value in pairs}
+
+    return dataclasses.asdict(record, dict_factory=fields)
+
+
 @dataclasses.dataclass(frozen=True)
 class G1Check:
     """One verification entry: a named measurement against a tolerance."""
@@ -641,7 +655,7 @@ class G1Check:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return _record_dict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -661,7 +675,7 @@ class G1Report:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, **_record_dict(self)}
 
 
 def _bounded_towards_zero(radii: np.ndarray, values: np.ndarray) -> tuple[bool, float]:

@@ -1,5 +1,6 @@
 """Quadrature oracle, assumption checks, LSI bound, classifier, diagnostics."""
 
+import json
 import math
 import warnings
 
@@ -495,6 +496,17 @@ class TestClassifyRegime:
         assert set(d["witness"]) == {"power_coefficient", "power_log_exponent",
                                      "power_offset", "log_exponent"}
 
+    def test_verdict_json_keeps_its_key_order(self):
+        """`tula classify` prints this unsorted, so the key order is output."""
+        v = classify_regime("dissipativity", vartheta=1.0, dimension=2, b=0.5, alpha=2.0, A=3.0)
+        assert json.dumps(v.to_dict()) == (
+            '{"regime": "super_poincare", '
+            '"rule_fired": "dissipativity:alpha=beta,vartheta<A/(beta*b)", '
+            '"witness": {"power_coefficient": 3.0, "power_log_exponent": 0.0, '
+            '"power_offset": -1.0, "log_exponent": -0.0}, "basis": "dissipativity", '
+            '"parameters": {"vartheta": 1.0, "dimension": 2, "b": 0.5, "beta": 2.0, '
+            '"alpha": 2.0, "A": 3.0, "B": 0.0}}')
+
     def test_regime_enum_values(self):
         assert Regime.SUPER_POINCARE.value == "super_poincare"
         assert Regime.POINCARE.value == "poincare"
@@ -578,6 +590,14 @@ class TestRadialDiagnostics:
             radial_diagnostics(run, potential, burn_in=-1)
         with pytest.raises(ValueError, match="no recorded samples"):
             radial_diagnostics(run, potential, burn_in=10_000)
+
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)])
+    def test_burn_in_that_is_not_an_integer_names_it(self, diag_setup, bad):
+        """1.5 died in a slice TypeError, and True ran as a burn-in of 1."""
+        potential, run = diag_setup
+        with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
+            radial_diagnostics(run, potential, burn_in=bad)
+        assert radial_diagnostics(run, potential, burn_in=np.int64(500)).n_samples == 7002
 
     def test_oracle_reuse_and_identity_check(self, diag_setup):
         potential, run = diag_setup

@@ -225,6 +225,20 @@ class TestUsageErrors:
         assert main(["gradcheck", "--target", "t2_3", "--d", "2", "--kappa", "3",
                      "--points", "4", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--target", "example3", "--d", "4", "--b", "0.75", "--kappa", "9", "--knot", "7"],
+         "target 'example3' takes no kappa, b, knot; it takes vartheta"),
+        (["--target", "t2_3", "--knot", "7"], "target 't' takes no knot; it takes kappa and b"),
+    ])
+    def test_parameter_the_target_does_not_take_is_a_usage_error(self, tmp_path, capsys,
+                                                                  argv, named):
+        """example3 built b = d/(2 vartheta) = 2 and t2_3 ignored the knot, yet
+        both exited 0 and echoed the unused values into gradcheck.json."""
+        rc = main(["gradcheck", *argv, "--points", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestClassifyCommand:
     def test_matches_library_verdict(self, tmp_path):
@@ -332,6 +346,17 @@ class TestGradcheckCommand:
         tp = TransformedPotential(entry.potential, entry.transform)
         with pytest.raises(ValueError, match="num_points"):
             run_gradient_suite(tp, num_points=0)
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["--target", "t2_3"], {"target": "t2_3"}),
+        (["--target", "example3", "--d", "2", "--vartheta", "2"],
+         {"target": "example3", "d": 2, "vartheta": 2.0}),
+        (["--target", "warmup", "--d", "2", "--knot", "0.5"],
+         {"target": "warmup", "d": 2, "knot": 0.5}),
+    ])
+    def test_target_echo_holds_only_given_options(self, tmp_path, argv, echo):
+        assert main(["gradcheck", *argv, "--points", "4", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "gradcheck.json")["target"] == echo
 
 
 class TestSampleCommand:
@@ -475,6 +500,46 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+# the 61 names `tula` exported before its surface came from the modules' `__all__`
+_EARLIER_SURFACE = """
+    AssumptionKind AssumptionReport ChainRun DiagnosticsReport DivergenceError ExampleKind
+    G1Report GinSpec HessianEigenvalues IsotropicPotential ItoDecomposition LsiEstimate
+    NotApplicableError RadialQuadrature RadialTransform Regime RegimeVerdict SamplerConfig
+    TargetZooEntry TransformedForm TransformedPotential UndefinedMomentError
+    available_targets check_assumption classify_regime effective_sample_size estimate_lsi
+    g_eval g_inverse ginbeta2_profile ginbeta2_transform grad_factor h_forward h_inverse
+    hessian_eigenvalues ito_drift_diffusion ito_drift_parts kl_quadrature_1d
+    log_det_jacobian make_example make_multivariate_t parse_target_name plan_step_size
+    radial_diagnostics radial_log_density run_summary run_tula run_ula tula_step
+    transform_from_dict transform_from_json transform_to_dict transform_to_json
+    transformed_gradient transformed_log_density transformed_value value_radial
+    verify_g1_assumption warmup_profile warmup_transform write_chain_csv
+""".split()
+_MODULES = (tula.analysis, tula.dynamics, tula.sampler, tula.targets, tula.transform)
+
+
+def test_package_exports_every_public_name_of_its_modules():
+    """`tula.__all__` is the five modules' `__all__` and `__version__`; it
+    keeps every earlier name, and each name is its module's very object."""
+    assert len(set(_EARLIER_SURFACE)) == 61
+    assert set(_EARLIER_SURFACE) | {"__version__"} <= set(tula.__all__)
+    assert sorted(tula.__all__) == sorted(
+        ["__version__", *(name for module in _MODULES for name in module.__all__)])
+    for module in _MODULES:
+        for name in module.__all__:
+            assert getattr(tula, name) is getattr(module, name), (module.__name__, name)
+    assert "cli" not in tula.__all__
+
+
+def test_no_name_is_exported_by_two_modules():
+    """A star import would let the later module's name shadow the earlier's."""
+    owners: dict[str, list[str]] = {}
+    for module in (*_MODULES, tula.cli):
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
 
 
 def test_top_level_names_are_exported_by_their_modules():

@@ -62,6 +62,12 @@ class TestTulaStep:
         with pytest.raises(ValueError, match="noise shape"):
             tula_step(tp_t21, np.zeros(2), 0.01, np.zeros(3))
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_a_gamma_that_is_not_finite(self, tp_t21, gamma):
+        """An infinite gamma returned [nan nan]."""
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            tula_step(tp_t21, np.ones(2), gamma, np.zeros(2))
+
 
 class TestSamplerConfig:
     def test_validation(self):
@@ -85,6 +91,22 @@ class TestSamplerConfig:
         """A negative seed failed in numpy's SeedSequence, naming nothing."""
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             SamplerConfig(step_size=0.1, num_steps=10, seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_steps", 2.5), ("num_steps", math.nan), ("num_steps", 10.0), ("num_steps", True),
+        ("thin", 1.5), ("num_chains", 1.5),
+    ])
+    def test_count_that_is_not_an_integer_names_it(self, field, value):
+        """These constructed, and run_tula then died with "'float' object
+        cannot be interpreted as an integer" (or ran True as one step)."""
+        options = {"step_size": 0.1, "num_steps": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            SamplerConfig(**options)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = SamplerConfig(step_size=0.1, num_steps=np.int64(4), thin=np.int32(2),
+                            num_chains=np.int64(2))
+        assert (cfg.num_steps, cfg.thin, cfg.num_chains) == (4, 2, 2)
 
     def test_numpy_integer_seed_is_accepted(self):
         assert SamplerConfig(step_size=0.1, num_steps=10, seed=np.int64(3)).seed == 3
@@ -142,6 +164,14 @@ class TestRecording:
         assert pooled.shape == (2 * (31 - 10), 2)
         with pytest.raises(ValueError, match="burn_in"):
             run.pooled(burn_in=100)
+
+    @pytest.mark.parametrize("burn_in", [-5, -1, 1.5, True, np.float64(10.0)])
+    def test_pooled_rejects_a_burn_in_that_is_not_a_count(self, tp, burn_in):
+        """burn_in=-5 kept the last 5 rows of each chain: shape (10, 2)."""
+        run = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=100, seed=5, num_chains=2))
+        with pytest.raises(ValueError, match="burn_in must be a nonnegative integer"):
+            run.pooled(burn_in=burn_in)
+        assert run.pooled(burn_in=np.int64(0)).shape == (202, 2)
 
     def test_initial_point_shapes(self, tp):
         shared = SamplerConfig(step_size=0.05, num_steps=5, num_chains=2,
@@ -272,6 +302,23 @@ class TestPlanner:
         assert gamma == min(1.0, 0.1 / 16.0) / (2.0 * 64.0 * (4.0 / 7.0))
         assert gamma == pytest.approx(7.0 / 81920.0, rel=1e-12)
         assert steps == 14653
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, 1.0, 2, 0.1, 1.0), "lipschitz must be positive and finite"),
+        ((1.0, math.nan, 2, 0.1, 1.0), "lsi_constant must be positive and finite"),
+        ((1.0, 1.0, 2, math.inf, 1.0), "accuracy must be positive and finite"),
+        ((1.0, 1.0, 2, 0.1, math.inf), "initial_kl must be positive and finite"),
+        ((1.0, 1.0, 2, 0.0, 1.0), "accuracy must be positive and finite"),
+        ((1.0, 1.0, 2.5, 0.1, 1.0), "dimension must be an integer >= 1"),
+        ((1.0, 1.0, 0, 0.1, 1.0), "dimension must be an integer >= 1"),
+        ((1e200, 1.0, 2, 0.1, 1.0), "leaves the float range"),
+        ((1.0, 1e300, 2, 0.1, 1.0), "leaves the float range"),
+    ])
+    def test_rejects_inputs_by_name(self, args, message):
+        """An infinite lipschitz raised ZeroDivisionError, an infinite
+        accuracy "math domain error" and an infinite initial_kl OverflowError."""
+        with pytest.raises(ValueError, match=message):
+            plan_step_size(*args)
 
     def test_accuracy_branch(self):
         """The eps/(4d) factor saturates at 1 once eps >= 4d."""

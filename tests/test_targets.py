@@ -259,6 +259,25 @@ class TestZooEntries:
         with pytest.raises(ValueError, match="dimension"):
             make_example(ExampleKind.EXAMPLE6, 0)
 
+    @pytest.mark.parametrize("kind, takes", [
+        (ExampleKind.MULTIVARIATE_T, {"kappa": 3.0, "b": 0.5}),
+        (ExampleKind.EXAMPLE2, {"upsilon": 1.0, "vartheta": 2.0}),
+        *((kind, {"vartheta": 2.0}) for kind in (ExampleKind.EXAMPLE3, ExampleKind.EXAMPLE4,
+                                                 ExampleKind.EXAMPLE5, ExampleKind.EXAMPLE6)),
+        (ExampleKind.WARMUP, {"knot": 0.5}),
+    ])
+    def test_each_kind_takes_only_its_own_parameters(self, kind, takes):
+        entry = make_example(kind, 2, **takes)
+        assert {k: entry.parameters[k] for k in takes} == takes
+        for name in {"kappa", "upsilon", "vartheta", "b", "knot"} - set(takes):
+            with pytest.raises(ValueError, match=f"takes no {name};"):
+                make_example(kind, 2, **takes, **{name: 1.0})
+
+    def test_unset_tail_weight_and_knot_default_to_one(self):
+        assert make_example(ExampleKind.EXAMPLE4, 2).parameters["vartheta"] == 1.0
+        assert make_example(ExampleKind.EXAMPLE2, 2, upsilon=0.0).parameters["vartheta"] == 1.0
+        assert make_example(ExampleKind.WARMUP, 2).parameters["knot"] == 1.0
+
     @given(st.sampled_from([ExampleKind.EXAMPLE3, ExampleKind.EXAMPLE6]),
            st.integers(1, 6), st.floats(0.5, 4.0))
     @settings(max_examples=25, deadline=None)
@@ -316,6 +335,19 @@ class TestParseTargetName:
         entry = parse_target_name("t2_3", dimension=2, kappa=3.0)
         assert entry.parameters == parse_target_name("t2_3").parameters
         assert parse_target_name("t2_3", kappa=3).parameters["kappa"] == 3.0
+
+    @pytest.mark.parametrize("name, options, named", [
+        ("t2_3", {"knot": 7.0}, "target 't' takes no knot; it takes kappa and b"),
+        ("t2_3", {"vartheta": 1.0, "upsilon": 2.0}, "takes no upsilon, vartheta"),
+        ("example3", {"dimension": 4, "b": 0.75}, "'example3' takes no b; it takes vartheta"),
+        ("example2", {"dimension": 2, "upsilon": 1.0, "kappa": 3.0},
+         "'example2' takes no kappa; it takes upsilon and vartheta"),
+        ("warmup", {"dimension": 2, "vartheta": 1.0}, "'warmup' takes no vartheta; it takes knot"),
+    ])
+    def test_rejects_a_parameter_the_kind_does_not_take(self, name, options, named):
+        """These were dropped, so a run echoed values it never used."""
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_target_name(name, **options)
 
     def test_t_plain_needs_dimension_and_kappa(self):
         entry = parse_target_name("t", dimension=4, kappa=1.0)
