@@ -34,9 +34,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dynamics import TransformedPotential, grad_factor, hessian_eigenvalues
-from .sampler import ChainRun, _is_count
+from .sampler import ChainRun
 from .targets import IsotropicPotential, radial_log_density
-from .transform import _record_dict, _tail_root
+from .transform import _is_count, _record_dict, _tail_root
 
 __all__ = [
     "AssumptionKind",

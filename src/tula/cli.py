@@ -34,9 +34,9 @@ from .analysis import (
     radial_diagnostics,
 )
 from .dynamics import TransformedPotential, hessian_eigenvalues, transformed_gradient, transformed_value
-from .sampler import SamplerConfig, _check_seed, run_summary, run_tula, write_chain_csv
+from .sampler import SamplerConfig, run_summary, run_tula, write_chain_csv
 from .targets import parse_target_name
-from .transform import transform_to_dict
+from .transform import _is_count, transform_to_dict
 
 __all__ = [
     "GRADCHECK_GRAD_TOL",
@@ -86,7 +86,8 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
     """
     if not 1 <= num_points <= 2**20:
         raise ValueError(f"num_points must lie in [1, {2**20}], got {num_points}")
-    _check_seed(seed)
+    if not _is_count(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     d, t = tp.dimension, tp.transform
 
@@ -187,8 +188,8 @@ def cmd_sample(opts: dict[str, Any]) -> int:
     with open(out / "trace.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("chain,step,radius_x\n")
         for chain, (x_arr, step_arr) in enumerate(zip(run.xs, run.steps)):
-            for step, radius in zip(step_arr, np.linalg.norm(x_arr, axis=1)):
-                fh.write(f"{chain},{int(step)},{float(radius)!r}\n")
+            radii = np.linalg.norm(x_arr, axis=1).tolist()
+            fh.write("".join(f"{chain},{s},{r!r}\n" for s, r in zip(step_arr.tolist(), radii)))
 
     summary = run_summary(run)
     summary["target"] = _target_echo(opts)

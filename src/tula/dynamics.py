@@ -131,7 +131,6 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
         phi = (form.value, form.dvalue, form.d2value)
         return [phi[k](arr) for k in orders]
     t, f = tp.transform, tp.target
-    d1 = t.dimension - 1.0
 
     def compose(jet: tr.RadialJet, hooks) -> list:
         p, lgp, lgr = jet
@@ -144,11 +143,11 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
                 chain = f1 * p[1]
             else:
                 chain = hooks[2](p[0]) * p[1] * p[1] + f1 * p[2]
-            out.append(chain - lgp[k] - d1 * lgr[k])
+            out.append(chain - lgp[k] - t._d1 * lgr[k])
         return out
 
     return tr._piecewise(
-        arr, t.knot,
+        arr, t._knot,
         lambda rb: compose(tr.bulk_jet(t.gin, rb, orders), (f.value, f.dvalue, f.d2value)),
         lambda rt: compose(tr.tail_jet(t, rt, orders), (f.log_value, f.dlog_value, f.d2log_value)))
 

@@ -73,12 +73,13 @@ class SamplerConfig:
     init_scale: float | None = None
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
         if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
-        for name in ("num_steps", "thin", "num_chains"):
-            if not _is_count(getattr(self, name), 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        for name, least in (("seed", 0), ("num_steps", 1), ("thin", 1), ("num_chains", 1)):
+            value = getattr(self, name)
+            if not tr._is_count(value, least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
         if self.init_scale is not None and not (
             self.init_scale > 0.0 and math.isfinite(self.init_scale)
         ):
@@ -123,9 +124,12 @@ class ChainRun:
 
     def pooled(self, space: str = "x", burn_in: int = 0) -> np.ndarray:
         """Stack recorded samples from all chains, dropping ``burn_in``
-        recorded entries per chain.  Raises when ``burn_in`` is not a
-        nonnegative integer or when nothing survives."""
-        if not _is_count(burn_in, 0):
+        recorded entries per chain.  Raises when ``space`` is neither
+        ``"x"`` nor ``"y"``, when ``burn_in`` is not a nonnegative integer
+        or when nothing survives."""
+        if space not in ("x", "y"):
+            raise ValueError(f"space must be 'x' or 'y', got {space!r}")
+        if not tr._is_count(burn_in, 0):
             raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
         series = self.xs if space == "x" else self.ys
         kept = [s[burn_in:] for s in series if s.shape[0] > burn_in]
@@ -149,16 +153,6 @@ def tula_step(tp: TransformedPotential, y: np.ndarray, gamma: float, noise: np.n
     if noise.shape != y.shape:
         raise ValueError(f"noise shape {noise.shape} does not match state {y.shape}")
     return y - gamma * transformed_gradient(tp, y) + math.sqrt(2.0 * gamma) * noise
-
-
-def _is_count(value, least: int) -> bool:
-    """Whether `value` is an integer >= `least`; a bool is not one."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
-
-
-def _check_seed(seed: int) -> None:
-    if not _is_count(seed, 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -282,7 +276,7 @@ def plan_step_size(
     for name, value in given.items():
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not _is_count(dimension, 1):
+    if not tr._is_count(dimension, 1):
         raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
     try:
         gamma = min(1.0, accuracy / (4.0 * dimension)) / (2.0 * lipschitz**2 * lsi_constant)

@@ -65,9 +65,8 @@ def _glued(seam: float, tail: Callable[[Array], Array], bulk: Callable[[Array], 
     """Hook of ``tail`` at arguments ``>= seam`` and ``bulk`` below.  No hook
     checks its argument: the package calls them at radii it checked or computed."""
 
-    def glued(x: Array) -> Array:
-        return tr._piecewise(x, seam, lambda v: (bulk(v),), lambda v: (tail(v),))[0]
-
+    boundary = np.array(seam)  # a 0-d operand, as in the jets
+    glued = lambda x: tr._piecewise(x, boundary, lambda v: (bulk(v),), lambda v: (tail(v),))[0]
     return functools.partial(tr._radial, glued, check=False)
 
 
@@ -184,16 +183,16 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
     stay exact for radii up to double range, and the log-argument forms use
     the softplus shape ``F(t) = ((d + kappa)/2) log(1 + e^{2t})``.
     """
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    if not tr._is_count(dimension, 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    dk = float(dimension + kappa)
+    dk, one = np.array(float(dimension + kappa)), tr._ONE  # 0-d operands, as in the jets
 
     # radius forms split at 1 and softplus forms at 0, to stay exact at both ends
     value = _glued(1.0, lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(r**-2)),
                    lambda r: 0.5 * dk * np.log1p(r**2))
-    dvalue = _glued(1.0, lambda r: dk / (r + 1.0 / r), lambda r: dk * r / (1.0 + r**2))
+    dvalue = _glued(1.0, lambda r: dk / (r + one / r), lambda r: dk * r / (one + r**2))
 
     def d2value_big(r: Array) -> Array:
         q = r**-2
@@ -254,16 +253,14 @@ def _pullback(
     Returns the hooks, the seam and the transformed form as keyword
     arguments of :class:`IsotropicPotential`.
     """
-    d1 = t.dimension - 1.0
-
     def outer(jet: tr.RadialJet, r: Array, order: int) -> list:
         p, lgp, lgr = jet
-        out = [phi(r) + lgp[0] + d1 * lgr[0]]
+        out = [phi(r) + lgp[0] + t._d1 * lgr[0]]
         if order >= 1:
-            slope = dphi(r) + lgp[1] + d1 * lgr[1]
+            slope = dphi(r) + lgp[1] + t._d1 * lgr[1]
             out.append(slope / p[1])
         if order >= 2:
-            curv = d2phi(r) + lgp[2] + d1 * lgr[2]
+            curv = d2phi(r) + lgp[2] + t._d1 * lgr[2]
             out.append((curv - slope * p[2] / p[1]) / (p[1] * p[1]))
         return out
 
@@ -402,8 +399,8 @@ def make_example(
     if foreign:
         raise ValueError(f"target {kind.value!r} takes no {', '.join(foreign)}; "
                          f"it takes {' and '.join(_PARAMETERS[kind])}")
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    if not tr._is_count(dimension, 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
     if kind is ExampleKind.MULTIVARIATE_T:
         if kappa is None:
             raise ValueError("the multivariate t family needs kappa")

@@ -24,7 +24,7 @@ overflow: ``exp(b r**beta)`` leaves double range near ``r ~ 26`` for
 ``b = 1, beta = 2`` while the log-space forms stay exact.  Each branch has
 one jet (:class:`RadialJet`) that computes the profile pieces and these
 terms together, at the derivative orders a caller asks for: :func:`bulk_jet`
-shares one Horner pass per derivative of ``p`` and one ``exp(p)``, and
+shares one Horner pass over the derivatives of ``p`` and one ``exp(p)``, and
 :func:`tail_jet` shares the exponent ``u = log g`` of either tail kind.
 A jet's profile is ``g`` on the bulk and ``u`` on every tail, so callers
 compose every tail through ``F(u) = f(e^u)``, and :func:`_tail_root`
@@ -85,15 +85,15 @@ _NEWTON_TOL = 1e-12  # relative stopping rule of the bulk inversion in g_inverse
 _KNOT_REL_TOL = 1e-8  # of the knot_order checks in verify_g1_assumption
 
 
-def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    if len(coeffs) <= 1:
-        return (0.0,)
-    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
+def _is_count(value, least: int) -> bool:
+    """Whether `value` is an integer >= `least`; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
 # 0-d operands of the jets: numpy combines an array with a 0-d array in
 # about half the time it takes with a Python float
-_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO, _ONE, _TWO, _THREE = (np.array(float(c)) for c in range(4))
+_FLOAT = np.dtype(float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,14 +109,18 @@ class GinSpec:
         must vanish; otherwise the origin limits of the transformed
         geometry diverge like ``1/r``.
 
-    It holds the coefficients of ``p`` and its first three derivatives,
-    ``scale`` and ``log(scale)`` as 0-d float64 arrays (``_coeffs``,
-    ``_scale``, ``_log_scale``), so each step of a jet is one array ufunc.
+    It holds ``p`` and its first three derivatives as one float64 table,
+    ``_coeffs[j]`` the coefficients of ``p^(j)`` zero-padded at the high end,
+    for one Horner pass over every order a jet needs; the padding keeps each
+    row equal to ``polyval`` bit for bit, as ``0 r + c = c`` for finite ``r``.
+    ``scale`` and ``log(scale)`` are 0-d float64 arrays, so each step of a
+    jet is one array ufunc.
     """
 
     scale: float
     log_poly: tuple[float, ...]
-    _coeffs: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _columns: tuple = dataclasses.field(init=False, repr=False, compare=False)
     _scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _log_scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
@@ -130,22 +134,36 @@ class GinSpec:
             raise ValueError(
                 f"linear coefficient of log_poly must be zero, got {self.log_poly[1]}"
             )
-        p1 = _polyder(self.log_poly)
-        p2 = _polyder(p1)
-        coeffs = (self.log_poly, p1, p2, _polyder(p2))
-        object.__setattr__(self, "_coeffs", tuple(tuple(map(np.array, c)) for c in coeffs))
+        table = np.zeros((4, len(self.log_poly)))
+        table[0] = self.log_poly
+        for j in range(1, 4):  # the derivative of the row above
+            table[j, :-1] = table[j - 1, 1:] * np.arange(1, table.shape[1])
+        table.flags.writeable = False
+        object.__setattr__(self, "_coeffs", table)
+        # the Horner columns of the first n rows, highest power first, at [n - 1]
+        object.__setattr__(self, "_columns", tuple(
+            tuple(np.array(col[:, None]) for col in table[:n, ::-1].T) for n in range(1, 5)))
         object.__setattr__(self, "_scale", np.array(self.scale))
         object.__setattr__(self, "_log_scale", np.array(math.log(self.scale)))
 
-    def log_profile(self, r, order: int = 0):
-        """Evaluate ``p`` or one of its first three derivatives by Horner's
-        rule in the operation order of ``numpy.polynomial.polynomial.polyval``,
-        so the values match it bit for bit, without its per-call set-up."""
-        coeffs = self._coeffs[order]
-        acc = coeffs[-1] + r * _ZERO
-        for c in coeffs[-2::-1]:
-            acc = c + acc * r
+    def _log_profiles(self, r: np.ndarray, rows: int) -> np.ndarray:
+        """``p, ..., p^(rows - 1)`` at the radii ``r``, stacked along a new
+        first axis by one Horner pass in the operation order of ``polyval``."""
+        top, *rest = self._columns[rows - 1]
+        if r.ndim > 1:  # the columns are shaped to broadcast against a 1-d r
+            top, *rest = (c.reshape((rows,) + (1,) * r.ndim) for c in (top, *rest))
+        elif r.size == 1:  # as a 0-d operand, numpy skips its broadcasting iterator
+            r = r.reshape(())
+        acc = top + r * _ZERO
+        out = acc if r.ndim else None  # in place on a batch; small arrays are faster anew
+        for c in rest:
+            acc = np.add(c, np.multiply(acc, r, out), out)
         return acc
+
+    def log_profile(self, r, order: int = 0):
+        """``p`` or one of its first three derivatives, a row of
+        :meth:`_log_profiles`; it equals ``polyval`` bit for bit."""
+        return self._log_profiles(np.asarray(r, dtype=float), order + 1)[order]
 
     def value(self, r):
         return self.deriv(r, 0)
@@ -158,7 +176,7 @@ class GinSpec:
         """
         if order not in (0, 1, 2, 3):
             raise ValueError(f"order must be in {{0, 1, 2, 3}}, got {order}")
-        return _radial(lambda x: _bulk_profile(self, x, order)[0][order], r)
+        return _radial(lambda x: bulk_jet(self, x, (order,), logs=False).profile[order], r)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,8 +199,8 @@ class RadialTransform:
     tail_knot: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if not _is_count(self.dimension, 1):
+            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension!r}")
         if self.tail == _EXP:
             if not (self.b > 0.0 and math.isfinite(self.b)):
                 raise ValueError(f"b must be positive and finite, got {self.b}")
@@ -195,6 +213,9 @@ class RadialTransform:
                 raise ValueError(f"a quadratic tail has beta = 2, got {self.beta}")
         else:
             raise ValueError(f"unknown tail kind {self.tail!r}")
+        # 0-d operands of the composed jets: the knot and d - 1
+        object.__setattr__(self, "_knot", np.array(self.knot))
+        object.__setattr__(self, "_d1", np.array(self.dimension - 1.0))
 
     @property
     def knot(self) -> float:
@@ -305,6 +326,8 @@ def _radial(fn, r, check: bool = True):
     ``r``.  NaN passes through.  ``check`` rejects negative radii; the
     potential hooks of :mod:`tula.targets` turn it off.
     """
+    if not check and type(r) is np.ndarray and r.ndim == 1 and r.dtype is _FLOAT:
+        return fn(r)  # a hook's per-step call, on radii the package computed
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     if scalar:
@@ -349,7 +372,13 @@ def _radial_field(x, dimension: int, s, at_origin):
 
 # --- branch jets ----------------------------------------------------------
 #
-# Bulk identities, writing q = p', all exact in the profile polynomial:
+# Bulk identities, writing q = p', all exact in the profile polynomial; one
+# Horner pass over GinSpec's stacked table gives p, q, p'' and p''' at once,
+# and one exp(p) serves every profile piece:
+#   g                = c r e^p
+#   g'               = c (1 + r q) e^p
+#   g''              = c (2 q + r p'' + r q^2) e^p
+#   g'''             = c (3 q^2 + 3 p'' + 3 r q p'' + r q^3 + r p''') e^p
 #   log g            = log c + log r + p
 #   log g'           = log c + log1p(r q) + p
 #   (log g')'        = q + (q + r p'') / (1 + r q)
@@ -378,54 +407,38 @@ class RadialJet(NamedTuple):
     log_g_over_r: dict
 
 
-def _bulk_profile(gin: GinSpec, r: np.ndarray, order: int) -> tuple[list, list, np.ndarray | None]:
-    """The profile half of :func:`bulk_jet`: ``g`` and its first ``order``
-    derivatives, with the derivatives ``p, ..., p^(order)`` they used and
-    ``1 + r q`` (None at order 0).  One ``exp(p)`` serves every piece; with
-    ``q = p'``:
-
-    * ``g'   = c (1 + r q) e^p``
-    * ``g''  = c (2 q + r p'' + r q^2) e^p``
-    * ``g''' = c (3 q^2 + 3 p'' + 3 r q p'' + r q^3 + r p''') e^p``
+def bulk_jet(gin: GinSpec, r: np.ndarray, orders, *, logs: bool = True) -> RadialJet:
+    """Jet of the bulk profile ``c r e^p`` at radii ``r`` for the derivative
+    orders ``orders``, a collection of integers from 0 to 3: the profile
+    pieces and, unless ``logs`` is false, the log terms of the identities
+    above at the asked orders, from one Horner pass.  No knot test: the
+    caller passes bulk radii.
     """
+    top = max(orders)
+    p = gin._log_profiles(r, min(top + 2, 4) if logs else top + 1)
     c = gin._scale
-    p = [gin.log_profile(r, j) for j in range(order + 1)]
     ep = np.exp(p[0])
     g = [c * r * ep]
-    den = None
-    if order >= 1:
+    if len(p) > 1:
         q = p[1]
         rq = r * q
         den = _ONE + rq
+    if top >= 1:
         g.append(c * den * ep)
-    if order >= 2:
-        g.append(c * (2.0 * q + r * p[2] + rq * q) * ep)
-    if order >= 3:
-        g.append(c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * q**3 + r * p[3]) * ep)
-    return g, p, den
-
-
-def bulk_jet(gin: GinSpec, r: np.ndarray, orders) -> RadialJet:
-    """Jet of the bulk profile ``c r e^p`` at radii ``r`` for the derivative
-    orders ``orders``, a collection of integers from 0 to 3.
-
-    The profile pieces of :func:`_bulk_profile` and the log terms of the
-    identities above at the asked orders, sharing each derivative of
-    ``p``.  No knot test: the caller passes bulk radii.
-    """
-    top = max(orders)
-    g, p, den = _bulk_profile(gin, r, top)
-    p += [gin.log_profile(r, j) for j in range(len(p), min(top, 2) + 2)]
-    q = p[1]
+    if top >= 2:
+        g.append(c * (_TWO * q + r * p[2] + rq * q) * ep)
+    if top >= 3:
+        g.append(c * (_THREE * q * q + _THREE * p[2] + _THREE * r * q * p[2] + r * q**3
+                      + r * p[3]) * ep)
     lgp, lgr = {}, {}
-    if 0 in orders:
-        lgp[0] = gin._log_scale + np.log1p(r * q) + p[0]
+    if logs and 0 in orders:
+        lgp[0] = gin._log_scale + np.log1p(rq) + p[0]
         lgr[0] = gin._log_scale + p[0]
-    if 1 in orders:
+    if logs and 1 in orders:
         lgp[1] = q + (q + r * p[2]) / den
         lgr[1] = q
-    if 2 in orders:
-        lgp[2] = p[2] + ((2.0 * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den)
+    if logs and 2 in orders:
+        lgp[2] = p[2] + ((_TWO * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den)
         lgr[2] = p[2]
     return RadialJet(tuple(g), lgp, lgr)
 
@@ -436,14 +449,10 @@ def _tail_profile(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
     exponential kind and ``log a + 2 log r`` on the quadratic kind."""
     if t.tail == _QUADRATIC:
         return (math.log(t.tail_scale) + 2.0 * np.log(r), 2.0 / r, -2.0 / r**2, 4.0 / r**3)[: order + 1]
-    b, beta = t.b, t.beta
-    u = [b * np.power(r, beta)]
-    if order >= 1:
-        u.append(b * beta * np.power(r, beta - 1.0))
-    if order >= 2:
-        u.append(b * beta * (beta - 1.0) * np.power(r, beta - 2.0))
-    if order >= 3:
-        u.append(b * beta * (beta - 1.0) * (beta - 2.0) * np.power(r, beta - 3.0))
+    coef, u = t.b, []
+    for k in range(order + 1):  # u^(k) = b beta (beta - 1) ... (beta - k + 1) r**(beta - k)
+        u.append(coef * np.power(r, t.beta - k))
+        coef = coef * (t.beta - k)
     return tuple(u)
 
 
@@ -508,8 +517,8 @@ def g_eval(t: RadialTransform, r, order: int = 0):
             return ((u[2] + u[1] * u[1]) * g,)
         return ((u[3] + 3.0 * u[1] * u[2] + u[1] ** 3) * g,)
 
-    bulk = lambda x: (_bulk_profile(t.gin, x, order)[0][order],)
-    return _radial(lambda x: _piecewise(x, t.knot, bulk, tail)[0], r)
+    bulk = lambda x: (bulk_jet(t.gin, x, (order,), logs=False).profile[order],)
+    return _radial(lambda x: _piecewise(x, t._knot, bulk, tail)[0], r)
 
 
 def log_jacobian_terms(t: RadialTransform, r, order: int):
@@ -526,7 +535,7 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
         return (*jet.log_gprime.values(), *jet.log_g_over_r.values())
 
     terms = _radial(lambda x: _piecewise(
-        x, t.knot, lambda xb: log_terms(bulk_jet(t.gin, xb, range(order + 1))),
+        x, t._knot, lambda xb: log_terms(bulk_jet(t.gin, xb, range(order + 1))),
         lambda xt: log_terms(tail_jet(t, xt, range(order + 1)))), r)
     return tuple(terms[: order + 1]), tuple(terms[order + 1:])
 
@@ -583,7 +592,7 @@ def _invert_bulk(t: RadialTransform, s: np.ndarray) -> np.ndarray:
     # relative, floored where tol * s underflows
     target_tol = np.maximum(_NEWTON_TOL * s, np.finfo(float).tiny)
     for _ in range(200):
-        g, slope = _bulk_profile(t.gin, r, 1)[0]
+        g, slope = bulk_jet(t.gin, r, (1,), logs=False).profile
         val = g - s
         done = np.abs(val) <= target_tol
         if np.all(done):

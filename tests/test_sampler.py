@@ -1,6 +1,7 @@
 """Langevin loop tests: determinism, divergence handling, planning, CSV."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -111,6 +112,16 @@ class TestSamplerConfig:
     def test_numpy_integer_seed_is_accepted(self):
         assert SamplerConfig(step_size=0.1, num_steps=10, seed=np.int64(3)).seed == 3
 
+    def test_numpy_integer_counts_keep_the_summary_json(self, tp):
+        """A numpy seed stayed an np.int64, and json.dumps(run_summary(run))
+        raised "Object of type int64 is not JSON serializable"."""
+        cfg = SamplerConfig(step_size=0.05, num_steps=np.int64(4), seed=np.int64(3),
+                            thin=np.int32(2), num_chains=np.uint8(2))
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("seed", "num_steps", "thin", "num_chains"))
+        echo = json.loads(json.dumps(run_summary(run_tula(tp, cfg))))["config"]
+        assert (echo["seed"], echo["num_steps"], echo["thin"], echo["num_chains"]) == (3, 4, 2, 2)
+
     def test_to_dict_round_trips_through_json_types(self):
         cfg = SamplerConfig(step_size=0.05, num_steps=100, seed=7,
                             initial_point=np.array([1.0, 2.0]), num_chains=3)
@@ -164,6 +175,13 @@ class TestRecording:
         assert pooled.shape == (2 * (31 - 10), 2)
         with pytest.raises(ValueError, match="burn_in"):
             run.pooled(burn_in=100)
+
+    @pytest.mark.parametrize("space", ["q", "X", "", None])
+    def test_pooled_names_a_space_that_is_not_x_or_y(self, tp, space):
+        """run.pooled(space="q") returned the y samples."""
+        run = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=10, seed=5))
+        with pytest.raises(ValueError, match=f"space must be 'x' or 'y', got {space!r}"):
+            run.pooled(space=space)
 
     @pytest.mark.parametrize("burn_in", [-5, -1, 1.5, True, np.float64(10.0)])
     def test_pooled_rejects_a_burn_in_that_is_not_a_count(self, tp, burn_in):

@@ -133,6 +133,13 @@ class TestMultivariateT:
         with pytest.raises(ValueError, match="kappa"):
             make_multivariate_t(2, 0.0)
 
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, True, "2"])
+    def test_dimension_that_is_not_an_integer_names_it(self, dimension):
+        """make_multivariate_t(2.5, 3.0) built a potential of dimension 2.5."""
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            make_multivariate_t(dimension, 3.0)
+        assert make_multivariate_t(np.int64(2), 3.0).dimension == 2
+
 
 class TestZooEntries:
     @pytest.mark.parametrize("kind,kwargs", [
@@ -258,6 +265,18 @@ class TestZooEntries:
             make_example(ExampleKind.EXAMPLE6, 2, vartheta=0.0)
         with pytest.raises(ValueError, match="dimension"):
             make_example(ExampleKind.EXAMPLE6, 0)
+
+    @pytest.mark.parametrize("kind", list(ExampleKind))
+    def test_dimension_that_is_not_an_integer_names_it(self, kind):
+        """make_example("example6", 2.5) built an entry of dimension 2.5, on
+        which run_tula died with "'float' object cannot be interpreted as an
+        integer"."""
+        extra = {ExampleKind.MULTIVARIATE_T: {"kappa": 3.0},
+                 ExampleKind.EXAMPLE2: {"upsilon": 0.5}}.get(kind, {})
+        for dimension in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+                make_example(kind, dimension, **extra)
+        assert make_example(kind, np.int64(2), **extra).transform.dimension == 2
 
     @pytest.mark.parametrize("kind, takes", [
         (ExampleKind.MULTIVARIATE_T, {"kappa": 3.0, "b": 0.5}),

@@ -119,22 +119,61 @@ class TestGinSpec:
         assert len(jet.profile) == order + 1
         assert np.float64(spec.deriv(r, order)).tobytes() == jet.profile[order].tobytes()
 
+    @given(st.one_of(
+               st.floats(0.05, 5.0).map(lambda b: (ginbeta2_profile(b), b**-0.5)),
+               st.tuples(st.sampled_from([1, 2, 5]), st.floats(0.2, 5.0)).map(
+                   lambda dk: (warmup_profile(*dk), dk[1]))),
+           st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_jet_matches_per_order_polyval_bitwise(self, spec_knot, fracs):
+        """bulk_jet equals, bit for bit and for every non-empty set of orders,
+        the profile pieces and log terms rebuilt from one polyval per
+        derivative of p by the identities of transform's comment block, in
+        the jet's operation order, on radii either side of the knot."""
+        spec, knot = spec_knot
+        r = knot * np.array(fracs)
+        # past the knot 1 + r p' may turn negative, and log1p gives NaN on both sides
+        with np.errstate(invalid="ignore"):
+            p = [npoly.polyval(r, npoly.polyder(spec.log_poly, j)) for j in range(4)]
+            c, lc = spec.scale, math.log(spec.scale)
+            ep, q = np.exp(p[0]), p[1]
+            rq = r * q
+            den = 1.0 + rq
+            profile = [c * r * ep, c * den * ep, c * (2.0 * q + r * p[2] + rq * q) * ep,
+                       c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * q**3
+                            + r * p[3]) * ep]
+            lgp = [lc + np.log1p(r * q) + p[0], q + (q + r * p[2]) / den,
+                   p[2] + ((2.0 * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den)]
+            lgr = [lc + p[0], q, p[2]]
+            for n in range(1, 16):
+                orders = [j for j in range(4) if n >> j & 1]
+                top, logs = max(orders), [j for j in orders if j <= 2]
+                for jet, asked in ((bulk_jet(spec, r, orders), logs),
+                                   (bulk_jet(spec, r, orders, logs=False), [])):
+                    assert [a.tobytes() for a in jet.profile] == [
+                        a.tobytes() for a in profile[: top + 1]]
+                    assert list(jet.log_gprime) == list(jet.log_g_over_r) == asked
+                    assert all(jet.log_gprime[j].tobytes() == lgp[j].tobytes()
+                               and jet.log_g_over_r[j].tobytes() == lgr[j].tobytes()
+                               for j in asked)
+
     @pytest.mark.parametrize("spec", [
         *(ginbeta2_profile(b) for b in (0.1, 0.25, 0.75, 1.0, 3.0)),
         warmup_profile(1), warmup_profile(2), warmup_profile(5, knot=2.0),
     ])
     def test_log_profile_matches_polyval_bitwise(self, spec):
-        """The profile exponent and its derivatives are evaluated by Horner's
-        rule in numpy's polyval order, on coefficients the spec holds as 0-d
-        float64 arrays, so they equal polyval bit for bit for array and
-        scalar radii alike."""
+        """The profile exponent and its derivatives are evaluated by one
+        Horner pass in numpy's polyval order, on a float64 table the spec
+        holds with one zero-padded row per derivative, so they equal polyval
+        bit for bit for array and scalar radii alike."""
         r = np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 400), [np.inf]])
+        table = spec._coeffs
+        assert type(table) is np.ndarray and table.dtype == np.float64
+        assert table.shape == (4, len(spec.log_poly))
         for order in range(4):
             coeffs = npoly.polyder(spec.log_poly, order)
-            held = spec._coeffs[order]
-            assert all(type(c) is np.ndarray and c.shape == () and c.dtype == np.float64
-                       for c in held)
-            assert np.array(held).tobytes() == coeffs.tobytes()
+            held = table[order]
+            assert held.tobytes() == np.pad(coeffs, (0, held.size - coeffs.size)).tobytes()
             with np.errstate(invalid="ignore"):  # inf * 0 starts both at nan
                 assert spec.log_profile(r, order).tobytes() == npoly.polyval(r, coeffs).tobytes()
             for x in (0.0, 0.37, 1.0):

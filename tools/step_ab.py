@@ -1,0 +1,129 @@
+"""Alternating in-process timings of two tula source trees, layer by layer.
+
+    python3 tools/step_ab.py --parent PARENT_TREE --change CHANGE_TREE --rounds 30
+
+Loads each tree's ``src/tula`` in one process under its own module name,
+``tula_parent`` and ``tula_change`` (the package imports its modules
+relatively, so the two trees' modules stay apart), then runs ``--rounds``
+rounds.  In each round every measurement is taken once on each tree,
+alternating which tree goes first.  The measurements, on ``t2_3`` and on
+``example6`` at d = 2:
+
+* ``run_tula_us_per_step``: ``run_tula`` with one chain of ``--steps``
+  steps (γ 0.005 on ``t2_3`` and 0.05 on ``example6``, as in the
+  benchmark's workloads), in microseconds per chain-step;
+* ``grad_factor_ns_per_radius.bulk`` and ``.tail``: ``grad_factor`` on
+  BATCH radii drawn inside the knot (0.05 to 0.95 knots) and outside it
+  (1.05 to 2.5 knots), as ``perfbench/probes.py`` draws them, in
+  nanoseconds per radius; each sample repeats the call for at least
+  MIN_SECONDS.
+
+For each measurement it prints each tree's median and quartiles, the number
+of rounds the change won and the change's median over the parent's; with
+``--out`` it also writes every sample as JSON.  One traced benchmark run per
+side cannot resolve a per-layer change of a few per cent; many alternating
+samples in one process can.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+BATCH = 1024
+MIN_SECONDS = 0.02
+CASES = {"t2_3": ("t2_3", None, 0.005), "example6_d2": ("example6", 2, 0.05)}
+
+
+def load(tree: Path, alias: str):
+    """The ``tula`` package of ``tree`` imported as the top-level module ``alias``."""
+    pkg = tree / "src" / "tula"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def measurements(tula, steps: int) -> dict:
+    """Name to a zero-argument callable returning one sample of that measurement."""
+    rng = np.random.default_rng(20220120)
+    unit = rng.uniform(0.05, 0.95, BATCH), rng.uniform(1.05, 2.5, BATCH)
+    out = {}
+    for case, (name, dimension, gamma) in CASES.items():
+        entry = tula.parse_target_name(name, dimension=dimension)
+        tp = tula.TransformedPotential(entry.potential, entry.transform)
+        cfg = tula.SamplerConfig(step_size=gamma, num_steps=steps, seed=0)
+
+        def run(tp=tp, cfg=cfg) -> float:
+            start = time.perf_counter()
+            tula.run_tula(tp, cfg)
+            return 1e6 * (time.perf_counter() - start) / cfg.num_steps
+
+        out[f"{case} run_tula_us_per_step"] = run
+        for branch, frac in zip(("bulk", "tail"), unit):
+            radii = entry.transform.knot * frac
+
+            def kernel(tp=tp, radii=radii) -> float:
+                loops, start = 0, time.perf_counter()
+                while (elapsed := time.perf_counter() - start) < MIN_SECONDS or not loops:
+                    tula.grad_factor(tp, radii)
+                    loops += 1
+                return 1e9 * elapsed / (loops * radii.size)
+
+            out[f"{case} grad_factor_ns_per_radius.{branch}"] = kernel
+    return out
+
+
+def compare(parent: list[float], change: list[float]) -> dict:
+    """Medians, quartiles (statistics.quantiles' exclusive method), the
+    rounds where the change took less time, and change median over parent median."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    return {"parent_median": pm, "change_median": cm,
+            "parent_quartiles": statistics.quantiles(parent, n=4),
+            "change_quartiles": statistics.quantiles(change, n=4),
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "rounds": len(parent), "ratio": cm / pm}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--steps", type=int, default=2000)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.rounds < 2 or args.steps < 1:
+        parser.error("--rounds must be at least 2 and --steps at least 1")
+    sides = {side: measurements(load(tree.resolve(), f"tula_{side}"), args.steps)
+             for side, tree in (("parent", args.parent), ("change", args.change))}
+    samples = {side: {name: [] for name in fns} for side, fns in sides.items()}
+    for i in range(args.rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in sides["parent"]:
+            for side in order:
+                samples[side][name].append(sides[side][name]())
+    table = {name: compare(samples["parent"][name], samples["change"][name])
+             for name in sides["parent"]}
+    for name, row in table.items():
+        quart = lambda q: f"[{q[0]:.4g}, {q[2]:.4g}]"
+        print(f"{name}: parent {row['parent_median']:.4g} {quart(row['parent_quartiles'])} "
+              f"change {row['change_median']:.4g} {quart(row['change_quartiles'])}, "
+              f"change wins {row['change_wins']}/{row['rounds']}, ratio {row['ratio']:.3f}")
+    if args.out:
+        args.out.write_text(json.dumps({"rounds": args.rounds, "steps": args.steps,
+                                        "table": table, "samples": samples}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
