@@ -92,7 +92,7 @@ def _is_count(value, least: int) -> bool:
 
 # 0-d operands of the jets: numpy combines an array with a 0-d array in
 # about half the time it takes with a Python float
-_ZERO, _ONE, _TWO, _THREE = (np.array(float(c)) for c in range(4))
+_ZERO, _ONE, _TWO = (np.array(float(c)) for c in range(3))
 _FLOAT = np.dtype(float)
 
 
@@ -140,9 +140,10 @@ class GinSpec:
             table[j, :-1] = table[j - 1, 1:] * np.arange(1, table.shape[1])
         table.flags.writeable = False
         object.__setattr__(self, "_coeffs", table)
-        # the Horner columns of the first n rows, highest power first, at [n - 1]
+        # the Horner columns of the first n rows at [n - 1], highest power first
         object.__setattr__(self, "_columns", tuple(
-            tuple(np.array(col[:, None]) for col in table[:n, ::-1].T) for n in range(1, 5)))
+            tuple(np.array(col[:, None] if n > 1 else col[0]) for col in table[:n, ::-1].T)
+            for n in range(1, 5)))
         object.__setattr__(self, "_scale", np.array(self.scale))
         object.__setattr__(self, "_log_scale", np.array(math.log(self.scale)))
 
@@ -150,15 +151,15 @@ class GinSpec:
         """``p, ..., p^(rows - 1)`` at the radii ``r``, stacked along a new
         first axis by one Horner pass in the operation order of ``polyval``."""
         top, *rest = self._columns[rows - 1]
-        if r.ndim > 1:  # the columns are shaped to broadcast against a 1-d r
+        if rows > 1 and r.ndim > 1:  # the columns are shaped to broadcast against a 1-d r
             top, *rest = (c.reshape((rows,) + (1,) * r.ndim) for c in (top, *rest))
-        elif r.size == 1:  # as a 0-d operand, numpy skips its broadcasting iterator
+        elif rows > 1 and r.shape == (1,):  # numpy skips its broadcasting iterator for 0-d
             r = r.reshape(())
         acc = top + r * _ZERO
-        out = acc if r.ndim else None  # in place on a batch; small arrays are faster anew
+        out = acc if acc.size > rows else None  # in place on a batch; small arrays are faster anew
         for c in rest:
             acc = np.add(c, np.multiply(acc, r, out), out)
-        return acc
+        return acc if rows > 1 else acc[None]  # one row's columns are 0-d, for the same reason
 
     def log_profile(self, r, order: int = 0):
         """``p`` or one of its first three derivatives, a row of
@@ -428,8 +429,7 @@ def bulk_jet(gin: GinSpec, r: np.ndarray, orders, *, logs: bool = True) -> Radia
     if top >= 2:
         g.append(c * (_TWO * q + r * p[2] + rq * q) * ep)
     if top >= 3:
-        g.append(c * (_THREE * q * q + _THREE * p[2] + _THREE * r * q * p[2] + r * q**3
-                      + r * p[3]) * ep)
+        g.append(c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * q**3 + r * p[3]) * ep)
     lgp, lgr = {}, {}
     if logs and 0 in orders:
         lgp[0] = gin._log_scale + np.log1p(rq) + p[0]
