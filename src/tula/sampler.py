@@ -123,10 +123,9 @@ class ChainRun:
         return any(self.diverged)
 
     def pooled(self, space: str = "x", burn_in: int = 0) -> np.ndarray:
-        """Stack recorded samples from all chains, dropping ``burn_in``
-        recorded entries per chain.  Raises when ``space`` is neither
-        ``"x"`` nor ``"y"``, when ``burn_in`` is not a nonnegative integer
-        or when nothing survives."""
+        """Stack the ``"x"`` or ``"y"`` samples of all chains, dropping
+        ``burn_in`` recorded entries per chain.  Raises on another space, on
+        a ``burn_in`` that is not a nonnegative integer or when nothing survives."""
         if space not in ("x", "y"):
             raise ValueError(f"space must be 'x' or 'y', got {space!r}")
         if not tr._is_count(burn_in, 0):

@@ -187,12 +187,13 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    dk, one = np.array(float(dimension + kappa)), tr._ONE  # 0-d operands, as in the jets
+    dk = float(dimension + kappa)
+    dk0, one = np.array(dk), tr._ONE  # 0-d operands of f', as in the jets
 
     # radius forms split at 1 and softplus forms at 0, to stay exact at both ends
     value = _glued(1.0, lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(r**-2)),
                    lambda r: 0.5 * dk * np.log1p(r**2))
-    dvalue = _glued(1.0, lambda r: dk / (r + one / r), lambda r: dk * r / (one + r**2))
+    dvalue = _glued(1.0, lambda r: dk0 / (r + one / r), lambda r: dk0 * r / (one + r**2))
 
     def d2value_big(r: Array) -> Array:
         q = r**-2

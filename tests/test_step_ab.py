@@ -22,7 +22,6 @@ def test_compare_counts_wins_and_takes_the_median_ratio():
 
 def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(step_ab, "MIN_SECONDS", 0.0)  # one kernel call per sample
-    before = set(sys.modules)
     out = tmp_path / "ab.json"
     try:
         assert step_ab.main(["--parent", str(_ROOT), "--change", str(_ROOT), "--rounds", "2",
@@ -30,7 +29,7 @@ def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
         # the two trees' modules are separate objects, not one cached import
         assert sys.modules["tula_parent.transform"] is not sys.modules["tula_change.transform"]
     finally:
-        for name in set(sys.modules) - before:
+        for name in [m for m in sys.modules if m.split(".")[0] in ("tula_parent", "tula_change")]:
             del sys.modules[name]
     doc = json.loads(out.read_text())
     names = {f"{case} {what}" for case in step_ab.CASES
