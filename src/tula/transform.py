@@ -83,6 +83,7 @@ _EXP = "exp"
 _QUADRATIC = "quadratic"
 _NEWTON_TOL = 1e-12  # relative stopping rule of the bulk inversion in g_inverse
 _KNOT_REL_TOL = 1e-8  # of the knot_order checks in verify_g1_assumption
+_FLOAT = np.dtype(float)  # a native float64 array's, for the hooks' path through _radial
 
 
 def _is_count(value, least: int) -> bool:
@@ -93,7 +94,6 @@ def _is_count(value, least: int) -> bool:
 # 0-d operands of the jets: numpy combines an array with a 0-d array in
 # about half the time it takes with a Python float
 _ZERO, _ONE, _TWO = (np.array(float(c)) for c in range(3))
-_FLOAT = np.dtype(float)
 
 
 @dataclasses.dataclass(frozen=True)
