@@ -185,6 +185,7 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
     """
     if not tr._is_count(dimension, 1):
         raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+    dimension = int(dimension)  # a numpy integer would reach the JSON records
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     dk = float(dimension + kappa)
@@ -402,6 +403,7 @@ def make_example(
                          f"it takes {' and '.join(_PARAMETERS[kind])}")
     if not tr._is_count(dimension, 1):
         raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+    dimension = int(dimension)  # a numpy integer would reach the JSON records
     if kind is ExampleKind.MULTIVARIATE_T:
         if kappa is None:
             raise ValueError("the multivariate t family needs kappa")

@@ -24,8 +24,13 @@ overflow: ``exp(b r**beta)`` leaves double range near ``r ~ 26`` for
 ``b = 1, beta = 2`` while the log-space forms stay exact.  Each branch has
 one jet (:class:`RadialJet`) that computes the profile pieces and these
 terms together, at the derivative orders a caller asks for: :func:`bulk_jet`
-shares one Horner pass over the derivatives of ``p`` and one ``exp(p)``, and
-:func:`tail_jet` shares the exponent ``u = log g`` of either tail kind.
+shares the Horner passes over the derivatives of ``p`` and one ``exp(p)``,
+and :func:`tail_jet` shares the exponent ``u = log g`` of either tail kind.
+:func:`bulk_jet` works a single radius, as a sampler step asks for, in
+Python floats: on a one-element array each numpy call costs far more than
+its arithmetic.  That path runs every operation of the array path in the
+same order, and ``exp``, ``log1p`` and the cube through numpy's own ufuncs,
+so both give the same bits.
 A jet's profile is ``g`` on the bulk and ``u`` on every tail, so callers
 compose every tail through ``F(u) = f(e^u)``, and :func:`_tail_root`
 inverts ``u`` for both kinds; only this module tells the kinds apart.
@@ -110,17 +115,19 @@ class GinSpec:
         geometry diverge like ``1/r``.
 
     It holds ``p`` and its first three derivatives as one float64 table,
-    ``_coeffs[j]`` the coefficients of ``p^(j)`` zero-padded at the high end,
-    for one Horner pass over every order a jet needs; the padding keeps each
-    row equal to ``polyval`` bit for bit, as ``0 r + c = c`` for finite ``r``.
-    ``scale`` and ``log(scale)`` are 0-d float64 arrays, so each step of a
-    jet is one array ufunc.
+    ``_coeffs[j]`` the coefficients of ``p^(j)`` zero-padded at the high end.
+    Each row's own coefficients, highest power first, are kept twice for
+    Horner's rule in ``polyval``'s operation order, so each row equals
+    ``polyval`` bit for bit: as Python floats for a jet at one radius, and
+    as 0-d float64 arrays, like ``scale`` and ``log(scale)``, so that each
+    step of a jet on a batch is one array ufunc.
     """
 
     scale: float
     log_poly: tuple[float, ...]
     _coeffs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    _columns: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _row_arrays: tuple = dataclasses.field(init=False, repr=False, compare=False)
     _scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _log_scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
@@ -129,6 +136,7 @@ class GinSpec:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if len(self.log_poly) == 0:
             raise ValueError("log_poly needs at least a constant coefficient")
+        object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "log_poly", tuple(float(c) for c in self.log_poly))
         if len(self.log_poly) > 1 and self.log_poly[1] != 0.0:
             raise ValueError(
@@ -140,26 +148,25 @@ class GinSpec:
             table[j, :-1] = table[j - 1, 1:] * np.arange(1, table.shape[1])
         table.flags.writeable = False
         object.__setattr__(self, "_coeffs", table)
-        # the Horner columns of the first n rows at [n - 1], highest power first
-        object.__setattr__(self, "_columns", tuple(
-            tuple(np.array(col[:, None] if n > 1 else col[0]) for col in table[:n, ::-1].T)
-            for n in range(1, 5)))
+        rows = tuple(tuple(row[: max(row.size - j, 1)][::-1].tolist())
+                     for j, row in enumerate(table))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_row_arrays", tuple(tuple(map(np.array, row)) for row in rows))
         object.__setattr__(self, "_scale", np.array(self.scale))
         object.__setattr__(self, "_log_scale", np.array(math.log(self.scale)))
 
-    def _log_profiles(self, r: np.ndarray, rows: int) -> np.ndarray:
-        """``p, ..., p^(rows - 1)`` at the radii ``r``, stacked along a new
-        first axis by one Horner pass in the operation order of ``polyval``."""
-        top, *rest = self._columns[rows - 1]
-        if rows > 1 and r.ndim > 1:  # the columns are shaped to broadcast against a 1-d r
-            top, *rest = (c.reshape((rows,) + (1,) * r.ndim) for c in (top, *rest))
-        elif rows > 1 and r.shape == (1,):  # numpy skips its broadcasting iterator for 0-d
-            r = r.reshape(())
-        acc = top + r * _ZERO
-        out = acc if acc.size > rows else None  # in place on a batch; small arrays are faster anew
-        for c in rest:
-            acc = np.add(c, np.multiply(acc, r, out), out)
-        return acc if rows > 1 else acc[None]  # one row's columns are 0-d, for the same reason
+    def _log_profiles(self, r: np.ndarray, rows: int) -> list:
+        """``p, ..., p^(rows - 1)`` at the radii ``r``, each by Horner's rule
+        in the operation order of ``polyval``, updated in place."""
+        zero = r * _ZERO
+        out = []
+        for top, *rest in self._row_arrays[:rows]:
+            acc = top + zero
+            into = acc if acc.ndim else None  # a 0-d r gives numpy scalars
+            for c in rest:
+                acc = np.add(c, np.multiply(acc, r, into), into)
+            out.append(acc)
+        return out
 
     def log_profile(self, r, order: int = 0):
         """``p`` or one of its first three derivatives, a row of
@@ -202,6 +209,7 @@ class RadialTransform:
     def __post_init__(self) -> None:
         if not _is_count(self.dimension, 1):
             raise ValueError(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        object.__setattr__(self, "dimension", int(self.dimension))  # JSON takes no numpy integer
         if self.tail == _EXP:
             if not (self.b > 0.0 and math.isfinite(self.b)):
                 raise ValueError(f"b must be positive and finite, got {self.b}")
@@ -374,8 +382,8 @@ def _radial_field(x, dimension: int, s, at_origin):
 # --- branch jets ----------------------------------------------------------
 #
 # Bulk identities, writing q = p', all exact in the profile polynomial; one
-# Horner pass over GinSpec's stacked table gives p, q, p'' and p''' at once,
-# and one exp(p) serves every profile piece:
+# Horner pass per derivative of p gives p, q, p'' and p''', and one exp(p)
+# serves every profile piece:
 #   g                = c r e^p
 #   g'               = c (1 + r q) e^p
 #   g''              = c (2 q + r p'' + r q^2) e^p
@@ -412,9 +420,15 @@ def bulk_jet(gin: GinSpec, r: np.ndarray, orders, *, logs: bool = True) -> Radia
     """Jet of the bulk profile ``c r e^p`` at radii ``r`` for the derivative
     orders ``orders``, a collection of integers from 0 to 3: the profile
     pieces and, unless ``logs`` is false, the log terms of the identities
-    above at the asked orders, from one Horner pass.  No knot test: the
-    caller passes bulk radii.
+    above at the asked orders.  No knot test: the caller passes bulk radii.
+
+    A single radius (``r`` of shape ``(1,)``, as a sampler step passes) is
+    worked in Python floats by :func:`_bulk_jet_at`, which returns the same
+    bits in one-element arrays: there numpy's per-call overhead, not the
+    arithmetic, is nearly all of the cost.
     """
+    if r.shape == (1,):
+        return _bulk_jet_at(gin, r.item(), orders, logs)
     top = max(orders)
     p = gin._log_profiles(r, min(top + 2, 4) if logs else top + 1)
     c = gin._scale
@@ -440,6 +454,52 @@ def bulk_jet(gin: GinSpec, r: np.ndarray, orders, *, logs: bool = True) -> Radia
     if logs and 2 in orders:
         lgp[2] = p[2] + ((_TWO * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den)
         lgr[2] = p[2]
+    return RadialJet(tuple(g), lgp, lgr)
+
+
+def _divide(a: float, b: float) -> float:
+    """``a / b``, with numpy's inf or NaN (and warning) where ``b`` is zero."""
+    return a / b if b else float(np.divide(a, b))
+
+
+def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet:
+    """:func:`bulk_jet` at the one radius ``x``, bit for bit: each Horner
+    step and each operation of the identities runs on Python floats in the
+    array pass's order, while ``exp``, ``log1p`` and the cube go through
+    numpy's ufuncs, whose loops ``math`` does not match in the last bit."""
+    top = max(orders)
+    p = []
+    for row in gin._rows[: min(top + 2, 4) if logs else top + 1]:
+        acc = row[0] + x * 0.0
+        for c in row[1:]:
+            acc = c + acc * x
+        p.append(acc)
+    c = gin.scale
+    ep = float(np.exp(p[0]))
+    g = [np.array((c * x * ep,))]
+    if len(p) > 1:
+        q = p[1]
+        rq = x * q
+        den = 1.0 + rq
+    if top >= 1:
+        g.append(np.array((c * den * ep,)))
+    if top >= 2:
+        g.append(np.array((c * (2.0 * q + x * p[2] + rq * q) * ep,)))
+    if top >= 3:
+        g3 = 3.0 * q * q + 3.0 * p[2] + 3.0 * x * q * p[2] + x * float(np.power(q, 3)) + x * p[3]
+        g.append(np.array((c * g3 * ep,)))
+    lgp, lgr = {}, {}
+    if logs and 0 in orders:
+        log_c = math.log(c)
+        lgp[0] = np.array((log_c + float(np.log1p(rq)) + p[0],))
+        lgr[0] = np.array((log_c + p[0],))
+    if logs and 1 in orders:
+        lgp[1] = np.array((q + _divide(q + x * p[2], den),))
+        lgr[1] = np.array((q,))
+    if logs and 2 in orders:
+        e = q + x * p[2]
+        lgp[2] = np.array((p[2] + _divide((2.0 * p[2] + x * p[3]) * den - e * e, den * den),))
+        lgr[2] = np.array((p[2],))
     return RadialJet(tuple(g), lgp, lgr)
 
 

@@ -403,6 +403,29 @@ class TestJetPointwise:
                               *hessian_eigenvalues(tp, r[i])])
             assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
 
+    @pytest.mark.parametrize("warmup", [False, True])
+    def test_gradient_at_one_point_equals_its_row_of_a_batch(self, warmup):
+        """transformed_gradient at one point, as a sampler step calls it,
+        equals bit for bit its row of one call on a batch of points, on
+        t2_3 with its own transform and with the warm-up's, at points either
+        side of the knot and on it."""
+        entry = parse_target_name("t2_3")
+        t = warmup_transform(2) if warmup else entry.transform
+        tp = TransformedPotential(entry.potential, t)
+        assert tp.closed_form is None
+        rng = np.random.default_rng(18)
+        knot = t.knot
+        radii = np.concatenate([knot * rng.uniform(0.01, 0.99, 40),
+                                knot * rng.uniform(1.0, 3.0, 40), [np.nextafter(knot, 0.0), knot]])
+        angle = rng.uniform(0.0, 2.0 * np.pi, radii.size)
+        pts = radii[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        pts[-2:] = [[np.nextafter(knot, 0.0), 0.0], [knot, 0.0]]  # exact radii at the knot
+        norms = np.linalg.norm(pts, axis=1)
+        assert (norms < knot).sum() > 30 and (norms >= knot).sum() > 30
+        batch = transformed_gradient(tp, pts)
+        for i, y in enumerate(pts):
+            assert transformed_gradient(tp, y).tobytes() == batch[i].tobytes(), (i, norms[i])
+
 
 class TestQuadraticTailBranch:
     """The warm-up transform exercises the non-exponential code paths."""

@@ -6,6 +6,7 @@ built to equal, and the x-side potential pulled back through the profile,
 f(g(r)) - log g'(r) - (d-1) log(g(r)/r), must agree with it.
 """
 
+import json
 import math
 import re
 
@@ -23,7 +24,13 @@ from tula.targets import (
     parse_target_name,
     radial_log_density,
 )
-from tula.transform import g_eval, log_jacobian_terms
+from tula.transform import (
+    g_eval,
+    ginbeta2_transform,
+    log_jacobian_terms,
+    transform_from_json,
+    transform_to_json,
+)
 
 # mpmath, 40 digits
 T_D2_K1_VALUE_AT_1 = 1.0397207708399180  # (3/2) log 2
@@ -277,6 +284,24 @@ class TestZooEntries:
             with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
                 make_example(kind, dimension, **extra)
         assert make_example(kind, np.int64(2), **extra).transform.dimension == 2
+
+    @pytest.mark.parametrize("kind", list(ExampleKind))
+    def test_numpy_integer_dimension_round_trips_the_json(self, kind):
+        """make_example("example6", np.int64(2)) kept an np.int64 dimension,
+        so transform_to_json raised "Object of type int64 is not JSON
+        serializable"; the entry now holds a Python int everywhere."""
+        extra = {ExampleKind.MULTIVARIATE_T: {"kappa": 3.0},
+                 ExampleKind.EXAMPLE2: {"upsilon": 0.5}}.get(kind, {})
+        entry = make_example(kind, np.int64(2), **extra)
+        dims = (entry.transform.dimension, entry.parameters["dimension"],
+                entry.potential.dimension, entry.potential.parameters["dimension"])
+        assert all(type(d) is int and d == 2 for d in dims)
+        assert transform_from_json(transform_to_json(entry.transform)) == entry.transform
+        assert json.loads(json.dumps(entry.parameters)) == entry.parameters
+        assert json.loads(json.dumps(entry.potential.parameters)) == entry.potential.parameters
+        t = ginbeta2_transform(1.0, np.int64(2))
+        assert type(t.dimension) is int and transform_from_json(transform_to_json(t)) == t
+        assert type(make_multivariate_t(np.int64(2), 3.0).parameters["dimension"]) is int
 
     @pytest.mark.parametrize("kind, takes", [
         (ExampleKind.MULTIVARIATE_T, {"kappa": 3.0, "b": 0.5}),

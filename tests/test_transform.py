@@ -129,16 +129,21 @@ class TestGinSpec:
         """bulk_jet equals, bit for bit and for every non-empty set of orders,
         the profile pieces and log terms rebuilt from one polyval per
         derivative of p by the identities of transform's comment block, in
-        the jet's operation order, on radii either side of the knot."""
+        the jet's operation order, on radii either side of the knot, on 0,
+        the knot, NaN and inf, and past the root of 1 + r p'.  It does so on
+        the whole batch and on each radius alone, which the jet works in
+        Python floats, and raises nowhere the array pass gives inf or NaN."""
         spec, knot = spec_knot
-        r = knot * np.array(fracs)
+        r = np.concatenate([knot * np.array(fracs),
+                            [0.0, knot, np.nan, np.inf, 1.8 * knot, 3.0 * knot]])
         # past the knot 1 + r p' may turn negative, and log1p gives NaN on both sides
-        with np.errstate(invalid="ignore"):
+        with np.errstate(all="ignore"):
             p = [npoly.polyval(r, npoly.polyder(spec.log_poly, j)) for j in range(4)]
             c, lc = spec.scale, math.log(spec.scale)
             ep, q = np.exp(p[0]), p[1]
             rq = r * q
             den = 1.0 + rq
+            assert (den[-2:] < 0.0).all()  # both profile kinds' roots lie below 1.7 knots
             profile = [c * r * ep, c * den * ep, c * (2.0 * q + r * p[2] + rq * q) * ep,
                        c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * q**3
                             + r * p[3]) * ep]
@@ -148,14 +153,30 @@ class TestGinSpec:
             for n in range(1, 16):
                 orders = [j for j in range(4) if n >> j & 1]
                 top, logs = max(orders), [j for j in orders if j <= 2]
-                for jet, asked in ((bulk_jet(spec, r, orders), logs),
-                                   (bulk_jet(spec, r, orders, logs=False), [])):
-                    assert [a.tobytes() for a in jet.profile] == [
-                        a.tobytes() for a in profile[: top + 1]]
-                    assert list(jet.log_gprime) == list(jet.log_g_over_r) == asked
-                    assert all(jet.log_gprime[j].tobytes() == lgp[j].tobytes()
-                               and jet.log_g_over_r[j].tobytes() == lgr[j].tobytes()
-                               for j in asked)
+                for at in [slice(None), *(slice(i, i + 1) for i in range(r.size))]:
+                    for jet, asked in ((bulk_jet(spec, r[at], orders), logs),
+                                       (bulk_jet(spec, r[at], orders, logs=False), [])):
+                        assert [a.tobytes() for a in jet.profile] == [
+                            a[at].tobytes() for a in profile[: top + 1]], (at, orders)
+                        assert list(jet.log_gprime) == list(jet.log_g_over_r) == asked
+                        assert all(jet.log_gprime[j].tobytes() == lgp[j][at].tobytes()
+                                   and jet.log_g_over_r[j].tobytes() == lgr[j][at].tobytes()
+                                   for j in asked), (at, orders)
+
+    def test_bulk_jet_at_one_radius_where_one_plus_r_q_vanishes(self):
+        """Where 1 + r p' is exactly zero (p = -r**2/2 at r = 1) the jet at
+        that radius alone gives numpy's infinities, as the array pass does,
+        and does not raise ZeroDivisionError."""
+        spec = GinSpec(scale=1.0, log_poly=(0.0, 0.0, -0.5))
+        r = np.array([1.0, 0.5])
+        with np.errstate(all="ignore"):
+            batch = bulk_jet(spec, r, range(3))
+            alone = bulk_jet(spec, r[:1], range(3))
+        assert batch.profile[1][0] == 0.0
+        for j in range(3):
+            assert alone.log_gprime[j].tobytes() == batch.log_gprime[j][:1].tobytes()
+            assert alone.log_g_over_r[j].tobytes() == batch.log_g_over_r[j][:1].tobytes()
+        assert alone.log_gprime[0][0] == alone.log_gprime[1][0] == alone.log_gprime[2][0] == -np.inf
 
     @pytest.mark.parametrize("spec", [
         *(ginbeta2_profile(b) for b in (0.1, 0.25, 0.75, 1.0, 3.0)),

@@ -15,8 +15,14 @@ alternating which tree goes first.  The measurements, on ``t2_3`` and on
 * ``grad_factor_ns_per_radius.bulk`` and ``.tail``: ``grad_factor`` on
   BATCH radii drawn inside the knot (0.05 to 0.95 knots) and outside it
   (1.05 to 2.5 knots), as ``perfbench/probes.py`` draws them, in
-  nanoseconds per radius; each sample repeats the call for at least
-  MIN_SECONDS.
+  nanoseconds per radius;
+* ``transformed_gradient_us_per_call``: ``transformed_gradient`` at one
+  point, as a sampler step calls it, in microseconds per call, over POINTS
+  points at the first bulk radii in random directions;
+* ``g_inverse_ns_per_value``: ``g_inverse`` on the BATCH bulk images
+  ``g(r)`` of those bulk radii, in nanoseconds per value.
+
+Each kernel sample repeats its calls for at least MIN_SECONDS.
 
 For each measurement it prints each tree's median and quartiles, the number
 of rounds the change won and the change's median over the parent's; with
@@ -38,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 BATCH = 1024
+POINTS = 64
 MIN_SECONDS = 0.02
 CASES = {"t2_3": ("t2_3", None, 0.005), "example6_d2": ("example6", 2, 0.05)}
 
@@ -53,10 +60,22 @@ def load(tree: Path, alias: str):
     return module
 
 
+def repeat(call, count: int) -> float:
+    """Seconds per call of ``call`` (which makes ``count`` calls), over at
+    least MIN_SECONDS of calls."""
+    loops, start = 0, time.perf_counter()
+    while (elapsed := time.perf_counter() - start) < MIN_SECONDS or not loops:
+        call()
+        loops += 1
+    return elapsed / (loops * count)
+
+
 def measurements(tula, steps: int) -> dict:
     """Name to a zero-argument callable returning one sample of that measurement."""
     rng = np.random.default_rng(20220120)
     unit = rng.uniform(0.05, 0.95, BATCH), rng.uniform(1.05, 2.5, BATCH)
+    angle = rng.uniform(0.0, 2.0 * np.pi, POINTS)
+    direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
     out = {}
     for case, (name, dimension, gamma) in CASES.items():
         entry = tula.parse_target_name(name, dimension=dimension)
@@ -69,17 +88,17 @@ def measurements(tula, steps: int) -> dict:
             return 1e6 * (time.perf_counter() - start) / cfg.num_steps
 
         out[f"{case} run_tula_us_per_step"] = run
+        t = entry.transform
         for branch, frac in zip(("bulk", "tail"), unit):
-            radii = entry.transform.knot * frac
-
-            def kernel(tp=tp, radii=radii) -> float:
-                loops, start = 0, time.perf_counter()
-                while (elapsed := time.perf_counter() - start) < MIN_SECONDS or not loops:
-                    tula.grad_factor(tp, radii)
-                    loops += 1
-                return 1e9 * elapsed / (loops * radii.size)
-
-            out[f"{case} grad_factor_ns_per_radius.{branch}"] = kernel
+            radii = t.knot * frac
+            out[f"{case} grad_factor_ns_per_radius.{branch}"] = (
+                lambda tp=tp, radii=radii: 1e9 * repeat(lambda: tula.grad_factor(tp, radii), BATCH))
+        points = (t.knot * unit[0][:POINTS])[:, None] * direction
+        out[f"{case} transformed_gradient_us_per_call"] = lambda tp=tp, points=points: 1e6 * repeat(
+            lambda: [tula.transformed_gradient(tp, y) for y in points], POINTS)
+        images = tula.g_eval(t, t.knot * unit[0], 0)
+        out[f"{case} g_inverse_ns_per_value"] = lambda t=t, images=images: 1e9 * repeat(
+            lambda: tula.g_inverse(t, images), BATCH)
     return out
 
 
