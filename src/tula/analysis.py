@@ -621,6 +621,8 @@ def estimate_lsi(
     """
     if not (r_max > 0 and math.isfinite(r_max)):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    if not _is_count(grid_size):
+        raise ValueError(f"grid_size must be an integer, got {grid_size!r}")
     if not 16 <= grid_size <= 2**20:
         raise ValueError(f"grid_size must lie in [16, {2**20}], got {grid_size}")
 
@@ -712,8 +714,16 @@ _BASIS_ALIASES = {
 }
 
 
+_WITNESS_KEYS = ("power_coefficient", "power_log_exponent", "power_offset", "log_exponent")
+
+
 def _isclose(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+def _at_least(value: float, threshold: float) -> bool:
+    """Whether value >= threshold, a tie within 1e-12 relative counting."""
+    return _isclose(value, threshold) or value > threshold
 
 
 def classify_regime(
@@ -743,7 +753,7 @@ def classify_regime(
       basis: "dissipativity" | "degenerate_convexity" | "strong_convexity"
         (or the legacy tags "A3" | "A5" | "A1").
       vartheta: tail exponent of the comparison weight.
-      dimension: ambient dimension, a positive integer.
+      dimension: ambient dimension, a positive integer (a bool is not one).
       b, beta: tail profile parameters.
       alpha, A, B: dissipativity growth data (B defaults to 0).
       mu, theta: degenerate-convexity data.
@@ -770,104 +780,67 @@ def classify_regime(
     for name, value in supplied.items():
         if value is not None:
             _in_range(name, value)
-    if not (isinstance(dimension, (int, np.integer)) and dimension >= 1):
+    if not _is_count(dimension, 1):
         raise ValueError("dimension must be a positive integer")
 
     d = int(dimension)
-    params: dict[str, float] = {
-        "vartheta": float(vartheta), "dimension": d, "b": float(b), "beta": float(beta),
-    }
+    params: dict[str, float] = {"vartheta": float(vartheta), "dimension": d, "b": float(b),
+                                "beta": float(beta)}
     log_factor = -(d - beta) / beta
 
+    # each basis decides (regime, rule) and the witness exponents in _WITNESS_KEYS order
     if key == "dissipativity":
         if A is None or alpha is None:
             raise ValueError("dissipativity classification needs alpha and A")
         bconst = 0.0 if B is None else float(B)
         params.update(alpha=float(alpha), A=float(A), B=bconst)
-        if alpha < beta and not _isclose(alpha, beta):
+        if not _at_least(alpha, beta):
             raise ValueError("the dissipativity case table covers alpha >= beta only")
+        exponents = (A / (alpha * b ** (alpha / beta)), alpha / beta - 1.0, -vartheta,
+                     -bconst / beta)
+        if not _isclose(alpha, beta):
+            regime, rule = Regime.SUPER_POINCARE, "alpha>beta"
+        elif _at_least(vartheta, A / (beta * b)):
+            regime, rule = Regime.WEAK_POINCARE, "alpha=beta,vartheta>=A/(beta*b)"
+        else:
+            regime, rule = Regime.SUPER_POINCARE, "alpha=beta,vartheta<A/(beta*b)"
 
-        witness = {
-            "power_coefficient": A / (alpha * b ** (alpha / beta)),
-            "power_log_exponent": alpha / beta - 1.0,
-            "power_offset": -vartheta,
-            "log_exponent": -bconst / beta,
-        }
-        if alpha > beta and not _isclose(alpha, beta):
-            return RegimeVerdict(Regime.SUPER_POINCARE, "dissipativity:alpha>beta",
-                                 witness, key, params)
-        threshold = A / (beta * b)
-        if _isclose(vartheta, threshold) or vartheta > threshold:
-            return RegimeVerdict(Regime.WEAK_POINCARE,
-                                 "dissipativity:alpha=beta,vartheta>=A/(beta*b)",
-                                 None, key, params)
-        return RegimeVerdict(Regime.SUPER_POINCARE,
-                             "dissipativity:alpha=beta,vartheta<A/(beta*b)",
-                             witness, key, params)
-
-    if key == "degenerate_convexity":
+    elif key == "degenerate_convexity":
         if mu is None or theta is None:
             raise ValueError("degenerate-convexity classification needs mu and theta")
         params.update(mu=float(mu), theta=float(theta))
         crit = 2.0 - beta
+        on_crit = _isclose(theta, crit)
+        if theta > crit and not on_crit:
+            regime, rule = Regime.WEAK_POINCARE, "theta>2-beta"
+        elif on_crit and _at_least(vartheta, mu / (beta * b)):
+            regime, rule = Regime.WEAK_POINCARE, "theta=2-beta,vartheta>=mu/(beta*b)"
+        else:
+            regime = Regime.SUPER_POINCARE
+            rule = "theta=2-beta,vartheta<mu/(beta*b)" if on_crit else "theta<2-beta"
+            power = b ** (-(2.0 - theta) / beta)
+            exponents = (power if on_crit else mu * power / ((1.0 - theta) * (2.0 - theta)),
+                         (2.0 - theta) / beta - 1.0,
+                         -vartheta if on_crit else 1.0 - (d + vartheta), log_factor)
 
-        if theta > crit and not _isclose(theta, crit):
-            return RegimeVerdict(Regime.WEAK_POINCARE, "degenerate_convexity:theta>2-beta",
-                                 None, key, params)
-        if _isclose(theta, crit):
-            threshold = mu / (beta * b)
-            if _isclose(vartheta, threshold) or vartheta > threshold:
-                return RegimeVerdict(Regime.WEAK_POINCARE,
-                                     "degenerate_convexity:theta=2-beta,vartheta>=mu/(beta*b)",
-                                     None, key, params)
-            witness = {
-                "power_coefficient": b ** (-(2.0 - theta) / beta),
-                "power_log_exponent": (2.0 - theta) / beta - 1.0,
-                "power_offset": -vartheta,
-                "log_exponent": log_factor,
-            }
-            return RegimeVerdict(Regime.SUPER_POINCARE,
-                                 "degenerate_convexity:theta=2-beta,vartheta<mu/(beta*b)",
-                                 witness, key, params)
-        witness = {
-            "power_coefficient": mu * b ** (-(2.0 - theta) / beta)
-            / ((1.0 - theta) * (2.0 - theta)),
-            "power_log_exponent": (2.0 - theta) / beta - 1.0,
-            "power_offset": 1.0 - (d + vartheta),
-            "log_exponent": log_factor,
-        }
-        return RegimeVerdict(Regime.SUPER_POINCARE, "degenerate_convexity:theta<2-beta",
-                             witness, key, params)
+    else:  # strong convexity
+        if rho is None:
+            raise ValueError("strong-convexity classification needs rho")
+        params.update(rho=float(rho))
+        exponents = (rho / (2.0 * b ** (2.0 / beta)), 2.0 / beta - 1.0, -vartheta, log_factor)
+        threshold = rho / (2.0 * b)
+        if not _isclose(beta, 2.0):
+            regime, rule = Regime.SUPER_POINCARE, "beta<2"
+        elif _isclose(vartheta, threshold):
+            regime, rule = ((Regime.POINCARE, "beta=2,vartheta=rho/(2b),d<=2") if d <= 2
+                            else (Regime.WEAK_POINCARE, "beta=2,vartheta=rho/(2b),d>=3"))
+        elif vartheta < threshold:
+            regime, rule = Regime.SUPER_POINCARE, "beta=2,vartheta<rho/(2b)"
+        else:
+            regime, rule = Regime.WEAK_POINCARE, "beta=2,vartheta>rho/(2b)"
 
-    # strong convexity
-    if rho is None:
-        raise ValueError("strong-convexity classification needs rho")
-    params.update(rho=float(rho))
-    witness = {
-        "power_coefficient": rho / (2.0 * b ** (2.0 / beta)),
-        "power_log_exponent": 2.0 / beta - 1.0,
-        "power_offset": -vartheta,
-        "log_exponent": log_factor,
-    }
-    if not _isclose(beta, 2.0):
-        return RegimeVerdict(Regime.SUPER_POINCARE, "strong_convexity:beta<2",
-                             witness, key, params)
-    threshold = rho / (2.0 * b)
-    if _isclose(vartheta, threshold):
-        if d <= 2:
-            return RegimeVerdict(Regime.POINCARE,
-                                 "strong_convexity:beta=2,vartheta=rho/(2b),d<=2",
-                                 None, key, params)
-        return RegimeVerdict(Regime.WEAK_POINCARE,
-                             "strong_convexity:beta=2,vartheta=rho/(2b),d>=3",
-                             None, key, params)
-    if vartheta < threshold:
-        return RegimeVerdict(Regime.SUPER_POINCARE,
-                             "strong_convexity:beta=2,vartheta<rho/(2b)",
-                             witness, key, params)
-    return RegimeVerdict(Regime.WEAK_POINCARE,
-                         "strong_convexity:beta=2,vartheta>rho/(2b)",
-                         None, key, params)
+    witness = dict(zip(_WITNESS_KEYS, exponents)) if regime is Regime.SUPER_POINCARE else None
+    return RegimeVerdict(regime, f"{key}:{rule}", witness, key, params)
 
 
 # ---------------------------------------------------------------------------

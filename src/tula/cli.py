@@ -84,6 +84,8 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
     differences of the value; the radial and tangential eigenvalues against
     directional second differences along and across the position vector.
     """
+    if not _is_count(num_points):
+        raise ValueError(f"num_points must be an integer, got {num_points!r}")
     if not 1 <= num_points <= 2**20:
         raise ValueError(f"num_points must lie in [1, {2**20}], got {num_points}")
     if not _is_count(seed, 0):

@@ -41,15 +41,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """A chain iterate stopped being finite.
-
-    ``step`` is the iteration index at which the divergence was detected,
-    when known.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """A chain iterate stopped being finite."""
 
 
 @dataclasses.dataclass(frozen=True)

@@ -186,8 +186,8 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
     if not tr._is_count(dimension, 1):
         raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
     dimension = int(dimension)  # a numpy integer would reach the JSON records
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     dk = float(dimension + kappa)
     dk0, one = np.array(dk), tr._ONE  # 0-d operands of f', as in the jets
 
@@ -416,8 +416,8 @@ def make_example(
     if kind is ExampleKind.WARMUP:
         return _warmup_entry(dimension, 1.0 if knot is None else knot)
     vartheta = 1.0 if vartheta is None else vartheta
-    if not vartheta > 0.0:
-        raise ValueError(f"vartheta must be positive, got {vartheta}")
+    if not (vartheta > 0.0 and math.isfinite(vartheta)):
+        raise ValueError(f"vartheta must be positive and finite, got {vartheta}")
     if kind is ExampleKind.EXAMPLE2:
         if upsilon is None:
             raise ValueError("example2 needs upsilon")

@@ -91,8 +91,8 @@ _KNOT_REL_TOL = 1e-8  # of the knot_order checks in verify_g1_assumption
 _FLOAT = np.dtype(float)  # a native float64 array's, for the hooks' path through _radial
 
 
-def _is_count(value, least: int) -> bool:
-    """Whether `value` is an integer >= `least`; a bool is not one."""
+def _is_count(value, least: float = -math.inf) -> bool:
+    """Whether `value` is an integer >= `least` (by default any); a bool is not one."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
@@ -248,8 +248,8 @@ def ginbeta2_profile(b: float) -> GinSpec:
     ``-(10/3) b**1.5``, ``(15/4) b**2``, ``-(6/5) b**2.5``; the powers of
     ``b`` make the match hold at the knot ``b**(-1/2)`` for every ``b``.
     """
-    if not b > 0.0:
-        raise ValueError(f"b must be positive, got {b}")
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ValueError(f"b must be positive and finite, got {b}")
     return GinSpec(
         scale=math.sqrt(b),
         log_poly=(
@@ -275,10 +275,10 @@ def warmup_profile(dimension: int, knot: float = 1.0) -> GinSpec:
     ``R`` the knot.  The glue is C2 but deliberately not C3: the third
     derivative jumps by ``6 d / R`` at the knot.
     """
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if not knot > 0.0:
-        raise ValueError(f"knot must be positive, got {knot}")
+    if not _is_count(dimension, 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+    if not (knot > 0.0 and math.isfinite(knot)):
+        raise ValueError(f"knot must be positive and finite, got {knot}")
     r_knot = float(knot)
     return GinSpec(
         scale=dimension * r_knot,

@@ -1,5 +1,6 @@
 """Quadrature oracle, assumption checks, LSI bound, classifier, diagnostics."""
 
+import itertools
 import json
 import math
 import warnings
@@ -369,6 +370,14 @@ class TestLsiEstimate:
         with pytest.raises(ValueError, match="grid_size"):
             estimate_lsi(tp, grid_size=8)
 
+    @pytest.mark.parametrize("grid_size", [100.5, 1024.0, np.float64(64.0), True, "64"])
+    def test_grid_size_that_is_not_an_integer_names_it(self, grid_size):
+        """estimate_lsi(tp, grid_size=100.5) failed inside numpy with a TypeError."""
+        entry = make_example(ExampleKind.EXAMPLE6, 2)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            estimate_lsi(tp, grid_size=grid_size)
+
 
 class TestClassifyRegime:
     def test_dissipativity_threshold_is_decay_exponent(self):
@@ -472,6 +481,8 @@ class TestClassifyRegime:
             classify_regime("a3", vartheta=0.0, dimension=2, b=1.0, alpha=2.0, A=1.0)
         with pytest.raises(ValueError, match="dimension"):
             classify_regime("a3", vartheta=1.0, dimension=2.0, b=1.0, alpha=2.0, A=1.0)
+        with pytest.raises(ValueError, match="dimension"):  # was a verdict for d = 1
+            classify_regime("strong", vartheta=0.5, dimension=True, b=0.5, rho=1.0)
         with pytest.raises(ValueError, match="b must"):
             classify_regime("a3", vartheta=1.0, dimension=2, b=0.0, alpha=2.0, A=1.0)
         with pytest.raises(ValueError, match="beta"):
@@ -486,6 +497,39 @@ class TestClassifyRegime:
             classify_regime("degenerate", vartheta=1.0, dimension=2, b=1.0)
         with pytest.raises(ValueError, match="needs rho"):
             classify_regime("strong", vartheta=1.0, dimension=2, b=1.0)
+
+    def test_witness_exactly_on_super_poincare_and_rule_under_its_basis(self):
+        """Every verdict is built at one exit that attaches the witness when,
+        and only when, the regime is super-Poincare, and prefixes the rule
+        with the basis.  Checked on every basis spelling with vartheta on
+        each threshold and 1e-13 relative either side of it, on the case
+        boundaries theta = 2 - beta, alpha = beta and beta = 2."""
+        spellings = {"dissipativity": ("a3", "dissipativity"),
+                     "degenerate_convexity": ("a5", "degenerate_convexity", "degenerate"),
+                     "strong_convexity": ("a1", "strong_convexity", "strong")}
+        grid = []
+        for d, b, beta in itertools.product((1, 2, 3), (0.5, 2.0), (1.5, 2.0)):
+            common = {"dimension": d, "b": b, "beta": beta}
+            grid += [("dissipativity", {**common, "alpha": alpha, "A": A, "B": 1.0},
+                      A / (beta * b)) for alpha in (beta, 2.0) for A in (0.5, 3.0)]
+            grid += [("degenerate_convexity", {**common, "mu": mu, "theta": theta},
+                      mu / (beta * b)) for mu in (0.5, 3.0) for theta in (2.0 - beta, 0.25)]
+            grid += [("strong_convexity", {**common, "rho": rho}, rho / (2.0 * b))
+                     for rho in (0.5, 3.0)]
+        regimes, rules = set(), set()
+        for key, kwargs, threshold in grid:
+            for basis in spellings[key]:
+                for rel in (0.0, 1e-13, -1e-13, -0.5, 1.0):
+                    v = classify_regime(basis, vartheta=threshold * (1.0 + rel), **kwargs)
+                    assert v.basis == key and v.rule_fired.startswith(key + ":")
+                    assert (v.witness is not None) == (v.regime is Regime.SUPER_POINCARE)
+                    if v.witness is not None:
+                        assert list(v.witness) == ["power_coefficient", "power_log_exponent",
+                                                   "power_offset", "log_exponent"]
+                    regimes.add(v.regime)
+                    rules.add(v.rule_fired)
+        assert regimes == set(Regime)
+        assert len(rules) == 12  # the grid reaches every rule of the three tables
 
     def test_verdict_serialization(self):
         v = classify_regime("strong", vartheta=0.5, dimension=3, b=0.5, rho=1.0)

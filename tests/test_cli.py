@@ -123,6 +123,19 @@ class TestUsageErrors:
         assert rc == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, name", [
+        (["--target", "t", "--d", "2", "--kappa", "inf"], "kappa"),
+        (["--target", "t2_3", "--b", "inf"], "b"),
+        (["--target", "example6", "--d", "2", "--vartheta", "inf"], "vartheta"),
+        (["--target", "warmup", "--d", "2", "--knot", "inf"], "knot"),
+    ])
+    def test_non_finite_target_parameter_names_it(self, tmp_path, capsys, target, name):
+        """`--kappa inf` died with an OverflowError traceback (exit 1), and
+        `--vartheta inf` said "b must be positive, got 0.0"."""
+        rc = main(["gradcheck", *target, "--points", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"error: {name} must be positive and finite" in capsys.readouterr().err
+
     def test_non_finite_init_scale_names_the_option(self, tmp_path, capsys):
         rc = main(["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "10",
                    "--init-scale", "nan", "--out", str(tmp_path)])
@@ -346,6 +359,15 @@ class TestGradcheckCommand:
         tp = TransformedPotential(entry.potential, entry.transform)
         with pytest.raises(ValueError, match="num_points"):
             run_gradient_suite(tp, num_points=0)
+
+    @pytest.mark.parametrize("num_points", [2.5, 40.0, np.float64(40.0), True, "40"])
+    def test_suite_rejects_a_count_that_is_not_an_integer(self, num_points):
+        """num_points=2.5 failed inside numpy with a TypeError, and
+        num_points=True ran one point."""
+        entry = make_example(ExampleKind.MULTIVARIATE_T, 2, kappa=2.5)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        with pytest.raises(ValueError, match="num_points must be an integer"):
+            run_gradient_suite(tp, num_points=num_points)
 
     @pytest.mark.parametrize("argv, echo", [
         (["--target", "t2_3"], {"target": "t2_3"}),

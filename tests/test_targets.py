@@ -273,6 +273,26 @@ class TestZooEntries:
         with pytest.raises(ValueError, match="dimension"):
             make_example(ExampleKind.EXAMPLE6, 0)
 
+    @pytest.mark.parametrize("kind, parameters, name", [
+        ("t", {"kappa": math.inf}, "kappa"),
+        ("t", {"kappa": 3.0, "b": math.inf}, "b"),
+        ("t", {"kappa": 3.0, "b": math.nan}, "b"),
+        ("example6", {"vartheta": math.inf}, "vartheta"),
+        ("example2", {"upsilon": 0.5, "vartheta": math.inf}, "vartheta"),
+        ("warmup", {"knot": math.inf}, "knot"),
+        ("warmup", {"knot": math.nan}, "knot"),
+    ])
+    def test_non_finite_parameter_names_it(self, kind, parameters, name):
+        """A non-finite kappa died in the name formatter with OverflowError,
+        vartheta = inf said "b must be positive, got 0.0" (example6) or "math
+        domain error" (example2), and b or knot = inf said "scale must be
+        positive and finite"."""
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            make_example(kind, 2, **parameters)
+        if name == "kappa":
+            with pytest.raises(ValueError, match="^kappa must be positive and finite"):
+                make_multivariate_t(2, parameters["kappa"])
+
     @pytest.mark.parametrize("kind", list(ExampleKind))
     def test_dimension_that_is_not_an_integer_names_it(self, kind):
         """make_example("example6", 2.5) built an entry of dimension 2.5, on

@@ -220,6 +220,22 @@ class TestRadialTransformValidation:
         with pytest.raises(ValueError, match="dimension"):
             ginbeta2_transform(1.0, 0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ginbeta2_profile(math.inf), "b must be positive and finite"),
+        (lambda: ginbeta2_profile(math.nan), "b must be positive and finite"),
+        (lambda: ginbeta2_transform(math.inf, 2), "b must be positive and finite"),
+        (lambda: warmup_profile(2, knot=math.inf), "knot must be positive and finite"),
+        (lambda: warmup_profile(2.5), "dimension must be an integer >= 1"),
+        (lambda: warmup_profile(True), "dimension must be an integer >= 1"),
+        (lambda: warmup_transform(2.5), "dimension must be an integer >= 1"),
+    ], ids=["ginbeta2-inf", "ginbeta2-nan", "transform-inf", "warmup-knot-inf",
+            "warmup-2.5", "warmup-True", "warmup-transform-2.5"])
+    def test_profile_constructors_name_the_input(self, build, message):
+        """ginbeta2_profile(inf) and warmup_profile(2, knot=inf) said "scale
+        must be positive and finite", and warmup_profile(2.5) was accepted."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
+
     def test_quadratic_tail_needs_scale_and_knot(self):
         with pytest.raises(ValueError, match="quadratic tail"):
             RadialTransform(

@@ -20,7 +20,9 @@ alternating which tree goes first.  The measurements, on ``t2_3`` and on
   point, as a sampler step calls it, in microseconds per call, over POINTS
   points at the first bulk radii in random directions;
 * ``g_inverse_ns_per_value``: ``g_inverse`` on the BATCH bulk images
-  ``g(r)`` of those bulk radii, in nanoseconds per value.
+  ``g(r)`` of those bulk radii, in nanoseconds per value;
+* ``hessian_eigenvalues_ns_per_radius``: ``hessian_eigenvalues`` on the
+  first POINTS bulk radii, in nanoseconds per radius.
 
 Each kernel sample repeats its calls for at least MIN_SECONDS.
 
@@ -99,6 +101,9 @@ def measurements(tula, steps: int) -> dict:
         images = tula.g_eval(t, t.knot * unit[0], 0)
         out[f"{case} g_inverse_ns_per_value"] = lambda t=t, images=images: 1e9 * repeat(
             lambda: tula.g_inverse(t, images), BATCH)
+        out[f"{case} hessian_eigenvalues_ns_per_radius"] = (
+            lambda tp=tp, radii=t.knot * unit[0][:POINTS]: 1e9 * repeat(
+                lambda: tula.hessian_eigenvalues(tp, radii), POINTS))
     return out
 
 
