@@ -769,8 +769,9 @@ def classify_regime(
     Raises:
       ValueError: unknown basis, a constant outside its range (NaN and +-inf
         included), a dimension that is not a positive integer, missing
-        constants for the chosen basis, or alpha < beta on the dissipativity
-        basis, which its case table does not cover.
+        constants for the chosen basis, alpha < beta on the dissipativity
+        basis, which its case table does not cover, or a super-Poincare
+        witness that leaves float range (the message names the inputs).
     """
     key = _BASIS_ALIASES.get(str(basis).strip().lower())
     if key is None:
@@ -796,8 +797,8 @@ def classify_regime(
         params.update(alpha=float(alpha), A=float(A), B=bconst)
         if not _at_least(alpha, beta):
             raise ValueError("the dissipativity case table covers alpha >= beta only")
-        exponents = (A / (alpha * b ** (alpha / beta)), alpha / beta - 1.0, -vartheta,
-                     -bconst / beta)
+        exponents = lambda: (A / (alpha * b ** (alpha / beta)), alpha / beta - 1.0, -vartheta,
+                             -bconst / beta)
         if not _isclose(alpha, beta):
             regime, rule = Regime.SUPER_POINCARE, "alpha>beta"
         elif _at_least(vartheta, A / (beta * b)):
@@ -818,16 +819,19 @@ def classify_regime(
         else:
             regime = Regime.SUPER_POINCARE
             rule = "theta=2-beta,vartheta<mu/(beta*b)" if on_crit else "theta<2-beta"
-            power = b ** (-(2.0 - theta) / beta)
-            exponents = (power if on_crit else mu * power / ((1.0 - theta) * (2.0 - theta)),
-                         (2.0 - theta) / beta - 1.0,
-                         -vartheta if on_crit else 1.0 - (d + vartheta), log_factor)
+
+            def exponents() -> tuple:
+                power = b ** (-(2.0 - theta) / beta)
+                return (power if on_crit else mu * power / ((1.0 - theta) * (2.0 - theta)),
+                        (2.0 - theta) / beta - 1.0,
+                        -vartheta if on_crit else 1.0 - (d + vartheta), log_factor)
 
     else:  # strong convexity
         if rho is None:
             raise ValueError("strong-convexity classification needs rho")
         params.update(rho=float(rho))
-        exponents = (rho / (2.0 * b ** (2.0 / beta)), 2.0 / beta - 1.0, -vartheta, log_factor)
+        exponents = lambda: (rho / (2.0 * b ** (2.0 / beta)), 2.0 / beta - 1.0, -vartheta,
+                             log_factor)
         threshold = rho / (2.0 * b)
         if not _isclose(beta, 2.0):
             regime, rule = Regime.SUPER_POINCARE, "beta<2"
@@ -839,8 +843,25 @@ def classify_regime(
         else:
             regime, rule = Regime.WEAK_POINCARE, "beta=2,vartheta>rho/(2b)"
 
-    witness = dict(zip(_WITNESS_KEYS, exponents)) if regime is Regime.SUPER_POINCARE else None
+    witness = _witness(exponents, params) if regime is Regime.SUPER_POINCARE else None
     return RegimeVerdict(regime, f"{key}:{rule}", witness, key, params)
+
+
+def _witness(exponents, params: dict) -> dict:
+    """The super-Poincare witness, ``exponents()`` under `_WITNESS_KEYS`.
+
+    Raises ValueError naming the inputs where an exponent leaves float
+    range (Python's float power raises OverflowError there, a division by
+    an underflowed power ZeroDivisionError, and a product gives inf).
+    """
+    try:
+        values = exponents()
+    except (OverflowError, ZeroDivisionError):
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        inputs = ", ".join(f"{name}={value!r}" for name, value in params.items())
+        raise ValueError(f"the super-Poincare witness leaves float range at {inputs}")
+    return dict(zip(_WITNESS_KEYS, values))
 
 
 # ---------------------------------------------------------------------------

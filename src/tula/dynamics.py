@@ -45,6 +45,7 @@ g^{-1}(|x|)``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -124,32 +125,73 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     radius.  Otherwise it splits the radii at the knot once and composes
     ``f`` with the bulk jet and ``F`` with the tail jet at the asked orders,
     calling each hook at most once: ``f_h`` reads ``f``, ``f_h'`` reads
-    ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.
+    ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.  One radius (``arr`` of
+    shape ``(1,)``, as a sampler step passes) goes through
+    :func:`_radial_jet_at` in Python floats.
     """
     form = tp.closed_form
     if form is not None:
         phi = (form.value, form.dvalue, form.d2value)
         return [phi[k](arr) for k in orders]
+    if arr.shape == (1,):
+        return _radial_jet_at(tp, arr.item(), orders)
+    t = tp.transform
+    return tr._piecewise(arr, t._knot,
+                         lambda rb: _compose(t._d1, *_branch(tp, rb, False, orders), orders),
+                         lambda rt: _compose(t._d1, *_branch(tp, rt, True, orders), orders))
+
+
+def _radial_jet_at(tp: TransformedPotential, x: float, orders: tuple[int, ...]) -> list:
+    """:func:`_radial_jet` at the one radius ``x``, bit for bit: one float
+    comparison picks the branch, whose jet and hooks take and return Python
+    floats, and the floats are combined in the array pass's order.
+
+    Python float arithmetic overflows and makes NaN silently where numpy
+    warns, so a combination that is not finite is done again on
+    one-element arrays; the jets and hooks see to their own warnings.
+    Returns one-element arrays.
+    """
+    d1 = tp.transform._d1
+    jet, values = _branch(tp, x, x >= tp.transform._knot, orders)
+    out = _compose(d1, jet, values, orders)
+    if math.isfinite(sum(out)):
+        return [np.array((v,)) for v in out]
+    one = tr._one
+    return _compose(d1, tr._jet_map(one, jet), {k: one(v) for k, v in values.items()}, orders)
+
+
+def _branch(tp: TransformedPotential, r, tail: bool, orders) -> tuple:
+    """The jet of one branch at the radii ``r`` and, by order, the values
+    of its hooks at the jet's profile that the orders need: ``f'`` (or
+    ``F'``) for any order above 0 first, then ``f`` and ``f''`` as asked."""
     t, f = tp.transform, tp.target
+    if tail:
+        jet, hooks = tr.tail_jet(t, r, orders), (f.log_value, f.dlog_value, f.d2log_value)
+    else:
+        jet, hooks = tr.bulk_jet(t.gin, r, orders), (f.value, f.dvalue, f.d2value)
+    p0 = jet.profile[0]
+    values = {1: hooks[1](p0)} if max(orders) >= 1 else {}
+    for k in orders:
+        if k != 1:
+            values[k] = hooks[k](p0)
+    return jet, values
 
-    def compose(jet: tr.RadialJet, hooks) -> list:
-        p, lgp, lgr = jet
-        f1 = hooks[1](p[0]) if max(orders) >= 1 else None
-        out = []
-        for k in orders:
-            if k == 0:
-                chain = hooks[0](p[0])
-            elif k == 1:
-                chain = f1 * p[1]
-            else:
-                chain = hooks[2](p[0]) * p[1] * p[1] + f1 * p[2]
-            out.append(chain - lgp[k] - t._d1 * lgr[k])
-        return out
 
-    return tr._piecewise(
-        arr, t._knot,
-        lambda rb: compose(tr.bulk_jet(t.gin, rb, orders), (f.value, f.dvalue, f.d2value)),
-        lambda rt: compose(tr.tail_jet(t, rt, orders), (f.log_value, f.dlog_value, f.d2log_value)))
+def _compose(d1, jet: tr.RadialJet, f: dict, orders) -> list:
+    """``f_h^(k)`` for each asked ``k`` from a branch jet and the hook
+    values ``f`` at its profile: the chain rule through the profile minus
+    ``log g' + (d - 1) log(g/r)``, on floats or arrays alike."""
+    p, lgp, lgr = jet
+    out = []
+    for k in orders:
+        if k == 0:
+            chain = f[0]
+        elif k == 1:
+            chain = f[1] * p[1]
+        else:
+            chain = f[2] * p[1] * p[1] + f[1] * p[2]
+        out.append(chain - lgp[k] - d1 * lgr[k])
+    return out
 
 
 def value_radial(tp: TransformedPotential, r):

@@ -61,12 +61,38 @@ __all__ = [
 Array = np.ndarray
 
 
-def _glued(seam: float, tail: Callable[[Array], Array], bulk: Callable[[Array], Array]):
-    """Hook of ``tail`` at arguments ``>= seam`` and ``bulk`` below.  No hook
-    checks its argument: the package calls them at radii it checked or computed."""
+def _hook(at: Callable, on_arrays: Callable[[Array], Array]):
+    """A potential hook: ``at`` on a Python float below 1e50 in magnitude,
+    and ``on_arrays`` on a float array, through the calling convention, for
+    any other argument.
 
-    boundary = np.array(seam)  # a 0-d operand, as in the jets
-    glued = lambda x: tr._piecewise(x, boundary, lambda v: (bulk(v),), lambda v: (tail(v),))[0]
+    ``at`` runs the array path's operations on the float, so both give the
+    same bits.  Python float arithmetic overflows and makes NaN silently
+    where numpy warns: the bound keeps products of up to six factors of the
+    argument in range, and a float whose value is not finite goes through
+    the array path again, with its warnings and ``np.errstate`` errors.  No
+    hook checks its argument: the package calls them at radii it checked or
+    computed.
+    """
+
+    def hook(x):
+        if type(x) is float and -1e50 < x < 1e50:
+            y = float(at(x))
+            if math.isfinite(y):
+                return y
+        return tr._radial(on_arrays, x, check=False)
+
+    return hook
+
+
+def _glued(seam: float, tail: Callable, bulk: Callable, *, floats: bool):
+    """Hook of ``tail`` at arguments ``>= seam`` and ``bulk`` below.  With
+    ``floats`` a Python float takes one comparison with the seam and its
+    branch's formula (:func:`_hook`); without, every argument goes through
+    the calling convention as an array."""
+    glued = lambda x: tr._piecewise(x, seam, lambda v: (bulk(v),), lambda v: (tail(v),))[0]
+    if floats:
+        return _hook(lambda x: tail(x) if x >= seam else bulk(x), glued)
     return functools.partial(tr._radial, glued, check=False)
 
 
@@ -118,7 +144,9 @@ class IsotropicPotential:
     name:
         Human-readable identifier (also used by the command line).
     value, dvalue, d2value:
-        ``f``, ``f'``, ``f''`` as vectorized callables of the radius.
+        ``f``, ``f'``, ``f''`` as vectorized callables of the radius.  The
+        composed gradient at one radius calls the hooks with a Python float
+        and takes a float (or numpy scalar) back.
     log_value, dlog_value, d2log_value:
         ``F(t) = f(e^t)`` and its first two ``t``-derivatives, in forms
         stable for large ``t``.  Used wherever ``f`` is composed with a
@@ -189,30 +217,40 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     dk = float(dimension + kappa)
-    dk0, one = np.array(dk), tr._ONE  # 0-d operands of f', as in the jets
 
-    # radius forms split at 1 and softplus forms at 0, to stay exact at both ends
-    value = _glued(1.0, lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(r**-2)),
-                   lambda r: 0.5 * dk * np.log1p(r**2))
-    dvalue = _glued(1.0, lambda r: dk0 / (r + one / r), lambda r: dk0 * r / (one + r**2))
+    # radius forms split at 1 and softplus forms at 0, to stay exact at both
+    # ends; squares are products and other powers np.power, so that a Python
+    # float gets an array's bits (numpy squares by multiplying, while
+    # Python's ** calls the C library's pow)
+    value = _glued(1.0, lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(np.power(r, -2))),
+                   lambda r: 0.5 * dk * np.log1p(r * r), floats=True)
+    dvalue = _glued(1.0, lambda r: dk / (r + 1.0 / r), lambda r: dk * r / (1.0 + r * r),
+                    floats=True)
 
     def d2value_big(r: Array) -> Array:
-        q = r**-2
-        return dk * (q * q - q) / (1.0 + q) ** 2
+        q = np.power(r, -2)
+        w = 1.0 + q
+        return dk * (q * q - q) / (w * w)
 
-    d2value = _glued(1.0, d2value_big, lambda r: dk * (1.0 - r * r) / (1.0 + r * r) ** 2)
+    def d2value_small(r: Array) -> Array:
+        w = 1.0 + r * r
+        return dk * (1.0 - r * r) / (w * w)
+
+    d2value = _glued(1.0, d2value_big, d2value_small, floats=True)
     log_value = _glued(0.0, lambda t: dk * (t + 0.5 * np.log1p(np.exp(-2.0 * t))),
-                       lambda t: 0.5 * dk * np.log1p(np.exp(2.0 * t)))
+                       lambda t: 0.5 * dk * np.log1p(np.exp(2.0 * t)), floats=True)
 
     def dlog_value_neg(t: Array) -> Array:
         e = np.exp(2.0 * t)
         return dk * e / (1.0 + e)
 
-    dlog_value = _glued(0.0, lambda t: dk / (1.0 + np.exp(-2.0 * t)), dlog_value_neg)
+    dlog_value = _glued(0.0, lambda t: dk / (1.0 + np.exp(-2.0 * t)), dlog_value_neg,
+                        floats=True)
 
     def d2log_value(t: Array) -> Array:
         w = np.exp(-2.0 * np.abs(t))
-        return dk * 2.0 * w / (1.0 + w) ** 2
+        v = 1.0 + w
+        return dk * 2.0 * w / (v * v)
 
     return IsotropicPotential(
         dimension=dimension,
@@ -222,7 +260,7 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         d2value=d2value,
         log_value=log_value,
         dlog_value=dlog_value,
-        d2log_value=functools.partial(tr._radial, d2log_value, check=False),
+        d2log_value=_hook(d2log_value, d2log_value),
         moment_max=float(kappa),
         parameters={"dimension": dimension, "kappa": float(kappa)},
     )
@@ -253,7 +291,9 @@ def _pullback(
     which gives ``F`` outright and ``f' = F'/s``, ``f'' = (F'' - F')/s^2``;
     ``F`` is the tail's above ``log(seam)`` and ``f(e^t)`` below it.
     Returns the hooks, the seam and the transformed form as keyword
-    arguments of :class:`IsotropicPotential`.
+    arguments of :class:`IsotropicPotential`.  The hooks take a Python
+    float as a one-element array: on a float their operations would run on
+    numpy scalars, which warn unlike arrays.
     """
     def outer(jet: tr.RadialJet, r: Array, order: int) -> list:
         p, lgp, lgr = jet
@@ -281,9 +321,10 @@ def _pullback(
         return F[1] / s if k == 1 else (F[2] - F[1]) / (s * s)
 
     bulk_hooks = [functools.partial(bulk, k=k) for k in range(3)]
-    hooks = [_glued(t.seam, functools.partial(tail, k=k), bulk_hooks[k]) for k in range(3)]
-    log_hooks = [_glued(math.log(t.seam), lambda tt, k=k: log_tail(tt, k)[k], bulk_log)
-                 for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
+    hooks = [_glued(t.seam, functools.partial(tail, k=k), bulk_hooks[k], floats=False)
+             for k in range(3)]
+    log_hooks = [_glued(math.log(t.seam), lambda tt, k=k: log_tail(tt, k)[k], bulk_log,
+                        floats=False) for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
     names = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
     form = [functools.partial(tr._radial, fn, check=False) for fn in (phi, dphi, d2phi)]
     return {
@@ -302,8 +343,7 @@ def _zoo_entry(
     extra: dict,
 ) -> TargetZooEntry:
     d = dimension
-    b = d / (2.0 * vartheta)
-    t = tr.ginbeta2_transform(b, d)
+    b, t = _weight_transform(d, "vartheta", vartheta)
 
     # phi and its first two derivatives, from the template
     def phi(u: Array) -> Array:
@@ -362,6 +402,18 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
 # --- public factory --------------------------------------------------------
 
 
+def _weight_transform(dimension: int, name: str, weight: float) -> tuple:
+    """``b = d / (2 weight)`` and its ``ginbeta2_transform``; a weight whose
+    ``b`` the transform rejects (inf, or coefficients that overflow) is
+    named in the error, not the derived ``b``."""
+    b = dimension / (2.0 * weight)
+    try:
+        return b, tr.ginbeta2_transform(b, dimension)
+    except ValueError as exc:
+        raise ValueError(f"{name} = {weight} gives b = d / (2 {name}) = {b}, "
+                         f"out of range: {exc}") from None
+
+
 # the parameters each kind takes besides its dimension; make_example and
 # parse_target_name reject any other
 _PARAMETERS = {
@@ -408,8 +460,11 @@ def make_example(
         if kappa is None:
             raise ValueError("the multivariate t family needs kappa")
         pot = make_multivariate_t(dimension, kappa)
-        b_val = dimension / (2.0 * kappa) if b is None else float(b)
-        t = tr.ginbeta2_transform(b_val, dimension)
+        if b is None:
+            b_val, t = _weight_transform(dimension, "kappa", kappa)
+        else:
+            b_val = float(b)
+            t = tr.ginbeta2_transform(b_val, dimension)
         return TargetZooEntry(
             pot, t, kind, {"dimension": dimension, "kappa": float(kappa), "b": b_val}
         )

@@ -26,11 +26,11 @@ one jet (:class:`RadialJet`) that computes the profile pieces and these
 terms together, at the derivative orders a caller asks for: :func:`bulk_jet`
 shares the Horner passes over the derivatives of ``p`` and one ``exp(p)``,
 and :func:`tail_jet` shares the exponent ``u = log g`` of either tail kind.
-:func:`bulk_jet` works a single radius, as a sampler step asks for, in
-Python floats: on a one-element array each numpy call costs far more than
-its arithmetic.  That path runs every operation of the array path in the
-same order, and ``exp``, ``log1p`` and the cube through numpy's own ufuncs,
-so both give the same bits.
+Both jets work a single radius, as a sampler step asks for, in Python
+floats: on a one-element array each numpy call costs far more than its
+arithmetic.  That path runs every operation of the array path in the same
+order, and ``exp``, ``log``, ``log1p`` and powers through numpy's own
+ufuncs, so both give the same bits.
 A jet's profile is ``g`` on the bulk and ``u`` on every tail, so callers
 compose every tail through ``F(u) = f(e^u)``, and :func:`_tail_root`
 inverts ``u`` for both kinds; only this module tells the kinds apart.
@@ -47,6 +47,17 @@ takes a scalar, giving a float, or an array, giving an array of its shape;
 NaN passes through, and a negative radius raises except in the potential
 hooks.  A radial field ``s(|x|) x/|x|`` (``h``, ``h^{-1}``, the gradients)
 takes a point or a batch of points, with its caller's rule at the origin.
+
+One radius travels as a Python float through the composed gradient of
+:mod:`tula.dynamics`: the knot split is one float comparison (the knot is
+kept as a float, ``RadialTransform._knot``), the branch jets take a float
+and return floats, and so do the multivariate t's potential hooks; only
+the final ``f_h^(k)`` becomes an array.  The input's type picks the path.
+Each float path gives the array path's bits.  Python float arithmetic
+overflows and makes NaN without numpy's warnings, so where a float result
+is not finite, or a ufunc's argument is where it would warn, that radius
+goes through the array path instead, which warns, and raises under
+``np.errstate``, as a batch of it does.
 """
 
 from __future__ import annotations
@@ -144,8 +155,11 @@ class GinSpec:
             )
         table = np.zeros((4, len(self.log_poly)))
         table[0] = self.log_poly
-        for j in range(1, 4):  # the derivative of the row above
-            table[j, :-1] = table[j - 1, 1:] * np.arange(1, table.shape[1])
+        with np.errstate(over="ignore"):
+            for j in range(1, 4):  # the derivative of the row above
+                table[j, :-1] = table[j - 1, 1:] * np.arange(1, table.shape[1])
+        if not np.isfinite(table).all():
+            raise ValueError("log_poly and its first three derivatives need finite coefficients")
         table.flags.writeable = False
         object.__setattr__(self, "_coeffs", table)
         rows = tuple(tuple(row[: max(row.size - j, 1)][::-1].tolist())
@@ -222,9 +236,9 @@ class RadialTransform:
                 raise ValueError(f"a quadratic tail has beta = 2, got {self.beta}")
         else:
             raise ValueError(f"unknown tail kind {self.tail!r}")
-        # 0-d operands of the composed jets: the knot and d - 1
-        object.__setattr__(self, "_knot", np.array(self.knot))
-        object.__setattr__(self, "_d1", np.array(self.dimension - 1.0))
+        # the knot and d - 1 as Python floats: one comparison splits a radius
+        object.__setattr__(self, "_knot", float(self.knot))
+        object.__setattr__(self, "_d1", self.dimension - 1.0)
 
     @property
     def knot(self) -> float:
@@ -250,17 +264,12 @@ def ginbeta2_profile(b: float) -> GinSpec:
     """
     if not (b > 0.0 and math.isfinite(b)):
         raise ValueError(f"b must be positive and finite, got {b}")
-    return GinSpec(
-        scale=math.sqrt(b),
-        log_poly=(
-            47.0 / 60.0,
-            0.0,
-            b,
-            -(10.0 / 3.0) * b**1.5,
-            (15.0 / 4.0) * b**2,
-            -(6.0 / 5.0) * b**2.5,
-        ),
-    )
+    try:  # Python's float power raises OverflowError, and GinSpec rejects inf
+        return GinSpec(scale=math.sqrt(b), log_poly=(
+            47.0 / 60.0, 0.0, b, -(10.0 / 3.0) * b**1.5, (15.0 / 4.0) * b**2, -(6.0 / 5.0) * b**2.5))
+    except (OverflowError, ValueError):
+        raise ValueError(f"b = {b} is too large: the coefficients of the bulk exponent "
+                         "and its derivatives, up to 72 b**2.5, overflow") from None
 
 
 def ginbeta2_transform(b: float, dimension: int) -> RadialTransform:
@@ -336,7 +345,7 @@ def _radial(fn, r, check: bool = True):
     potential hooks of :mod:`tula.targets` turn it off.
     """
     if not check and type(r) is np.ndarray and r.ndim == 1 and r.dtype is _FLOAT:
-        return fn(r)  # a hook's per-step call, on radii the package computed
+        return fn(r)  # a hook's call on a batch of radii the package computed
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     if scalar:
@@ -416,19 +425,20 @@ class RadialJet(NamedTuple):
     log_g_over_r: dict
 
 
-def bulk_jet(gin: GinSpec, r: np.ndarray, orders, *, logs: bool = True) -> RadialJet:
+def bulk_jet(gin: GinSpec, r, orders, *, logs: bool = True) -> RadialJet:
     """Jet of the bulk profile ``c r e^p`` at radii ``r`` for the derivative
     orders ``orders``, a collection of integers from 0 to 3: the profile
     pieces and, unless ``logs`` is false, the log terms of the identities
     above at the asked orders.  No knot test: the caller passes bulk radii.
 
-    A single radius (``r`` of shape ``(1,)``, as a sampler step passes) is
-    worked in Python floats by :func:`_bulk_jet_at`, which returns the same
-    bits in one-element arrays: there numpy's per-call overhead, not the
-    arithmetic, is nearly all of the cost.
+    One radius, a Python float or an ``r`` of shape ``(1,)``, is worked in
+    Python floats by :func:`_bulk_jet_at` (see :func:`_at_one_radius`).
     """
-    if r.shape == (1,):
-        return _bulk_jet_at(gin, r.item(), orders, logs)
+    return _at_one_radius(r, _bulk_jet_at, _bulk_jet_of, gin, orders, logs)
+
+
+def _bulk_jet_of(gin: GinSpec, r: np.ndarray, orders, logs: bool) -> RadialJet:
+    """The array pass of :func:`bulk_jet`."""
     top = max(orders)
     p = gin._log_profiles(r, min(top + 2, 4) if logs else top + 1)
     c = gin._scale
@@ -457,16 +467,60 @@ def bulk_jet(gin: GinSpec, r: np.ndarray, orders, *, logs: bool = True) -> Radia
     return RadialJet(tuple(g), lgp, lgr)
 
 
-def _divide(a: float, b: float) -> float:
-    """``a / b``, with numpy's inf or NaN (and warning) where ``b`` is zero."""
-    return a / b if b else float(np.divide(a, b))
+def _at_one_radius(r, jet_at, jet_of, owner, *args) -> RadialJet:
+    """A branch jet at the radii ``r``: ``jet_of(owner, r, *args)`` on an
+    array, and ``jet_at(owner, x, *args)`` on the Python float ``x`` of one
+    radius.
+
+    A float ``r`` gets a jet of floats and a shape-``(1,)`` ``r`` a jet of
+    one-element arrays, with the array pass's bits either way.  Python
+    float arithmetic overflows and makes NaN silently where numpy warns, so
+    ``jet_at`` declines (returns None) a radius whose result is not finite
+    or where a ufunc it calls would warn; the array pass then works that
+    radius, with its warnings and its ``np.errstate`` errors.
+    """
+    if type(r) is float:
+        jet = jet_at(owner, r, *args)
+        return jet if jet is not None else _jet_map(np.ndarray.item,
+                                                     jet_of(owner, np.array((r,)), *args))
+    if r.shape == (1,):
+        jet = jet_at(owner, r.item(), *args)
+        if jet is not None:
+            return _jet_map(_one, jet)
+    return jet_of(owner, r, *args)
 
 
-def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet:
-    """:func:`bulk_jet` at the one radius ``x``, bit for bit: each Horner
-    step and each operation of the identities runs on Python floats in the
+def _one(v: float) -> np.ndarray:
+    """``v`` as a one-element array."""
+    return np.array((v,))
+
+
+def _jet_map(fn, jet: RadialJet) -> RadialJet:
+    """``jet`` with ``fn`` applied to each of its values."""
+    p, lgp, lgr = jet
+    return RadialJet(tuple(map(fn, p)), {k: fn(v) for k, v in lgp.items()},
+                     {k: fn(v) for k, v in lgr.items()})
+
+
+def _finite(jet: RadialJet) -> bool:
+    """Whether every value of a jet of floats is finite (a sum that
+    overflows reads as not finite, which only sends a radius to the array pass)."""
+    return math.isfinite(sum(jet.profile) + sum(jet.log_gprime.values())
+                         + sum(jet.log_g_over_r.values()))
+
+
+def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None:
+    """:func:`bulk_jet` at the one radius ``x`` in Python floats, bit for bit:
+    each Horner step and each operation of the identities runs in the
     array pass's order, while ``exp``, ``log1p`` and the cube go through
-    numpy's ufuncs, whose loops ``math`` does not match in the last bit."""
+    numpy's ufuncs, whose loops ``math`` does not match in the last bit.
+
+    None, for the array pass, where a result is not finite or a ufunc
+    argument leaves the range where nothing warns: ``p`` must be finite and
+    at most 709 (so ``e^p`` is finite), ``1 + r q`` in (0, 1e150) (the
+    domain of ``log1p``, a nonzero divisor and a finite square) and ``|q|``
+    below 1e100 (a finite cube).
+    """
     top = max(orders)
     p = []
     for row in gin._rows[: min(top + 2, 4) if logs else top + 1]:
@@ -474,44 +528,54 @@ def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet:
         for c in row[1:]:
             acc = c + acc * x
         p.append(acc)
+    if not -math.inf < p[0] <= 709.0:
+        return None
     c = gin.scale
     ep = float(np.exp(p[0]))
-    g = [np.array((c * x * ep,))]
+    g = [c * x * ep]
     if len(p) > 1:
         q = p[1]
         rq = x * q
         den = 1.0 + rq
+        if not 0.0 < den < 1e150:
+            return None
     if top >= 1:
-        g.append(np.array((c * den * ep,)))
+        g.append(c * den * ep)
     if top >= 2:
-        g.append(np.array((c * (2.0 * q + x * p[2] + rq * q) * ep,)))
+        g.append(c * (2.0 * q + x * p[2] + rq * q) * ep)
     if top >= 3:
+        if not abs(q) < 1e100:
+            return None
         g3 = 3.0 * q * q + 3.0 * p[2] + 3.0 * x * q * p[2] + x * float(np.power(q, 3)) + x * p[3]
-        g.append(np.array((c * g3 * ep,)))
+        g.append(c * g3 * ep)
     lgp, lgr = {}, {}
     if logs and 0 in orders:
         log_c = math.log(c)
-        lgp[0] = np.array((log_c + float(np.log1p(rq)) + p[0],))
-        lgr[0] = np.array((log_c + p[0],))
+        lgp[0] = log_c + float(np.log1p(rq)) + p[0]
+        lgr[0] = log_c + p[0]
     if logs and 1 in orders:
-        lgp[1] = np.array((q + _divide(q + x * p[2], den),))
-        lgr[1] = np.array((q,))
+        lgp[1] = q + (q + x * p[2]) / den
+        lgr[1] = q
     if logs and 2 in orders:
         e = q + x * p[2]
-        lgp[2] = np.array((p[2] + _divide((2.0 * p[2] + x * p[3]) * den - e * e, den * den),))
-        lgr[2] = np.array((p[2],))
-    return RadialJet(tuple(g), lgp, lgr)
+        lgp[2] = p[2] + ((2.0 * p[2] + x * p[3]) * den - e * e) / (den * den)
+        lgr[2] = p[2]
+    jet = RadialJet(tuple(g), lgp, lgr)
+    return jet if _finite(jet) else None
 
 
-def _tail_profile(t: RadialTransform, r: np.ndarray, order: int) -> tuple:
+def _tail_profile(t: RadialTransform, r, order: int, log=np.log, power=np.power) -> tuple:
     """The profile half of :func:`tail_jet`, orders 0 to ``order``: the
     exponent ``u = log g`` and its derivatives, ``b r**beta`` on the
     exponential kind and ``log a + 2 log r`` on the quadratic kind."""
     if t.tail == _QUADRATIC:
-        return (math.log(t.tail_scale) + 2.0 * np.log(r), 2.0 / r, -2.0 / r**2, 4.0 / r**3)[: order + 1]
+        u = [math.log(t.tail_scale) + 2.0 * log(r), 2.0 / r, -2.0 / (r * r)]
+        if order >= 3:
+            u.append(4.0 / power(r, 3))
+        return tuple(u[: order + 1])
     coef, u = t.b, []
     for k in range(order + 1):  # u^(k) = b beta (beta - 1) ... (beta - k + 1) r**(beta - k)
-        u.append(coef * np.power(r, t.beta - k))
+        u.append(coef * power(r, t.beta - k))
         coef = coef * (t.beta - k)
     return tuple(u)
 
@@ -524,7 +588,7 @@ def _tail_root(t: RadialTransform, log_s):
     return np.power(log_s / t.b, 1.0 / t.beta)
 
 
-def tail_jet(t: RadialTransform, r: np.ndarray, orders) -> RadialJet:
+def tail_jet(t: RadialTransform, r, orders) -> RadialJet:
     """Jet of the tail profile at radii ``r >= knot`` for the derivative
     orders ``orders``, a collection of integers from 0 to 3.
 
@@ -532,12 +596,19 @@ def tail_jet(t: RadialTransform, r: np.ndarray, orders) -> RadialJet:
     ``log g' = log c + k log r + u`` and ``log(g/r) = u - log r`` at the
     asked orders, where ``u' = c r**k``: ``(c, k)`` is ``(b beta, beta -
     1)`` on the exponential kind and ``(2, -1)`` on the quadratic kind.
+    One radius, a Python float or an ``r`` of shape ``(1,)``, is worked in
+    Python floats by :func:`_tail_jet_at` (see :func:`_at_one_radius`).
     """
-    u = _tail_profile(t, r, max(orders))
+    return _at_one_radius(r, _tail_jet_at, _tail_jet_of, t, orders)
+
+
+def _tail_jet_of(t: RadialTransform, r, orders, log=np.log, power=np.power) -> RadialJet:
+    """:func:`tail_jet`'s operations, through ``log`` and ``power``."""
+    u = _tail_profile(t, r, max(orders), log, power)
     c, k = (2.0, -1.0) if t.tail == _QUADRATIC else (t.b * t.beta, t.beta - 1.0)
     lgp, lgr = {}, {}
     if 0 in orders:
-        logr = np.log(r)
+        logr = log(r)
         lgp[0] = math.log(c) + k * logr + u[0]
         lgr[0] = u[0] - logr
     if 1 in orders:
@@ -547,6 +618,26 @@ def tail_jet(t: RadialTransform, r: np.ndarray, orders) -> RadialJet:
         lgp[2] = -k / (r * r) + u[2]
         lgr[2] = u[2] + 1.0 / (r * r)
     return RadialJet(u, lgp, lgr)
+
+
+def _tail_jet_at(t: RadialTransform, x: float, orders) -> RadialJet | None:
+    """:func:`tail_jet` at the one radius ``x`` in Python floats, bit for
+    bit: the array pass's operations, with numpy's ``log`` and ``power`` on
+    the float.  None, for the array pass, outside ``1e-100 < x < 1e100``
+    (where every power of ``x`` in the jet stays finite) or where a result
+    is not finite."""
+    if not 1e-100 < x < 1e100:
+        return None
+    jet = _tail_jet_of(t, x, orders, _float_log, _float_power)
+    return jet if _finite(jet) else None
+
+
+def _float_log(x: float) -> float:
+    return float(np.log(x))
+
+
+def _float_power(x: float, exponent: float) -> float:
+    return float(np.power(x, exponent))
 
 
 def g_eval(t: RadialTransform, r, order: int = 0):

@@ -498,6 +498,19 @@ class TestClassifyRegime:
         with pytest.raises(ValueError, match="needs rho"):
             classify_regime("strong", vartheta=1.0, dimension=2, b=1.0)
 
+    @pytest.mark.parametrize("basis, kwargs", [
+        ("strong", {"b": 1e300, "beta": 1.25, "rho": 1.0}),  # b ** (2 / beta) overflowed
+        ("strong", {"b": 1e-300, "beta": 1.25, "rho": 1.0}),  # and underflowed to 0
+        ("dissipativity", {"b": 1e-300, "beta": 1.25, "alpha": 2.0, "A": 0.5}),
+        ("degenerate", {"b": 1e-300, "beta": 1.25, "mu": 1.0, "theta": 0.25}),
+    ])
+    def test_witness_out_of_float_range_names_the_inputs(self, basis, kwargs):
+        """A super-Poincare witness beyond float range raised a bare
+        OverflowError or ZeroDivisionError naming nothing."""
+        with pytest.raises(ValueError, match="witness leaves float range at vartheta=1.0, "
+                                             "dimension=2, b=1e[-+]300, beta=1.25"):
+            classify_regime(basis, vartheta=1.0, dimension=2, **kwargs)
+
     def test_witness_exactly_on_super_poincare_and_rule_under_its_basis(self):
         """Every verdict is built at one exit that attaches the witness when,
         and only when, the regime is super-Poincare, and prefixes the rule

@@ -271,6 +271,14 @@ class TestClassifyCommand:
         assert out["regime"] == "super_poincare"
 
 
+    def test_witness_out_of_float_range_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["classify", "--assumption", "strong", "--vartheta", "1", "--b", "1e300",
+                   "--beta", "1.25", "--rho", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "witness leaves float range" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
+
+
 class TestCheckCommand:
     def test_passing_candidate_exits_zero(self, tmp_path):
         rc = main(["check", "--target", "t3_2", "--b", "0.75",

@@ -8,6 +8,7 @@ below the knot at 1) and the log-space tail branch (r = 2).
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,14 @@ class TestClosedFormBulkSlope:
         assert calls == []
 
 
+def _warned(call):
+    """``call()`` and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [str(w.message) for w in caught]
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -381,17 +390,20 @@ class TestJetPointwise:
                 for j in range(3):
                     assert _bits(batch[term][j]) == _bits([s[term][j] for s in singles]), (term, j)
 
-    @pytest.mark.parametrize("name", ["t2_3", "t3_2", "example3-on-b0.37"])
+    @pytest.mark.parametrize("name", ["t2_3", "t3_2", "example3-on-b0.37", "t1_1", "t5_4",
+                                      "example3-d1-on-b0.37", "example3-d5-on-b0.37"])
     def test_one_radius_equals_its_place_in_a_long_batch(self, name):
         """On a composed pairing one radius, as a sampler step evaluates it,
         gets bit for bit what it gets inside a 1024-radius batch that
-        straddles the knot, as the checks and diagnostics evaluate them."""
+        straddles the knot, as the checks and diagnostics evaluate them;
+        the batch reaches 50 knots, deep into the tail."""
         if name.startswith("t"):
             entry = parse_target_name(name)
             tp = TransformedPotential(entry.potential, entry.transform)
         else:  # a zoo potential paired with a transform it was not built for
-            entry = make_example(ExampleKind.EXAMPLE3, 4)
-            tp = TransformedPotential(entry.potential, ginbeta2_transform(0.37, 4))
+            d = int(name.split("-")[1][1:]) if name.count("-") == 3 else 4
+            entry = make_example(ExampleKind.EXAMPLE3, d)
+            tp = TransformedPotential(entry.potential, ginbeta2_transform(0.37, d))
         assert tp.closed_form is None
         knot = tp.transform.knot
         r = np.sort(np.concatenate([np.geomspace(1e-3 * knot, 50.0 * knot, 1021),
@@ -402,6 +414,31 @@ class TestJetPointwise:
             alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
                               *hessian_eigenvalues(tp, r[i])])
             assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+
+    @pytest.mark.parametrize("name", ["t2_3", "t2_3-on-warmup", "example3-on-b0.37"])
+    def test_one_radius_warns_as_a_batch_of_it(self, name):
+        """The composed radial functions at one radius warn, and raise under
+        np.errstate(over="raise"), as a batch of that radius does, from the
+        knot to radii where the tail's exponent leaves float range."""
+        entry = parse_target_name("t2_3") if name.startswith("t") else make_example(
+            ExampleKind.EXAMPLE3, 2)
+        t = (warmup_transform(2) if name.endswith("warmup") else
+             ginbeta2_transform(0.37, 2) if name.startswith("example") else entry.transform)
+        tp = TransformedPotential(entry.potential, t)
+        radii = t.knot * np.array([0.5, 1.0, 2.0]), np.array([1e100, 1e160, 1e200, 1e300, np.inf])
+        for r in np.concatenate(radii).tolist():
+            for fn in (value_radial, grad_factor, hessian_eigenvalues):
+                alone, caught = _warned(lambda: fn(tp, r))
+                batch, caught_batch = _warned(lambda: fn(tp, np.array([r, r])))
+                assert caught == caught_batch, (fn.__name__, r)
+                assert _bits(alone) == _bits(np.asarray(batch)[..., 0]), (fn.__name__, r)
+                overflows = any("overflow" in message for message in caught_batch)
+                with np.errstate(over="raise", invalid="ignore", divide="ignore"):
+                    if overflows:
+                        with pytest.raises(FloatingPointError):
+                            fn(tp, r)
+                    else:
+                        fn(tp, r)
 
     @pytest.mark.parametrize("warmup", [False, True])
     def test_gradient_at_one_point_equals_its_row_of_a_batch(self, warmup):

@@ -35,6 +35,7 @@ def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
     names = {f"{case} {what}" for case in step_ab.CASES
              for what in ("run_tula_us_per_step", "grad_factor_ns_per_radius.bulk",
                           "grad_factor_ns_per_radius.tail", "transformed_gradient_us_per_call",
+                          "transformed_gradient_us_per_call.tail",
                           "g_inverse_ns_per_value", "hessian_eigenvalues_ns_per_radius")}
     assert set(doc["table"]) == names
     for name, row in doc["table"].items():

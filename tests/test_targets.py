@@ -6,9 +6,11 @@ built to equal, and the x-side potential pulled back through the profile,
 f(g(r)) - log g'(r) - (d-1) log(g(r)/r), must agree with it.
 """
 
+import functools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from tula.targets import (
     ExampleKind,
+    _hook,
     IsotropicPotential,
     available_targets,
     make_example,
@@ -293,6 +296,18 @@ class TestZooEntries:
             with pytest.raises(ValueError, match="^kappa must be positive and finite"):
                 make_multivariate_t(2, parameters["kappa"])
 
+    @pytest.mark.parametrize("kind, parameters, message", [
+        ("t", {"kappa": 3.0, "b": 1e200}, r"^b = 1e\+200 is too large"),
+        ("t", {"kappa": 1e-200}, r"^kappa = 1e-200 gives b = d / \(2 kappa\) = 1e\+200"),
+        ("example6", {"vartheta": 1e-320}, r"^vartheta = 1e-320 gives b = d / \(2 vartheta\)"),
+        ("example2", {"upsilon": 0.5, "vartheta": 1e-320}, r"^vartheta = 1e-320 gives b"),
+    ])
+    def test_b_out_of_float_range_names_the_parameter(self, kind, parameters, message):
+        """b = 1e200 died in the bulk coefficients with a bare OverflowError,
+        and vartheta = 1e-320 said "b must be positive and finite, got inf"."""
+        with pytest.raises(ValueError, match=message):
+            make_example(kind, 2, **parameters)
+
     @pytest.mark.parametrize("kind", list(ExampleKind))
     def test_dimension_that_is_not_an_integer_names_it(self, kind):
         """make_example("example6", 2.5) built an entry of dimension 2.5, on
@@ -352,6 +367,85 @@ class TestZooEntries:
             _pulled_back(entry, r), entry.potential.transformed_form.value(r),
             rtol=1e-8, atol=1e-8,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _entry(kind: str, dimension: int):
+    extra = {"t": {"kappa": 3.0}, "example2": {"upsilon": 1.0}}.get(kind, {})
+    return make_example(kind, dimension, **extra)
+
+
+_HOOKS = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
+
+
+def _hook_argument(entry, hook: str, anchor: int, factor: float, ulps: int) -> float:
+    """An argument of ``hook`` near a seam or knot: the radius hooks at a
+    multiple of the potential's seams, 1 (the t's seam), the transform's
+    knot or its image; the log hooks at the log of one of those or, for the
+    larger anchors, in [-2, 2] around the t's log seam 0."""
+    t = entry.transform
+    radii = [*entry.potential.seams, 1.0, t.knot, t.seam]
+    x = radii[anchor % len(radii)] * factor
+    log = hook.startswith(("log", "dlog", "d2log"))
+    if log:
+        x = math.log(x) if x > 0.0 and anchor < 2 * len(radii) else factor - 2.0
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x if log else abs(x)  # the zoo's radius hooks reject a negative radius
+
+
+class TestHookAtOneRadius:
+    """Each potential hook gives the same bits on a Python float as on a
+    one-element array: the t's hooks run their own formulas on the float,
+    the zoo's pullback hooks take it as a one-element array."""
+
+    @given(st.sampled_from([k.value for k in ExampleKind]), st.sampled_from([1, 2, 5]),
+           st.sampled_from(_HOOKS), st.integers(0, 20),
+           st.one_of(st.just(1.0), st.floats(0.0, 4.0)), st.integers(-2, 2))
+    @settings(max_examples=250, deadline=None)
+    def test_float_gives_the_one_element_array_bits(self, kind, dimension, hook, anchor,
+                                                    factor, ulps):
+        entry = _entry(kind, dimension)
+        fn = getattr(entry.potential, hook)
+        x = _hook_argument(entry, hook, anchor, factor, ulps)
+        with np.errstate(all="ignore"):
+            alone, batch = fn(x), fn(np.array([x]))
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == batch.tobytes(), (kind, dimension, hook, x)
+
+    @pytest.mark.parametrize("kind", ["t", "example3", "warmup"])
+    @pytest.mark.parametrize("hook", _HOOKS)
+    def test_float_warns_as_the_one_element_array(self, kind, hook):
+        """Python floats overflow without a warning, so a float whose value
+        is not finite, or that lies beyond 1e50, takes the array path: the
+        warnings are the array's at arguments far out and non-finite."""
+        fn = getattr(_entry(kind, 2).potential, hook)
+        # the zoo's radius hooks reject a negative radius; the t's do not
+        negative = ((-800.0, -1e49, -1e99, -1e200, -math.inf)
+                    if "log" in hook or kind == "t" else ())
+        for x in (0.0, 0.5, 2.0, 800.0, 1e49, 1e99, 1e200, 1.7e308, math.inf, math.nan,
+                  *negative):
+            alone, caught = _warned(lambda: fn(x))
+            batch, caught_batch = _warned(lambda: fn(np.array([x])))
+            assert caught == caught_batch, (hook, x)
+            assert np.float64(alone).tobytes() == batch.tobytes(), (hook, x)
+
+    def test_a_float_value_that_is_not_finite_takes_the_array_path(self):
+        """A hook whose float formula overflows gives the array path's value
+        and warning, once."""
+        hook = _hook(lambda x: x * 1e308, lambda x: x * 1e308)
+        for x in (10.0, np.array([10.0])):
+            value, caught = _warned(lambda: hook(x))
+            assert np.all(value == math.inf) and caught == ["overflow encountered in multiply"]
+        assert _warned(lambda: hook(0.5)) == (5e307, [])
+
+
+def _warned(call):
+    """``call()`` and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [str(w.message) for w in caught]
 
 
 class TestRadialLogDensity:

@@ -6,6 +6,8 @@ significant digits (tools/freeze_oracles.py) and pasted here.
 
 import json
 import math
+import re
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -205,6 +207,91 @@ class TestGinSpec:
         assert spec._log_scale.shape == () and float(spec._log_scale) == math.log(spec.scale)
 
 
+def _warned(call):
+    """``call()`` and the (category, message) of each warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+class TestJetAtOneRadius:
+    """One radius, as a Python float or a one-element array, is worked in
+    Python floats, whose arithmetic overflows and makes NaN without a
+    warning; where that could show, the radius goes through the array pass,
+    so it warns as a batch of that radius does and raises under
+    np.errstate(over="raise") where the batch raises."""
+
+    CASES = [
+        # bulk: Horner overflows (the case that warned nothing), 1 + r p' < 0
+        # (log1p of a value below -1), exp(p) overflows, and NaN
+        ("bulk", lambda: ginbeta2_transform(1.0, 2), 1e100, (1,)),
+        ("bulk", lambda: ginbeta2_transform(1.0, 2), 3.0, (0, 1, 2)),
+        ("bulk", lambda: RadialTransform(b=1.0, beta=2.0, dimension=2,
+                                         gin=GinSpec(scale=1.0, log_poly=(0.0, 0.0, 1.0))),
+         30.0, (0, 1, 2, 3)),
+        ("bulk", lambda: ginbeta2_transform(1.0, 2), math.nan, (0, 1, 2)),
+        # c r overflows in Python floats alone, where p and 1 + r p' are fine
+        ("bulk", lambda: RadialTransform(b=1.0, beta=2.0, dimension=2,
+                                         gin=GinSpec(scale=1e300, log_poly=(0.0,))),
+         1e10, (0, 1)),
+        # tail: b r**beta overflows, the quadratic kind's r**3 overflows, and
+        # inf, where u - log r is inf - inf
+        ("tail", lambda: ginbeta2_transform(1.0, 2), 1e200, (0, 1, 2)),
+        ("tail", lambda: warmup_transform(2), 1e120, (0, 1, 2, 3)),
+        ("tail", lambda: ginbeta2_transform(0.37, 3), math.inf, (0, 1, 2)),
+    ]
+
+    @staticmethod
+    def _jet(branch, t, r, orders):
+        if branch == "bulk":
+            return bulk_jet(t.gin, r, orders)
+        return tail_jet(t, r, orders)
+
+    @staticmethod
+    def _values(jet):
+        return np.concatenate([np.ravel(v) for v in (*jet.profile, *jet.log_gprime.values(),
+                                                    *jet.log_g_over_r.values())])
+
+    @pytest.mark.parametrize("branch, build, radius, orders", CASES)
+    def test_warns_and_raises_as_the_array_pass(self, branch, build, radius, orders):
+        t = build()
+        calls = {"float": radius, "one": np.array([radius]), "two": np.array([radius, radius])}
+        runs = {name: _warned(lambda r=r: self._jet(branch, t, r, orders))
+                for name, r in calls.items()}
+        batch = self._values(runs["two"][0])[::2]
+        jet = runs["float"][0]
+        assert all(type(v) is float for v in (*jet.profile, *jet.log_gprime.values(),
+                                              *jet.log_g_over_r.values()))
+        for name in ("float", "one"):
+            assert self._values(runs[name][0]).tobytes() == batch.tobytes(), name
+            assert runs[name][1] == runs["two"][1], name
+        assert (radius != radius) == (not runs["two"][1])  # NaN alone warns nothing
+        overflows = any("overflow" in message for _, message in runs["two"][1])
+        for r in calls.values():
+            with np.errstate(over="raise", invalid="ignore", divide="ignore"):
+                if overflows:
+                    with pytest.raises(FloatingPointError):
+                        self._jet(branch, t, r, orders)
+                else:
+                    self._jet(branch, t, r, orders)
+
+    @pytest.mark.parametrize("branch", ["bulk", "tail"])
+    def test_float_gives_the_bits_of_its_place_in_a_batch(self, branch):
+        """A float radius gets a jet of Python floats with its batch entry's
+        bits, across the knot and far either side of it."""
+        t = ginbeta2_transform(0.37, 3)
+        unit = np.geomspace(1e-6, 1e3, 301) if branch == "bulk" else np.geomspace(1.0, 1e6, 301)
+        r = t.knot * unit
+        for orders in ((0,), (1,), (1, 2), (0, 1, 2, 3)):
+            with np.errstate(all="ignore"):
+                batch = [self._jet(branch, t, r, orders)]
+                singles = [self._jet(branch, t, x, orders) for x in r.tolist()]
+            for i, jet in enumerate(singles):
+                values = self._values(jet)
+                assert values.tobytes() == self._values(batch[0])[i::r.size].tobytes(), (orders, i)
+
+
 class TestRadialTransformValidation:
     def test_beta_range(self):
         spec = ginbeta2_profile(1.0)
@@ -235,6 +322,19 @@ class TestRadialTransformValidation:
         must be positive and finite", and warmup_profile(2.5) was accepted."""
         with pytest.raises(ValueError, match=f"^{message}"):
             build()
+
+    @pytest.mark.parametrize("b", [1e200, 1.55e123])
+    def test_ginbeta2_b_whose_coefficients_overflow_is_named(self, b):
+        """1e200 raised a bare OverflowError from b**2.5; at 1.55e123 the
+        coefficients are finite and the third derivative's 72 b**2.5 is not."""
+        with pytest.raises(ValueError, match=f"^b = {re.escape(str(b))} is too large"):
+            ginbeta2_profile(b)
+        assert ginbeta2_profile(1e122).log_poly[5] == -(6.0 / 5.0) * 1e122**2.5
+
+    def test_gin_spec_rejects_coefficients_that_are_not_finite(self):
+        for log_poly in ((0.0, 0.0, math.inf), (math.nan,), (0.0, 0.0, 0.0, 1e308)):
+            with pytest.raises(ValueError, match="finite coefficients"):
+                GinSpec(scale=1.0, log_poly=log_poly)
 
     def test_quadratic_tail_needs_scale_and_knot(self):
         with pytest.raises(ValueError, match="quadratic tail"):

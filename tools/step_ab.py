@@ -18,7 +18,8 @@ alternating which tree goes first.  The measurements, on ``t2_3`` and on
   nanoseconds per radius;
 * ``transformed_gradient_us_per_call``: ``transformed_gradient`` at one
   point, as a sampler step calls it, in microseconds per call, over POINTS
-  points at the first bulk radii in random directions;
+  points at the first bulk radii in random directions, and
+  ``transformed_gradient_us_per_call.tail`` the same at the first tail radii;
 * ``g_inverse_ns_per_value``: ``g_inverse`` on the BATCH bulk images
   ``g(r)`` of those bulk radii, in nanoseconds per value;
 * ``hessian_eigenvalues_ns_per_radius``: ``hessian_eigenvalues`` on the
@@ -95,9 +96,11 @@ def measurements(tula, steps: int) -> dict:
             radii = t.knot * frac
             out[f"{case} grad_factor_ns_per_radius.{branch}"] = (
                 lambda tp=tp, radii=radii: 1e9 * repeat(lambda: tula.grad_factor(tp, radii), BATCH))
-        points = (t.knot * unit[0][:POINTS])[:, None] * direction
-        out[f"{case} transformed_gradient_us_per_call"] = lambda tp=tp, points=points: 1e6 * repeat(
-            lambda: [tula.transformed_gradient(tp, y) for y in points], POINTS)
+        for suffix, frac in (("", unit[0]), (".tail", unit[1])):
+            points = (t.knot * frac[:POINTS])[:, None] * direction
+            out[f"{case} transformed_gradient_us_per_call{suffix}"] = (
+                lambda tp=tp, points=points: 1e6 * repeat(
+                    lambda: [tula.transformed_gradient(tp, y) for y in points], POINTS))
         images = tula.g_eval(t, t.knot * unit[0], 0)
         out[f"{case} g_inverse_ns_per_value"] = lambda t=t, images=images: 1e9 * repeat(
             lambda: tula.g_inverse(t, images), BATCH)
