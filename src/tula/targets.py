@@ -72,7 +72,10 @@ def _hook(at: Callable, on_arrays: Callable[[Array], Array]):
     argument in range, and a float whose value is not finite goes through
     the array path again, with its warnings and ``np.errstate`` errors.  No
     hook checks its argument: the package calls them at radii it checked or
-    computed.
+    computed.  At a negative radius the t's radius hooks return a value
+    (``make_multivariate_t(2, 3.0).value(-1.0)`` is 1.7329), the zoo's
+    raise "radii must be nonnegative" through ``transform.g_inverse``, and
+    the log-argument hooks take any real (ROADMAP.md, item 6).
     """
 
     def hook(x):

@@ -26,11 +26,6 @@ one jet (:class:`RadialJet`) that computes the profile pieces and these
 terms together, at the derivative orders a caller asks for: :func:`bulk_jet`
 shares the Horner passes over the derivatives of ``p`` and one ``exp(p)``,
 and :func:`tail_jet` shares the exponent ``u = log g`` of either tail kind.
-Both jets work a single radius, as a sampler step asks for, in Python
-floats: on a one-element array each numpy call costs far more than its
-arithmetic.  That path runs every operation of the array path in the same
-order, and ``exp``, ``log``, ``log1p`` and powers through numpy's own
-ufuncs, so both give the same bits.
 A jet's profile is ``g`` on the bulk and ``u`` on every tail, so callers
 compose every tail through ``F(u) = f(e^u)``, and :func:`_tail_root`
 inverts ``u`` for both kinds; only this module tells the kinds apart.
@@ -44,20 +39,26 @@ rule: the upper piece owns the boundary, so the tail owns the knot.
 
 The module also owns the package's calling convention.  A radial function
 takes a scalar, giving a float, or an array, giving an array of its shape;
-NaN passes through, and a negative radius raises except in the potential
-hooks.  A radial field ``s(|x|) x/|x|`` (``h``, ``h^{-1}``, the gradients)
-takes a point or a batch of points, with its caller's rule at the origin.
+NaN passes through, and a negative radius raises "radii must be
+nonnegative", as in the zoo's radius hooks; the multivariate t's radius
+hooks and every log-argument hook return a value there (``targets._hook``,
+ROADMAP.md item 6).  A radial field ``s(|x|) x/|x|`` (``h``, ``h^{-1}``,
+the gradients) takes a point or a batch of points, with its caller's rule
+at the origin.
 
-One radius travels as a Python float through the composed gradient of
-:mod:`tula.dynamics`: the knot split is one float comparison (the knot is
-kept as a float, ``RadialTransform._knot``), the branch jets take a float
-and return floats, and so do the multivariate t's potential hooks; only
-the final ``f_h^(k)`` becomes an array.  The input's type picks the path.
-Each float path gives the array path's bits.  Python float arithmetic
-overflows and makes NaN without numpy's warnings, so where a float result
-is not finite, or a ufunc's argument is where it would warn, that radius
-goes through the array path instead, which warns, and raises under
-``np.errstate``, as a batch of it does.
+One radius, as a sampler step asks for, travels as a Python float through
+the composed gradient of :mod:`tula.dynamics`, since on a one-element array
+each numpy call costs far more than its arithmetic: the knot split is one
+float comparison (``RadialTransform._knot``), the branch jets and the
+multivariate t's hooks take and return floats, and only the final
+``f_h^(k)`` becomes an array.  The input's type picks the path.  Each branch
+jet has one body, run on arrays or on one float in the same operation order
+with numpy's ufuncs (:class:`_Ufuncs`), so both give the same bits.  Past
+the bulk's Horner pass and constants, floats here and 0-d arrays there, the
+float path adds only a range predicate and :func:`_finite`: Python float arithmetic
+overflows and makes NaN without numpy's warnings, so a radius where a ufunc
+would warn, or whose result is not finite, goes through the array path,
+which warns, and raises under ``np.errstate``, as a batch of it does.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import dataclasses
 import enum
 import json
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -112,6 +113,21 @@ def _is_count(value, least: float = -math.inf) -> bool:
 _ZERO, _ONE, _TWO = (np.array(float(c)) for c in range(3))
 
 
+class _Ufuncs(NamedTuple):
+    """The ufuncs a branch jet's body calls: numpy's, returning arrays or, on
+    one radius, Python floats (``math``'s differ in the last bit)."""
+
+    exp: Callable
+    log: Callable
+    log1p: Callable
+    power: Callable
+
+
+_ARRAY_UFUNCS = _Ufuncs(np.exp, np.log, np.log1p, np.power)
+_FLOAT_UFUNCS = _Ufuncs(lambda x: float(np.exp(x)), lambda x: float(np.log(x)),
+                        lambda x: float(np.log1p(x)), lambda x, y: float(np.power(x, y)))
+
+
 @dataclasses.dataclass(frozen=True)
 class GinSpec:
     """Bulk profile ``g_in(r) = scale * r * exp(p(r))``.
@@ -141,6 +157,7 @@ class GinSpec:
     _row_arrays: tuple = dataclasses.field(init=False, repr=False, compare=False)
     _scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _log_scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _constants: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
@@ -166,8 +183,9 @@ class GinSpec:
                      for j, row in enumerate(table))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_arrays", tuple(tuple(map(np.array, row)) for row in rows))
+        object.__setattr__(self, "_constants", (self.scale, math.log(self.scale), 1.0, 2.0))
         object.__setattr__(self, "_scale", np.array(self.scale))
-        object.__setattr__(self, "_log_scale", np.array(math.log(self.scale)))
+        object.__setattr__(self, "_log_scale", np.array(self._constants[1]))
 
     def _log_profiles(self, r: np.ndarray, rows: int) -> list:
         """``p, ..., p^(rows - 1)`` at the radii ``r``, each by Horner's rule
@@ -431,7 +449,8 @@ def bulk_jet(gin: GinSpec, r, orders, *, logs: bool = True) -> RadialJet:
     pieces and, unless ``logs`` is false, the log terms of the identities
     above at the asked orders.  No knot test: the caller passes bulk radii.
 
-    One radius, a Python float or an ``r`` of shape ``(1,)``, is worked in
+    Their one body, :func:`_bulk_identities`, runs on the array ``r`` or,
+    for one radius (a Python float or an ``r`` of shape ``(1,)``), on
     Python floats by :func:`_bulk_jet_at` (see :func:`_at_one_radius`).
     """
     return _at_one_radius(r, _bulk_jet_at, _bulk_jet_of, gin, orders, logs)
@@ -439,30 +458,39 @@ def bulk_jet(gin: GinSpec, r, orders, *, logs: bool = True) -> RadialJet:
 
 def _bulk_jet_of(gin: GinSpec, r: np.ndarray, orders, logs: bool) -> RadialJet:
     """The array pass of :func:`bulk_jet`."""
+    p = gin._log_profiles(r, min(max(orders) + 2, 4) if logs else max(orders) + 1)
+    return _bulk_identities(p, r, (gin._scale, gin._log_scale, _ONE, _TWO), _ARRAY_UFUNCS,
+                            orders, logs)
+
+
+def _bulk_identities(p: list, r, consts: tuple, uf: _Ufuncs, orders, logs: bool) -> RadialJet:
+    """The one body of :func:`bulk_jet`: the identities above at the radii ``r`` from the
+    rows ``p`` of ``p, q, p'', ...``, ``consts = (c, log c, 1, 2)`` (0-d or floats) and ``uf``."""
     top = max(orders)
-    p = gin._log_profiles(r, min(top + 2, 4) if logs else top + 1)
-    c = gin._scale
-    ep = np.exp(p[0])
+    c, log_c, one, two = consts
+    ep = uf.exp(p[0])
     g = [c * r * ep]
     if len(p) > 1:
         q = p[1]
         rq = r * q
-        den = _ONE + rq
+        den = one + rq
     if top >= 1:
         g.append(c * den * ep)
     if top >= 2:
-        g.append(c * (_TWO * q + r * p[2] + rq * q) * ep)
+        g.append(c * (two * q + r * p[2] + rq * q) * ep)
     if top >= 3:
-        g.append(c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * q**3 + r * p[3]) * ep)
+        g.append(c * (3.0 * q * q + 3.0 * p[2] + 3.0 * r * q * p[2] + r * uf.power(q, 3)
+                      + r * p[3]) * ep)
     lgp, lgr = {}, {}
     if logs and 0 in orders:
-        lgp[0] = gin._log_scale + np.log1p(rq) + p[0]
-        lgr[0] = gin._log_scale + p[0]
+        lgp[0] = log_c + uf.log1p(rq) + p[0]
+        lgr[0] = log_c + p[0]
     if logs and 1 in orders:
         lgp[1] = q + (q + r * p[2]) / den
         lgr[1] = q
     if logs and 2 in orders:
-        lgp[2] = p[2] + ((_TWO * p[2] + r * p[3]) * den - (q + r * p[2]) ** 2) / (den * den)
+        e = q + r * p[2]
+        lgp[2] = p[2] + ((two * p[2] + r * p[3]) * den - e * e) / (den * den)
         lgr[2] = p[2]
     return RadialJet(tuple(g), lgp, lgr)
 
@@ -470,14 +498,15 @@ def _bulk_jet_of(gin: GinSpec, r: np.ndarray, orders, logs: bool) -> RadialJet:
 def _at_one_radius(r, jet_at, jet_of, owner, *args) -> RadialJet:
     """A branch jet at the radii ``r``: ``jet_of(owner, r, *args)`` on an
     array, and ``jet_at(owner, x, *args)`` on the Python float ``x`` of one
-    radius.
+    radius; both run the branch's one body, ``jet_at`` with float ufuncs.
 
     A float ``r`` gets a jet of floats and a shape-``(1,)`` ``r`` a jet of
     one-element arrays, with the array pass's bits either way.  Python
     float arithmetic overflows and makes NaN silently where numpy warns, so
-    ``jet_at`` declines (returns None) a radius whose result is not finite
-    or where a ufunc it calls would warn; the array pass then works that
-    radius, with its warnings and its ``np.errstate`` errors.
+    ``jet_at`` declines (returns None) a radius outside its range predicate,
+    where a ufunc the body calls would warn, or whose result is not finite
+    (:func:`_finite`); the array pass then works that radius, with its
+    warnings and its ``np.errstate`` errors.
     """
     if type(r) is float:
         jet = jet_at(owner, r, *args)
@@ -510,16 +539,12 @@ def _finite(jet: RadialJet) -> bool:
 
 
 def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None:
-    """:func:`bulk_jet` at the one radius ``x`` in Python floats, bit for bit:
-    each Horner step and each operation of the identities runs in the
-    array pass's order, while ``exp``, ``log1p`` and the cube go through
-    numpy's ufuncs, whose loops ``math`` does not match in the last bit.
-
-    None, for the array pass, where a result is not finite or a ufunc
-    argument leaves the range where nothing warns: ``p`` must be finite and
-    at most 709 (so ``e^p`` is finite), ``1 + r q`` in (0, 1e150) (the
-    domain of ``log1p``, a nonzero divisor and a finite square) and ``|q|``
-    below 1e100 (a finite cube).
+    """:func:`bulk_jet` at the one radius ``x`` in Python floats, bit for bit: Horner's
+    rule in the array pass's order, then :func:`_bulk_identities` with the float constants
+    ``GinSpec._constants``.  None, for the array pass, where a result is not finite or a
+    ufunc argument leaves the range where nothing warns: ``p`` must be finite and at most
+    709 (so ``e^p`` is finite), ``1 + r q`` in (0, 1e150) (the domain of ``log1p``, a
+    nonzero divisor and a finite square) and ``|q|`` below 1e100 (a finite cube).
     """
     top = max(orders)
     p = []
@@ -528,54 +553,25 @@ def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None
         for c in row[1:]:
             acc = c + acc * x
         p.append(acc)
-    if not -math.inf < p[0] <= 709.0:
+    if not (-math.inf < p[0] <= 709.0 and (len(p) == 1 or 0.0 < 1.0 + x * p[1] < 1e150)
+            and (top < 3 or abs(p[1]) < 1e100)):
         return None
-    c = gin.scale
-    ep = float(np.exp(p[0]))
-    g = [c * x * ep]
-    if len(p) > 1:
-        q = p[1]
-        rq = x * q
-        den = 1.0 + rq
-        if not 0.0 < den < 1e150:
-            return None
-    if top >= 1:
-        g.append(c * den * ep)
-    if top >= 2:
-        g.append(c * (2.0 * q + x * p[2] + rq * q) * ep)
-    if top >= 3:
-        if not abs(q) < 1e100:
-            return None
-        g3 = 3.0 * q * q + 3.0 * p[2] + 3.0 * x * q * p[2] + x * float(np.power(q, 3)) + x * p[3]
-        g.append(c * g3 * ep)
-    lgp, lgr = {}, {}
-    if logs and 0 in orders:
-        log_c = math.log(c)
-        lgp[0] = log_c + float(np.log1p(rq)) + p[0]
-        lgr[0] = log_c + p[0]
-    if logs and 1 in orders:
-        lgp[1] = q + (q + x * p[2]) / den
-        lgr[1] = q
-    if logs and 2 in orders:
-        e = q + x * p[2]
-        lgp[2] = p[2] + ((2.0 * p[2] + x * p[3]) * den - e * e) / (den * den)
-        lgr[2] = p[2]
-    jet = RadialJet(tuple(g), lgp, lgr)
+    jet = _bulk_identities(p, x, gin._constants, _FLOAT_UFUNCS, orders, logs)
     return jet if _finite(jet) else None
 
 
-def _tail_profile(t: RadialTransform, r, order: int, log=np.log, power=np.power) -> tuple:
+def _tail_profile(t: RadialTransform, r, order: int, uf: _Ufuncs = _ARRAY_UFUNCS) -> tuple:
     """The profile half of :func:`tail_jet`, orders 0 to ``order``: the
     exponent ``u = log g`` and its derivatives, ``b r**beta`` on the
     exponential kind and ``log a + 2 log r`` on the quadratic kind."""
     if t.tail == _QUADRATIC:
-        u = [math.log(t.tail_scale) + 2.0 * log(r), 2.0 / r, -2.0 / (r * r)]
+        u = [math.log(t.tail_scale) + 2.0 * uf.log(r), 2.0 / r, -2.0 / (r * r)]
         if order >= 3:
-            u.append(4.0 / power(r, 3))
+            u.append(4.0 / uf.power(r, 3))
         return tuple(u[: order + 1])
     coef, u = t.b, []
     for k in range(order + 1):  # u^(k) = b beta (beta - 1) ... (beta - k + 1) r**(beta - k)
-        u.append(coef * power(r, t.beta - k))
+        u.append(coef * uf.power(r, t.beta - k))
         coef = coef * (t.beta - k)
     return tuple(u)
 
@@ -596,19 +592,20 @@ def tail_jet(t: RadialTransform, r, orders) -> RadialJet:
     ``log g' = log c + k log r + u`` and ``log(g/r) = u - log r`` at the
     asked orders, where ``u' = c r**k``: ``(c, k)`` is ``(b beta, beta -
     1)`` on the exponential kind and ``(2, -1)`` on the quadratic kind.
-    One radius, a Python float or an ``r`` of shape ``(1,)``, is worked in
-    Python floats by :func:`_tail_jet_at` (see :func:`_at_one_radius`).
+    Its one body, :func:`_tail_jet_of`, runs on the array ``r`` or, for one
+    radius (a Python float or an ``r`` of shape ``(1,)``), on Python floats
+    by :func:`_tail_jet_at` (see :func:`_at_one_radius`).
     """
     return _at_one_radius(r, _tail_jet_at, _tail_jet_of, t, orders)
 
 
-def _tail_jet_of(t: RadialTransform, r, orders, log=np.log, power=np.power) -> RadialJet:
-    """:func:`tail_jet`'s operations, through ``log`` and ``power``."""
-    u = _tail_profile(t, r, max(orders), log, power)
+def _tail_jet_of(t: RadialTransform, r, orders, uf: _Ufuncs = _ARRAY_UFUNCS) -> RadialJet:
+    """The one body of :func:`tail_jet`, on arrays or, with the float ufuncs, on a float."""
+    u = _tail_profile(t, r, max(orders), uf)
     c, k = (2.0, -1.0) if t.tail == _QUADRATIC else (t.b * t.beta, t.beta - 1.0)
     lgp, lgr = {}, {}
     if 0 in orders:
-        logr = log(r)
+        logr = uf.log(r)
         lgp[0] = math.log(c) + k * logr + u[0]
         lgr[0] = u[0] - logr
     if 1 in orders:
@@ -622,22 +619,13 @@ def _tail_jet_of(t: RadialTransform, r, orders, log=np.log, power=np.power) -> R
 
 def _tail_jet_at(t: RadialTransform, x: float, orders) -> RadialJet | None:
     """:func:`tail_jet` at the one radius ``x`` in Python floats, bit for
-    bit: the array pass's operations, with numpy's ``log`` and ``power`` on
-    the float.  None, for the array pass, outside ``1e-100 < x < 1e100``
-    (where every power of ``x`` in the jet stays finite) or where a result
-    is not finite."""
+    bit: :func:`_tail_jet_of` with the float ufuncs.  None, for the array
+    pass, outside ``1e-100 < x < 1e100`` (where every power of ``x`` in the
+    jet stays finite) or where a result is not finite."""
     if not 1e-100 < x < 1e100:
         return None
-    jet = _tail_jet_of(t, x, orders, _float_log, _float_power)
+    jet = _tail_jet_of(t, x, orders, _FLOAT_UFUNCS)
     return jet if _finite(jet) else None
-
-
-def _float_log(x: float) -> float:
-    return float(np.log(x))
-
-
-def _float_power(x: float, exponent: float) -> float:
-    return float(np.power(x, exponent))
 
 
 def g_eval(t: RadialTransform, r, order: int = 0):

@@ -36,6 +36,7 @@ def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
              for what in ("run_tula_us_per_step", "grad_factor_ns_per_radius.bulk",
                           "grad_factor_ns_per_radius.tail", "transformed_gradient_us_per_call",
                           "transformed_gradient_us_per_call.tail",
+                          "bulk_jet_ns_per_radius.float", "tail_jet_ns_per_radius.float",
                           "g_inverse_ns_per_value", "hessian_eigenvalues_ns_per_radius")}
     assert set(doc["table"]) == names
     for name, row in doc["table"].items():

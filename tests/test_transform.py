@@ -215,6 +215,12 @@ def _warned(call):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
+def _on_bulk(scale, log_poly):
+    """A transform whose bulk profile is ``scale r e^p`` with ``p`` of ``log_poly``."""
+    return RadialTransform(b=1.0, beta=2.0, dimension=2,
+                           gin=GinSpec(scale=scale, log_poly=log_poly))
+
+
 class TestJetAtOneRadius:
     """One radius, as a Python float or a one-element array, is worked in
     Python floats, whose arithmetic overflows and makes NaN without a
@@ -240,13 +246,26 @@ class TestJetAtOneRadius:
         ("tail", lambda: ginbeta2_transform(1.0, 2), 1e200, (0, 1, 2)),
         ("tail", lambda: warmup_transform(2), 1e120, (0, 1, 2, 3)),
         ("tail", lambda: ginbeta2_transform(0.37, 3), math.inf, (0, 1, 2)),
+        # the edges of the float pass's range predicate.  Horner overflows
+        # downward to p = -inf, which only the array pass warns of
+        ("bulk-no-logs", lambda: _on_bulk(1.0, (0.0, 0.0, -1.0)), 1e200, (0,)),
+        # p = 709 and one ulp above it, where c r e^p overflows
+        ("bulk", lambda: _on_bulk(1.0, (709.0,)), 4.0, (0, 1)),
+        ("bulk", lambda: _on_bulk(1.0, (math.nextafter(709.0, math.inf),)), 4.0, (0, 1)),
+        # 1 + r q = 1e150, and |q| = 1e100 with order 3 (at p = 0.57, 1 + r q
+        # = 2.1); the large scale makes the profile overflow
+        ("bulk", lambda: _on_bulk(1e160, (-5e149, 0.0, 5e149)), 1.0, (0, 1, 2)),
+        ("bulk", lambda: _on_bulk(1e300, (0.0, 0.0, 1e100 * 2.0**331)), 2.0**-332, (3,)),
+        # the tail's bound 1e100 and one ulp below it, where b r**2 overflows
+        ("tail", lambda: ginbeta2_transform(1e110, 2), 1e100, (0, 1, 2)),
+        ("tail", lambda: ginbeta2_transform(1e110, 2), math.nextafter(1e100, 0.0), (0, 1, 2)),
     ]
 
     @staticmethod
     def _jet(branch, t, r, orders):
-        if branch == "bulk":
-            return bulk_jet(t.gin, r, orders)
-        return tail_jet(t, r, orders)
+        if branch == "tail":
+            return tail_jet(t, r, orders)
+        return bulk_jet(t.gin, r, orders, logs=branch == "bulk")
 
     @staticmethod
     def _values(jet):

@@ -20,6 +20,10 @@ alternating which tree goes first.  The measurements, on ``t2_3`` and on
   point, as a sampler step calls it, in microseconds per call, over POINTS
   points at the first bulk radii in random directions, and
   ``transformed_gradient_us_per_call.tail`` the same at the first tail radii;
+* ``bulk_jet_ns_per_radius.float`` and ``tail_jet_ns_per_radius.float``:
+  ``bulk_jet(t.gin, x, (1,))`` at the first POINTS bulk radii and
+  ``tail_jet(t, x, (1,))`` at the first POINTS tail radii, each radius ``x``
+  a Python float, as a sampler step asks for it, in nanoseconds per radius;
 * ``g_inverse_ns_per_value``: ``g_inverse`` on the BATCH bulk images
   ``g(r)`` of those bulk radii, in nanoseconds per value;
 * ``hessian_eigenvalues_ns_per_radius``: ``hessian_eigenvalues`` on the
@@ -101,6 +105,11 @@ def measurements(tula, steps: int) -> dict:
             out[f"{case} transformed_gradient_us_per_call{suffix}"] = (
                 lambda tp=tp, points=points: 1e6 * repeat(
                     lambda: [tula.transformed_gradient(tp, y) for y in points], POINTS))
+        bulk_x, tail_x = ((t.knot * frac[:POINTS]).tolist() for frac in unit)
+        out[f"{case} bulk_jet_ns_per_radius.float"] = lambda t=t, xs=bulk_x: 1e9 * repeat(
+            lambda: [tula.bulk_jet(t.gin, x, (1,)) for x in xs], POINTS)
+        out[f"{case} tail_jet_ns_per_radius.float"] = lambda t=t, xs=tail_x: 1e9 * repeat(
+            lambda: [tula.tail_jet(t, x, (1,)) for x in xs], POINTS)
         images = tula.g_eval(t, t.knot * unit[0], 0)
         out[f"{case} g_inverse_ns_per_value"] = lambda t=t, images=images: 1e9 * repeat(
             lambda: tula.g_inverse(t, images), BATCH)
