@@ -236,10 +236,14 @@ class RadialQuadrature:
         self._mass = mass
         self.truncated_mass = tail / mass
 
-        grid = np.unique(np.concatenate([
+        grid = np.sort(np.concatenate([
             np.linspace(0.0, min(30.0, self.r_max), 6001),
             np.geomspace(min(30.0, self.r_max), self.r_max, 2048),
         ]))
+        # np.unique's grid: each entry that differs from its predecessor.  (np.unique
+        # itself imports numpy.ma on its first call, which costs a fresh process
+        # 13-15 ms and about 1 MB.)
+        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         dens = np.exp(np.clip(radial_log_density(potential, grid) - self._shift, -745.0, None))
         self._table_r = grid
         self._table_cdf = _cumulative_trapezoid(dens, grid) / mass

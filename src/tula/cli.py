@@ -190,8 +190,8 @@ def cmd_sample(opts: dict[str, Any]) -> int:
     with open(out / "trace.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("chain,step,radius_x\n")
         for chain, (x_arr, step_arr) in enumerate(zip(run.xs, run.steps)):
-            radii = np.linalg.norm(x_arr, axis=1).tolist()
-            fh.write("".join(f"{chain},{s},{r!r}\n" for s, r in zip(step_arr.tolist(), radii)))
+            radii = map(repr, np.linalg.norm(x_arr, axis=1).tolist())
+            fh.write("".join(f"{chain},{s},{r}\n" for s, r in zip(step_arr.tolist(), radii)))
 
     summary = run_summary(run)
     summary["target"] = _target_echo(opts)

@@ -11,7 +11,13 @@ transform) is exposed for comparison runs.
 Randomness is reproducible and splittable: chain ``k`` of a run with seed
 ``s`` draws from ``Philox`` keyed by ``SeedSequence(s, spawn_key=(k,))``,
 so results do not depend on how many sibling chains run alongside.
-Chains run one after another.
+Chains run one after another.  A chain draws its random start first, if it
+has one, then its noise in blocks of up to 256 steps, one
+``standard_normal((b, d))`` call per block scaled by ``sqrt(2 gamma)``
+once.  A block of ``b`` rows holds the bits of ``b`` successive
+``standard_normal(d)`` draws, so every iterate is what one draw per step
+gives, whatever the block size; a chain that diverges leaves the rest of
+its block unused.
 """
 
 from __future__ import annotations
@@ -146,6 +152,10 @@ def tula_step(tp: TransformedPotential, y: np.ndarray, gamma: float, noise: np.n
     return y - gamma * transformed_gradient(tp, y) + math.sqrt(2.0 * gamma) * noise
 
 
+# steps of noise a chain draws at once; any block size gives the same bits
+_NOISE_BLOCK = 256
+
+
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chain,))))
 
@@ -192,27 +202,28 @@ def _run_chain(
     cfg: SamplerConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    gamma = cfg.step_size
+    gamma, steps, thin = cfg.step_size, cfg.num_steps, cfg.thin
     root = math.sqrt(2.0 * gamma)
     y = np.asarray(y0, dtype=float)
-    recorded = np.empty((cfg.num_steps // cfg.thin + 1, y.shape[0]))
+    dim = y.shape[0]
+    recorded = np.empty((steps // thin + 1, dim))
     recorded[0] = y
     count = 1
-    diverged = False
     # a diverging chain overflows on its way out; the isfinite check below
     # already turns that into a flag, so the numpy warnings add only noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.num_steps + 1):
-            y = y - gamma * grad_fn(y) + root * rng.standard_normal(y.shape[0])
-            # a NaN or infinite coordinate makes the sum of squares non-finite, and
-            # it overflows first, so this keeps every recorded radius representable
-            if not np.isfinite(y @ y):
-                diverged = True
-                break
-            if k % cfg.thin == 0:
-                recorded[count] = y
-                count += 1
-    return recorded[:count], np.arange(count) * cfg.thin, diverged
+        for first in range(1, steps + 1, _NOISE_BLOCK):
+            noise = root * rng.standard_normal((min(_NOISE_BLOCK, steps + 1 - first), dim))
+            for k, z in enumerate(noise, first):
+                y = y - gamma * grad_fn(y) + z
+                # a NaN or infinite coordinate makes the sum of squares non-finite, and
+                # it overflows first, so this keeps every recorded radius representable
+                if not math.isfinite(y @ y):
+                    return recorded[:count], np.arange(count) * thin, True
+                if k % thin == 0:
+                    recorded[count] = y
+                    count += 1
+    return recorded[:count], np.arange(count) * thin, False
 
 
 def _run(
@@ -293,11 +304,15 @@ def write_chain_csv(run: ChainRun, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for chain, (y_arr, x_arr, step_arr) in enumerate(zip(run.ys, xs, run.steps)):
-            lines = []
-            for step, y_row, x_row in zip(step_arr.tolist(), y_arr.tolist(), x_arr.tolist()):
-                lines.append(f"{chain},{step},y,{','.join(map(repr, y_row))}\r\n")
-                lines.append(f"{chain},{step},x,{','.join(map(repr, x_row))}\r\n")
-            fh.write("".join(lines))
+            rows = zip(step_arr.tolist(), _csv_rows(y_arr), _csv_rows(x_arr))
+            fh.write("".join(f"{chain},{step},y,{y_row}\r\n{chain},{step},x,{x_row}\r\n"
+                             for step, y_row, x_row in rows))
+
+
+def _csv_rows(arr: np.ndarray):
+    """The rows of a 2-d float array as comma-joined ``repr`` fields, formatted
+    one column at a time."""
+    return map(",".join, zip(*[map(repr, column) for column in arr.T.tolist()]))
 
 
 def run_summary(run: ChainRun) -> dict:

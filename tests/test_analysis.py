@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +126,19 @@ class TestRadialQuadrature:
 
     def test_truncated_mass_negligible(self, quad23):
         assert 0.0 < quad23.truncated_mass < 1e-8
+
+    @pytest.mark.parametrize("r_max", [5e-3, 10.0, 30.0, 30.0 * (1.0 - 1e-10),
+                                       30.0 * (1.0 + 1e-10), 1e3, 1e6])
+    def test_table_grid_is_np_unique_of_its_pieces(self, t23, r_max):
+        """The CDF table's grid is bitwise the sorted, de-duplicated union
+        that np.unique makes; at r_max <= 30 the geometric piece repeats
+        r_max 2048 times, so a plain concatenation would not do."""
+        oracle = RadialQuadrature(t23.potential, r_max=r_max)
+        expected = np.unique(np.concatenate([
+            np.linspace(0.0, min(30.0, r_max), 6001),
+            np.geomspace(min(30.0, r_max), r_max, 2048),
+        ]))
+        assert oracle._table_r.tobytes() == expected.tobytes()
 
     def test_r_max_validation(self, t23):
         with pytest.raises(ValueError, match="r_max"):
@@ -665,6 +682,24 @@ class TestRadialDiagnostics:
         other = make_example(ExampleKind.EXAMPLE6, 2, vartheta=1.0).potential
         with pytest.raises(ValueError, match="different potential"):
             radial_diagnostics(run, other, burn_in=500, oracle=oracle)
+
+    def test_leaves_numpy_ma_unloaded(self):
+        """np.unique imports numpy.ma on its first call, 13-15 ms and about
+        1 MB in a fresh process; nothing in a sample's diagnostics needs it."""
+        src = Path(tula.transform.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys\n"
+            "from tula import *\n"
+            "entry = parse_target_name('t2_3')\n"
+            "tp = TransformedPotential(entry.potential, entry.transform)\n"
+            "run = run_tula(tp, SamplerConfig(step_size=0.005, num_steps=100, num_chains=2))\n"
+            "radial_diagnostics(run, entry.potential, burn_in=50)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert proc.stdout.strip() == "False"
 
     def test_report_serialization(self, diag_setup):
         potential, run = diag_setup

@@ -17,7 +17,8 @@ import tula.transform
 from tula.analysis import classify_regime, estimate_lsi
 from tula.cli import dump_config, load_config, main, run_gradient_suite
 from tula.dynamics import TransformedPotential
-from tula.targets import ExampleKind, make_example
+from tula.sampler import ChainRun, SamplerConfig, run_tula
+from tula.targets import ExampleKind, make_example, parse_target_name
 
 
 def read_json(path):
@@ -487,6 +488,52 @@ class TestSampleCommand:
         assert "divergence" in capsys.readouterr().err
         assert read_json(tmp_path / "summary.json")["any_diverged"] is True
         assert not (tmp_path / "diagnostics.json").exists()
+
+
+def _row_by_row_chain_csv(run, path):
+    """``write_chain_csv`` as first written: each row joined on its own."""
+    dim = run.ys[0].shape[1]
+    header = ["chain", "step", "space"] + [f"coord{i}" for i in range(dim)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for chain, (y_arr, x_arr, step_arr) in enumerate(zip(run.ys, run.xs, run.steps)):
+            lines = []
+            for step, y_row, x_row in zip(step_arr.tolist(), y_arr.tolist(), x_arr.tolist()):
+                lines.append(f"{chain},{step},y,{','.join(map(repr, y_row))}\r\n")
+                lines.append(f"{chain},{step},x,{','.join(map(repr, x_row))}\r\n")
+            fh.write("".join(lines))
+
+
+def _row_by_row_trace_csv(run, path):
+    """``cmd_sample``'s trace.csv as first written: one f-string per radius."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("chain,step,radius_x\n")
+        for chain, (x_arr, step_arr) in enumerate(zip(run.xs, run.steps)):
+            radii = np.linalg.norm(x_arr, axis=1).tolist()
+            fh.write("".join(f"{chain},{s},{r!r}\n" for s, r in zip(step_arr.tolist(), radii)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("thin", [1, 3])
+def test_sample_csv_files_equal_the_row_by_row_writers(tmp_path, monkeypatch, d, thin):
+    """chain.csv and trace.csv, formatted column by column, are byte for byte
+    the row-by-row writers' files, also when a diverged chain was cut short."""
+    entry = parse_target_name(f"t{d}_3")
+    tp = TransformedPotential(entry.potential, entry.transform)
+    cfg = SamplerConfig(step_size=0.005, num_steps=300, seed=5, thin=thin, num_chains=3)
+    full = run_tula(tp, cfg)
+    cut = full.ys[1].shape[0] // 3
+    run = ChainRun(config=cfg, ys=(full.ys[0], full.ys[1][:cut], full.ys[2]),
+                   steps=(full.steps[0], full.steps[1][:cut], full.steps[2]),
+                   diverged=(False, True, False), transform=tp.transform)
+    monkeypatch.setattr(tula.cli, "run_tula", lambda tp, cfg: run)
+    out = tmp_path / "out"
+    assert main(["sample", "--target", f"t{d}_3", "--gamma", "0.005", "--steps", "300",
+                 "--thin", str(thin), "--chains", "3", "--out", str(out)]) == 1
+    _row_by_row_chain_csv(run, tmp_path / "chain.csv")
+    _row_by_row_trace_csv(run, tmp_path / "trace.csv")
+    for name in ("chain.csv", "trace.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_sample_calls_each_traced_function_once(tmp_path, monkeypatch):

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from tula.dynamics import TransformedPotential, transformed_gradient
+from tula import transform as tr
+from tula.dynamics import ORIGIN_RADIUS, TransformedPotential, transformed_gradient
 from tula.sampler import (
     ChainRun,
     DivergenceError,
     SamplerConfig,
+    _chain_rng,
     _estimate_sharpness,
     _run_chain,
     plan_step_size,
@@ -21,7 +23,7 @@ from tula.sampler import (
     tula_step,
     write_chain_csv,
 )
-from tula.targets import ExampleKind, make_example
+from tula.targets import ExampleKind, make_example, parse_target_name
 from tula.transform import h_forward
 
 # tula step from y = (1, 0), gamma = 0.01, zero noise, on the t-dist
@@ -302,6 +304,100 @@ class TestChainEngine:
         assert diverged
         assert steps.dtype == np.int64 and steps.tolist() == [0, 3, 6]
         assert ys.shape == (3, 2) and np.all(np.isfinite(ys))
+
+
+def _reference_run(grad, dim, cfg):
+    """The chain loop as first written, one ``standard_normal(d)`` per step:
+    per chain, (recorded iterates, step indices, diverged flag)."""
+    out = []
+    for chain in range(cfg.num_chains):
+        rng = _chain_rng(cfg.seed, chain)
+        y = (cfg.initial_point[chain].copy() if cfg.initial_point is not None
+             else rng.standard_normal(dim) * cfg.init_scale)
+        ys, steps, diverged = [y], [0], False
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, cfg.num_steps + 1):
+                noise = math.sqrt(2.0 * cfg.step_size) * rng.standard_normal(dim)
+                y = y - cfg.step_size * grad(y) + noise
+                if not np.isfinite(y @ y):
+                    diverged = True
+                    break
+                if k % cfg.thin == 0:
+                    ys.append(y)
+                    steps.append(k)
+        out.append((np.array(ys), np.array(steps), diverged))
+    return out
+
+
+def _assert_run_is(run, reference):
+    assert len(run.ys) == len(reference)
+    for y, s, flag, (ref_y, ref_s, ref_flag) in zip(run.ys, run.steps, run.diverged, reference):
+        assert flag == ref_flag
+        np.testing.assert_array_equal(s, ref_s)
+        assert y.tobytes() == ref_y.tobytes()
+
+
+def _pairing(name, d):
+    entry = (parse_target_name(name, dimension=d) if name == "example6"
+             else parse_target_name(f"t{d}_3"))
+    return TransformedPotential(entry.potential, entry.transform)
+
+
+class TestBlockNoise:
+    """The engine draws each chain's noise in blocks; every chain must keep
+    the bits of the one-draw-per-step loop across block edges."""
+
+    @staticmethod
+    def _check(name, d, chains, steps, thin, engine):
+        tp = _pairing(name, d)
+        gamma = 0.005 if name == "t" else 0.05
+        cfg = SamplerConfig(step_size=gamma, num_steps=steps, seed=7, thin=thin,
+                            num_chains=chains, init_scale=0.8)
+        if engine == "tula":
+            run, grad = run_tula(tp, cfg), lambda y: transformed_gradient(tp, y)
+        else:
+            p = tp.target
+            run = run_ula(p, cfg)
+            grad = lambda x: tr._radial_field(x, d, p.dvalue, lambda r: r < ORIGIN_RADIUS)
+        _assert_run_is(run, _reference_run(grad, d, cfg))
+
+    # run_ula on example6 inverts g by Newton's method at every gradient, about
+    # 0.2 ms a step, so it gets one case of its own below
+    ENGINES = [("t", "tula"), ("t", "ula"), ("example6", "tula")]
+
+    @pytest.mark.parametrize("name, engine", ENGINES)
+    @pytest.mark.parametrize("steps", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_step_counts_around_the_block_edge(self, name, engine, steps, thin):
+        self._check(name, 2, 2, steps, thin, engine)
+
+    @pytest.mark.parametrize("name, engine", ENGINES)
+    @pytest.mark.parametrize("d, chains", [(2, 1), (2, 2), (2, 16), (1, 2), (5, 2), (5, 16)])
+    def test_chain_counts_and_dimensions(self, name, engine, d, chains):
+        self._check(name, d, chains, 257, 3, engine)
+
+    def test_ula_on_a_pulled_back_potential(self):
+        self._check("example6", 2, 2, 257, 1, "ula")
+
+    def test_divergence_inside_a_block_keeps_the_reference_prefix(self):
+        """On example6 (f_h = |y|^2, gradient 2y) at gamma 1.005 every step
+        scales y by -1.01: chain 0, started at (5e152, 5e152), overflows part way
+        through the second block; chain 1, started at 1, stays finite."""
+        tp = _pairing("example6", 2)
+        grad = lambda y: transformed_gradient(tp, y)
+
+        def config(first):
+            return SamplerConfig(step_size=1.005, num_steps=600, seed=11, num_chains=2,
+                                 initial_point=np.array([[first, first], [1.0, 0.0]]))
+
+        blown_cfg, healthy_cfg = config(5e152), config(1.0)
+        blown, healthy = run_tula(tp, blown_cfg), run_tula(tp, healthy_cfg)
+        assert blown.diverged == (True, False) and healthy.diverged == (False, False)
+        diverged_at = blown.ys[0].shape[0]  # steps 0 .. diverged_at - 1 are kept
+        assert 257 < diverged_at < 512
+        _assert_run_is(blown, _reference_run(grad, 2, blown_cfg))
+        assert blown.ys[1].tobytes() == healthy.ys[1].tobytes()
+        np.testing.assert_array_equal(blown.steps[1], healthy.steps[1])
 
 
 class TestRunUla:

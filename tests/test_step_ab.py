@@ -38,6 +38,8 @@ def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
                           "transformed_gradient_us_per_call.tail",
                           "bulk_jet_ns_per_radius.float", "tail_jet_ns_per_radius.float",
                           "g_inverse_ns_per_value", "hessian_eigenvalues_ns_per_radius")}
+    names |= {"t2_3 run_tula_us_per_step.chains2", "example6_d2 run_tula_us_per_step.chains16",
+              "t2_3 write_chain_csv_ms"}
     assert set(doc["table"]) == names
     for name, row in doc["table"].items():
         assert row["rounds"] == 2 and 0 <= row["change_wins"] <= 2 and row["ratio"] > 0

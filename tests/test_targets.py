@@ -440,6 +440,36 @@ class TestHookAtOneRadius:
         assert _warned(lambda: hook(0.5)) == (5e307, [])
 
 
+class TestHookSweep:
+    """A dense float-against-batch sweep of the t's six hooks.  A float pass
+    that calls the math module's log or exp where the batch calls numpy's
+    agrees on all but a few in 10^4 arguments, too few for the sampled
+    tests above; 10^5 seeded arguments per hook catch it."""
+
+    COUNT = 100_000
+
+    @pytest.mark.parametrize("hook", _HOOKS)
+    def test_float_equals_its_batch_element_bitwise(self, hook):
+        rng = np.random.default_rng(20220122)
+        half = self.COUNT // 2
+        if hook.startswith(("log", "dlog", "d2log")):
+            # softplus forms: seam at 0, exp(2t) and exp(-2t) inside
+            x = np.concatenate([rng.uniform(-4.0, 4.0, half), rng.uniform(-60.0, 60.0, half)])
+            parts = np.exp(2.0 * x), [math.exp(v) for v in (2.0 * x).tolist()]
+        else:
+            # radius forms: seam at 1, log(r) and log1p(r^-2) or log1p(r^2) inside
+            x = np.concatenate([rng.uniform(0.0, 100.0, half),
+                                np.exp(rng.uniform(-20.0, 60.0, half))])
+            parts = np.log(x), [math.log(v) for v in x.tolist()]
+        # the sweep holds arguments where the math module and numpy differ
+        assert np.count_nonzero(parts[0] != np.array(parts[1])) >= 5
+        fn = getattr(make_multivariate_t(2, 3.0), hook)
+        batch = fn(x)
+        alone = np.array([fn(v) for v in x.tolist()])
+        differ = np.flatnonzero(alone.view(np.int64) != batch.view(np.int64))
+        assert differ.size == 0, (hook, x[differ[:5]].tolist())
+
+
 def _warned(call):
     """``call()`` and the messages of the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:

@@ -11,7 +11,12 @@ alternating which tree goes first.  The measurements, on ``t2_3`` and on
 
 * ``run_tula_us_per_step``: ``run_tula`` with one chain of ``--steps``
   steps (γ 0.005 on ``t2_3`` and 0.05 on ``example6``, as in the
-  benchmark's workloads), in microseconds per chain-step;
+  benchmark's workloads), in microseconds per chain-step, and
+  ``run_tula_us_per_step.chainsK`` the same with the K chains of the case's
+  benchmark workload (2 on ``t2_3``, 16 on ``example6``);
+* ``write_chain_csv_ms`` (``t2_3`` only): ``write_chain_csv`` to the null
+  device of a run of the workload's 2 chains × CSV_STEPS steps whose x
+  samples are already mapped, in milliseconds per file;
 * ``grad_factor_ns_per_radius.bulk`` and ``.tail``: ``grad_factor`` on
   BATCH radii drawn inside the knot (0.05 to 0.95 knots) and outside it
   (1.05 to 2.5 knots), as ``perfbench/probes.py`` draws them, in
@@ -41,8 +46,10 @@ samples in one process can.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
+import os
 import statistics
 import sys
 import time
@@ -53,7 +60,9 @@ import numpy as np
 BATCH = 1024
 POINTS = 64
 MIN_SECONDS = 0.02
-CASES = {"t2_3": ("t2_3", None, 0.005), "example6_d2": ("example6", 2, 0.05)}
+CSV_STEPS = 4000
+# name: target, dimension, step size, chains of the benchmark workload
+CASES = {"t2_3": ("t2_3", None, 0.005, 2), "example6_d2": ("example6", 2, 0.05, 16)}
 
 
 def load(tree: Path, alias: str):
@@ -84,17 +93,30 @@ def measurements(tula, steps: int) -> dict:
     angle = rng.uniform(0.0, 2.0 * np.pi, POINTS)
     direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
     out = {}
-    for case, (name, dimension, gamma) in CASES.items():
+    for case, (name, dimension, gamma, chains) in CASES.items():
         entry = tula.parse_target_name(name, dimension=dimension)
         tp = tula.TransformedPotential(entry.potential, entry.transform)
-        cfg = tula.SamplerConfig(step_size=gamma, num_steps=steps, seed=0)
 
-        def run(tp=tp, cfg=cfg) -> float:
+        def run(tp=tp, cfg=tula.SamplerConfig(step_size=gamma, num_steps=steps, seed=0)) -> float:
             start = time.perf_counter()
             tula.run_tula(tp, cfg)
-            return 1e6 * (time.perf_counter() - start) / cfg.num_steps
+            return 1e6 * (time.perf_counter() - start) / (cfg.num_steps * cfg.num_chains)
 
         out[f"{case} run_tula_us_per_step"] = run
+        out[f"{case} run_tula_us_per_step.chains{chains}"] = functools.partial(
+            run, cfg=tula.SamplerConfig(step_size=gamma, num_steps=steps, seed=0,
+                                        num_chains=chains))
+        if case == "t2_3":
+            written = tula.run_tula(tp, tula.SamplerConfig(step_size=gamma, num_steps=CSV_STEPS,
+                                                           seed=0, num_chains=chains))
+            written.xs  # map once, so that only the formatting is timed
+
+            def write(run=written) -> float:
+                start = time.perf_counter()
+                tula.write_chain_csv(run, os.devnull)
+                return 1e3 * (time.perf_counter() - start)
+
+            out[f"{case} write_chain_csv_ms"] = write
         t = entry.transform
         for branch, frac in zip(("bulk", "tail"), unit):
             radii = t.knot * frac
