@@ -127,14 +127,13 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     calling each hook at most once: ``f_h`` reads ``f``, ``f_h'`` reads
     ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.  One radius (``arr`` of
     shape ``(1,)``, as a sampler step passes) goes through
-    :func:`_radial_jet_at` in Python floats.
+    :func:`_radial_jet_at` in Python floats, on every pairing.
     """
-    form = tp.closed_form
-    if form is not None:
-        phi = (form.value, form.dvalue, form.d2value)
-        return [phi[k](arr) for k in orders]
     if arr.shape == (1,):
         return _radial_jet_at(tp, arr.item(), orders)
+    form = tp.closed_form
+    if form is not None:
+        return [(form.value, form.dvalue, form.d2value)[k](arr) for k in orders]
     t = tp.transform
     return tr._piecewise(arr, t._knot,
                          lambda rb: _compose(t._d1, *_branch(tp, rb, False, orders), orders),
@@ -142,15 +141,19 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
 
 
 def _radial_jet_at(tp: TransformedPotential, x: float, orders: tuple[int, ...]) -> list:
-    """:func:`_radial_jet` at the one radius ``x``, bit for bit: one float
-    comparison picks the branch, whose jet and hooks take and return Python
-    floats, and the floats are combined in the array pass's order.
+    """:func:`_radial_jet` at the one radius ``x``, bit for bit: ``phi^(k)``
+    of a closed pairing at the float, else one float comparison picks the
+    branch, whose jet and hooks take and return Python floats, and the
+    floats are combined in the array pass's order.
 
     Python float arithmetic overflows and makes NaN silently where numpy
     warns, so a combination that is not finite is done again on
     one-element arrays; the jets and hooks see to their own warnings.
     Returns one-element arrays.
     """
+    form = tp.closed_form
+    if form is not None:
+        return [np.array(((form.value, form.dvalue, form.d2value)[k](x),)) for k in orders]
     d1 = tp.transform._d1
     jet, values = _branch(tp, x, x >= tp.transform._knot, orders)
     out = _compose(d1, jet, values, orders)

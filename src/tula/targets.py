@@ -72,10 +72,11 @@ def _hook(at: Callable, on_arrays: Callable[[Array], Array]):
     argument in range, and a float whose value is not finite goes through
     the array path again, with its warnings and ``np.errstate`` errors.  No
     hook checks its argument: the package calls them at radii it checked or
-    computed.  At a negative radius the t's radius hooks return a value
-    (``make_multivariate_t(2, 3.0).value(-1.0)`` is 1.7329), the zoo's
-    raise "radii must be nonnegative" through ``transform.g_inverse``, and
-    the log-argument hooks take any real (ROADMAP.md, item 6).
+    computed.  At a negative radius the t's radius hooks and ``phi``'s
+    return a value (``make_multivariate_t(2, 3.0).value(-1.0)`` is 1.7329),
+    the zoo's f hooks raise "radii must be nonnegative" through
+    ``transform.g_inverse``, and the log-argument hooks take any real
+    (ROADMAP.md, item 6).
     """
 
     def hook(x):
@@ -127,7 +128,8 @@ class TransformedForm:
     ``value``, ``dvalue`` and ``d2value`` are ``phi``, ``phi'`` and
     ``phi''`` as vectorized callables of the radius.  On the bulk branch
     they equal ``f_h`` and its derivatives only when the potential is
-    paired with ``transform``, the transform ``phi`` was derived for.
+    paired with ``transform``, the transform ``phi`` was derived for.  On a
+    Python float they give a float with a one-element array's bits.
     """
 
     transform: tr.RadialTransform
@@ -164,7 +166,8 @@ class IsotropicPotential:
         The defining constants, for reports and serialization.
     transformed_form:
         The closed transformed potential the density was constructed
-        from, or None when it was not built that way.
+        from, or None when it was not built that way.  Its hooks, too,
+        take a Python float at one radius.
     """
 
     dimension: int
@@ -296,7 +299,9 @@ def _pullback(
     Returns the hooks, the seam and the transformed form as keyword
     arguments of :class:`IsotropicPotential`.  The hooks take a Python
     float as a one-element array: on a float their operations would run on
-    numpy scalars, which warn unlike arrays.
+    numpy scalars, which warn unlike arrays.  ``phi``'s hooks run on the
+    float (:func:`_hook`), so squares are products and other powers
+    ``np.power``.
     """
     def outer(jet: tr.RadialJet, r: Array, order: int) -> list:
         p, lgp, lgr = jet
@@ -329,7 +334,7 @@ def _pullback(
     log_hooks = [_glued(math.log(t.seam), lambda tt, k=k: log_tail(tt, k)[k], bulk_log,
                         floats=False) for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
     names = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
-    form = [functools.partial(tr._radial, fn, check=False) for fn in (phi, dphi, d2phi)]
+    form = [_hook(fn, fn) for fn in (phi, dphi, d2phi)]
     return {
         **dict(zip(names, hooks + log_hooks)),
         "seams": (t.seam,),
@@ -356,7 +361,8 @@ def _zoo_entry(
         return d * u + c_log * d * u / (1.0 + 0.5 * u * u)
 
     def d2phi(u: Array) -> Array:
-        return d + c_log * d * (1.0 - 0.5 * u * u) / (1.0 + 0.5 * u * u) ** 2
+        w = 1.0 + 0.5 * u * u
+        return d + c_log * d * (1.0 - 0.5 * u * u) / (w * w)
 
     pot = IsotropicPotential(
         dimension=d,
@@ -390,7 +396,7 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
 
     def d2phi(u: Array) -> Array:
         wu = w(u)
-        return 6.0 * d * wu - 4.0 * d * wu**3
+        return 6.0 * d * wu - 4.0 * d * np.power(wu, 3)
 
     pot = IsotropicPotential(
         dimension=dimension,

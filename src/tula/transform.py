@@ -47,15 +47,17 @@ the gradients) takes a point or a batch of points, with its caller's rule
 at the origin.
 
 One radius, as a sampler step asks for, travels as a Python float through
-the composed gradient of :mod:`tula.dynamics`, since on a one-element array
-each numpy call costs far more than its arithmetic: the knot split is one
-float comparison (``RadialTransform._knot``), the branch jets and the
-multivariate t's hooks take and return floats, and only the final
-``f_h^(k)`` becomes an array.  The input's type picks the path.  Each branch
-jet has one body, run on arrays or on one float in the same operation order
-with numpy's ufuncs (:class:`_Ufuncs`), so both give the same bits.  Past
-the bulk's Horner pass and constants, floats here and 0-d arrays there, the
-float path adds only a range predicate and :func:`_finite`: Python float arithmetic
+the gradient of :mod:`tula.dynamics` on every pairing, since on a
+one-element array each numpy call costs far more than its arithmetic: a
+target's closed ``phi``, paired with its own transform, takes it in its
+hooks; otherwise the knot split is one float comparison
+(``RadialTransform._knot``), the branch jets and the target's hooks take
+and return floats, and only the final ``f_h^(k)`` becomes an array.  The
+input's type picks the path.  Each branch jet has one body, run on arrays
+or on one float in the same operation order with numpy's ufuncs
+(:class:`_Ufuncs`), so both give the same bits.  Past the bulk's Horner
+pass and constants, floats here and 0-d arrays there, the float path adds
+only a range predicate and :func:`_finite`: Python float arithmetic
 overflows and makes NaN without numpy's warnings, so a radius where a ufunc
 would warn, or whose result is not finite, goes through the array path,
 which warns, and raises under ``np.errstate``, as a batch of it does.

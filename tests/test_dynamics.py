@@ -415,6 +415,40 @@ class TestJetPointwise:
                               *hessian_eigenvalues(tp, r[i])])
             assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
 
+    CLOSED = [(kind, kwargs, d) for kind, kwargs, d in TARGETS
+              if d is not None and kind is not ExampleKind.MULTIVARIATE_T]
+
+    @pytest.mark.parametrize("kind, kwargs, dimension", CLOSED, ids=[
+        f"{kind.value}{''.join(f'-{n}{v:g}' for n, v in kwargs.items())}-d{d}"
+        for kind, kwargs, d in CLOSED])
+    def test_closed_one_radius_equals_its_place_in_a_long_batch(self, kind, kwargs, dimension):
+        """The twin of the test above on the closed pairings, whose f_h^(k)
+        is phi^(k): one radius takes it in Python floats and a batch on
+        arrays, with the same bits, in a 1024-radius batch that straddles
+        the knot and holds radii within 1e-10 of the origin.  The gradient
+        at one point equals its row of a batch too, zero within 1e-10."""
+        entry = make_example(kind, dimension, **kwargs)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        assert tp.closed_form is not None
+        knot = tp.transform.knot
+        r = np.sort(np.concatenate([np.geomspace(1e-3 * knot, 50.0 * knot, 1008),
+                                    np.geomspace(1e-13, 1e-10, 13),
+                                    [np.nextafter(knot, 0.0), knot, np.nextafter(knot, np.inf)]]))
+        assert r.size == 1024
+        batch = np.stack([value_radial(tp, r), grad_factor(tp, r), *hessian_eigenvalues(tp, r)])
+        picked = sorted({*range(0, r.size, 4), *np.flatnonzero(r <= 1e-10),
+                         *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
+        for i in picked:
+            alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
+                              *hessian_eigenvalues(tp, r[i])])
+            assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+        rng = np.random.default_rng(23)
+        pts = rng.standard_normal((r.size, dimension))
+        pts *= (r / np.linalg.norm(pts, axis=1))[:, None]
+        grads = transformed_gradient(tp, pts)
+        for i in picked:
+            assert transformed_gradient(tp, pts[i]).tobytes() == grads[i].tobytes(), (i, r[i])
+
     @pytest.mark.parametrize("name", ["t2_3", "t2_3-on-warmup", "example3-on-b0.37"])
     def test_one_radius_warns_as_a_batch_of_it(self, name):
         """The composed radial functions at one radius warn, and raise under

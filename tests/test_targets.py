@@ -376,6 +376,13 @@ def _entry(kind: str, dimension: int):
 
 
 _HOOKS = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
+# the zoo kinds built from a closed transformed potential, and the hooks of
+# that form: phi, phi' and phi''
+_CLOSED = [k.value for k in ExampleKind if k is not ExampleKind.MULTIVARIATE_T]
+_FORMS = ("value", "dvalue", "d2value")
+# a Python float below 1e50 in magnitude takes a hook's float path; these
+# arguments sit on either side of that bound
+_AT_THE_BOUND = (1e49, math.nextafter(1e50, 0.0), 1e50, math.nextafter(1e50, math.inf), 1e51)
 
 
 def _hook_argument(entry, hook: str, anchor: int, factor: float, ulps: int) -> float:
@@ -396,8 +403,9 @@ def _hook_argument(entry, hook: str, anchor: int, factor: float, ulps: int) -> f
 
 class TestHookAtOneRadius:
     """Each potential hook gives the same bits on a Python float as on a
-    one-element array: the t's hooks run their own formulas on the float,
-    the zoo's pullback hooks take it as a one-element array."""
+    one-element array: the t's hooks and every closed form's phi, phi' and
+    phi'' run their own formulas on the float, the zoo's pullback hooks
+    take it as a one-element array."""
 
     @given(st.sampled_from([k.value for k in ExampleKind]), st.sampled_from([1, 2, 5]),
            st.sampled_from(_HOOKS), st.integers(0, 20),
@@ -429,6 +437,39 @@ class TestHookAtOneRadius:
             batch, caught_batch = _warned(lambda: fn(np.array([x])))
             assert caught == caught_batch, (hook, x)
             assert np.float64(alone).tobytes() == batch.tobytes(), (hook, x)
+
+    @given(st.sampled_from(_CLOSED), st.sampled_from([1, 2, 5]), st.sampled_from(_FORMS),
+           st.one_of(st.floats(-4.0, 4.0), st.floats(1e45, 1e55), st.floats(0.0, 1e300),
+                     st.sampled_from(_AT_THE_BOUND)))
+    @settings(max_examples=250, deadline=None)
+    def test_closed_form_float_gives_the_one_element_array_bits(self, kind, dimension, hook, x):
+        """phi, phi' and phi'' of every closed pairing, on both sides of the
+        float path's bound, where a float hands over to the array path."""
+        fn = getattr(_entry(kind, dimension).potential.transformed_form, hook)
+        with np.errstate(all="ignore"):
+            alone, batch = fn(x), fn(np.array([x]))
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == batch.tobytes(), (kind, dimension, hook, x)
+
+    @pytest.mark.parametrize("kind", _CLOSED)
+    @pytest.mark.parametrize("dimension", [1, 2, 5])
+    @pytest.mark.parametrize("hook", _FORMS)
+    def test_closed_form_float_warns_as_the_one_element_array(self, kind, dimension, hook):
+        """phi's hooks take any radius, a negative one too (ROADMAP.md, item
+        6).  From 1e50 out, and where the float's value is not finite, a
+        float takes the array path, with the array's warnings."""
+        fn = getattr(_entry(kind, dimension).potential.transformed_form, hook)
+        warned = False
+        for x in (0.0, 0.5, 2.0, 800.0, *_AT_THE_BOUND, 1e99, 1e160, 1e200, 1.7e308, math.inf,
+                  math.nan):
+            for arg in (x, -x):
+                alone, caught = _warned(lambda: fn(arg))
+                batch, caught_batch = _warned(lambda: fn(np.array([arg])))
+                assert caught == caught_batch, (hook, arg)
+                assert type(alone) is float
+                assert np.float64(alone).tobytes() == batch.tobytes(), (hook, arg)
+                warned |= bool(caught)
+        assert warned  # the arguments far out overflow
 
     def test_a_float_value_that_is_not_finite_takes_the_array_path(self):
         """A hook whose float formula overflows gives the array path's value
@@ -468,6 +509,31 @@ class TestHookSweep:
         alone = np.array([fn(v) for v in x.tolist()])
         differ = np.flatnonzero(alone.view(np.int64) != batch.view(np.int64))
         assert differ.size == 0, (hook, x[differ[:5]].tolist())
+
+    @pytest.mark.parametrize("kind", ["example3", "warmup"])
+    @pytest.mark.parametrize("hook", _FORMS)
+    def test_closed_form_float_equals_its_batch_element_bitwise(self, kind, hook):
+        """The same sweep of phi, phi' and phi'' on example3 (whose log term
+        is on, c_log = 1) and the warm-up.  A float pass that squares the
+        zoo's 1 + u^2/2, or cubes the warm-up's w, by Python's ** (the C
+        library's pow) where the batch multiplies disagrees on about 1 in
+        1,200 arguments (the square) or 1 in 20 (the cube)."""
+        rng = np.random.default_rng(20220123)
+        half = self.COUNT // 2
+        x = np.concatenate([rng.uniform(0.0, 4.0, half), np.exp(rng.uniform(-20.0, 60.0, half))])
+        if kind == "warmup":
+            base, power = 2.0 * x * x / np.hypot(1.0, 2.0 * x * x), 3
+            exact = np.power(base, 3)
+        else:
+            base, power = 1.0 + 0.5 * x * x, 2
+            exact = base * base
+        # the sweep holds arguments where ** and the batch's powers differ
+        assert np.count_nonzero(exact != np.array([v ** power for v in base.tolist()])) >= 5
+        fn = getattr(_entry(kind, 2).potential.transformed_form, hook)
+        batch = fn(x)
+        alone = np.array([fn(v) for v in x.tolist()])
+        differ = np.flatnonzero(alone.view(np.int64) != batch.view(np.int64))
+        assert differ.size == 0, (kind, hook, x[differ[:5]].tolist())
 
 
 def _warned(call):

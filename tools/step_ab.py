@@ -7,10 +7,13 @@ Loads each tree's ``src/tula`` in one process under its own module name,
 relatively, so the two trees' modules stay apart), then runs ``--rounds``
 rounds.  In each round every measurement is taken once on each tree,
 alternating which tree goes first.  The measurements, on ``t2_3`` and on
-``example6`` at d = 2:
+``example6`` at d = 2 (``run_tula_us_per_step`` and
+``transformed_gradient_us_per_call`` also on ``example3`` at d = 5, whose
+closed φ runs the ``log1p`` and the division that ``example6``'s
+``c_log = 0`` leaves out):
 
 * ``run_tula_us_per_step``: ``run_tula`` with one chain of ``--steps``
-  steps (γ 0.005 on ``t2_3`` and 0.05 on ``example6``, as in the
+  steps (γ 0.005 on ``t2_3`` and 0.05 on the zoo targets, as in the
   benchmark's workloads), in microseconds per chain-step, and
   ``run_tula_us_per_step.chainsK`` the same with the K chains of the case's
   benchmark workload (2 on ``t2_3``, 16 on ``example6``);
@@ -61,8 +64,10 @@ BATCH = 1024
 POINTS = 64
 MIN_SECONDS = 0.02
 CSV_STEPS = 4000
-# name: target, dimension, step size, chains of the benchmark workload
-CASES = {"t2_3": ("t2_3", None, 0.005, 2), "example6_d2": ("example6", 2, 0.05, 16)}
+# name: target, dimension, step size, chains of the benchmark workload (None
+# for a case that no workload runs, timed by its run_tula and gradient only)
+CASES = {"t2_3": ("t2_3", None, 0.005, 2), "example6_d2": ("example6", 2, 0.05, 16),
+         "example3_d5": ("example3", 5, 0.05, None)}
 
 
 def load(tree: Path, alias: str):
@@ -91,7 +96,9 @@ def measurements(tula, steps: int) -> dict:
     rng = np.random.default_rng(20220120)
     unit = rng.uniform(0.05, 0.95, BATCH), rng.uniform(1.05, 2.5, BATCH)
     angle = rng.uniform(0.0, 2.0 * np.pi, POINTS)
-    direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    gauss = rng.standard_normal((POINTS, 5))
+    directions = {2: np.stack([np.cos(angle), np.sin(angle)], axis=1),
+                  5: gauss / np.linalg.norm(gauss, axis=1)[:, None]}
     out = {}
     for case, (name, dimension, gamma, chains) in CASES.items():
         entry = tula.parse_target_name(name, dimension=dimension)
@@ -103,6 +110,14 @@ def measurements(tula, steps: int) -> dict:
             return 1e6 * (time.perf_counter() - start) / (cfg.num_steps * cfg.num_chains)
 
         out[f"{case} run_tula_us_per_step"] = run
+        t = entry.transform
+        for suffix, frac in (("", unit[0]), (".tail", unit[1])):
+            points = (t.knot * frac[:POINTS])[:, None] * directions[t.dimension]
+            out[f"{case} transformed_gradient_us_per_call{suffix}"] = (
+                lambda tp=tp, points=points: 1e6 * repeat(
+                    lambda: [tula.transformed_gradient(tp, y) for y in points], POINTS))
+        if chains is None:
+            continue
         out[f"{case} run_tula_us_per_step.chains{chains}"] = functools.partial(
             run, cfg=tula.SamplerConfig(step_size=gamma, num_steps=steps, seed=0,
                                         num_chains=chains))
@@ -117,16 +132,10 @@ def measurements(tula, steps: int) -> dict:
                 return 1e3 * (time.perf_counter() - start)
 
             out[f"{case} write_chain_csv_ms"] = write
-        t = entry.transform
         for branch, frac in zip(("bulk", "tail"), unit):
             radii = t.knot * frac
             out[f"{case} grad_factor_ns_per_radius.{branch}"] = (
                 lambda tp=tp, radii=radii: 1e9 * repeat(lambda: tula.grad_factor(tp, radii), BATCH))
-        for suffix, frac in (("", unit[0]), (".tail", unit[1])):
-            points = (t.knot * frac[:POINTS])[:, None] * direction
-            out[f"{case} transformed_gradient_us_per_call{suffix}"] = (
-                lambda tp=tp, points=points: 1e6 * repeat(
-                    lambda: [tula.transformed_gradient(tp, y) for y in points], POINTS))
         bulk_x, tail_x = ((t.knot * frac[:POINTS]).tolist() for frac in unit)
         out[f"{case} bulk_jet_ns_per_radius.float"] = lambda t=t, xs=bulk_x: 1e9 * repeat(
             lambda: [tula.bulk_jet(t.gin, x, (1,)) for x in xs], POINTS)
