@@ -36,7 +36,7 @@ import numpy as np
 from .dynamics import TransformedPotential, grad_factor, hessian_eigenvalues
 from .sampler import ChainRun
 from .targets import IsotropicPotential, radial_log_density
-from .transform import _is_count, _record_dict, _tail_root
+from .transform import _is_count, _positive, _record_dict, _tail_root
 
 __all__ = [
     "AssumptionKind",
@@ -213,10 +213,8 @@ class RadialQuadrature:
     """
 
     def __init__(self, potential: IsotropicPotential, r_max: float = 1.0e3) -> None:
-        if not (r_max > 0 and math.isfinite(r_max)):
-            raise ValueError(f"r_max must be positive and finite, got {r_max}")
         self.potential = potential
-        self.r_max = float(r_max)
+        self.r_max = float(_positive("r_max", r_max))
 
         scan = np.concatenate(([0.0], np.geomspace(1e-6, self.r_max, 2048)))
         scan_vals = radial_log_density(potential, scan)
@@ -358,9 +356,8 @@ def _inside(name: str, value: float) -> bool:
 
 
 def _in_range(name: str, value: float) -> float:
-    """`value` as a float, raising unless it lies in `_RANGES[name]`."""
-    value = float(value)
-    if not _inside(name, value):
+    """`value` as a float, raising unless it lies in `_RANGES[name]`; a bool never does."""
+    if isinstance(value, (bool, np.bool_)) or not _inside(name, value := float(value)):
         raise ValueError(f"{name} must lie in {_RANGES[name]}, got {value!r}")
     return value
 
@@ -623,8 +620,7 @@ def estimate_lsi(
         [16, 2**20] (each radius takes a few dozen float64 temporaries), or
         the balance equation has no root inside (0, r_max); raise r_max.
     """
-    if not (r_max > 0 and math.isfinite(r_max)):
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    _positive("r_max", r_max)
     if not _is_count(grid_size):
         raise ValueError(f"grid_size must be an integer, got {grid_size!r}")
     if not 16 <= grid_size <= 2**20:
@@ -901,15 +897,13 @@ def effective_sample_size(series: np.ndarray) -> float:
     return float(min(n, n / max(tau, 1.0 / n)))
 
 
-def _pooled_series(run: ChainRun, burn_in: int) -> list[np.ndarray]:
-    """Post-burn-in radius series |x| per chain."""
-    out = []
-    for xs in run.xs:  # one access: each maps every chain through h
-        if xs.shape[0] > burn_in:
-            out.append(np.linalg.norm(xs[burn_in:], axis=1))
-    if not out:
+def _check_burn_in(burn_in, rows: int) -> None:
+    """Raise unless `burn_in` is an integer >= 0 below `rows`, the most
+    recorded rows of any chain."""
+    if not _is_count(burn_in, 0):
+        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
+    if burn_in >= rows:
         raise ValueError("no recorded samples remain after burn-in")
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1010,10 +1004,10 @@ def radial_diagnostics(
         samples, or a threshold is negative or not finite.
       UndefinedMomentError: an explicitly requested moment does not exist.
     """
-    if not _is_count(burn_in, 0):
-        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
+    _check_burn_in(burn_in, max(ys.shape[0] for ys in run.ys))
     thresholds = _tail_thresholds(thresholds)
-    per_chain = _pooled_series(run, burn_in)
+    per_chain = [np.linalg.norm(xs[burn_in:], axis=1) for xs in run.xs
+                 if xs.shape[0] > burn_in]
     radii = np.concatenate(per_chain)
     n = int(radii.size)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .analysis import (
     NotApplicableError,
+    _check_burn_in,
     _tail_thresholds,
     check_assumption,
     classify_regime,
@@ -36,7 +37,7 @@ from .analysis import (
 from .dynamics import TransformedPotential, hessian_eigenvalues, transformed_gradient, transformed_value
 from .sampler import SamplerConfig, run_summary, run_tula, write_chain_csv
 from .targets import parse_target_name
-from .transform import _is_count, transform_to_dict
+from .transform import _count, _is_count, transform_to_dict
 
 __all__ = [
     "GRADCHECK_GRAD_TOL",
@@ -88,9 +89,7 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
         raise ValueError(f"num_points must be an integer, got {num_points!r}")
     if not 1 <= num_points <= 2**20:
         raise ValueError(f"num_points must lie in [1, {2**20}], got {num_points}")
-    if not _is_count(seed, 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     d, t = tp.dimension, tp.transform
 
     radii = np.exp(rng.uniform(math.log(0.05), math.log(30.0), size=3 * num_points))
@@ -175,13 +174,15 @@ def _target_echo(opts: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_sample(opts: dict[str, Any]) -> int:
     tp = _pairing(opts)
-    # checked before any step runs, so a bad threshold leaves no artifacts
+    # checked before any step runs, so a bad threshold or burn-in leaves no artifacts
     thresholds = _tail_thresholds(opts["threshold"])
     if not thresholds:
         raise ValueError("threshold must name at least one radius")
     cfg = SamplerConfig(step_size=opts["gamma"], num_steps=opts["steps"], seed=opts["seed"],
                         thin=opts["thin"], num_chains=opts["chains"],
                         init_scale=opts["init_scale"])
+    if not opts["skip_diagnostics"] and opts["burn_in"] is not None:
+        _check_burn_in(opts["burn_in"], cfg.num_steps // cfg.thin + 1)  # rows of a whole chain
     run = run_tula(tp, cfg)
 
     out = Path(opts["out"])

@@ -71,17 +71,11 @@ class SamplerConfig:
     init_scale: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.step_size > 0.0 and math.isfinite(self.step_size)):
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        tr._positive("step_size", self.step_size)
         for name, least in (("seed", 0), ("num_steps", 1), ("thin", 1), ("num_chains", 1)):
-            value = getattr(self, name)
-            if not tr._is_count(value, least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
-        if self.init_scale is not None and not (
-            self.init_scale > 0.0 and math.isfinite(self.init_scale)
-        ):
-            raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
+            object.__setattr__(self, name, tr._count(name, getattr(self, name), least))
+        if self.init_scale is not None:
+            tr._positive("init_scale", self.init_scale)
         if self.initial_point is not None:
             point = np.asarray(self.initial_point, dtype=float)
             if not np.all(np.isfinite(point)):
@@ -144,8 +138,7 @@ def tula_step(tp: TransformedPotential, y: np.ndarray, gamma: float, noise: np.n
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DivergenceError("non-finite chain state")
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    tr._positive("gamma", gamma)
     noise = np.asarray(noise, dtype=float)
     if noise.shape != y.shape:
         raise ValueError(f"noise shape {noise.shape} does not match state {y.shape}")
@@ -276,10 +269,8 @@ def plan_step_size(
     given = {"lipschitz": lipschitz, "lsi_constant": lsi_constant, "accuracy": accuracy,
              "initial_kl": initial_kl}
     for name, value in given.items():
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not tr._is_count(dimension, 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        tr._positive(name, value)
+    dimension = tr._count("dimension", dimension, 1)
     try:
         gamma = min(1.0, accuracy / (4.0 * dimension)) / (2.0 * lipschitz**2 * lsi_constant)
         steps = max(0, math.ceil(lsi_constant / (2.0 * gamma)

@@ -217,11 +217,8 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
     stay exact for radii up to double range, and the log-argument forms use
     the softplus shape ``F(t) = ((d + kappa)/2) log(1 + e^{2t})``.
     """
-    if not tr._is_count(dimension, 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
-    dimension = int(dimension)  # a numpy integer would reach the JSON records
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    dimension = tr._count("dimension", dimension, 1)
+    tr._positive("kappa", kappa)
     dk = float(dimension + kappa)
 
     # radius forms split at 1 and softplus forms at 0, to stay exact at both
@@ -462,9 +459,7 @@ def make_example(
     if foreign:
         raise ValueError(f"target {kind.value!r} takes no {', '.join(foreign)}; "
                          f"it takes {' and '.join(_PARAMETERS[kind])}")
-    if not tr._is_count(dimension, 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
-    dimension = int(dimension)  # a numpy integer would reach the JSON records
+    dimension = tr._count("dimension", dimension, 1)
     if kind is ExampleKind.MULTIVARIATE_T:
         if kappa is None:
             raise ValueError("the multivariate t family needs kappa")
@@ -472,16 +467,14 @@ def make_example(
         if b is None:
             b_val, t = _weight_transform(dimension, "kappa", kappa)
         else:
-            b_val = float(b)
+            b_val = float(tr._positive("b", b))
             t = tr.ginbeta2_transform(b_val, dimension)
         return TargetZooEntry(
             pot, t, kind, {"dimension": dimension, "kappa": float(kappa), "b": b_val}
         )
     if kind is ExampleKind.WARMUP:
         return _warmup_entry(dimension, 1.0 if knot is None else knot)
-    vartheta = 1.0 if vartheta is None else vartheta
-    if not (vartheta > 0.0 and math.isfinite(vartheta)):
-        raise ValueError(f"vartheta must be positive and finite, got {vartheta}")
+    vartheta = tr._positive("vartheta", 1.0 if vartheta is None else vartheta)
     if kind is ExampleKind.EXAMPLE2:
         if upsilon is None:
             raise ValueError("example2 needs upsilon")

@@ -110,6 +110,20 @@ def _is_count(value, least: float = -math.inf) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int (JSON takes no numpy integer), raising unless `_is_count`."""
+    if not _is_count(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value):
+    """`value` unchanged, raising unless it is a positive finite number; a bool is not one."""
+    if isinstance(value, (bool, np.bool_)) or not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 # 0-d operands of the jets: numpy combines an array with a 0-d array in
 # about half the time it takes with a Python float
 _ZERO, _ONE, _TWO = (np.array(float(c)) for c in range(3))
@@ -162,8 +176,7 @@ class GinSpec:
     _constants: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _positive("scale", self.scale)
         if len(self.log_poly) == 0:
             raise ValueError("log_poly needs at least a constant coefficient")
         object.__setattr__(self, "scale", float(self.scale))
@@ -241,12 +254,9 @@ class RadialTransform:
     tail_knot: float = 0.0
 
     def __post_init__(self) -> None:
-        if not _is_count(self.dimension, 1):
-            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension!r}")
-        object.__setattr__(self, "dimension", int(self.dimension))  # JSON takes no numpy integer
+        object.__setattr__(self, "dimension", _count("dimension", self.dimension, 1))
         if self.tail == _EXP:
-            if not (self.b > 0.0 and math.isfinite(self.b)):
-                raise ValueError(f"b must be positive and finite, got {self.b}")
+            _positive("b", self.b)
             if not (1.0 < self.beta <= 2.0):
                 raise ValueError(f"beta must lie in (1, 2], got {self.beta}")
         elif self.tail == _QUADRATIC:
@@ -282,8 +292,7 @@ def ginbeta2_profile(b: float) -> GinSpec:
     ``-(10/3) b**1.5``, ``(15/4) b**2``, ``-(6/5) b**2.5``; the powers of
     ``b`` make the match hold at the knot ``b**(-1/2)`` for every ``b``.
     """
-    if not (b > 0.0 and math.isfinite(b)):
-        raise ValueError(f"b must be positive and finite, got {b}")
+    _positive("b", b)
     try:  # Python's float power raises OverflowError, and GinSpec rejects inf
         return GinSpec(scale=math.sqrt(b), log_poly=(
             47.0 / 60.0, 0.0, b, -(10.0 / 3.0) * b**1.5, (15.0 / 4.0) * b**2, -(6.0 / 5.0) * b**2.5))
@@ -304,11 +313,8 @@ def warmup_profile(dimension: int, knot: float = 1.0) -> GinSpec:
     ``R`` the knot.  The glue is C2 but deliberately not C3: the third
     derivative jumps by ``6 d / R`` at the knot.
     """
-    if not _is_count(dimension, 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
-    if not (knot > 0.0 and math.isfinite(knot)):
-        raise ValueError(f"knot must be positive and finite, got {knot}")
-    r_knot = float(knot)
+    dimension = _count("dimension", dimension, 1)
+    r_knot = float(_positive("knot", knot))
     return GinSpec(
         scale=dimension * r_knot,
         log_poly=(-5.0 / 6.0, 0.0, 1.5 / r_knot**2, -(2.0 / 3.0) / r_knot**3),
@@ -335,7 +341,8 @@ def _piecewise(x: np.ndarray, boundary: float, lower, upper) -> list:
     arrays, and the pieces' outputs are scattered back into arrays shaped
     like ``x``.  The upper piece owns the boundary itself; NaN goes to the
     lower piece.  A piece that covers all of ``x`` gets ``x`` itself, at
-    the cost of one comparison and one count (a sampler step's one radius).
+    the cost of one comparison and one count: a batch wholly on one side
+    (A1-A4's default grid starts at the knot) or a scalar public call.
     """
     up = x >= boundary
     n_up = np.count_nonzero(up)

@@ -5,6 +5,7 @@ a float and an array an array of its shape, with the same values.  A
 radial field ``s(|x|) x/|x|`` takes a point or a batch of points and
 returns a vector or a batch.  NaN radii and points map to NaN, except for
 the gradient of the transformed potential, which rejects non-finite input.
+A numeric input at a public boundary is a number, never a bool.
 """
 
 import math
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from tula import dynamics, transform
+from tula.analysis import RadialQuadrature, check_assumption, classify_regime, estimate_lsi
 from tula.dynamics import TransformedPotential
-from tula.targets import make_example, radial_log_density
+from tula.sampler import SamplerConfig, plan_step_size, tula_step
+from tula.targets import make_example, make_multivariate_t, radial_log_density
 
 ENTRIES = {
     "t2_3": make_example("t", 2, kappa=3.0),
@@ -164,3 +167,31 @@ def test_nan_points(target):
     for bad in (pts, pts[0]):
         with pytest.raises(ValueError):
             dynamics.transformed_gradient(tp, bad)
+
+
+_T2_3 = TransformedPotential(ENTRIES["t2_3"].potential, ENTRIES["t2_3"].transform)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: SamplerConfig(step_size=True, num_steps=1), "step_size"),
+    (lambda: SamplerConfig(step_size=0.1, num_steps=1, init_scale=np.True_), "init_scale"),
+    (lambda: tula_step(_T2_3, np.zeros(2), True, np.zeros(2)), "gamma"),
+    (lambda: plan_step_size(True, 1.0, 2, 0.1, 1.0), "lipschitz"),
+    (lambda: make_multivariate_t(2, True), "kappa"),
+    (lambda: make_example("example6", 2, vartheta=True), "vartheta"),
+    (lambda: make_example("t", 2, kappa=3.0, b=True), "b"),
+    (lambda: transform.ginbeta2_transform(True, 2), "b"),
+    (lambda: transform.warmup_profile(2, knot=True), "knot"),
+    (lambda: RadialQuadrature(ENTRIES["t2_3"].potential, r_max=True), "r_max"),
+    (lambda: estimate_lsi(_T2_3, r_max=True), "r_max"),
+    (lambda: classify_regime("strong", vartheta=True, dimension=2, b=0.5, rho=1.0),
+     "vartheta"),
+    (lambda: check_assumption(_T2_3, "A4", candidate_constants={"L": True}), "L"),
+], ids=["SamplerConfig", "SamplerConfig-init_scale", "tula_step", "plan_step_size",
+        "make_multivariate_t", "make_example", "make_example-b", "ginbeta2_transform",
+        "warmup_profile", "RadialQuadrature", "estimate_lsi", "classify_regime",
+        "check_assumption"])
+def test_bool_is_not_a_number(call, name):
+    """Each of these ran with True as 1.0; SamplerConfig.to_dict echoed it as true."""
+    with pytest.raises(ValueError, match=f"^{name} must .*got (np\\.)?True_?$"):
+        call()

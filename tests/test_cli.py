@@ -164,6 +164,21 @@ class TestUsageErrors:
         assert not (tmp_path / "chain.csv").exists()
         assert not (tmp_path / "diagnostics.json").exists()
 
+    @pytest.mark.parametrize("burn_in, message", [
+        ("10000", "no recorded samples remain after burn-in"),
+        ("-1", "burn_in must be a nonnegative integer, got -1"),
+    ])
+    def test_burn_in_that_leaves_no_row_is_refused_before_any_step(self, tmp_path, capsys,
+                                                                    burn_in, message):
+        """Both exited 2 only after sampling, leaving chain.csv, trace.csv and
+        summary.json behind.  --skip-diagnostics drops no rows, so it runs."""
+        argv = ["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "100",
+                f"--burn-in={burn_in}", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main([*argv, "--skip-diagnostics"]) == 0
+
     @pytest.mark.parametrize("argv, option", [
         (["check", "--assumption", "A1", "--grid-min", "nan"], "grid"),
         (["lsi", "--r-max", "nan"], "r_max"),

@@ -41,7 +41,7 @@ def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
               for what in ("run_tula_us_per_step", "transformed_gradient_us_per_call",
                            "transformed_gradient_us_per_call.tail")}
     names |= {"t2_3 run_tula_us_per_step.chains2", "example6_d2 run_tula_us_per_step.chains16",
-              "t2_3 write_chain_csv_ms"}
+              "t2_3 write_chain_csv_ms", "example3_d2_ginbeta2 run_tula_us_per_step"}
     assert set(doc["table"]) == names
     for name, row in doc["table"].items():
         assert row["rounds"] == 2 and 0 <= row["change_wins"] <= 2 and row["ratio"] > 0

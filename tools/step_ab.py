@@ -16,7 +16,11 @@ closed φ runs the ``log1p`` and the division that ``example6``'s
   steps (γ 0.005 on ``t2_3`` and 0.05 on the zoo targets, as in the
   benchmark's workloads), in microseconds per chain-step, and
   ``run_tula_us_per_step.chainsK`` the same with the K chains of the case's
-  benchmark workload (2 on ``t2_3``, 16 on ``example6``);
+  benchmark workload (2 on ``t2_3``, 16 on ``example6``); also, alone, on
+  the foreign pairing ``example3_d2_ginbeta2`` (``example3`` at d = 2 with
+  ``ginbeta2_transform(0.37, 2)``), whose f hooks invert g by Newton's
+  method on one-element arrays, so every step runs the shape-(1,) path of
+  ``transform._at_one_radius``;
 * ``write_chain_csv_ms`` (``t2_3`` only): ``write_chain_csv`` to the null
   device of a run of the workload's 2 chains × CSV_STEPS steps whose x
   samples are already mapped, in milliseconds per file;
@@ -91,6 +95,13 @@ def repeat(call, count: int) -> float:
     return elapsed / (loops * count)
 
 
+def per_step(tula, tp, cfg) -> float:
+    """``run_tula(tp, cfg)`` in microseconds per chain-step."""
+    start = time.perf_counter()
+    tula.run_tula(tp, cfg)
+    return 1e6 * (time.perf_counter() - start) / (cfg.num_steps * cfg.num_chains)
+
+
 def measurements(tula, steps: int) -> dict:
     """Name to a zero-argument callable returning one sample of that measurement."""
     rng = np.random.default_rng(20220120)
@@ -103,13 +114,8 @@ def measurements(tula, steps: int) -> dict:
     for case, (name, dimension, gamma, chains) in CASES.items():
         entry = tula.parse_target_name(name, dimension=dimension)
         tp = tula.TransformedPotential(entry.potential, entry.transform)
-
-        def run(tp=tp, cfg=tula.SamplerConfig(step_size=gamma, num_steps=steps, seed=0)) -> float:
-            start = time.perf_counter()
-            tula.run_tula(tp, cfg)
-            return 1e6 * (time.perf_counter() - start) / (cfg.num_steps * cfg.num_chains)
-
-        out[f"{case} run_tula_us_per_step"] = run
+        config = functools.partial(tula.SamplerConfig, step_size=gamma, num_steps=steps, seed=0)
+        out[f"{case} run_tula_us_per_step"] = functools.partial(per_step, tula, tp, config())
         t = entry.transform
         for suffix, frac in (("", unit[0]), (".tail", unit[1])):
             points = (t.knot * frac[:POINTS])[:, None] * directions[t.dimension]
@@ -119,8 +125,7 @@ def measurements(tula, steps: int) -> dict:
         if chains is None:
             continue
         out[f"{case} run_tula_us_per_step.chains{chains}"] = functools.partial(
-            run, cfg=tula.SamplerConfig(step_size=gamma, num_steps=steps, seed=0,
-                                        num_chains=chains))
+            per_step, tula, tp, config(num_chains=chains))
         if case == "t2_3":
             written = tula.run_tula(tp, tula.SamplerConfig(step_size=gamma, num_steps=CSV_STEPS,
                                                            seed=0, num_chains=chains))
@@ -147,6 +152,12 @@ def measurements(tula, steps: int) -> dict:
         out[f"{case} hessian_eigenvalues_ns_per_radius"] = (
             lambda tp=tp, radii=t.knot * unit[0][:POINTS]: 1e9 * repeat(
                 lambda: tula.hessian_eigenvalues(tp, radii), POINTS))
+    # a foreign pairing: example3's f hooks invert g by Newton's method on
+    # one-element arrays, so every step runs transform._at_one_radius's shape-(1,) branch
+    zoo = tula.make_example("example3", 2)
+    foreign = tula.TransformedPotential(zoo.potential, tula.ginbeta2_transform(0.37, 2))
+    out["example3_d2_ginbeta2 run_tula_us_per_step"] = functools.partial(
+        per_step, tula, foreign, tula.SamplerConfig(step_size=0.05, num_steps=steps, seed=0))
     return out
 
 
