@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dynamics import TransformedPotential, grad_factor, hessian_eigenvalues
-from .sampler import ChainRun
+from .sampler import ChainRun, _check_burn_in
 from .targets import IsotropicPotential, radial_log_density
 from .transform import _is_count, _positive, _record_dict, _tail_root
 
@@ -895,15 +895,6 @@ def effective_sample_size(series: np.ndarray) -> float:
         prev = pair
         k += 1
     return float(min(n, n / max(tau, 1.0 / n)))
-
-
-def _check_burn_in(burn_in, rows: int) -> None:
-    """Raise unless `burn_in` is an integer >= 0 below `rows`, the most
-    recorded rows of any chain."""
-    if not _is_count(burn_in, 0):
-        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
-    if burn_in >= rows:
-        raise ValueError("no recorded samples remain after burn-in")
 
 
 @dataclasses.dataclass(frozen=True)

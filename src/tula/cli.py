@@ -26,7 +26,6 @@ import numpy as np
 
 from .analysis import (
     NotApplicableError,
-    _check_burn_in,
     _tail_thresholds,
     check_assumption,
     classify_regime,
@@ -35,7 +34,7 @@ from .analysis import (
     radial_diagnostics,
 )
 from .dynamics import TransformedPotential, hessian_eigenvalues, transformed_gradient, transformed_value
-from .sampler import SamplerConfig, run_summary, run_tula, write_chain_csv
+from .sampler import SamplerConfig, _check_burn_in, run_summary, run_tula, write_chain_csv
 from .targets import parse_target_name
 from .transform import _count, _is_count, transform_to_dict
 
@@ -181,8 +180,9 @@ def cmd_sample(opts: dict[str, Any]) -> int:
     cfg = SamplerConfig(step_size=opts["gamma"], num_steps=opts["steps"], seed=opts["seed"],
                         thin=opts["thin"], num_chains=opts["chains"],
                         init_scale=opts["init_scale"])
-    if not opts["skip_diagnostics"] and opts["burn_in"] is not None:
-        _check_burn_in(opts["burn_in"], cfg.num_steps // cfg.thin + 1)  # rows of a whole chain
+    if opts["burn_in"] is not None:  # against a whole chain's rows, unless none are dropped
+        _check_burn_in(opts["burn_in"], math.inf if opts["skip_diagnostics"]
+                       else cfg.num_steps // cfg.thin + 1)
     run = run_tula(tp, cfg)
 
     out = Path(opts["out"])

@@ -126,11 +126,13 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     ``f`` with the bulk jet and ``F`` with the tail jet at the asked orders,
     calling each hook at most once: ``f_h`` reads ``f``, ``f_h'`` reads
     ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.  One radius (``arr`` of
-    shape ``(1,)``, as a sampler step passes) goes through
-    :func:`_radial_jet_at` in Python floats, on every pairing.
+    shape ``(1,)``, as a sampler step passes) first tries
+    :func:`_radial_jet_at` in Python floats.
     """
     if arr.shape == (1,):
-        return _radial_jet_at(tp, arr.item(), orders)
+        out = _radial_jet_at(tp, arr.item(), orders)
+        if out is not None:
+            return out
     form = tp.closed_form
     if form is not None:
         return [(form.value, form.dvalue, form.d2value)[k](arr) for k in orders]
@@ -140,27 +142,54 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
                          lambda rt: _compose(t._d1, *_branch(tp, rt, True, orders), orders))
 
 
-def _radial_jet_at(tp: TransformedPotential, x: float, orders: tuple[int, ...]) -> list:
-    """:func:`_radial_jet` at the one radius ``x``, bit for bit: ``phi^(k)``
-    of a closed pairing at the float, else one float comparison picks the
-    branch, whose jet and hooks take and return Python floats, and the
-    floats are combined in the array pass's order.
-
-    Python float arithmetic overflows and makes NaN silently where numpy
-    warns, so a combination that is not finite is done again on
-    one-element arrays; the jets and hooks see to their own warnings.
-    Returns one-element arrays.
-    """
+def _radial_jet_at(tp: TransformedPotential, x: float, orders: tuple[int, ...]) -> list | None:
+    """:func:`_radial_jet` at the one radius ``x``, bit for bit, as one-element
+    arrays: ``phi^(k)`` of a closed pairing at the float, and a composed
+    pairing's ``f_h'`` by :func:`_factor_at`.  None, for the array pass,
+    where :func:`_factor_at` declines and at any other orders (only scalar
+    public calls ask for those)."""
     form = tp.closed_form
     if form is not None:
         return [np.array(((form.value, form.dvalue, form.d2value)[k](x),)) for k in orders]
-    d1 = tp.transform._d1
-    jet, values = _branch(tp, x, x >= tp.transform._knot, orders)
-    out = _compose(d1, jet, values, orders)
-    if math.isfinite(sum(out)):
-        return [np.array((v,)) for v in out]
-    one = tr._one
-    return _compose(d1, tr._jet_map(one, jet), {k: one(v) for k, v in values.items()}, orders)
+    if orders == (1,):
+        slope = _factor_at(tp, x)
+        if slope is not None:
+            return [np.array((slope,))]
+    return None
+
+
+def _factor_at(tp: TransformedPotential, x: float) -> float | None:
+    """A composed pairing's ``f_h'`` at the one radius ``x`` in Python floats,
+    bit for bit with the array pass: the order-1 pieces of the branch jet,
+    written out in its operation order, composed as :func:`_compose` does.
+
+    The bulk takes ``p, q, p''`` by Horner's rule, ``g = c r e^p``, ``g' =
+    c (1 + r q) e^p``, ``(log g')' = q + (q + r p'') / (1 + r q)`` and
+    ``(log(g/r))' = q``; the tail takes ``u, u'``, ``(log g')' = k/r + u'``
+    and ``(log(g/r))' = u' - 1/r``.  None, for the array pass with its
+    warnings, wherever the branch jet declines the radius or the result is
+    not finite.
+    """
+    t = tp.transform
+    if x >= t._knot:
+        if not 1e-100 < x < 1e100:
+            return None
+        lead, slope = tr._tail_profile(t, x, 1, tr._FLOAT_UFUNCS)
+        k = -1.0 if t.tail == tr._QUADRATIC else t.beta - 1.0
+        hook, log_gp, log_gr = tp.target.dlog_value, k / x + slope, slope - 1.0 / x
+    else:
+        p, q, p2 = t.gin._log_profiles_at(x, 3)
+        den = 1.0 + x * q
+        if not (-math.inf < p <= 709.0 and 0.0 < den < 1e150):
+            return None
+        c = t.gin._constants[0]
+        ep = tr._FLOAT_UFUNCS.exp(p)
+        lead, slope = c * x * ep, c * den * ep
+        hook, log_gp, log_gr = tp.target.dvalue, q + (q + x * p2) / den, q
+    if not math.isfinite(lead + slope + log_gp + log_gr):  # the jet's own decline
+        return None
+    out = hook(lead) * slope - log_gp - t._d1 * log_gr
+    return out if math.isfinite(out) else None
 
 
 def _branch(tp: TransformedPotential, r, tail: bool, orders) -> tuple:
@@ -183,7 +212,7 @@ def _branch(tp: TransformedPotential, r, tail: bool, orders) -> tuple:
 def _compose(d1, jet: tr.RadialJet, f: dict, orders) -> list:
     """``f_h^(k)`` for each asked ``k`` from a branch jet and the hook
     values ``f`` at its profile: the chain rule through the profile minus
-    ``log g' + (d - 1) log(g/r)``, on floats or arrays alike."""
+    ``log g' + (d - 1) log(g/r)``; :func:`_factor_at` writes out its order 1."""
     p, lgp, lgr = jet
     out = []
     for k in orders:

@@ -120,13 +120,19 @@ class ChainRun:
         a ``burn_in`` that is not a nonnegative integer or when nothing survives."""
         if space not in ("x", "y"):
             raise ValueError(f"space must be 'x' or 'y', got {space!r}")
-        if not tr._is_count(burn_in, 0):
-            raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
+        _check_burn_in(burn_in, max(y.shape[0] for y in self.ys))
         series = self.xs if space == "x" else self.ys
-        kept = [s[burn_in:] for s in series if s.shape[0] > burn_in]
-        if not kept:
-            raise ValueError(f"burn_in={burn_in} leaves no recorded samples")
-        return np.concatenate(kept, axis=0)
+        return np.concatenate([s[burn_in:] for s in series if s.shape[0] > burn_in], axis=0)
+
+
+def _check_burn_in(burn_in, rows) -> None:
+    """Raise unless `burn_in` is an integer >= 0 below `rows`, the most
+    recorded rows of any chain."""
+    if not tr._is_count(burn_in, 0):
+        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
+    if burn_in >= rows:
+        raise ValueError(f"no recorded samples remain after burn-in: burn_in={burn_in}, "
+                         f"at most {rows} recorded rows per chain")
 
 
 def tula_step(tp: TransformedPotential, y: np.ndarray, gamma: float, noise: np.ndarray) -> np.ndarray:

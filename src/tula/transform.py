@@ -51,10 +51,12 @@ the gradient of :mod:`tula.dynamics` on every pairing, since on a
 one-element array each numpy call costs far more than its arithmetic: a
 target's closed ``phi``, paired with its own transform, takes it in its
 hooks; otherwise the knot split is one float comparison
-(``RadialTransform._knot``), the branch jets and the target's hooks take
-and return floats, and only the final ``f_h^(k)`` becomes an array.  The
-input's type picks the path.  Each branch jet has one body, run on arrays
-or on one float in the same operation order with numpy's ufuncs
+(``RadialTransform._knot``), and ``dynamics._factor_at`` writes out the
+order-1 pieces of the branch jet on the float
+(:meth:`GinSpec._log_profiles_at` and :func:`_tail_profile`) and calls the
+target's hook on it.  A branch jet at one radius takes it as a float too
+(the input's type picks the path).  Each branch jet has one body, run on
+arrays or on one float in the same operation order with numpy's ufuncs
 (:class:`_Ufuncs`), so both give the same bits.  Past the bulk's Horner
 pass and constants, floats here and 0-d arrays there, the float path adds
 only a range predicate and :func:`_finite`: Python float arithmetic
@@ -212,6 +214,16 @@ class GinSpec:
             into = acc if acc.ndim else None  # a 0-d r gives numpy scalars
             for c in rest:
                 acc = np.add(c, np.multiply(acc, r, into), into)
+            out.append(acc)
+        return out
+
+    def _log_profiles_at(self, x: float, rows: int) -> list:
+        """:meth:`_log_profiles` at the one radius ``x`` in Python floats, bit for bit."""
+        out = []
+        for row in self._rows[:rows]:
+            acc = row[0] + x * 0.0
+            for c in row[1:]:
+                acc = c + acc * x
             out.append(acc)
         return out
 
@@ -556,12 +568,7 @@ def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None
     nonzero divisor and a finite square) and ``|q|`` below 1e100 (a finite cube).
     """
     top = max(orders)
-    p = []
-    for row in gin._rows[: min(top + 2, 4) if logs else top + 1]:
-        acc = row[0] + x * 0.0
-        for c in row[1:]:
-            acc = c + acc * x
-        p.append(acc)
+    p = gin._log_profiles_at(x, min(top + 2, 4) if logs else top + 1)
     if not (-math.inf < p[0] <= 709.0 and (len(p) == 1 or 0.0 < 1.0 + x * p[1] < 1e150)
             and (top < 3 or abs(p[1]) < 1e100)):
         return None

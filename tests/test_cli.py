@@ -171,13 +171,20 @@ class TestUsageErrors:
     def test_burn_in_that_leaves_no_row_is_refused_before_any_step(self, tmp_path, capsys,
                                                                     burn_in, message):
         """Both exited 2 only after sampling, leaving chain.csv, trace.csv and
-        summary.json behind.  --skip-diagnostics drops no rows, so it runs."""
+        summary.json behind.  --skip-diagnostics drops no rows, so it runs
+        past a burn-in longer than the chain, but a burn-in that is not a
+        count is refused there too: -1 exited 0."""
         argv = ["sample", "--target", "t2_3", "--gamma", "0.01", "--steps", "100",
                 f"--burn-in={burn_in}", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
-        assert main([*argv, "--skip-diagnostics"]) == 0
+        if burn_in == "-1":
+            assert main([*argv, "--skip-diagnostics"]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
+        else:
+            assert main([*argv, "--skip-diagnostics"]) == 0
 
     @pytest.mark.parametrize("argv, option", [
         (["check", "--assumption", "A1", "--grid-min", "nan"], "grid"),

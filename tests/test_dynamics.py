@@ -29,7 +29,14 @@ from tula.dynamics import (
     value_radial,
 )
 from tula.targets import ExampleKind, make_example, make_multivariate_t, parse_target_name
-from tula.transform import g_eval, ginbeta2_transform, log_jacobian_terms, warmup_transform
+from tula.transform import (
+    GinSpec,
+    RadialTransform,
+    g_eval,
+    ginbeta2_transform,
+    log_jacobian_terms,
+    warmup_transform,
+)
 
 # mpmath, 40 digits, t-dist d=2 kappa=1 with b=1, beta=2
 FH_BULK_05 = -0.3959258705723944
@@ -391,12 +398,14 @@ class TestJetPointwise:
                     assert _bits(batch[term][j]) == _bits([s[term][j] for s in singles]), (term, j)
 
     @pytest.mark.parametrize("name", ["t2_3", "t3_2", "example3-on-b0.37", "t1_1", "t5_4",
-                                      "example3-d1-on-b0.37", "example3-d5-on-b0.37"])
+                                      "example3-d1-on-b0.37", "example3-d5-on-b0.37", "t10_3"])
     def test_one_radius_equals_its_place_in_a_long_batch(self, name):
         """On a composed pairing one radius, as a sampler step evaluates it,
-        gets bit for bit what it gets inside a 1024-radius batch that
+        gets bit for bit what it gets inside a 1037-radius batch that
         straddles the knot, as the checks and diagnostics evaluate them;
-        the batch reaches 50 knots, deep into the tail."""
+        the batch reaches 50 knots, deep into the tail, and holds radii
+        within 1e-10 of the origin.  The gradient at one point equals its
+        row of a batch too, zero within 1e-10."""
         if name.startswith("t"):
             entry = parse_target_name(name)
             tp = TransformedPotential(entry.potential, entry.transform)
@@ -407,13 +416,21 @@ class TestJetPointwise:
         assert tp.closed_form is None
         knot = tp.transform.knot
         r = np.sort(np.concatenate([np.geomspace(1e-3 * knot, 50.0 * knot, 1021),
+                                    np.geomspace(1e-13, 1e-10, 13),
                                     [np.nextafter(knot, 0.0), knot, np.nextafter(knot, np.inf)]]))
         batch = np.stack([value_radial(tp, r), grad_factor(tp, r), *hessian_eigenvalues(tp, r)])
-        picked = sorted({*range(0, r.size, 4), *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
+        picked = sorted({*range(0, r.size, 4), *np.flatnonzero(r <= 1e-10),
+                         *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
         for i in picked:
             alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
                               *hessian_eigenvalues(tp, r[i])])
             assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+        rng = np.random.default_rng(23)
+        pts = rng.standard_normal((r.size, tp.dimension))
+        pts *= (r / np.linalg.norm(pts, axis=1))[:, None]
+        grads = transformed_gradient(tp, pts)
+        for i in picked:
+            assert transformed_gradient(tp, pts[i]).tobytes() == grads[i].tobytes(), (i, r[i])
 
     CLOSED = [(kind, kwargs, d) for kind, kwargs, d in TARGETS
               if d is not None and kind is not ExampleKind.MULTIVARIATE_T]
@@ -449,15 +466,22 @@ class TestJetPointwise:
         for i in picked:
             assert transformed_gradient(tp, pts[i]).tobytes() == grads[i].tobytes(), (i, r[i])
 
-    @pytest.mark.parametrize("name", ["t2_3", "t2_3-on-warmup", "example3-on-b0.37"])
+    @pytest.mark.parametrize("name", ["t2_3", "t2_3-on-warmup", "example3-on-b0.37", "t10_3",
+                                      "t2_3-on-exp800", "t2_1e300-on-b1e16"])
     def test_one_radius_warns_as_a_batch_of_it(self, name):
         """The composed radial functions at one radius warn, and raise under
         np.errstate(over="raise"), as a batch of that radius does, from the
-        knot to radii where the tail's exponent leaves float range."""
-        entry = parse_target_name("t2_3") if name.startswith("t") else make_example(
-            ExampleKind.EXAMPLE3, 2)
-        t = (warmup_transform(2) if name.endswith("warmup") else
-             ginbeta2_transform(0.37, 2) if name.startswith("example") else entry.transform)
+        knot to radii where the tail's exponent leaves float range; also on
+        a bulk whose exponent p = 800 leaves exp's range, and on a t with
+        kappa = 1e300, whose f' g' and F' u' overflow where g, g', u and u'
+        do not."""
+        target, _, on = name.partition("-on-")
+        entry = (make_example(ExampleKind.EXAMPLE3, 2) if target == "example3" else
+                 make_example(ExampleKind.MULTIVARIATE_T, 2, kappa=1e300) if target == "t2_1e300"
+                 else parse_target_name(target))
+        t = {"warmup": warmup_transform(2), "b0.37": ginbeta2_transform(0.37, 2),
+             "b1e16": ginbeta2_transform(1e16, 2), "": entry.transform,
+             "exp800": RadialTransform(1.0, 2.0, GinSpec(1.0, (800.0,)), 2)}[on]
         tp = TransformedPotential(entry.potential, t)
         radii = t.knot * np.array([0.5, 1.0, 2.0]), np.array([1e100, 1e160, 1e200, 1e300, np.inf])
         for r in np.concatenate(radii).tolist():

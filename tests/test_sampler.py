@@ -147,6 +147,21 @@ class TestDeterminism:
         trio = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=150, seed=9, num_chains=3))
         np.testing.assert_array_equal(solo.ys[0], trio.ys[0])
 
+    def test_each_chain_draws_the_stream_of_its_own_index(self, tp):
+        """Chain k's first step adds sqrt(2 gamma) standard_normal(d) of
+        Philox(SeedSequence(seed, spawn_key=(k,))), as the sampler's module
+        docstring says.  With spawn_key=(0,) for every chain, every chain of
+        a run was a copy of chain 0, and every other test passed."""
+        gamma, start = 0.05, np.array([0.3, -0.2])
+        run = run_tula(tp, SamplerConfig(step_size=gamma, num_steps=6, seed=11, num_chains=3,
+                                         initial_point=start))
+        assert len({ys.tobytes() for ys in run.ys}) == 3
+        drift = start - gamma * transformed_gradient(tp, start)
+        for k, ys in enumerate(run.ys):
+            seeds = np.random.SeedSequence(11, spawn_key=(k,))
+            noise = np.random.Generator(np.random.Philox(seeds)).standard_normal(2)
+            assert ys[1].tobytes() == (drift + math.sqrt(2.0 * gamma) * noise).tobytes(), k
+
     def test_different_seeds_differ(self, tp):
         a = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=50, seed=0))
         b = run_tula(tp, SamplerConfig(step_size=0.05, num_steps=50, seed=1))
@@ -177,6 +192,19 @@ class TestRecording:
         assert pooled.shape == (2 * (31 - 10), 2)
         with pytest.raises(ValueError, match="burn_in"):
             run.pooled(burn_in=100)
+
+    def test_pooled_refuses_a_burn_in_by_the_diagnostics_rule(self, tp):
+        """pooled said "burn_in=100 leaves no recorded samples" where
+        radial_diagnostics and tula sample say "no recorded samples remain
+        after burn-in"; the rule is the same, against the longest chain."""
+        cfg = SamplerConfig(step_size=0.05, num_steps=4, num_chains=2)
+        run = ChainRun(config=cfg, ys=(np.zeros((5, 2)), np.ones((2, 2))),
+                       steps=(np.arange(5), np.arange(2)), diverged=(False, True))
+        assert run.pooled(space="y", burn_in=3).tolist() == [[0.0, 0.0]] * 2
+        for burn_in in (5, 100):
+            with pytest.raises(ValueError, match="no recorded samples remain after burn-in: "
+                                                 f"burn_in={burn_in}, at most 5 recorded rows"):
+                run.pooled(burn_in=burn_in)
 
     @pytest.mark.parametrize("space", ["q", "X", "", None])
     def test_pooled_names_a_space_that_is_not_x_or_y(self, tp, space):

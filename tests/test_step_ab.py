@@ -36,10 +36,13 @@ def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
              for what in ("grad_factor_ns_per_radius.bulk", "grad_factor_ns_per_radius.tail",
                           "bulk_jet_ns_per_radius.float", "tail_jet_ns_per_radius.float",
                           "g_inverse_ns_per_value", "hessian_eigenvalues_ns_per_radius")}
-    # example3 at d = 5, the closed pairing whose phi runs log1p, only steps
+    # example3 at d = 5, the closed pairing whose phi runs log1p, only steps and
+    # takes gradients
     names |= {f"{case} {what}" for case in ("t2_3", "example6_d2", "example3_d5")
               for what in ("run_tula_us_per_step", "transformed_gradient_us_per_call",
-                           "transformed_gradient_us_per_call.tail")}
+                           "transformed_gradient_us_per_call.tail",
+                           "grad_factor_us_per_radius.float.bulk",
+                           "grad_factor_us_per_radius.float.tail")}
     names |= {"t2_3 run_tula_us_per_step.chains2", "example6_d2 run_tula_us_per_step.chains16",
               "t2_3 write_chain_csv_ms", "example3_d2_ginbeta2 run_tula_us_per_step"}
     assert set(doc["table"]) == names

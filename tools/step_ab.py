@@ -32,6 +32,11 @@ closed φ runs the ``log1p`` and the division that ``example6``'s
   point, as a sampler step calls it, in microseconds per call, over POINTS
   points at the first bulk radii in random directions, and
   ``transformed_gradient_us_per_call.tail`` the same at the first tail radii;
+* ``grad_factor_us_per_radius.float.bulk`` and ``.tail`` (every case):
+  ``grad_factor(tp, x)`` at the first POINTS bulk radii and at the first
+  POINTS tail radii, each ``x`` a Python float, in microseconds per radius;
+  a composed pairing (``t2_3``) reaches ``dynamics._factor_at`` and a closed
+  one (the zoo cases) its ``phi'`` hook;
 * ``bulk_jet_ns_per_radius.float`` and ``tail_jet_ns_per_radius.float``:
   ``bulk_jet(t.gin, x, (1,))`` at the first POINTS bulk radii and
   ``tail_jet(t, x, (1,))`` at the first POINTS tail radii, each radius ``x``
@@ -122,6 +127,11 @@ def measurements(tula, steps: int) -> dict:
             out[f"{case} transformed_gradient_us_per_call{suffix}"] = (
                 lambda tp=tp, points=points: 1e6 * repeat(
                     lambda: [tula.transformed_gradient(tp, y) for y in points], POINTS))
+        bulk_x, tail_x = ((t.knot * frac[:POINTS]).tolist() for frac in unit)
+        for branch, xs in (("bulk", bulk_x), ("tail", tail_x)):
+            out[f"{case} grad_factor_us_per_radius.float.{branch}"] = (
+                lambda tp=tp, xs=xs: 1e6 * repeat(lambda: [tula.grad_factor(tp, x) for x in xs],
+                                                  POINTS))
         if chains is None:
             continue
         out[f"{case} run_tula_us_per_step.chains{chains}"] = functools.partial(
@@ -141,7 +151,6 @@ def measurements(tula, steps: int) -> dict:
             radii = t.knot * frac
             out[f"{case} grad_factor_ns_per_radius.{branch}"] = (
                 lambda tp=tp, radii=radii: 1e9 * repeat(lambda: tula.grad_factor(tp, radii), BATCH))
-        bulk_x, tail_x = ((t.knot * frac[:POINTS]).tolist() for frac in unit)
         out[f"{case} bulk_jet_ns_per_radius.float"] = lambda t=t, xs=bulk_x: 1e9 * repeat(
             lambda: [tula.bulk_jet(t.gin, x, (1,)) for x in xs], POINTS)
         out[f"{case} tail_jet_ns_per_radius.float"] = lambda t=t, xs=tail_x: 1e9 * repeat(
