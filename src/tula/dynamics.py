@@ -125,15 +125,20 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     radius.  Otherwise it splits the radii at the knot once and composes
     ``f`` with the bulk jet and ``F`` with the tail jet at the asked orders,
     calling each hook at most once: ``f_h`` reads ``f``, ``f_h'`` reads
-    ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.  One radius (``arr`` of
-    shape ``(1,)``, as a sampler step passes) first tries
-    :func:`_radial_jet_at` in Python floats.
+    ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.  One radius (shape
+    ``(1,)``, as a sampler step passes) runs in Python floats, bit for bit:
+    ``phi^(k)`` on a closed pairing, else ``f_h'`` by :func:`_factor_at`;
+    other orders and a declined radius take the array pass.
     """
-    if arr.shape == (1,):
-        out = _radial_jet_at(tp, arr.item(), orders)
-        if out is not None:
-            return out
     form = tp.closed_form
+    if arr.shape == (1,):
+        x = arr.item()
+        if form is not None:
+            return [np.array(((form.value, form.dvalue, form.d2value)[k](x),)) for k in orders]
+        if orders == (1,):
+            slope = _factor_at(tp, x)
+            if slope is not None:
+                return [np.array((slope,))]
     if form is not None:
         return [(form.value, form.dvalue, form.d2value)[k](arr) for k in orders]
     t = tp.transform
@@ -142,53 +147,17 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
                          lambda rt: _compose(t._d1, *_branch(tp, rt, True, orders), orders))
 
 
-def _radial_jet_at(tp: TransformedPotential, x: float, orders: tuple[int, ...]) -> list | None:
-    """:func:`_radial_jet` at the one radius ``x``, bit for bit, as one-element
-    arrays: ``phi^(k)`` of a closed pairing at the float, and a composed
-    pairing's ``f_h'`` by :func:`_factor_at`.  None, for the array pass,
-    where :func:`_factor_at` declines and at any other orders (only scalar
-    public calls ask for those)."""
-    form = tp.closed_form
-    if form is not None:
-        return [np.array(((form.value, form.dvalue, form.d2value)[k](x),)) for k in orders]
-    if orders == (1,):
-        slope = _factor_at(tp, x)
-        if slope is not None:
-            return [np.array((slope,))]
-    return None
-
-
 def _factor_at(tp: TransformedPotential, x: float) -> float | None:
-    """A composed pairing's ``f_h'`` at the one radius ``x`` in Python floats,
-    bit for bit with the array pass: the order-1 pieces of the branch jet,
-    written out in its operation order, composed as :func:`_compose` does.
-
-    The bulk takes ``p, q, p''`` by Horner's rule, ``g = c r e^p``, ``g' =
-    c (1 + r q) e^p``, ``(log g')' = q + (q + r p'') / (1 + r q)`` and
-    ``(log(g/r))' = q``; the tail takes ``u, u'``, ``(log g')' = k/r + u'``
-    and ``(log(g/r))' = u' - 1/r``.  None, for the array pass with its
-    warnings, wherever the branch jet declines the radius or the result is
-    not finite.
-    """
-    t = tp.transform
-    if x >= t._knot:
-        if not 1e-100 < x < 1e100:
-            return None
-        lead, slope = tr._tail_profile(t, x, 1, tr._FLOAT_UFUNCS)
-        k = -1.0 if t.tail == tr._QUADRATIC else t.beta - 1.0
-        hook, log_gp, log_gr = tp.target.dlog_value, k / x + slope, slope - 1.0 / x
-    else:
-        p, q, p2 = t.gin._log_profiles_at(x, 3)
-        den = 1.0 + x * q
-        if not (-math.inf < p <= 709.0 and 0.0 < den < 1e150):
-            return None
-        c = t.gin._constants[0]
-        ep = tr._FLOAT_UFUNCS.exp(p)
-        lead, slope = c * x * ep, c * den * ep
-        hook, log_gp, log_gr = tp.target.dvalue, q + (q + x * p2) / den, q
-    if not math.isfinite(lead + slope + log_gp + log_gr):  # the jet's own decline
+    """A composed pairing's ``f_h'`` at the one radius ``x`` in Python floats, bit
+    for bit: ``transform._order_one_at`` through the target's ``f'`` or ``F'``
+    hook, composed as :func:`_compose` does.  None, for the array pass with its
+    warnings, where the jet declines ``x`` or the result is not finite."""
+    pieces = tr._order_one_at(tp.transform, x)
+    if pieces is None:
         return None
-    out = hook(lead) * slope - log_gp - t._d1 * log_gr
+    tail, lead, slope, log_gp, log_gr = pieces
+    hook = tp.target.dlog_value if tail else tp.target.dvalue
+    out = hook(lead) * slope - log_gp - tp.transform._d1 * log_gr
     return out if math.isfinite(out) else None
 
 
@@ -227,7 +196,9 @@ def _compose(d1, jet: tr.RadialJet, f: dict, orders) -> list:
 
 
 def value_radial(tp: TransformedPotential, r):
-    """``f_h`` as a function of the radius; vectorized, finite at 0."""
+    """``f_h`` as a function of the radius; vectorized, finite at 0.  On a
+    pairing without a closed ``phi`` a scalar call runs the array pass on
+    one radius, so many radii cost least as one batch."""
     return tr._radial(lambda x: _radial_jet(tp, x, (0,))[0], r)
 
 
@@ -242,7 +213,9 @@ def hessian_eigenvalues(tp: TransformedPotential, r):
     Returns ``(radial, tangential)``: ``f_h''(r)`` with multiplicity one
     along ``y/|y|`` and ``f_h'(r)/r`` with multiplicity ``d - 1`` on the
     orthogonal complement.  Raises for nonpositive radii, where the
-    spectral split is undefined.
+    spectral split is undefined.  On a pairing without a closed ``phi`` a
+    scalar call runs the array pass on one radius, so many radii cost least
+    as one batch.
     """
 
     def eigenvalues(x):

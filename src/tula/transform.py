@@ -51,11 +51,11 @@ the gradient of :mod:`tula.dynamics` on every pairing, since on a
 one-element array each numpy call costs far more than its arithmetic: a
 target's closed ``phi``, paired with its own transform, takes it in its
 hooks; otherwise the knot split is one float comparison
-(``RadialTransform._knot``), and ``dynamics._factor_at`` writes out the
-order-1 pieces of the branch jet on the float
-(:meth:`GinSpec._log_profiles_at` and :func:`_tail_profile`) and calls the
-target's hook on it.  A branch jet at one radius takes it as a float too
-(the input's type picks the path).  Each branch jet has one body, run on
+(``RadialTransform._knot``) and :func:`_order_one_at` gives the order-1
+pieces of the branch jet on the float, which ``dynamics`` passes through
+the target's hook.  The branch jets take one radius as a float too, as the
+calling convention has it (a float ``r`` gives a jet of floats); the
+tail of :func:`_order_one_at` is :func:`_tail_jet_at`.  Each branch jet has one body, run on
 arrays or on one float in the same operation order with numpy's ufuncs
 (:class:`_Ufuncs`), so both give the same bits.  Past the bulk's Horner
 pass and constants, floats here and 0-d arrays there, the float path adds
@@ -214,16 +214,6 @@ class GinSpec:
             into = acc if acc.ndim else None  # a 0-d r gives numpy scalars
             for c in rest:
                 acc = np.add(c, np.multiply(acc, r, into), into)
-            out.append(acc)
-        return out
-
-    def _log_profiles_at(self, x: float, rows: int) -> list:
-        """:meth:`_log_profiles` at the one radius ``x`` in Python floats, bit for bit."""
-        out = []
-        for row in self._rows[:rows]:
-            acc = row[0] + x * 0.0
-            for c in row[1:]:
-                acc = c + acc * x
             out.append(acc)
         return out
 
@@ -469,6 +459,7 @@ def bulk_jet(gin: GinSpec, r, orders, *, logs: bool = True) -> RadialJet:
     orders ``orders``, a collection of integers from 0 to 3: the profile
     pieces and, unless ``logs`` is false, the log terms of the identities
     above at the asked orders.  No knot test: the caller passes bulk radii.
+    A float ``r`` gives a jet of floats and an array a jet of arrays.
 
     Their one body, :func:`_bulk_identities`, runs on the array ``r`` or,
     for one radius (a Python float or an ``r`` of shape ``(1,)``), on
@@ -560,20 +551,56 @@ def _finite(jet: RadialJet) -> bool:
 
 
 def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None:
-    """:func:`bulk_jet` at the one radius ``x`` in Python floats, bit for bit: Horner's
-    rule in the array pass's order, then :func:`_bulk_identities` with the float constants
-    ``GinSpec._constants``.  None, for the array pass, where a result is not finite or a
-    ufunc argument leaves the range where nothing warns: ``p`` must be finite and at most
-    709 (so ``e^p`` is finite), ``1 + r q`` in (0, 1e150) (the domain of ``log1p``, a
-    nonzero divisor and a finite square) and ``|q|`` below 1e100 (a finite cube).
-    """
-    top = max(orders)
-    p = gin._log_profiles_at(x, min(top + 2, 4) if logs else top + 1)
-    if not (-math.inf < p[0] <= 709.0 and (len(p) == 1 or 0.0 < 1.0 + x * p[1] < 1e150)
-            and (top < 3 or abs(p[1]) < 1e100)):
+    """:func:`bulk_jet` at the one radius ``x`` in Python floats, bit for bit:
+    :func:`_bulk_rows_at`, then :func:`_bulk_identities` with the float constants
+    ``GinSpec._constants``.  None, for the array pass, where the rows leave their range
+    or a result is not finite."""
+    p = _bulk_rows_at(gin, x, max(orders), logs)
+    if p is None:
         return None
     jet = _bulk_identities(p, x, gin._constants, _FLOAT_UFUNCS, orders, logs)
     return jet if _finite(jet) else None
+
+
+def _bulk_rows_at(gin: GinSpec, x: float, top: int, logs: bool) -> list | None:
+    """The rows ``p, q, p'', ...`` that :func:`bulk_jet` reads for orders up to
+    ``top``, at the one radius ``x`` by Horner's rule in the array pass's order.
+    None where a ufunc argument of the identities leaves the range where nothing
+    warns: ``p`` must be finite and at most 709 (so ``e^p`` is finite), ``1 + r q``
+    in (0, 1e150) (the domain of ``log1p``, a nonzero divisor and a finite square)
+    and ``|q|`` below 1e100 (a finite cube)."""
+    p = []
+    for row in gin._rows[: min(top + 2, 4) if logs else top + 1]:
+        acc = row[0] + x * 0.0
+        for c in row[1:]:
+            acc = c + acc * x
+        p.append(acc)
+    if not (-math.inf < p[0] <= 709.0 and (len(p) == 1 or 0.0 < 1.0 + x * p[1] < 1e150)
+            and (top < 3 or abs(p[1]) < 1e100)):
+        return None
+    return p
+
+
+def _order_one_at(t: RadialTransform, x: float) -> tuple | None:
+    """The order-1 pieces of the branch jet at the one radius ``x`` in Python floats, bit
+    for bit, for the gradient factor of :mod:`tula.dynamics`: ``(tail, lead, slope, (log
+    g')', (log(g/r))')`` with ``lead, slope`` = ``g, g'`` on the bulk and ``u, u'`` on the
+    tail; None where the branch jet declines ``x``.  The tail is :func:`_tail_jet_at`; the
+    bulk writes out :func:`_bulk_identities` at orders ``(1,)``, cheaper than its jet."""
+    if x >= t._knot:
+        jet = _tail_jet_at(t, x, (1,))
+        return None if jet is None else (True, *jet.profile, jet.log_gprime[1],
+                                          jet.log_g_over_r[1])
+    gin = t.gin
+    p = _bulk_rows_at(gin, x, 1, True)
+    if p is None:
+        return None
+    p0, q, p2 = p
+    c = gin._constants[0]
+    ep = _FLOAT_UFUNCS.exp(p0)
+    den = 1.0 + x * q
+    lead, slope, log_gp = c * x * ep, c * den * ep, q + (q + x * p2) / den
+    return (False, lead, slope, log_gp, q) if math.isfinite(lead + slope + log_gp + q) else None
 
 
 def _tail_profile(t: RadialTransform, r, order: int, uf: _Ufuncs = _ARRAY_UFUNCS) -> tuple:
@@ -607,7 +634,8 @@ def tail_jet(t: RadialTransform, r, orders) -> RadialJet:
     The exponent ``u = log g`` of :func:`_tail_profile` with the log terms
     ``log g' = log c + k log r + u`` and ``log(g/r) = u - log r`` at the
     asked orders, where ``u' = c r**k``: ``(c, k)`` is ``(b beta, beta -
-    1)`` on the exponential kind and ``(2, -1)`` on the quadratic kind.
+    1)`` on the exponential kind and ``(2, -1)`` on the quadratic kind.  A
+    float ``r`` gives a jet of floats and an array a jet of arrays.
     Its one body, :func:`_tail_jet_of`, runs on the array ``r`` or, for one
     radius (a Python float or an ``r`` of shape ``(1,)``), on Python floats
     by :func:`_tail_jet_at` (see :func:`_at_one_radius`).

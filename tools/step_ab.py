@@ -40,7 +40,9 @@ closed φ runs the ``log1p`` and the division that ``example6``'s
 * ``bulk_jet_ns_per_radius.float`` and ``tail_jet_ns_per_radius.float``:
   ``bulk_jet(t.gin, x, (1,))`` at the first POINTS bulk radii and
   ``tail_jet(t, x, (1,))`` at the first POINTS tail radii, each radius ``x``
-  a Python float, as a sampler step asks for it, in nanoseconds per radius;
+  a Python float, as a public scalar call passes it, in nanoseconds per
+  radius (a sampler step reaches only the tail jet's float body, through
+  ``transform._order_one_at``);
 * ``g_inverse_ns_per_value``: ``g_inverse`` on the BATCH bulk images
   ``g(r)`` of those bulk radii, in nanoseconds per value;
 * ``hessian_eigenvalues_ns_per_radius``: ``hessian_eigenvalues`` on the
