@@ -45,8 +45,7 @@ g^{-1}(|x|)``.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,12 +94,15 @@ class TransformedPotential:
 
     ``closed_form`` is the target's closed transformed potential ``phi``
     (with ``phi'`` and ``phi''``) when it was derived for this very
-    transform, else None.
+    transform, else None.  ``_factor``, built once, is ``f_h'`` at one
+    float radius: ``phi'``'s hook, else ``transform._order_one_factor``'s
+    closure.  Neither enters equality, hashing or the repr.
     """
 
     target: IsotropicPotential
     transform: tr.RadialTransform
     closed_form: TransformedForm | None = dataclasses.field(init=False, repr=False, compare=False)
+    _factor: Callable = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target.dimension != self.transform.dimension:
@@ -111,6 +113,9 @@ class TransformedPotential:
         form = self.target.transformed_form
         closed = form if form is not None and form.transform == self.transform else None
         object.__setattr__(self, "closed_form", closed)
+        t, f = self.transform, self.target
+        object.__setattr__(self, "_factor", closed.dvalue if closed is not None else
+                           tr._order_one_factor(t, f.dvalue, f.dlog_value, t._d1))
 
     @property
     def dimension(self) -> int:
@@ -127,38 +132,25 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     calling each hook at most once: ``f_h`` reads ``f``, ``f_h'`` reads
     ``f'`` and ``f_h''`` reads ``f'`` and ``f''``.  One radius (shape
     ``(1,)``, as a sampler step passes) runs in Python floats, bit for bit:
-    ``phi^(k)`` on a closed pairing, else ``f_h'`` by :func:`_factor_at`;
-    other orders and a declined radius take the array pass.
+    ``f_h'`` by the pairing's ``tp._factor``, other orders by ``phi^(k)``
+    on a closed pairing; the rest, and a radius the factor declines, take
+    the array pass.
     """
     form = tp.closed_form
     if arr.shape == (1,):
         x = arr.item()
-        if form is not None:
-            return [np.array(((form.value, form.dvalue, form.d2value)[k](x),)) for k in orders]
         if orders == (1,):
-            slope = _factor_at(tp, x)
+            slope = tp._factor(x)
             if slope is not None:
                 return [np.array((slope,))]
+        if form is not None:
+            return [np.array(((form.value, form.dvalue, form.d2value)[k](x),)) for k in orders]
     if form is not None:
         return [(form.value, form.dvalue, form.d2value)[k](arr) for k in orders]
     t = tp.transform
     return tr._piecewise(arr, t._knot,
                          lambda rb: _compose(t._d1, *_branch(tp, rb, False, orders), orders),
                          lambda rt: _compose(t._d1, *_branch(tp, rt, True, orders), orders))
-
-
-def _factor_at(tp: TransformedPotential, x: float) -> float | None:
-    """A composed pairing's ``f_h'`` at the one radius ``x`` in Python floats, bit
-    for bit: ``transform._order_one_at`` through the target's ``f'`` or ``F'``
-    hook, composed as :func:`_compose` does.  None, for the array pass with its
-    warnings, where the jet declines ``x`` or the result is not finite."""
-    pieces = tr._order_one_at(tp.transform, x)
-    if pieces is None:
-        return None
-    tail, lead, slope, log_gp, log_gr = pieces
-    hook = tp.target.dlog_value if tail else tp.target.dvalue
-    out = hook(lead) * slope - log_gp - tp.transform._d1 * log_gr
-    return out if math.isfinite(out) else None
 
 
 def _branch(tp: TransformedPotential, r, tail: bool, orders) -> tuple:
@@ -181,7 +173,8 @@ def _branch(tp: TransformedPotential, r, tail: bool, orders) -> tuple:
 def _compose(d1, jet: tr.RadialJet, f: dict, orders) -> list:
     """``f_h^(k)`` for each asked ``k`` from a branch jet and the hook
     values ``f`` at its profile: the chain rule through the profile minus
-    ``log g' + (d - 1) log(g/r)``; :func:`_factor_at` writes out its order 1."""
+    ``log g' + (d - 1) log(g/r)``; ``transform._order_one_factor`` writes out
+    its order 1 at one radius."""
     p, lgp, lgr = jet
     out = []
     for k in orders:

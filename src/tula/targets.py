@@ -276,12 +276,9 @@ def _fmt(x: float) -> str:
 # --- potentials built from their transformed potential --------------------
 
 
-def _pullback(
-    t: tr.RadialTransform,
-    phi: Callable[[Array], Array],
-    dphi: Callable[[Array], Array],
-    d2phi: Callable[[Array], Array],
-) -> dict:
+def _pullback(t: tr.RadialTransform, phi: Callable[[Array], Array],
+              dphi: Callable[[Array], Array], d2phi: Callable[[Array], Array],
+              bend: Callable[[Array], Array] | None = None) -> dict:
     """The fields of the potential built from ``phi`` for ``t``.
 
     The change of variables run backwards, on each branch at the root ``r``
@@ -293,6 +290,9 @@ def _pullback(
     ``t = log s`` at the root ``r`` of ``u(r) = t`` (``transform._tail_root``),
     which gives ``F`` outright and ``f' = F'/s``, ``f'' = (F'' - F')/s^2``;
     ``F`` is the tail's above ``log(seam)`` and ``f(e^t)`` below it.
+    On the quadratic tail ``u''/u' + u' = 1/r``, so ``F'' - F' = (phi'' -
+    phi'/r + LJ'' - LJ'/r)/u'^2``, whose ``phi'' - phi'/r`` is ``bend``, free
+    of the cancellation by which ``F'' - F'`` loses ``log10 |x|`` digits.
     Returns the hooks, the seam and the transformed form as keyword
     arguments of :class:`IsotropicPotential`.  The hooks take a Python
     float as a one-element array: on a float their operations would run on
@@ -320,6 +320,11 @@ def _pullback(
         return outer(tr.tail_jet(t, r, range(k + 1)), r, k)
 
     def tail(s: Array, k: int) -> Array:
+        if k == 2 and bend is not None:
+            r = tr._tail_root(t, np.log(s))
+            u, lgp, lgr = tr.tail_jet(t, r, (1, 2))
+            lj = lgp[2] + t._d1 * lgr[2] - (lgp[1] + t._d1 * lgr[1]) / r
+            return (bend(r) + lj) / (u[1] * u[1]) / (s * s)
         F = log_tail(np.log(s), k)
         if k == 0:
             return F[0]
@@ -395,12 +400,16 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         wu = w(u)
         return 6.0 * d * wu - 4.0 * d * np.power(wu, 3)
 
+    def bend(u: Array) -> Array:  # phi'' - phi'/u = 4 d w / (1 + (d u^2)^2)
+        h = np.hypot(1.0, d * u * u)
+        return 4.0 * d * w(u) / h / h
+
     pot = IsotropicPotential(
         dimension=dimension,
         name="warmup",
         moment_max=math.inf,
         parameters={"dimension": dimension, "knot": knot},
-        **_pullback(t, phi, dphi, d2phi),
+        **_pullback(t, phi, dphi, d2phi, bend),
     )
     return TargetZooEntry(pot, t, ExampleKind.WARMUP, {"dimension": dimension, "knot": knot})
 

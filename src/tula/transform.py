@@ -48,21 +48,19 @@ at the origin.
 
 One radius, as a sampler step asks for, travels as a Python float through
 the gradient of :mod:`tula.dynamics` on every pairing, since on a
-one-element array each numpy call costs far more than its arithmetic: a
-target's closed ``phi``, paired with its own transform, takes it in its
-hooks; otherwise the knot split is one float comparison
-(``RadialTransform._knot``) and :func:`_order_one_at` gives the order-1
-pieces of the branch jet on the float, which ``dynamics`` passes through
-the target's hook.  The branch jets take one radius as a float too, as the
-calling convention has it (a float ``r`` gives a jet of floats); the
-tail of :func:`_order_one_at` is :func:`_tail_jet_at`.  Each branch jet has one body, run on
-arrays or on one float in the same operation order with numpy's ufuncs
-(:class:`_Ufuncs`), so both give the same bits.  Past the bulk's Horner
-pass and constants, floats here and 0-d arrays there, the float path adds
-only a range predicate and :func:`_finite`: Python float arithmetic
-overflows and makes NaN without numpy's warnings, so a radius where a ufunc
-would warn, or whose result is not finite, goes through the array path,
-which warns, and raises under ``np.errstate``, as a batch of it does.
+one-element array each numpy call costs far more than its arithmetic.
+Each pairing builds its factor ``f_h'`` at one radius once: a closed
+``phi`` paired with its own transform gives its ``phi'`` hook, any other
+pairing the closure of :func:`_order_one_factor`.  The shared step path
+around it stays as it is: the benchmark's ``peak_rss_mb`` counts the
+passes a faster step runs.  Each branch jet has one body, run on arrays or
+on one float (a float ``r`` gives a jet of floats) in the same operation
+order with numpy's ufuncs (:class:`_Ufuncs`), so both give the same bits.
+Past the bulk's Horner pass and constants, the float paths add only range
+predicates and finiteness tests: Python float arithmetic overflows and
+makes NaN without numpy's warnings, so a radius where a ufunc would warn,
+or whose result is not finite, goes through the array path, which warns,
+and raises under ``np.errstate``, as a batch of it does.
 """
 
 from __future__ import annotations
@@ -325,15 +323,9 @@ def warmup_profile(dimension: int, knot: float = 1.0) -> GinSpec:
 
 def warmup_transform(dimension: int, knot: float = 1.0) -> RadialTransform:
     """Transform with quadratic tail ``d r**2``, used by the warm-up target."""
-    return RadialTransform(
-        b=0.0,
-        beta=2.0,
-        gin=warmup_profile(dimension, knot),
-        dimension=dimension,
-        tail=_QUADRATIC,
-        tail_scale=float(dimension),
-        tail_knot=float(knot),
-    )
+    return RadialTransform(b=0.0, beta=2.0, gin=warmup_profile(dimension, knot),
+                           dimension=dimension, tail=_QUADRATIC, tail_scale=float(dimension),
+                           tail_knot=float(knot))
 
 
 def _piecewise(x: np.ndarray, boundary: float, lower, upper) -> list:
@@ -551,25 +543,14 @@ def _finite(jet: RadialJet) -> bool:
 
 
 def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None:
-    """:func:`bulk_jet` at the one radius ``x`` in Python floats, bit for bit:
-    :func:`_bulk_rows_at`, then :func:`_bulk_identities` with the float constants
-    ``GinSpec._constants``.  None, for the array pass, where the rows leave their range
-    or a result is not finite."""
-    p = _bulk_rows_at(gin, x, max(orders), logs)
-    if p is None:
-        return None
-    jet = _bulk_identities(p, x, gin._constants, _FLOAT_UFUNCS, orders, logs)
-    return jet if _finite(jet) else None
-
-
-def _bulk_rows_at(gin: GinSpec, x: float, top: int, logs: bool) -> list | None:
-    """The rows ``p, q, p'', ...`` that :func:`bulk_jet` reads for orders up to
-    ``top``, at the one radius ``x`` by Horner's rule in the array pass's order.
-    None where a ufunc argument of the identities leaves the range where nothing
-    warns: ``p`` must be finite and at most 709 (so ``e^p`` is finite), ``1 + r q``
-    in (0, 1e150) (the domain of ``log1p``, a nonzero divisor and a finite square)
-    and ``|q|`` below 1e100 (a finite cube)."""
-    p = []
+    """:func:`bulk_jet` at the one radius ``x`` in Python floats, bit for bit: the rows
+    ``p, q, p'', ...`` it reads by Horner's rule in the array pass's order, then
+    :func:`_bulk_identities` with the float constants ``GinSpec._constants``.  None, for
+    the array pass, where a result is not finite or a ufunc argument of the identities
+    leaves the range where nothing warns: ``p`` must be finite and at most 709 (so
+    ``e^p`` is finite), ``1 + r q`` in (0, 1e150) (the domain of ``log1p``, a nonzero
+    divisor and a finite square) and ``|q|`` below 1e100 (a finite cube)."""
+    top, p = max(orders), []
     for row in gin._rows[: min(top + 2, 4) if logs else top + 1]:
         acc = row[0] + x * 0.0
         for c in row[1:]:
@@ -578,29 +559,59 @@ def _bulk_rows_at(gin: GinSpec, x: float, top: int, logs: bool) -> list | None:
     if not (-math.inf < p[0] <= 709.0 and (len(p) == 1 or 0.0 < 1.0 + x * p[1] < 1e150)
             and (top < 3 or abs(p[1]) < 1e100)):
         return None
-    return p
+    jet = _bulk_identities(p, x, gin._constants, _FLOAT_UFUNCS, orders, logs)
+    return jet if _finite(jet) else None
 
 
-def _order_one_at(t: RadialTransform, x: float) -> tuple | None:
-    """The order-1 pieces of the branch jet at the one radius ``x`` in Python floats, bit
-    for bit, for the gradient factor of :mod:`tula.dynamics`: ``(tail, lead, slope, (log
-    g')', (log(g/r))')`` with ``lead, slope`` = ``g, g'`` on the bulk and ``u, u'`` on the
-    tail; None where the branch jet declines ``x``.  The tail is :func:`_tail_jet_at`; the
-    bulk writes out :func:`_bulk_identities` at orders ``(1,)``, cheaper than its jet."""
-    if x >= t._knot:
-        jet = _tail_jet_at(t, x, (1,))
-        return None if jet is None else (True, *jet.profile, jet.log_gprime[1],
-                                          jet.log_g_over_r[1])
-    gin = t.gin
-    p = _bulk_rows_at(gin, x, 1, True)
-    if p is None:
-        return None
-    p0, q, p2 = p
-    c = gin._constants[0]
-    ep = _FLOAT_UFUNCS.exp(p0)
-    den = 1.0 + x * q
-    lead, slope, log_gp = c * x * ep, c * den * ep, q + (q + x * p2) / den
-    return (False, lead, slope, log_gp, q) if math.isfinite(lead + slope + log_gp + q) else None
+def _order_one_factor(t: RadialTransform, dvalue: Callable, dlog_value: Callable,
+                      d1: float) -> Callable:
+    """The factor ``x -> f_h'(x)`` of :mod:`tula.dynamics` at one float radius, bit for
+    bit the batch pass, over the knot, the bulk's Horner rows and ``c``, the tail's
+    constants, the target's ``f'`` and ``F'`` hooks and ``d1 = d - 1``.  It writes out
+    :func:`_bulk_jet_at`, or :func:`_tail_jet_at`, at order 1 with their range tests,
+    composed as ``dynamics._compose``; None, for the array pass with its warnings,
+    where those decline ``x`` or the factor is not finite."""
+    knot, isfinite, exp, log, power = t._knot, math.isfinite, np.exp, np.log, np.power
+    (p_top, *p_rest), (q_top, *q_rest), (p2_top, *p2_rest) = t.gin._rows[:3]
+    c = t.gin._constants[0]
+    quadratic, b, beta, b_beta = t.tail == _QUADRATIC, t.b, t.beta, t.b * t.beta
+    # u' = c r**k, (c, k) = (2, -1) or (b beta, beta - 1) as in tail_jet
+    log_a, k = (math.log(t.tail_scale), -1.0) if quadratic else (0.0, beta - 1.0)
+
+    def factor(x: float) -> float | None:
+        if x >= knot:
+            if not 1e-100 < x < 1e100:
+                return None
+            if quadratic:
+                u, du = log_a + 2.0 * float(log(x)), 2.0 / x
+            else:
+                u, du = b * float(power(x, beta)), b_beta * float(power(x, k))
+            log_gp, log_gr = k / x + du, du - 1.0 / x
+            if not isfinite(u + du + log_gp + log_gr):
+                return None
+            out = dlog_value(u) * du - log_gp - d1 * log_gr
+        else:
+            zero = x * 0.0
+            p = p_top + zero
+            for a in p_rest:
+                p = a + p * x
+            q = q_top + zero
+            for a in q_rest:
+                q = a + q * x
+            p2 = p2_top + zero
+            for a in p2_rest:
+                p2 = a + p2 * x
+            den = 1.0 + x * q
+            if not (-math.inf < p <= 709.0 and 0.0 < den < 1e150):
+                return None
+            ep = float(exp(p))
+            lead, slope, log_gp = c * x * ep, c * den * ep, q + (q + x * p2) / den
+            if not isfinite(lead + slope + log_gp + q):
+                return None
+            out = dvalue(lead) * slope - log_gp - d1 * q
+        return out if isfinite(out) else None
+
+    return factor
 
 
 def _tail_profile(t: RadialTransform, r, order: int, uf: _Ufuncs = _ARRAY_UFUNCS) -> tuple:
@@ -963,33 +974,18 @@ def transform_to_dict(t: RadialTransform) -> dict:
     gin = {"scale": t.gin.scale, "log_poly": list(t.gin.log_poly)}
     if t.tail == _EXP:
         return {"b": t.b, "beta": t.beta, "dimension": t.dimension, "gin": gin}
-    return {
-        "kind": _QUADRATIC,
-        "a": t.tail_scale,
-        "knot": t.tail_knot,
-        "dimension": t.dimension,
-        "gin": gin,
-    }
+    return {"kind": _QUADRATIC, "a": t.tail_scale, "knot": t.tail_knot,
+            "dimension": t.dimension, "gin": gin}
 
 
 def transform_from_dict(data: dict) -> RadialTransform:
     gin = GinSpec(scale=data["gin"]["scale"], log_poly=tuple(data["gin"]["log_poly"]))
     if data.get("kind") == _QUADRATIC:
-        return RadialTransform(
-            b=0.0,
-            beta=2.0,
-            gin=gin,
-            dimension=int(data["dimension"]),
-            tail=_QUADRATIC,
-            tail_scale=float(data["a"]),
-            tail_knot=float(data["knot"]),
-        )
-    return RadialTransform(
-        b=float(data["b"]),
-        beta=float(data["beta"]),
-        gin=gin,
-        dimension=int(data["dimension"]),
-    )
+        return RadialTransform(b=0.0, beta=2.0, gin=gin, dimension=int(data["dimension"]),
+                               tail=_QUADRATIC, tail_scale=float(data["a"]),
+                               tail_knot=float(data["knot"]))
+    return RadialTransform(b=float(data["b"]), beta=float(data["beta"]), gin=gin,
+                           dimension=int(data["dimension"]))
 
 
 def transform_to_json(t: RadialTransform) -> str:

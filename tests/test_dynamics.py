@@ -344,6 +344,26 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _factor_declines(tp, x):
+    """Whether a pairing's one-radius factor leaves ``x`` to the array pass,
+    by the rule its float path has kept since it was written: never on a
+    closed pairing (phi' takes every radius); on a composed one at a tail
+    radius outside (1e-100, 1e100), at a bulk radius whose exponent p is
+    not finite or above 709 or whose 1 + r p' lies outside (0, 1e150), and
+    wherever f_h' is not finite."""
+    if tp.closed_form is not None:
+        return False
+    t = tp.transform
+    with np.errstate(all="ignore"):
+        slope = grad_factor(tp, np.array([x]))[0]
+        if x >= t.knot:
+            in_range = 1e-100 < x < 1e100
+        else:
+            p, q = (t.gin.log_profile(x, k) for k in (0, 1))
+            in_range = -math.inf < p <= 709.0 and 0.0 < 1.0 + x * q < 1e150
+    return not (in_range and math.isfinite(slope))
+
+
 class TestJetPointwise:
     """A batch mixing bulk and tail radii equals the scalar calls bit for
     bit: every radius takes its own branch's jet whatever its neighbours."""
@@ -397,15 +417,20 @@ class TestJetPointwise:
                 for j in range(3):
                     assert _bits(batch[term][j]) == _bits([s[term][j] for s in singles]), (term, j)
 
+    # radii of the one-radius tests past 50 knots, to the edge of the tail's float range
+    FAR = np.geomspace(1e3, 1e100, 12)
+
     @pytest.mark.parametrize("name", ["t2_3", "t3_2", "example3-on-b0.37", "t1_1", "t5_4",
-                                      "example3-d1-on-b0.37", "example3-d5-on-b0.37", "t10_3"])
+                                      "example3-d1-on-b0.37", "example3-d2-on-b0.37",
+                                      "example3-d5-on-b0.37", "t10_3"])
     def test_one_radius_equals_its_place_in_a_long_batch(self, name):
         """On a composed pairing one radius, as a sampler step evaluates it,
-        gets bit for bit what it gets inside a 1037-radius batch that
+        gets bit for bit what it gets inside a 1049-radius batch that
         straddles the knot, as the checks and diagnostics evaluate them;
-        the batch reaches 50 knots, deep into the tail, and holds radii
-        within 1e-10 of the origin.  The gradient at one point equals its
-        row of a batch too, zero within 1e-10."""
+        the batch reaches 50 knots, deep into the tail, then 1e100, and
+        holds radii within 1e-10 of the origin.  The pairing's factor
+        declines exactly where its float path always has.  The gradient at
+        one point equals its row of a batch too, zero within 1e-10."""
         if name.startswith("t"):
             entry = parse_target_name(name)
             tp = TransformedPotential(entry.potential, entry.transform)
@@ -416,15 +441,20 @@ class TestJetPointwise:
         assert tp.closed_form is None
         knot = tp.transform.knot
         r = np.sort(np.concatenate([np.geomspace(1e-3 * knot, 50.0 * knot, 1021),
-                                    np.geomspace(1e-13, 1e-10, 13),
+                                    np.geomspace(1e-13, 1e-10, 13), self.FAR * knot,
                                     [np.nextafter(knot, 0.0), knot, np.nextafter(knot, np.inf)]]))
-        batch = np.stack([value_radial(tp, r), grad_factor(tp, r), *hessian_eigenvalues(tp, r)])
-        picked = sorted({*range(0, r.size, 4), *np.flatnonzero(r <= 1e-10),
-                         *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
-        for i in picked:
-            alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
-                              *hessian_eigenvalues(tp, r[i])])
-            assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+        r = r[r <= 1e100]
+        # past 1e77 the zoo's phi'' and the f'' pulled back from it square 1 + u^2/2 to inf
+        with np.errstate(over="ignore"):
+            batch = np.stack([value_radial(tp, r), grad_factor(tp, r), *hessian_eigenvalues(tp, r)])
+            picked = sorted({*range(0, r.size, 4), *np.flatnonzero(r <= 1e-10),
+                             *np.flatnonzero(r > 50.0 * knot),
+                             *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
+            for i in picked:
+                alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
+                                  *hessian_eigenvalues(tp, r[i])])
+                assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+                assert (tp._factor(r[i]) is None) == _factor_declines(tp, r[i]), (i, r[i])
         rng = np.random.default_rng(23)
         pts = rng.standard_normal((r.size, tp.dimension))
         pts *= (r / np.linalg.norm(pts, axis=1))[:, None]
@@ -441,24 +471,28 @@ class TestJetPointwise:
     def test_closed_one_radius_equals_its_place_in_a_long_batch(self, kind, kwargs, dimension):
         """The twin of the test above on the closed pairings, whose f_h^(k)
         is phi^(k): one radius takes it in Python floats and a batch on
-        arrays, with the same bits, in a 1024-radius batch that straddles
-        the knot and holds radii within 1e-10 of the origin.  The gradient
+        arrays, with the same bits, in a batch that straddles the knot,
+        reaches 1e100 and holds radii within 1e-10 of the origin.  The gradient
         at one point equals its row of a batch too, zero within 1e-10."""
         entry = make_example(kind, dimension, **kwargs)
         tp = TransformedPotential(entry.potential, entry.transform)
         assert tp.closed_form is not None
         knot = tp.transform.knot
         r = np.sort(np.concatenate([np.geomspace(1e-3 * knot, 50.0 * knot, 1008),
-                                    np.geomspace(1e-13, 1e-10, 13),
+                                    np.geomspace(1e-13, 1e-10, 13), self.FAR * knot,
                                     [np.nextafter(knot, 0.0), knot, np.nextafter(knot, np.inf)]]))
-        assert r.size == 1024
-        batch = np.stack([value_radial(tp, r), grad_factor(tp, r), *hessian_eigenvalues(tp, r)])
-        picked = sorted({*range(0, r.size, 4), *np.flatnonzero(r <= 1e-10),
-                         *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
-        for i in picked:
-            alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
-                              *hessian_eigenvalues(tp, r[i])])
-            assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+        r = r[r <= 1e100]
+        # past 1e77 the zoo's phi'' and the f'' pulled back from it square 1 + u^2/2 to inf
+        with np.errstate(over="ignore"):
+            batch = np.stack([value_radial(tp, r), grad_factor(tp, r), *hessian_eigenvalues(tp, r)])
+            picked = sorted({*range(0, r.size, 4), *np.flatnonzero(r <= 1e-10),
+                             *np.flatnonzero(r > 50.0 * knot),
+                             *np.flatnonzero(np.abs(r - knot) <= 1e-15 * knot)})
+            for i in picked:
+                alone = np.array([value_radial(tp, r[i]), grad_factor(tp, r[i]),
+                                  *hessian_eigenvalues(tp, r[i])])
+                assert alone.tobytes() == batch[:, i].tobytes(), (i, r[i])
+                assert tp._factor(r[i]) is not None, (i, r[i])  # phi' takes every radius
         rng = np.random.default_rng(23)
         pts = rng.standard_normal((r.size, dimension))
         pts *= (r / np.linalg.norm(pts, axis=1))[:, None]
@@ -466,25 +500,39 @@ class TestJetPointwise:
         for i in picked:
             assert transformed_gradient(tp, pts[i]).tobytes() == grads[i].tobytes(), (i, r[i])
 
-    @pytest.mark.parametrize("name", ["t2_3", "t2_3-on-warmup", "example3-on-b0.37", "t10_3",
-                                      "t2_3-on-exp800", "t2_1e300-on-b1e16"])
+    @pytest.mark.parametrize("name", [
+        "t1_1", "t2_3", "t5_4", "t10_3", "t2_3-on-warmup", "example3-on-b0.37",
+        "t2_3-on-exp800", "t2_1e300-on-b1e16",
+        *(f"{kind.value}-d2" for kind in ExampleKind if kind is not ExampleKind.MULTIVARIATE_T)])
     def test_one_radius_warns_as_a_batch_of_it(self, name):
-        """The composed radial functions at one radius warn, and raise under
-        np.errstate(over="raise"), as a batch of that radius does, from the
-        knot to radii where the tail's exponent leaves float range; also on
-        a bulk whose exponent p = 800 leaves exp's range, and on a t with
-        kappa = 1e300, whose f' g' and F' u' overflow where g, g', u and u'
-        do not."""
+        """The radial functions at one radius warn, and raise under
+        np.errstate(over="raise"), as a batch of that radius does, on every
+        zoo kind with its own transform and on composed pairings, from
+        within 1e-10 of the origin through the knot and one ulp either side
+        of it to radii where the tail's exponent leaves float range; also
+        on a bulk whose exponent p = 800 leaves exp's range, and on a t
+        with kappa = 1e300, whose f' g' and F' u' overflow where g, g', u
+        and u' do not.  The pairing's factor declines exactly where its
+        float path always has."""
         target, _, on = name.partition("-on-")
         entry = (make_example(ExampleKind.EXAMPLE3, 2) if target == "example3" else
                  make_example(ExampleKind.MULTIVARIATE_T, 2, kappa=1e300) if target == "t2_1e300"
-                 else parse_target_name(target))
+                 else parse_target_name(target) if not target.endswith("-d2")
+                 else make_example(target[:-3], 2, upsilon=1.0) if target == "example2-d2"
+                 else make_example(target[:-3], 2))
         t = {"warmup": warmup_transform(2), "b0.37": ginbeta2_transform(0.37, 2),
              "b1e16": ginbeta2_transform(1e16, 2), "": entry.transform,
              "exp800": RadialTransform(1.0, 2.0, GinSpec(1.0, (800.0,)), 2)}[on]
         tp = TransformedPotential(entry.potential, t)
-        radii = t.knot * np.array([0.5, 1.0, 2.0]), np.array([1e100, 1e160, 1e200, 1e300, np.inf])
+        assert (tp.closed_form is None) == (not target.endswith("-d2"))
+        knot = t.knot
+        radii = (np.array([1e-13, 1e-11, 1e-10]),
+                 knot * np.array([0.5, 1.0, 2.0]),
+                 [np.nextafter(knot, 0.0), np.nextafter(knot, np.inf)],
+                 np.array([1e100, 1e160, 1e200, 1e300, np.inf]))
         for r in np.concatenate(radii).tolist():
+            with np.errstate(all="ignore"):
+                assert (tp._factor(r) is None) == _factor_declines(tp, r), r
             for fn in (value_radial, grad_factor, hessian_eigenvalues):
                 alone, caught = _warned(lambda: fn(tp, r))
                 batch, caught_batch = _warned(lambda: fn(tp, np.array([r, r])))
@@ -520,6 +568,32 @@ class TestJetPointwise:
         batch = transformed_gradient(tp, pts)
         for i, y in enumerate(pts):
             assert transformed_gradient(tp, y).tobytes() == batch[i].tobytes(), (i, norms[i])
+
+
+    def test_factor_leaves_equality_hash_repr_and_replace_alone(self):
+        """The pairing's one-radius factor is built with it and kept out of
+        its equality, hash and repr; dataclasses.replace builds the new
+        pairing's own factor and refuses one passed in."""
+        entry = parse_target_name("t2_3")
+        target = dataclasses.replace(entry.potential, parameters=())  # a hashable target
+        tp = TransformedPotential(target, entry.transform)
+        twin = TransformedPotential(target, entry.transform)
+        assert tp._factor is not twin._factor
+        assert tp == twin and hash(tp) == hash(twin) == hash((target, entry.transform))
+        assert repr(tp) == (f"TransformedPotential(target={target!r}, "
+                            f"transform={entry.transform!r})")
+        assert [f.name for f in dataclasses.fields(tp) if f.init or f.compare or f.repr] == [
+            "target", "transform"]
+        assert dataclasses.replace(tp) == tp
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(tp, _factor=None)
+        moved = dataclasses.replace(tp, transform=warmup_transform(2))
+        zoo = make_example(ExampleKind.EXAMPLE6, 2)
+        closed = dataclasses.replace(tp, target=zoo.potential, transform=zoo.transform)
+        assert moved != tp and moved.closed_form is None and closed.closed_form is not None
+        for pair in (moved, closed):
+            for x in (0.5, 2.0):
+                assert _bits(pair._factor(x)) == _bits(grad_factor(pair, np.array([x]))), x
 
 
 class TestQuadraticTailBranch:

@@ -44,7 +44,9 @@ def test_two_aliases_report_every_measurement(tmp_path, monkeypatch, capsys):
                            "grad_factor_us_per_radius.float.bulk",
                            "grad_factor_us_per_radius.float.tail")}
     names |= {"t2_3 run_tula_us_per_step.chains2", "example6_d2 run_tula_us_per_step.chains16",
-              "t2_3 write_chain_csv_ms", "example3_d2_ginbeta2 run_tula_us_per_step"}
+              "t2_3 write_chain_csv_ms", "example3_d2_ginbeta2 run_tula_us_per_step",
+              "example3_d2_ginbeta2 grad_factor_us_per_radius.float.bulk",
+              "example3_d2_ginbeta2 grad_factor_us_per_radius.float.tail"}
     assert set(doc["table"]) == names
     for name, row in doc["table"].items():
         assert row["rounds"] == 2 and 0 <= row["change_wins"] <= 2 and row["ratio"] > 0

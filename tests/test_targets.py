@@ -195,11 +195,7 @@ class TestZooEntries:
                             ("t", (p.log_value, p.dlog_value, p.d2log_value))):
             for arg, want in TAIL_ORACLES[kind, dimension][side].items():
                 for k, (hook, value) in enumerate(zip(hooks, want)):
-                    # the warm-up's f'' at |x| = 1e6 is (phi'' - phi'/r + ...)/(2 a r)^2
-                    # with phi'' and phi'/r both near 2d: the pullback keeps
-                    # about 16 - log10 |x| of its digits
-                    rtol = 1e-9 if (kind, side, arg, k) == ("warmup", "x", 1e6, 2) else 1e-12
-                    np.testing.assert_allclose(hook(arg), value, rtol=rtol, atol=0.0,
+                    np.testing.assert_allclose(hook(arg), value, rtol=1e-12, atol=0.0,
                                                err_msg=f"{kind} {side}={arg} order {k}")
 
     @pytest.mark.parametrize("u", sorted(WARMUP_D2_PHI_FAR))

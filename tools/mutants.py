@@ -62,14 +62,18 @@ MUTANTS = (
            "rng.standard_normal((dim, min(_NOISE_BLOCK, steps + 1 - first))).T", (
                "tests/test_sampler.py::TestBlockNoise::test_step_counts_around_the_block_edge"
                "[1-257-t-tula]",)),
-    Mutant("factor-math-exp", _TR, "ep = _FLOAT_UFUNCS.exp(p0)", "ep = math.exp(p0)", (
+    Mutant("factor-math-exp", _TR, "ep = float(exp(p))", "ep = math.exp(p)", (
         f"{_ONE_RADIUS}[t2_3]", f"{_ONE_RADIUS}[t10_3]")),
-    Mutant("factor-no-d1-q", _TR, "(False, lead, slope, log_gp, q)",
-           "(False, lead, slope, log_gp, 0.0)", (f"{_ONE_RADIUS}[t2_3]",)),
-    Mutant("factor-no-709-guard", _TR, "-math.inf < p[0] <= 709.0", "-math.inf < p[0]", (
+    Mutant("factor-no-d1-q", _TR, "out = dvalue(lead) * slope - log_gp - d1 * q",
+           "out = dvalue(lead) * slope - log_gp", (f"{_ONE_RADIUS}[t2_3]",)),
+    Mutant("factor-no-709-guard", _TR, "-math.inf < p <= 709.0", "-math.inf < p", (
         f"{_WARNS}[t2_3-on-exp800]",)),
-    Mutant("factor-no-finite-result", _DYN, "return out if math.isfinite(out) else None",
+    Mutant("factor-no-finite-result", _TR, "return out if isfinite(out) else None",
            "return out", (f"{_WARNS}[t2_1e300-on-b1e16]",)),
+    Mutant("factor-knot-to-bulk", _TR, "if x >= knot:", "if x > knot:", (
+        f"{_ONE_RADIUS}[t1_1]", f"{_ONE_RADIUS}[t10_3]")),
+    Mutant("factor-f-prime-on-tail", _DYN, "f.dvalue, f.dlog_value", "f.dvalue, f.dvalue", (
+        f"{_ONE_RADIUS}[t2_3]",)),
     Mutant("bulk-jet-no-finite-check", _TR,
            "    jet = _bulk_identities(p, x, gin._constants, _FLOAT_UFUNCS, orders, logs)\n"
            "    return jet if _finite(jet) else None",

@@ -32,17 +32,20 @@ closed φ runs the ``log1p`` and the division that ``example6``'s
   point, as a sampler step calls it, in microseconds per call, over POINTS
   points at the first bulk radii in random directions, and
   ``transformed_gradient_us_per_call.tail`` the same at the first tail radii;
-* ``grad_factor_us_per_radius.float.bulk`` and ``.tail`` (every case):
-  ``grad_factor(tp, x)`` at the first POINTS bulk radii and at the first
-  POINTS tail radii, each ``x`` a Python float, in microseconds per radius;
-  a composed pairing (``t2_3``) reaches ``dynamics._factor_at`` and a closed
-  one (the zoo cases) its ``phi'`` hook;
+* ``grad_factor_us_per_radius.float.bulk`` and ``.tail`` (every case, and
+  ``example3_d2_ginbeta2``): ``grad_factor(tp, x)`` at the first POINTS bulk
+  radii and at the first POINTS tail radii, each ``x`` a Python float, in
+  microseconds per radius; each reaches the pairing's one-radius factor
+  ``TransformedPotential._factor``, built once per pairing: on a composed
+  pairing (``t2_3``, ``example3_d2_ginbeta2``) the closure of
+  ``transform._order_one_factor``, on a closed one (the zoo cases) its
+  ``phi'`` hook;
 * ``bulk_jet_ns_per_radius.float`` and ``tail_jet_ns_per_radius.float``:
   ``bulk_jet(t.gin, x, (1,))`` at the first POINTS bulk radii and
   ``tail_jet(t, x, (1,))`` at the first POINTS tail radii, each radius ``x``
   a Python float, as a public scalar call passes it, in nanoseconds per
-  radius (a sampler step reaches only the tail jet's float body, through
-  ``transform._order_one_at``);
+  radius (a sampler step reaches neither float body: the factor closure
+  writes out their order 1);
 * ``g_inverse_ns_per_value``: ``g_inverse`` on the BATCH bulk images
   ``g(r)`` of those bulk radii, in nanoseconds per value;
 * ``hessian_eigenvalues_ns_per_radius``: ``hessian_eigenvalues`` on the
@@ -169,6 +172,11 @@ def measurements(tula, steps: int) -> dict:
     foreign = tula.TransformedPotential(zoo.potential, tula.ginbeta2_transform(0.37, 2))
     out["example3_d2_ginbeta2 run_tula_us_per_step"] = functools.partial(
         per_step, tula, foreign, tula.SamplerConfig(step_size=0.05, num_steps=steps, seed=0))
+    knot = foreign.transform.knot
+    for branch, frac in zip(("bulk", "tail"), unit):
+        out[f"example3_d2_ginbeta2 grad_factor_us_per_radius.float.{branch}"] = (
+            lambda xs=(knot * frac[:POINTS]).tolist(): 1e6 * repeat(
+                lambda: [tula.grad_factor(foreign, x) for x in xs], POINTS))
     return out
 
 
