@@ -425,7 +425,7 @@ class TestJetPointwise:
                                       "example3-d5-on-b0.37", "t10_3"])
     def test_one_radius_equals_its_place_in_a_long_batch(self, name):
         """On a composed pairing one radius, as a sampler step evaluates it,
-        gets bit for bit what it gets inside a 1049-radius batch that
+        gets bit for bit what it gets inside a batch of about 1,050 radii that
         straddles the knot, as the checks and diagnostics evaluate them;
         the batch reaches 50 knots, deep into the tail, then 1e100, and
         holds radii within 1e-10 of the origin.  The pairing's factor
