@@ -276,9 +276,13 @@ def _fmt(x: float) -> str:
 # --- potentials built from their transformed potential --------------------
 
 
-def _pullback(t: tr.RadialTransform, phi: Callable[[Array], Array],
-              dphi: Callable[[Array], Array], d2phi: Callable[[Array], Array],
-              bend: Callable[[Array], Array] | None = None) -> dict:
+def _pullback(
+    t: tr.RadialTransform,
+    phi: Callable[[Array], Array],
+    dphi: Callable[[Array], Array],
+    d2phi: Callable[[Array], Array],
+    bend: Callable[[Array], Array] | None = None,
+) -> dict:
     """The fields of the potential built from ``phi`` for ``t``.
 
     The change of variables run backwards, on each branch at the root ``r``

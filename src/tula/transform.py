@@ -323,9 +323,15 @@ def warmup_profile(dimension: int, knot: float = 1.0) -> GinSpec:
 
 def warmup_transform(dimension: int, knot: float = 1.0) -> RadialTransform:
     """Transform with quadratic tail ``d r**2``, used by the warm-up target."""
-    return RadialTransform(b=0.0, beta=2.0, gin=warmup_profile(dimension, knot),
-                           dimension=dimension, tail=_QUADRATIC, tail_scale=float(dimension),
-                           tail_knot=float(knot))
+    return RadialTransform(
+        b=0.0,
+        beta=2.0,
+        gin=warmup_profile(dimension, knot),
+        dimension=dimension,
+        tail=_QUADRATIC,
+        tail_scale=float(dimension),
+        tail_knot=float(knot),
+    )
 
 
 def _piecewise(x: np.ndarray, boundary: float, lower, upper) -> list:
@@ -566,30 +572,22 @@ def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None
 def _order_one_factor(t: RadialTransform, dvalue: Callable, dlog_value: Callable,
                       d1: float) -> Callable:
     """The factor ``x -> f_h'(x)`` of :mod:`tula.dynamics` at one float radius, bit for
-    bit the batch pass, over the knot, the bulk's Horner rows and ``c``, the tail's
-    constants, the target's ``f'`` and ``F'`` hooks and ``d1 = d - 1``.  It writes out
-    :func:`_bulk_jet_at`, or :func:`_tail_jet_at`, at order 1 with their range tests,
-    composed as ``dynamics._compose``; None, for the array pass with its warnings,
+    bit the batch pass, over the knot, the bulk's Horner rows and ``c``, the target's
+    ``f'`` and ``F'`` hooks and ``d1 = d - 1``.  It writes out :func:`_bulk_jet_at` at
+    order 1 with its range tests, takes the tail's pieces from :func:`_tail_jet_at`, and
+    composes them as ``dynamics._compose``; None, for the array pass with its warnings,
     where those decline ``x`` or the factor is not finite."""
-    knot, isfinite, exp, log, power = t._knot, math.isfinite, np.exp, np.log, np.power
+    knot, isfinite, exp = t._knot, math.isfinite, np.exp
     (p_top, *p_rest), (q_top, *q_rest), (p2_top, *p2_rest) = t.gin._rows[:3]
     c = t.gin._constants[0]
-    quadratic, b, beta, b_beta = t.tail == _QUADRATIC, t.b, t.beta, t.b * t.beta
-    # u' = c r**k, (c, k) = (2, -1) or (b beta, beta - 1) as in tail_jet
-    log_a, k = (math.log(t.tail_scale), -1.0) if quadratic else (0.0, beta - 1.0)
 
     def factor(x: float) -> float | None:
         if x >= knot:
-            if not 1e-100 < x < 1e100:
+            jet = _tail_jet_at(t, x, (1,))
+            if jet is None:
                 return None
-            if quadratic:
-                u, du = log_a + 2.0 * float(log(x)), 2.0 / x
-            else:
-                u, du = b * float(power(x, beta)), b_beta * float(power(x, k))
-            log_gp, log_gr = k / x + du, du - 1.0 / x
-            if not isfinite(u + du + log_gp + log_gr):
-                return None
-            out = dlog_value(u) * du - log_gp - d1 * log_gr
+            (u, du), lgp, lgr = jet
+            out = dlog_value(u) * du - lgp[1] - d1 * lgr[1]
         else:
             zero = x * 0.0
             p = p_top + zero
@@ -974,18 +972,33 @@ def transform_to_dict(t: RadialTransform) -> dict:
     gin = {"scale": t.gin.scale, "log_poly": list(t.gin.log_poly)}
     if t.tail == _EXP:
         return {"b": t.b, "beta": t.beta, "dimension": t.dimension, "gin": gin}
-    return {"kind": _QUADRATIC, "a": t.tail_scale, "knot": t.tail_knot,
-            "dimension": t.dimension, "gin": gin}
+    return {
+        "kind": _QUADRATIC,
+        "a": t.tail_scale,
+        "knot": t.tail_knot,
+        "dimension": t.dimension,
+        "gin": gin,
+    }
 
 
 def transform_from_dict(data: dict) -> RadialTransform:
     gin = GinSpec(scale=data["gin"]["scale"], log_poly=tuple(data["gin"]["log_poly"]))
     if data.get("kind") == _QUADRATIC:
-        return RadialTransform(b=0.0, beta=2.0, gin=gin, dimension=int(data["dimension"]),
-                               tail=_QUADRATIC, tail_scale=float(data["a"]),
-                               tail_knot=float(data["knot"]))
-    return RadialTransform(b=float(data["b"]), beta=float(data["beta"]), gin=gin,
-                           dimension=int(data["dimension"]))
+        return RadialTransform(
+            b=0.0,
+            beta=2.0,
+            gin=gin,
+            dimension=int(data["dimension"]),
+            tail=_QUADRATIC,
+            tail_scale=float(data["a"]),
+            tail_knot=float(data["knot"]),
+        )
+    return RadialTransform(
+        b=float(data["b"]),
+        beta=float(data["beta"]),
+        gin=gin,
+        dimension=int(data["dimension"]),
+    )
 
 
 def transform_to_json(t: RadialTransform) -> str:

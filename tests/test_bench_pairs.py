@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import statistics
-import sys
 from pathlib import Path
 
 import pytest
@@ -209,51 +208,3 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert unresolved(wide, [2.1, 2.2, 2.3, 2.4, 2.5])["speed"] is False
     narrow = [1.45, 1.48, 1.5, 1.52, 1.55]  # IQR 0.07 <= 0.1 * 1.5
     assert unresolved(narrow, [1.0, 1.6, 1.9, 2.0, 2.0]) == {"wall_s": False, "speed": False}
-
-
-def test_bench_from_runs_each_side_under_the_bench_trees_harness(tmp_path, monkeypatch):
-    """With --bench-from a side's root holds a copy of its own src (without
-    bytecode) and the bench tree's BENCHMARK.json; the command runs the
-    bench tree's perfbench/run.py from that root, and the environment
-    leaves PYTHONPATH out, so each side imports its own code.  main then
-    times both sides' src under that one harness."""
-    bench = tmp_path / "bench"
-    (bench / "perfbench").mkdir(parents=True)
-    (bench / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}')
-    (bench / "perfbench" / "run.py").write_text(  # reads the side's code from its root
-        "import json, os, pathlib\n"
-        "n = int(pathlib.Path('src/tula/__init__.py').read_text().split('=')[1])\n"
-        "assert json.loads(pathlib.Path('BENCHMARK.json').read_text())['end_to_end']\n"
-        "assert 'PYTHONPATH' not in os.environ\n"
-        "print(json.dumps({'report': {'wall_s': {'n': n}}}))\n"
-        "print(json.dumps({'correct': True, 'attempted': n, 'failed': 0,\n"
-        "                  'metrics': {'wall_s': {'value': 1.0 / n}}}))\n")
-    for side, n in (("parent", 10), ("change", 20)):
-        (tmp_path / side / "src" / "tula" / "__pycache__").mkdir(parents=True)
-        (tmp_path / side / "src" / "tula" / "__init__.py").write_text(f"PASSES = {n}\n")
-        (tmp_path / side / "BENCHMARK.json").write_text('{"end_to_end": []}')
-
-    root = bench_pairs.stage(tmp_path / "change", bench, tmp_path / "stage" / "change")
-    assert root == tmp_path / "stage" / "change"
-    assert (root / "src" / "tula" / "__init__.py").read_text() == "PASSES = 20\n"
-    assert not (root / "src" / "tula" / "__pycache__").exists()
-    assert (root / "BENCHMARK.json").read_text() == (bench / "BENCHMARK.json").read_text()
-    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "elsewhere"))
-    monkeypatch.setenv("TULA_THREADS", "3")
-    cmd, env, cwd = bench_pairs.invocation(root, bench, "t2_3-sample-cli", 7, 1.5, 1)
-    assert cmd == [sys.executable, str(bench / "perfbench" / "run.py"),
-                   "--workload", "t2_3-sample-cli", "--seed", "7", "--seconds", "1.5",
-                   "--trace", "1"]
-    assert cwd == root and "PYTHONPATH" not in env and env["TULA_THREADS"] == "3"
-
-    out = tmp_path / "pairs.json"
-    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
-                             str(tmp_path / "change"), "--bench-from", str(bench),
-                             "--workload", "w", "--pairs", "2", "--first-seed", "1",
-                             "--out", str(out)]) == 0
-    entry = json.loads(out.read_text())["workloads"]["w"]
-    assert entry["bench_from"] == str(bench.resolve())
-    assert entry["passes"] == {"parent": {"runs": [10, 10], "median": 10},
-                               "change": {"runs": [20, 20], "median": 20}}
-    assert entry["end_to_end"]["wall_s"]["change_wins"] == 2

@@ -1,19 +1,12 @@
 """Before/after benchmark pairs of two tula source trees.
 
     python3 tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \
-        --workload t2_3-sample-cli --pairs 10 --first-seed 501 --out BENCH_4.json \
-        [--bench-from BENCH_TREE]
+        --workload t2_3-sample-cli --pairs 10 --first-seed 501 --out BENCH_4.json
 
 Runs ``perfbench/run.py --trace 0`` on both trees for ``--pairs`` seeds
 (``first-seed``, ``first-seed + 1``, ...), alternating which tree runs
 first, then, unless ``--trace-seed`` is negative, one ``--trace 1`` run of
-each tree.  Each tree runs its own ``perfbench/`` from its own root.  With
-``--bench-from BENCH_TREE`` both trees run ``BENCH_TREE``'s ``perfbench/``
-and ``BENCHMARK.json`` instead: each side's ``src`` is copied into a
-temporary root beside a copy of that ``BENCHMARK.json`` (:func:`stage`), so
-a new harness can time the parent's code and the change's alike.  Every
-run starts without ``PYTHONPATH``, and ``run.py`` puts its root's ``src``
-first on the path, so a side imports its own code only.  For
+each tree.  Each tree runs its own ``perfbench/`` from its own root.  For
 every end-to-end metric the output records the per-pair values, both
 medians, both quartiles, the parent's interquartile range and the number
 of pairs the change won (ties count for neither side), whether the
@@ -50,11 +43,9 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 TRACED = (
@@ -68,33 +59,14 @@ TRACED = (
 )
 
 
-def stage(tree: Path, bench: Path, into: Path) -> Path:
-    """``into``, made a root that ``bench``'s ``perfbench/run.py`` accepts for
-    ``tree``'s code: a copy of ``tree``'s ``src`` and of ``bench``'s
-    ``BENCHMARK.json``.  ``run.py`` writes its ``.perfbench-out/`` there."""
-    shutil.copytree(tree / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy2(bench / "BENCHMARK.json", into / "BENCHMARK.json")
-    return into
-
-
-def invocation(root: Path, bench: Path, workload: str, seed: int, seconds: float,
-               trace: int) -> tuple[list[str], dict, Path]:
-    """``(command, environment, working directory)`` of one benchmark run:
-    ``bench``'s ``perfbench/run.py`` from ``root``, whose ``src`` it times,
-    with this process's environment less ``PYTHONPATH``."""
-    cmd = [sys.executable, str(bench / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    return cmd, env, root
-
-
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int,
-        bench: Path | None = None) -> dict:
-    """One benchmark invocation of :func:`invocation` (``bench`` defaults to
-    ``tree``): its result line (the last stdout line) and the number of
-    passes its report line (the one before) counts."""
-    cmd, env, cwd = invocation(tree, bench or tree, workload, seed, seconds, trace)
-    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, check=False)
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark invocation: its result line (the last stdout line) and the
+    number of passes its report line (the one before) counts."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
     if proc.returncode != 0:
         raise RuntimeError(f"{tree} seed {seed} trace {trace}: exit {proc.returncode}\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
@@ -183,30 +155,6 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
     return out
 
 
-def measure(args, trees: dict, bench: Path | None, spec: dict) -> dict:
-    """The workload's entry of the output file: ``args.pairs`` alternating pairs
-    of runs of ``trees`` and, unless ``args.trace_seed`` is negative, one
-    traced run of each."""
-    pairs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run(trees[side], args.workload, seed, args.seconds, 0, bench)
-        pairs.append(pair)
-    entry = {"seconds": args.seconds, "pairs": pairs, **summarize(spec, pairs)}
-    if bench:
-        entry["bench_from"] = str(bench)
-    if args.trace_seed >= 0:
-        entry["traced"] = {"seed": args.trace_seed}
-        for side, tree in trees.items():
-            res = run(tree, args.workload, args.trace_seed, args.seconds, 1, bench)
-            entry["traced"][side] = {"correct": res["correct"],
-                                     **{k: res["metrics"][k] for k in TRACED}}
-    return entry
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -218,19 +166,27 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int, default=-1,
                         help="seed of the one traced run per tree; negative skips it")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--bench-from", type=Path, default=None,
-                        help="tree whose perfbench/ and BENCHMARK.json both sides run under")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    bench = args.bench_from.resolve() if args.bench_from else None
-    spec = json.loads(((bench or trees["change"]) / "BENCHMARK.json").read_text())
-    with tempfile.TemporaryDirectory(prefix="bench-from-") as tmp:
-        if bench:
-            trees = {side: stage(tree, bench, Path(tmp) / side) for side, tree in trees.items()}
-        entry = measure(args, trees, bench, spec)
-    traced = [entry["traced"][side]["correct"] for side in trees] if "traced" in entry else []
-    all_correct = all(traced) and not any(o["incorrect_runs"]
-                                          for o in entry["operations"].values())
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(trees[side], args.workload, seed, args.seconds, 0)
+        pairs.append(pair)
+    entry = {"seconds": args.seconds, "pairs": pairs, **summarize(spec, pairs)}
+    all_correct = not any(o["incorrect_runs"] for o in entry["operations"].values())
+    if args.trace_seed >= 0:
+        entry["traced"] = {"seed": args.trace_seed}
+        for side, tree in trees.items():
+            res = run(tree, args.workload, args.trace_seed, args.seconds, 1)
+            entry["traced"][side] = {"correct": res["correct"],
+                                     **{k: res["metrics"][k] for k in TRACED}}
+            all_correct = all_correct and res["correct"]
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("machine", {"python": platform.python_version(),
@@ -241,7 +197,7 @@ def main(argv=None) -> int:
     passes = entry["passes"]
     for name, m in entry["end_to_end"].items():
         print(f"{args.workload} {name}: parent {m['parent_median']:.4g} change "
-              f"{m['change_median']:.4g} {m['unit']}, change wins {m['change_wins']}/{args.pairs}"
+              f"{m['change_median']:.4g} {m['unit']}, change wins {m['change_wins']}/{len(pairs)}"
               + (f", parent IQR {m['parent_iqr']:.3g}" if "parent_iqr" in m else "")
               + f", beyond the {m['bound']:.0%} bound: {m['beyond_bound']}"
               + (f", unresolved: {m['unresolved']}" if "unresolved" in m else "")

@@ -44,9 +44,9 @@ closed φ runs the ``log1p`` and the division that ``example6``'s
   ``bulk_jet(t.gin, x, (1,))`` at the first POINTS bulk radii and
   ``tail_jet(t, x, (1,))`` at the first POINTS tail radii, each radius ``x``
   a Python float, as a public scalar call passes it, in nanoseconds per
-  radius (a step on ``t2_3`` or a zoo case reaches neither float body,
-  since the factor closure writes out their order 1; the foreign pairing's
-  f and F hooks reach both on one-element arrays);
+  radius (a zoo-case step reaches neither float body and a ``t2_3`` step
+  only the tail's, since the factor closure writes out the bulk's order 1;
+  the foreign pairing's f and F hooks reach both on one-element arrays);
 * ``g_inverse_ns_per_value``: ``g_inverse`` on the BATCH bulk images
   ``g(r)`` of those bulk radii, in nanoseconds per value;
 * ``hessian_eigenvalues_ns_per_radius``: ``hessian_eigenvalues`` on the
