@@ -254,9 +254,6 @@ class RadialQuadrature:
 
     def cdf(self, radius: float) -> float:
         """P(|x| <= radius), as 1 - sf(radius); NaN for a NaN radius."""
-        radius = float(radius)
-        if radius <= 0.0:
-            return 0.0
         return 1.0 - self.sf(radius)
 
     def sf(self, radius: float) -> float:
@@ -944,12 +941,13 @@ class DiagnosticsReport:
         return {**_record_dict(self), "pass": self.all_passed}
 
 
-def _series_std_error(per_chain: list[np.ndarray]) -> float:
-    """Monte-Carlo standard error of the pooled mean, discounted by the
-    autocorrelation-adjusted sample size."""
+def _pooled_mean(per_chain: list[np.ndarray]) -> tuple[float, float]:
+    """The mean of the pooled series and its Monte-Carlo standard error,
+    discounted by the autocorrelation-adjusted sample size."""
     pooled = np.concatenate(per_chain)
     ess = sum(effective_sample_size(s) for s in per_chain)
-    return float(pooled.std(ddof=1) / math.sqrt(max(ess, 1.0))) if pooled.size > 1 else 0.0
+    se = float(pooled.std(ddof=1) / math.sqrt(max(ess, 1.0))) if pooled.size > 1 else 0.0
+    return float(pooled.mean()), se
 
 
 def _tail_thresholds(thresholds: Sequence[float]) -> list[float]:
@@ -1023,21 +1021,17 @@ def radial_diagnostics(
     moments = []
     for p in orders:
         reference = quadrature.moment(p)  # raises UndefinedMomentError when p too large
-        powered = [s ** p for s in per_chain]
-        empirical = float(np.concatenate(powered).mean())
-        se = _series_std_error(powered)
+        empirical, se = _pooled_mean([s ** p for s in per_chain])
         moments.append(MomentCheck(order=p, empirical=empirical, reference=reference,
                                    std_error=se, within_3se=abs(empirical - reference) <= 3.0 * se))
 
     tails = []
     for threshold in thresholds:
         reference = quadrature.sf(threshold)
-        indicators = [(s > threshold).astype(float) for s in per_chain]
-        empirical = float(np.concatenate(indicators).mean())
+        empirical, se = _pooled_mean([(s > threshold).astype(float) for s in per_chain])
         # a run with no exceedance has a zero series error however likely
         # that outcome is
-        se = max(_series_std_error(indicators),
-                 math.sqrt(reference * (1.0 - reference) / max(ess, 1.0)))
+        se = max(se, math.sqrt(reference * (1.0 - reference) / max(ess, 1.0)))
         tails.append(TailCheck(threshold=threshold, empirical=empirical, reference=reference,
                                std_error=se, within_3se=abs(empirical - reference) <= 3.0 * se))
 

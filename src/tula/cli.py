@@ -160,10 +160,8 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
 
 def _pairing(opts: dict[str, Any]) -> TransformedPotential:
     """The named zoo target paired with its transform."""
-    entry = parse_target_name(
-        opts["target"], dimension=opts["d"], kappa=opts["kappa"], upsilon=opts["upsilon"],
-        vartheta=opts["vartheta"], b=opts["b"], knot=opts["knot"],
-    )
+    entry = parse_target_name(opts["target"], dimension=opts["d"],  # _TARGET's first two
+                              **{opt.dest: opts[opt.dest] for opt in _TARGET[2:]})
     return TransformedPotential(entry.potential, entry.transform)
 
 

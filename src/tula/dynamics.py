@@ -148,43 +148,32 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     if form is not None:
         return [(form.value, form.dvalue, form.d2value)[k](arr) for k in orders]
     t = tp.transform
-    return tr._piecewise(arr, t._knot,
-                         lambda rb: _compose(t._d1, *_branch(tp, rb, False, orders), orders),
-                         lambda rt: _compose(t._d1, *_branch(tp, rt, True, orders), orders))
+    return tr._piecewise(arr, t._knot, lambda rb: _branch(tp, rb, False, orders),
+                         lambda rt: _branch(tp, rt, True, orders))
 
 
-def _branch(tp: TransformedPotential, r, tail: bool, orders) -> tuple:
-    """The jet of one branch at the radii ``r`` and, by order, the values
-    of its hooks at the jet's profile that the orders need: ``f'`` (or
-    ``F'``) for any order above 0 first, then ``f`` and ``f''`` as asked."""
+def _branch(tp: TransformedPotential, r, tail: bool, orders) -> list:
+    """``f_h^(k)`` for each asked ``k`` on one branch at the radii ``r``: the
+    chain rule through the branch jet's profile minus ``log g' + (d - 1)
+    log(g/r)``.  Each hook runs once at the profile, ``f'`` (or ``F'``) first
+    whenever an order above 0 is asked, then ``f`` and ``f''`` as asked;
+    ``transform._order_one_factor`` writes out its order 1 at one radius."""
     t, f = tp.transform, tp.target
     if tail:
         jet, hooks = tr.tail_jet(t, r, orders), (f.log_value, f.dlog_value, f.d2log_value)
     else:
         jet, hooks = tr.bulk_jet(t.gin, r, orders), (f.value, f.dvalue, f.d2value)
-    p0 = jet.profile[0]
-    values = {1: hooks[1](p0)} if max(orders) >= 1 else {}
-    for k in orders:
-        if k != 1:
-            values[k] = hooks[k](p0)
-    return jet, values
-
-
-def _compose(d1, jet: tr.RadialJet, f: dict, orders) -> list:
-    """``f_h^(k)`` for each asked ``k`` from a branch jet and the hook
-    values ``f`` at its profile: the chain rule through the profile minus
-    ``log g' + (d - 1) log(g/r)``; ``transform._order_one_factor`` writes out
-    its order 1 at one radius."""
     p, lgp, lgr = jet
+    slope = hooks[1](p[0]) if max(orders) >= 1 else None
     out = []
     for k in orders:
         if k == 0:
-            chain = f[0]
+            chain = hooks[0](p[0])
         elif k == 1:
-            chain = f[1] * p[1]
+            chain = slope * p[1]
         else:
-            chain = f[2] * p[1] * p[1] + f[1] * p[2]
-        out.append(chain - lgp[k] - d1 * lgr[k])
+            chain = hooks[2](p[0]) * p[1] * p[1] + slope * p[2]
+        out.append(chain - lgp[k] - t._d1 * lgr[k])
     return out
 
 

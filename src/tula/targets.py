@@ -163,7 +163,8 @@ class IsotropicPotential:
         Radii where ``f`` switches branch; derivative checks should avoid
         straddling them.
     parameters:
-        The defining constants, for reports and serialization.
+        The defining constants, for reports and serialization; equality
+        reads them, the hash does not (a dict is unhashable).
     transformed_form:
         The closed transformed potential the density was constructed
         from, or None when it was not built that way.  Its hooks, too,
@@ -180,7 +181,7 @@ class IsotropicPotential:
     d2log_value: Callable
     moment_max: float = math.inf
     seams: tuple[float, ...] = ()
-    parameters: dict = dataclasses.field(default_factory=dict)
+    parameters: dict = dataclasses.field(default_factory=dict, hash=False)
     transformed_form: TransformedForm | None = None
 
 
@@ -203,7 +204,7 @@ class TargetZooEntry:
     potential: IsotropicPotential
     transform: tr.RadialTransform
     kind: ExampleKind
-    parameters: dict
+    parameters: dict = dataclasses.field(hash=False)
 
 
 # --- multivariate t -------------------------------------------------------
@@ -527,32 +528,24 @@ def radial_log_density(p: IsotropicPotential, r):
 _T_NAME = re.compile(r"^t(\d+)_([0-9.]+)$")
 
 
-def parse_target_name(
-    name: str,
-    *,
-    dimension: int | None = None,
-    kappa: float | None = None,
-    upsilon: float | None = None,
-    vartheta: float | None = None,
-    b: float | None = None,
-    knot: float | None = None,
-) -> TargetZooEntry:
+def parse_target_name(name: str, *, dimension: int | None = None, **params) -> TargetZooEntry:
     """Resolve a command-line target name into a zoo entry.
 
     Accepts ``t{d}_{kappa}`` (for example ``t2_3``), plain ``t`` with
     explicit ``dimension``/``kappa``, ``example2`` .. ``example6``, and
-    ``warmup``.  Raises ``ValueError`` for names outside the zoo, for a
-    ``dimension`` or ``kappa`` that contradicts a ``t{d}_{kappa}`` name,
-    and, as :func:`make_example` does, for a parameter the kind does not take.
+    ``warmup``; ``params`` are :func:`make_example`'s keyword parameters.
+    Raises ``ValueError`` for names outside the zoo, for a ``dimension`` or
+    ``kappa`` that contradicts a ``t{d}_{kappa}`` name, and, as
+    :func:`make_example` does, for a parameter the kind does not take.
     """
     m = _T_NAME.match(name)
     if m:
         named = {"dimension": int(m.group(1)), "kappa": float(m.group(2))}
-        for option, given in (("dimension", dimension), ("kappa", kappa)):
+        for option, given in (("dimension", dimension), ("kappa", params.get("kappa"))):
             if given is not None and given != named[option]:
                 raise ValueError(f"{option} {given} contradicts target {name!r} "
                                  f"({option} {named[option]})")
-        kind, dimension, kappa = ExampleKind.MULTIVARIATE_T, named["dimension"], named["kappa"]
+        kind, dimension, params["kappa"] = ExampleKind.MULTIVARIATE_T, *named.values()
     else:
         try:
             kind = ExampleKind(name)
@@ -560,8 +553,7 @@ def parse_target_name(
             raise ValueError(f"unknown target {name!r}; known: {', '.join(available_targets())}")
         if dimension is None:
             raise ValueError(f"target {name!r} needs an explicit dimension")
-    return make_example(kind, dimension, kappa=kappa, upsilon=upsilon, vartheta=vartheta,
-                        b=b, knot=knot)
+    return make_example(kind, dimension, **params)
 
 
 def available_targets() -> list[str]:

@@ -126,7 +126,7 @@ def _positive(name: str, value):
 
 # 0-d operands of the jets: numpy combines an array with a 0-d array in
 # about half the time it takes with a Python float
-_ZERO, _ONE, _TWO = (np.array(float(c)) for c in range(3))
+_ZERO = np.array(0.0)
 
 
 class _Ufuncs(NamedTuple):
@@ -157,23 +157,21 @@ class GinSpec:
         must vanish; otherwise the origin limits of the transformed
         geometry diverge like ``1/r``.
 
-    It holds ``p`` and its first three derivatives as one float64 table,
-    ``_coeffs[j]`` the coefficients of ``p^(j)`` zero-padded at the high end.
-    Each row's own coefficients, highest power first, are kept twice for
-    Horner's rule in ``polyval``'s operation order, so each row equals
-    ``polyval`` bit for bit: as Python floats for a jet at one radius, and
-    as 0-d float64 arrays, like ``scale`` and ``log(scale)``, so that each
-    step of a jet on a batch is one array ufunc.
+    It holds the coefficients of ``p`` and its first three derivatives,
+    ``_rows[j]`` those of ``p^(j)`` highest power first, twice for Horner's
+    rule in ``polyval``'s operation order, so each row equals ``polyval``
+    bit for bit: as Python floats for a jet at one radius, and as 0-d
+    float64 arrays, like the jet's constants ``(c, log c, 1, 2)`` in
+    ``_array_constants``, so that each step of a jet on a batch is one
+    array ufunc.
     """
 
     scale: float
     log_poly: tuple[float, ...]
-    _coeffs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
     _row_arrays: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    _scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    _log_scale: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _constants: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _array_constants: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _positive("scale", self.scale)
@@ -192,15 +190,12 @@ class GinSpec:
                 table[j, :-1] = table[j - 1, 1:] * np.arange(1, table.shape[1])
         if not np.isfinite(table).all():
             raise ValueError("log_poly and its first three derivatives need finite coefficients")
-        table.flags.writeable = False
-        object.__setattr__(self, "_coeffs", table)
         rows = tuple(tuple(row[: max(row.size - j, 1)][::-1].tolist())
                      for j, row in enumerate(table))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_arrays", tuple(tuple(map(np.array, row)) for row in rows))
         object.__setattr__(self, "_constants", (self.scale, math.log(self.scale), 1.0, 2.0))
-        object.__setattr__(self, "_scale", np.array(self.scale))
-        object.__setattr__(self, "_log_scale", np.array(self._constants[1]))
+        object.__setattr__(self, "_array_constants", tuple(map(np.array, self._constants)))
 
     def _log_profiles(self, r: np.ndarray, rows: int) -> list:
         """``p, ..., p^(rows - 1)`` at the radii ``r``, each by Horner's rule
@@ -469,8 +464,7 @@ def bulk_jet(gin: GinSpec, r, orders, *, logs: bool = True) -> RadialJet:
 def _bulk_jet_of(gin: GinSpec, r: np.ndarray, orders, logs: bool) -> RadialJet:
     """The array pass of :func:`bulk_jet`."""
     p = gin._log_profiles(r, min(max(orders) + 2, 4) if logs else max(orders) + 1)
-    return _bulk_identities(p, r, (gin._scale, gin._log_scale, _ONE, _TWO), _ARRAY_UFUNCS,
-                            orders, logs)
+    return _bulk_identities(p, r, gin._array_constants, _ARRAY_UFUNCS, orders, logs)
 
 
 def _bulk_identities(p: list, r, consts: tuple, uf: _Ufuncs, orders, logs: bool) -> RadialJet:
@@ -575,7 +569,7 @@ def _order_one_factor(t: RadialTransform, dvalue: Callable, dlog_value: Callable
     bit the batch pass, over the knot, the bulk's Horner rows and ``c``, the target's
     ``f'`` and ``F'`` hooks and ``d1 = d - 1``.  It writes out :func:`_bulk_jet_at` at
     order 1 with its range tests, takes the tail's pieces from :func:`_tail_jet_at`, and
-    composes them as ``dynamics._compose``; None, for the array pass with its warnings,
+    composes them as ``dynamics._branch``; None, for the array pass with its warnings,
     where those decline ``x`` or the factor is not finite."""
     knot, isfinite, exp = t._knot, math.isfinite, np.exp
     (p_top, *p_rest), (q_top, *q_rest), (p2_top, *p2_rest) = t.gin._rows[:3]

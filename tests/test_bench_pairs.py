@@ -2,7 +2,12 @@
 
 import importlib.util
 import json
+import os
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +49,74 @@ def test_summarize_counts_operations_and_compares_metrics():
     rss = out["end_to_end"]["peak_rss_mb"]
     assert rss["change_wins"] == 1 and rss["change_median"] == 91.0
     assert rss["bound"] == 0.1 and rss["unit"] == "MB"
+
+
+# a fake perfbench/run.py that starts one sleeping child, writes the child's
+# pid to child.pid and then sleeps too, or exits 1 when given "--seed 0"
+_SLEEPER = (
+    "import pathlib, subprocess, sys, time\n"
+    "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'],\n"
+    "                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+    "pathlib.Path('child.pid').write_text(str(child.pid))\n"
+    "sys.exit(1) if sys.argv[sys.argv.index('--seed') + 1] == '0' else time.sleep(60)\n"
+)
+
+
+def _sleeper_tree(root: Path) -> Path:
+    run_py = root / "perfbench" / "run.py"
+    run_py.parent.mkdir(parents=True)
+    run_py.write_text(_SLEEPER)
+    (root / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    return root
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie left for its reaper does not)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, IndexError):
+        return False
+
+
+def _ended(pid: int) -> bool:
+    deadline = time.monotonic() + 10.0
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if _alive(pid):
+        os.kill(pid, signal.SIGKILL)
+        return False
+    return True
+
+
+def test_a_failed_invocation_leaves_no_child(tmp_path):
+    """An invocation that exits nonzero raises, and the child it started is
+    killed with its process group."""
+    tree = _sleeper_tree(tmp_path)
+    with pytest.raises(RuntimeError, match="seed 0 trace 0: exit 1"):
+        bench_pairs.run(tree, "w", seed=0, seconds=1.0, trace=0)
+    assert _ended(int((tree / "child.pid").read_text()))
+
+
+def test_sigterm_stops_the_running_invocation_and_its_children(tmp_path):
+    """SIGTERM to the tool kills the running invocation's process group:
+    the fake run.py and the child it started end with it."""
+    tree = _sleeper_tree(tmp_path)
+    tool = subprocess.Popen([sys.executable, str(_PATH), "--parent", str(tree), "--change",
+                             str(tree), "--workload", "w", "--pairs", "1", "--first-seed", "1",
+                             "--out", str(tmp_path / "pairs.json")],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        pid_file, deadline = tree / "child.pid", time.monotonic() + 20.0
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=10.0) == 128 + signal.SIGTERM
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+        tool.wait()
+    assert _ended(child)
 
 
 def test_run_records_the_pass_count(tmp_path, capsys):

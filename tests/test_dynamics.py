@@ -575,7 +575,7 @@ class TestJetPointwise:
         its equality, hash and repr; dataclasses.replace builds the new
         pairing's own factor and refuses one passed in."""
         entry = parse_target_name("t2_3")
-        target = dataclasses.replace(entry.potential, parameters=())  # a hashable target
+        target = entry.potential
         tp = TransformedPotential(target, entry.transform)
         twin = TransformedPotential(target, entry.transform)
         assert tp._factor is not twin._factor
@@ -594,6 +594,30 @@ class TestJetPointwise:
         for pair in (moved, closed):
             for x in (0.5, 2.0):
                 assert _bits(pair._factor(x)) == _bits(grad_factor(pair, np.array([x]))), x
+
+
+# each zoo kind at d = 2 with the parameters it needs, and t2_3 by its name
+_ZOO = [("t2_3", {}), ("t", {"dimension": 2, "kappa": 1.5}), ("warmup", {"dimension": 2}),
+        ("example2", {"dimension": 2, "upsilon": 1.0}),
+        *((f"example{n}", {"dimension": 2}) for n in range(3, 7))]
+
+
+class TestHashable:
+    """Pairings and zoo entries hash and can key a dict: the ``parameters``
+    dicts stay out of the hash and keep their place in equality."""
+
+    @pytest.mark.parametrize("name, params", _ZOO, ids=[name for name, _ in _ZOO])
+    def test_pairings_and_entries_key_a_dict(self, name, params):
+        entry = parse_target_name(name, **params)
+        tp = TransformedPotential(entry.potential, entry.transform)
+        copied = dataclasses.replace(entry.potential, parameters=dict(entry.potential.parameters))
+        twin = TransformedPotential(copied, entry.transform)
+        assert copied.parameters is not entry.potential.parameters
+        assert tp == twin and hash(tp) == hash(twin)
+        assert {tp: name}[twin] == name and len({tp, twin}) == 1
+        assert {entry: name}[dataclasses.replace(entry, parameters=dict(entry.parameters))] == name
+        other = dataclasses.replace(entry.potential, parameters={"other": 1.0})
+        assert TransformedPotential(other, entry.transform) != tp
 
 
 class TestQuadraticTailBranch:

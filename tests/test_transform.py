@@ -4,6 +4,7 @@ Frozen reference numbers were computed independently with mpmath at 40
 significant digits (tools/freeze_oracles.py) and pasted here.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from tula.analysis import RadialQuadrature, check_assumption
 from tula.dynamics import TransformedPotential
-from tula.targets import make_example
+from tula.targets import make_example, parse_target_name
 from tula.transform import (
     G1Report,
     GinSpec,
@@ -186,25 +187,25 @@ class TestGinSpec:
     ])
     def test_log_profile_matches_polyval_bitwise(self, spec):
         """The profile exponent and its derivatives are evaluated by one
-        Horner pass in numpy's polyval order, on a float64 table the spec
-        holds with one zero-padded row per derivative, so they equal polyval
-        bit for bit for array and scalar radii alike."""
+        Horner pass in numpy's polyval order, on the rows of coefficients
+        the spec holds per derivative, highest power first, so they equal
+        polyval bit for bit for array and scalar radii alike."""
         r = np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 400), [np.inf]])
-        table = spec._coeffs
-        assert type(table) is np.ndarray and table.dtype == np.float64
-        assert table.shape == (4, len(spec.log_poly))
+        assert len(spec._rows) == 4
         for order in range(4):
             coeffs = npoly.polyder(spec.log_poly, order)
-            held = table[order]
-            assert held.tobytes() == np.pad(coeffs, (0, held.size - coeffs.size)).tobytes()
+            held = np.array(spec._rows[order][::-1])
+            assert held.dtype == np.float64 and held.tobytes() == coeffs.tobytes()
             with np.errstate(invalid="ignore"):  # inf * 0 starts both at nan
                 assert spec.log_profile(r, order).tobytes() == npoly.polyval(r, coeffs).tobytes()
             for x in (0.0, 0.37, 1.0):
                 want = np.float64(npoly.polyval(x, coeffs)).tobytes()
                 for arg in (x, np.float64(x), np.asarray(x), np.array([x])):
                     assert np.asarray(spec.log_profile(arg, order)).tobytes() == want
-        assert spec._scale.shape == () and float(spec._scale) == spec.scale
-        assert spec._log_scale.shape == () and float(spec._log_scale) == math.log(spec.scale)
+        values = (spec.scale, math.log(spec.scale), 1.0, 2.0)
+        assert spec._constants == values
+        for held, value in zip(spec._array_constants, values, strict=True):
+            assert held.shape == () and float(held) == value
 
 
 def _warned(call):
@@ -434,6 +435,40 @@ class TestGluing:
         assert not report["knot_order0"].passed
         with pytest.raises(KeyError):
             report["no_such_check"]
+
+    @pytest.mark.parametrize("name, params", [
+        ("t2_3", {}), ("t1_1", {}), ("warmup", {"dimension": 2}),
+        ("example2", {"dimension": 2, "upsilon": 1.0}),
+        *((f"example{n}", {"dimension": d}) for n in range(3, 7) for d in (1, 3)),
+    ])
+    def test_radial_force_stays_bounded_for_the_zoo(self, name, params):
+        """With a target the report adds ``limit_radial_force``,
+        ``f'(g_in(r)) g_in'(r) / r``, and every zoo kind passes on its own
+        transform."""
+        entry = parse_target_name(name, **params)
+        report = verify_g1_assumption(entry.transform, entry.potential)
+        assert report.passed, [c for c in report.checks if not c.passed]
+        assert report["limit_radial_force"].passed
+
+    @pytest.mark.parametrize("name, limit", [("t2_3", 7.98), ("t1_1", 4.79)])
+    def test_radial_force_of_the_t_reads_its_origin_limit(self, name, limit):
+        """For the t, ``f'(s) = (d + kappa) s / (1 + s^2)`` and ``g_in(r) ~ c r
+        e^(47/60)`` with ``c^2 = b``, so the force term tends to ``(d + kappa)
+        b e^(47/30)``, which the check measures near 0."""
+        entry = parse_target_name(name)
+        d, kappa, b = (entry.parameters[k] for k in ("dimension", "kappa", "b"))
+        exact = (d + kappa) * b * math.exp(47.0 / 30.0)
+        check = verify_g1_assumption(entry.transform, entry.potential)["limit_radial_force"]
+        assert check.measure == pytest.approx(exact, rel=1e-6)
+        assert exact == pytest.approx(limit, abs=0.005)
+
+    def test_radial_force_flags_a_force_that_diverges(self):
+        """``f'(s) = 1/s`` makes the force term grow like ``1/r^2``."""
+        entry = parse_target_name("t2_3")
+        target = dataclasses.replace(entry.potential, dvalue=lambda s: 1.0 / s)
+        report = verify_g1_assumption(entry.transform, target)
+        assert not report.passed and not report["limit_radial_force"].passed
+        assert [c.name for c in report.checks if not c.passed] == ["limit_radial_force"]
 
     def test_report_serializes(self):
         d = verify_g1_assumption(ginbeta2_transform(1.0, 2)).to_dict()

@@ -34,7 +34,10 @@ exceeds the speed-up that fits, so a faster change shows when its extra
 passes alone reach the memory bound.  For the traced run it records the
 per-layer metrics named in TRACED.  Results of several workloads
 accumulate in one ``--out`` file, one entry per workload.  The exit status is 1 when any run, traced or not,
-reported ``correct: false``.
+reported ``correct: false``.  Each invocation leads its own session, and
+when the tool is stopped (SIGTERM or Ctrl-C) or an invocation fails, the
+invocation's whole process group is killed, so no ``worker.py`` or
+``speedometer.py`` outlives it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -62,14 +66,24 @@ TRACED = (
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark invocation: its result line (the last stdout line) and the
     number of passes its report line (the one before) counts."""
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=False,
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
     )
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        if proc.returncode != 0:  # stopped or failed: end the children it started too
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
     if proc.returncode != 0:
-        raise RuntimeError(f"{tree} seed {seed} trace {trace}: exit {proc.returncode}\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
+        raise RuntimeError(f"{tree} seed {seed} trace {trace}: exit {proc.returncode}\n{stderr}")
+    lines = stdout.strip().splitlines()
     line = json.loads(lines[-1])
     passes = json.loads(lines[-2])["report"]["wall_s"]["n"]
     values = {name: m["value"] for name, m in line["metrics"].items()}
@@ -155,6 +169,11 @@ def summarize(spec: dict, pairs: list[dict]) -> dict:
     return out
 
 
+def _stop(signum, frame):
+    """SIGTERM as an exception, so that :func:`run` kills the running invocation's group."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -226,4 +245,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _stop)
     sys.exit(main())

@@ -74,6 +74,12 @@ MUTANTS = (
         f"{_ONE_RADIUS}[t1_1]", f"{_ONE_RADIUS}[t10_3]")),
     Mutant("factor-f-prime-on-tail", _DYN, "f.dvalue, f.dlog_value", "f.dvalue, f.dvalue", (
         f"{_ONE_RADIUS}[t2_3]",)),
+    Mutant("branch-no-d1-log-term", _DYN, "out.append(chain - lgp[k] - t._d1 * lgr[k])",
+           "out.append(chain - lgp[k])", (
+               "tests/test_dynamics.py::TestTransformedValue::test_frozen_tail_value",)),
+    Mutant("branch-order2-chain-rule", _DYN, "hooks[2](p[0]) * p[1] * p[1]",
+           "hooks[2](p[0]) * p[1]", (
+               "tests/test_dynamics.py::TestHessianEigenvalues::test_frozen_values",)),
     Mutant("bulk-jet-no-finite-check", _TR,
            "    jet = _bulk_identities(p, x, gin._constants, _FLOAT_UFUNCS, orders, logs)\n"
            "    return jet if _finite(jet) else None",

@@ -40,6 +40,11 @@ closed φ runs the ``log1p`` and the division that ``example6``'s
   pairing (``t2_3``, ``example3_d2_ginbeta2``) the closure of
   ``transform._order_one_factor``, on a closed one (the zoo cases) its
   ``phi'`` hook;
+* ``factor_us_per_radius.bulk`` and ``.tail`` (every case, and
+  ``example3_d2_ginbeta2``): that factor alone, ``tp._factor(x)`` on the
+  same Python floats, in microseconds per radius; the float measurement
+  above adds ``transform._radial``'s calling convention, which no sampler
+  step pays;
 * ``bulk_jet_ns_per_radius.float`` and ``tail_jet_ns_per_radius.float``:
   ``bulk_jet(t.gin, x, (1,))`` at the first POINTS bulk radii and
   ``tail_jet(t, x, (1,))`` at the first POINTS tail radii, each radius ``x``
@@ -138,6 +143,9 @@ def measurements(tula, steps: int) -> dict:
             out[f"{case} grad_factor_us_per_radius.float.{branch}"] = (
                 lambda tp=tp, xs=xs: 1e6 * repeat(lambda: [tula.grad_factor(tp, x) for x in xs],
                                                   POINTS))
+            out[f"{case} factor_us_per_radius.{branch}"] = (
+                lambda factor=tp._factor, xs=xs: 1e6 * repeat(lambda: [factor(x) for x in xs],
+                                                              POINTS))
         if chains is None:
             continue
         out[f"{case} run_tula_us_per_step.chains{chains}"] = functools.partial(
@@ -175,9 +183,11 @@ def measurements(tula, steps: int) -> dict:
         per_step, tula, foreign, tula.SamplerConfig(step_size=0.05, num_steps=steps, seed=0))
     knot = foreign.transform.knot
     for branch, frac in zip(("bulk", "tail"), unit):
+        xs = (knot * frac[:POINTS]).tolist()
         out[f"example3_d2_ginbeta2 grad_factor_us_per_radius.float.{branch}"] = (
-            lambda xs=(knot * frac[:POINTS]).tolist(): 1e6 * repeat(
-                lambda: [tula.grad_factor(foreign, x) for x in xs], POINTS))
+            lambda xs=xs: 1e6 * repeat(lambda: [tula.grad_factor(foreign, x) for x in xs], POINTS))
+        out[f"example3_d2_ginbeta2 factor_us_per_radius.{branch}"] = (
+            lambda xs=xs: 1e6 * repeat(lambda: [foreign._factor(x) for x in xs], POINTS))
     return out
 
 
