@@ -126,16 +126,7 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
     if d >= 2:
         tangent = rng.standard_normal((n, d))
         tangent -= np.sum(tangent * dirs, axis=1, keepdims=True) * dirs
-        norms = np.linalg.norm(tangent, axis=1, keepdims=True)
-        degenerate = norms[:, 0] < 1e-8
-        if np.any(degenerate):
-            tangent[degenerate] = np.roll(dirs[degenerate], 1, axis=1)
-            tangent[degenerate] -= (
-                np.sum(tangent[degenerate] * dirs[degenerate], axis=1, keepdims=True)
-                * dirs[degenerate]
-            )
-            norms = np.linalg.norm(tangent, axis=1, keepdims=True)
-        tangent /= norms
+        tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
         hess_rels.append(
             np.abs(second_difference(tangent) - eig.lambda_tangential)
             / np.maximum(1.0, np.abs(eig.lambda_tangential))

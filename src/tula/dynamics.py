@@ -115,7 +115,7 @@ class TransformedPotential:
         object.__setattr__(self, "closed_form", closed)
         t, f = self.transform, self.target
         object.__setattr__(self, "_factor", closed.dvalue if closed is not None else
-                           tr._order_one_factor(t, f.dvalue, f.dlog_value, t._d1))
+                           tr._order_one_factor(t, f.dvalue, f.dlog_value))
 
     @property
     def dimension(self) -> int:
@@ -148,7 +148,7 @@ def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ..
     if form is not None:
         return [(form.value, form.dvalue, form.d2value)[k](arr) for k in orders]
     t = tp.transform
-    return tr._piecewise(arr, t._knot, lambda rb: _branch(tp, rb, False, orders),
+    return tr._piecewise(arr, t.knot, lambda rb: _branch(tp, rb, False, orders),
                          lambda rt: _branch(tp, rt, True, orders))
 
 

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import math
 from typing import Callable, NamedTuple
@@ -237,7 +238,9 @@ class RadialTransform:
     beyond the knot ``b**(-1/beta)``; ``"quadratic"``, with ``beta = 2``,
     uses ``tail_scale * r**2`` beyond ``tail_knot``.  For the exponential kind
     the profile value at the knot is ``e`` by construction, and a valid
-    bulk profile matches it there to third order.
+    bulk profile matches it there to third order.  ``knot`` (where the bulk
+    hands over to the tail) and its image ``seam`` (where the inverse
+    switches branch) are Python floats, set once: one comparison splits a radius.
     """
 
     b: float
@@ -254,30 +257,27 @@ class RadialTransform:
             _positive("b", self.b)
             if not (1.0 < self.beta <= 2.0):
                 raise ValueError(f"beta must lie in (1, 2], got {self.beta}")
+            knot, seam, unused = self.b ** (-1.0 / self.beta), math.e, ("tail_scale", "tail_knot")
         elif self.tail == _QUADRATIC:
             if not (self.tail_scale > 0.0 and self.tail_knot > 0.0):
                 raise ValueError("quadratic tail needs positive tail_scale and tail_knot")
             if self.beta != 2.0:
                 raise ValueError(f"a quadratic tail has beta = 2, got {self.beta}")
+            knot, seam, unused = self.tail_knot, self.tail_scale * self.tail_knot**2, ("b",)
         else:
             raise ValueError(f"unknown tail kind {self.tail!r}")
-        # the knot and d - 1 as Python floats: one comparison splits a radius
-        object.__setattr__(self, "_knot", float(self.knot))
+        for name in unused:  # the other kind's constants would only enter == and hash
+            if (value := getattr(self, name)) != 0.0:
+                raise ValueError(f"the {self.tail} tail takes no {name}, got {value}")
+        object.__setattr__(self, "knot", float(knot))
+        object.__setattr__(self, "seam", float(seam))
         object.__setattr__(self, "_d1", self.dimension - 1.0)
 
-    @property
-    def knot(self) -> float:
-        """Radius where the bulk profile hands over to the tail."""
-        if self.tail == _EXP:
-            return self.b ** (-1.0 / self.beta)
-        return self.tail_knot
-
-    @property
-    def seam(self) -> float:
-        """Image of the knot, i.e. where the *inverse* switches branch."""
-        if self.tail == _EXP:
-            return math.e
-        return self.tail_scale * self.tail_knot**2
+    @functools.cached_property
+    def _bulk_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log-log samples of the bulk profile for g_inverse's Newton warm starts."""
+        radii = np.geomspace(self.knot * 1e-8, self.knot, 64)
+        return np.log(self.gin.value(radii)), np.log(radii)
 
 
 def ginbeta2_profile(b: float) -> GinSpec:
@@ -563,15 +563,14 @@ def _bulk_jet_at(gin: GinSpec, x: float, orders, logs: bool) -> RadialJet | None
     return jet if _finite(jet) else None
 
 
-def _order_one_factor(t: RadialTransform, dvalue: Callable, dlog_value: Callable,
-                      d1: float) -> Callable:
+def _order_one_factor(t: RadialTransform, dvalue: Callable, dlog_value: Callable) -> Callable:
     """The factor ``x -> f_h'(x)`` of :mod:`tula.dynamics` at one float radius, bit for
-    bit the batch pass, over the knot, the bulk's Horner rows and ``c``, the target's
-    ``f'`` and ``F'`` hooks and ``d1 = d - 1``.  It writes out :func:`_bulk_jet_at` at
+    bit the batch pass, over the knot, ``d - 1``, the bulk's Horner rows and ``c`` and
+    the target's ``f'`` and ``F'`` hooks.  It writes out :func:`_bulk_jet_at` at
     order 1 with its range tests, takes the tail's pieces from :func:`_tail_jet_at`, and
     composes them as ``dynamics._branch``; None, for the array pass with its warnings,
     where those decline ``x`` or the factor is not finite."""
-    knot, isfinite, exp = t._knot, math.isfinite, np.exp
+    knot, d1, isfinite, exp = t.knot, t._d1, math.isfinite, np.exp
     (p_top, *p_rest), (q_top, *q_rest), (p2_top, *p2_rest) = t.gin._rows[:3]
     c = t.gin._constants[0]
 
@@ -704,7 +703,7 @@ def g_eval(t: RadialTransform, r, order: int = 0):
         return ((u[3] + 3.0 * u[1] * u[2] + u[1] ** 3) * g,)
 
     bulk = lambda x: (bulk_jet(t.gin, x, (order,), logs=False).profile[order],)
-    return _radial(lambda x: _piecewise(x, t._knot, bulk, tail)[0], r)
+    return _radial(lambda x: _piecewise(x, t.knot, bulk, tail)[0], r)
 
 
 def log_jacobian_terms(t: RadialTransform, r, order: int):
@@ -721,7 +720,7 @@ def log_jacobian_terms(t: RadialTransform, r, order: int):
         return (*jet.log_gprime.values(), *jet.log_g_over_r.values())
 
     terms = _radial(lambda x: _piecewise(
-        x, t._knot, lambda xb: log_terms(bulk_jet(t.gin, xb, range(order + 1))),
+        x, t.knot, lambda xb: log_terms(bulk_jet(t.gin, xb, range(order + 1))),
         lambda xt: log_terms(tail_jet(t, xt, range(order + 1)))), r)
     return tuple(terms[: order + 1]), tuple(terms[order + 1:])
 
@@ -752,23 +751,10 @@ def g_inverse(t: RadialTransform, s):
     return _radial(lambda x: _piecewise(x, t.seam, bulk, tail)[0], s)
 
 
-def _warm_start_table(t: RadialTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Cached log-log samples of the bulk profile for Newton warm starts.
-
-    Built lazily on first bulk inversion and stored on the instance.
-    """
-    table = getattr(t, "_bulk_table", None)
-    if table is None:
-        radii = np.geomspace(t.knot * 1e-8, t.knot, 64)
-        table = (np.log(t.gin.value(radii)), np.log(radii))
-        object.__setattr__(t, "_bulk_table", table)
-    return table
-
-
 def _invert_bulk(t: RadialTransform, s: np.ndarray) -> np.ndarray:
     lo = np.zeros_like(s)
     hi = np.full_like(s, t.knot)
-    log_values, log_radii = _warm_start_table(t)
+    log_values, log_radii = t._bulk_table
     log_s = np.log(s)
     # g is linear near the origin, so below the table the guess extrapolates
     # through the origin; clamped at the first entry instead, Newton steps

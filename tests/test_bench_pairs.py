@@ -52,20 +52,21 @@ def test_summarize_counts_operations_and_compares_metrics():
 
 
 # a fake perfbench/run.py that starts one sleeping child, writes the child's
-# pid to child.pid and then sleeps too, or exits 1 when given "--seed 0"
+# pid to child.pid and then sleeps too, or exits 1 when given "--seed 0"; the
+# child's output goes to /dev/null or, with `inherit`, to run.py's own
 _SLEEPER = (
     "import pathlib, subprocess, sys, time\n"
-    "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'],\n"
-    "                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+    "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)']{streams})\n"
     "pathlib.Path('child.pid').write_text(str(child.pid))\n"
     "sys.exit(1) if sys.argv[sys.argv.index('--seed') + 1] == '0' else time.sleep(60)\n"
 )
 
 
-def _sleeper_tree(root: Path) -> Path:
+def _sleeper_tree(root: Path, inherit: bool = False) -> Path:
     run_py = root / "perfbench" / "run.py"
     run_py.parent.mkdir(parents=True)
-    run_py.write_text(_SLEEPER)
+    run_py.write_text(_SLEEPER.format(
+        streams="" if inherit else ", stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL"))
     (root / "BENCHMARK.json").write_text('{"end_to_end": []}')
     return root
 
@@ -94,6 +95,18 @@ def test_a_failed_invocation_leaves_no_child(tmp_path):
     tree = _sleeper_tree(tmp_path)
     with pytest.raises(RuntimeError, match="seed 0 trace 0: exit 1"):
         bench_pairs.run(tree, "w", seed=0, seconds=1.0, trace=0)
+    assert _ended(int((tree / "child.pid").read_text()))
+
+
+def test_a_failed_invocation_raises_while_its_child_holds_the_output(tmp_path):
+    """The wait is for run.py, not for end-of-file on its output: a child
+    that inherited that output and sleeps on neither delays the raise nor
+    outlives it."""
+    tree = _sleeper_tree(tmp_path, inherit=True)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="seed 0 trace 0: exit 1"):
+        bench_pairs.run(tree, "w", seed=0, seconds=1.0, trace=0)
+    assert time.monotonic() - start < 10.0
     assert _ended(int((tree / "child.pid").read_text()))
 
 

@@ -32,6 +32,7 @@ from tula.targets import ExampleKind, make_example, make_multivariate_t, parse_t
 from tula.transform import (
     GinSpec,
     RadialTransform,
+    bulk_jet,
     g_eval,
     ginbeta2_transform,
     log_jacobian_terms,
@@ -349,8 +350,8 @@ def _factor_declines(tp, x):
     by the rule its float path has kept since it was written: never on a
     closed pairing (phi' takes every radius); on a composed one at a tail
     radius outside (1e-100, 1e100), at a bulk radius whose exponent p is
-    not finite or above 709 or whose 1 + r p' lies outside (0, 1e150), and
-    wherever f_h' is not finite."""
+    not finite or above 709, whose 1 + r p' lies outside (0, 1e150) or
+    where g, g' or (log g')' is not finite, and wherever f_h' is not finite."""
     if tp.closed_form is not None:
         return False
     t = tp.transform
@@ -360,7 +361,9 @@ def _factor_declines(tp, x):
             in_range = 1e-100 < x < 1e100
         else:
             p, q = (t.gin.log_profile(x, k) for k in (0, 1))
-            in_range = -math.inf < p <= 709.0 and 0.0 < 1.0 + x * q < 1e150
+            (g, dg), lgp, _ = bulk_jet(t.gin, np.array([x]), (1,))
+            in_range = (-math.inf < p <= 709.0 and 0.0 < 1.0 + x * q < 1e150
+                        and np.isfinite([g, dg, lgp[1]]).all())
     return not (in_range and math.isfinite(slope))
 
 
@@ -502,7 +505,7 @@ class TestJetPointwise:
 
     @pytest.mark.parametrize("name", [
         "t1_1", "t2_3", "t5_4", "t10_3", "t2_3-on-warmup", "example3-on-b0.37",
-        "t2_3-on-exp800", "t2_1e300-on-b1e16",
+        "t2_3-on-exp800", "t2_1e300-on-b1e16", "t2_3-on-g-overflow",
         *(f"{kind.value}-d2" for kind in ExampleKind if kind is not ExampleKind.MULTIVARIATE_T)])
     def test_one_radius_warns_as_a_batch_of_it(self, name):
         """The radial functions at one radius warn, and raise under
@@ -510,9 +513,11 @@ class TestJetPointwise:
         zoo kind with its own transform and on composed pairings, from
         within 1e-10 of the origin through the knot and one ulp either side
         of it to radii where the tail's exponent leaves float range; also
-        on a bulk whose exponent p = 800 leaves exp's range, and on a t
-        with kappa = 1e300, whose f' g' and F' u' overflow where g, g', u
-        and u' do not.  The pairing's factor declines exactly where its
+        on a bulk whose exponent p = 800 leaves exp's range, on a t with
+        kappa = 1e300, whose f' g' and F' u' overflow where g, g', u and u'
+        do not, and on a bulk whose g = c r e^p overflows at half the knot,
+        where 1 + r p' = 0.002 keeps g' finite and the t's f'(inf) = 0 would
+        leave f_h' finite.  The pairing's factor declines exactly where its
         float path always has."""
         target, _, on = name.partition("-on-")
         entry = (make_example(ExampleKind.EXAMPLE3, 2) if target == "example3" else
@@ -522,7 +527,8 @@ class TestJetPointwise:
                  else make_example(target[:-3], 2))
         t = {"warmup": warmup_transform(2), "b0.37": ginbeta2_transform(0.37, 2),
              "b1e16": ginbeta2_transform(1e16, 2), "": entry.transform,
-             "exp800": RadialTransform(1.0, 2.0, GinSpec(1.0, (800.0,)), 2)}[on]
+             "exp800": RadialTransform(1.0, 2.0, GinSpec(1.0, (800.0,)), 2),
+             "g-overflow": RadialTransform(0.25, 2.0, GinSpec(10.0, (709.4, 0.0, -0.499)), 2)}[on]
         tp = TransformedPotential(entry.potential, t)
         assert (tp.closed_form is None) == (not target.endswith("-d2"))
         knot = t.knot

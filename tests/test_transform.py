@@ -21,6 +21,7 @@ from tula.analysis import RadialQuadrature, check_assumption
 from tula.dynamics import TransformedPotential
 from tula.targets import make_example, parse_target_name
 from tula.transform import (
+    G1Check,
     G1Report,
     GinSpec,
     RadialTransform,
@@ -34,6 +35,7 @@ from tula.transform import (
     log_det_jacobian,
     log_jacobian_terms,
     tail_jet,
+    _bounded_towards_zero,
     _tail_profile,
     _tail_root,
     transform_from_dict,
@@ -371,6 +373,20 @@ class TestRadialTransformValidation:
                 tail="quadratic", tail_scale=2.0, tail_knot=1.0,
             )
 
+    @pytest.mark.parametrize("kind, name", [
+        ("exp", "tail_scale"), ("exp", "tail_knot"), ("quadratic", "b")])
+    def test_the_other_kinds_constants_are_refused(self, kind, name):
+        """No formula of one tail kind reads the other's constants, but ``==``
+        and ``hash`` did: an exponential transform with tail_scale = 5 failed
+        its dict round trip, and a zoo transform given one silently lost its
+        target's closed phi."""
+        t = ginbeta2_transform(0.5, 2) if kind == "exp" else warmup_transform(2)
+        with pytest.raises(ValueError, match=f"^the {kind} tail takes no {name}, got 5.0$"):
+            dataclasses.replace(t, **{name: 5.0})
+        if kind == "exp":
+            with pytest.raises(ValueError, match=f"takes no {name}"):
+                dataclasses.replace(make_example("example6", 2).transform, **{name: 1.0})
+
     def test_unknown_tail_kind(self):
         with pytest.raises(ValueError, match="unknown tail"):
             RadialTransform(b=1.0, beta=2.0, gin=ginbeta2_profile(1.0), dimension=2, tail="cubic")
@@ -474,6 +490,26 @@ class TestGluing:
         d = verify_g1_assumption(ginbeta2_transform(1.0, 2)).to_dict()
         assert d["passed"] is True
         assert {c["name"] for c in d["checks"]} >= {"origin_value", "knot_order0", "bulk_monotone"}
+
+    def test_a_limit_that_is_not_finite_fails_with_its_largest_magnitude(self):
+        """A NaN fails the check and is skipped in its measure; an inf is the measure."""
+        radii = np.geomspace(1e-8, 1.0, 5)
+        assert _bounded_towards_zero(radii, np.array([math.nan, 1.0, 2.0, 3.0, 4.0])) == (False, 4.0)
+        assert _bounded_towards_zero(radii, np.array([math.inf, 1.0, 2.0, 3.0, 4.0])) == (
+            False, math.inf)
+
+    def test_check_serializes(self):
+        """A force that is infinite near the origin fails its check, whose
+        dict holds the fields as JSON-ready values."""
+        entry = parse_target_name("t2_3")
+        target = dataclasses.replace(entry.potential,
+                                     dvalue=lambda s: np.where(s < 1e-4, math.inf, 1.0))
+        check = verify_g1_assumption(entry.transform, target)["limit_radial_force"]
+        assert isinstance(check, G1Check)
+        assert check.to_dict() == {"name": "limit_radial_force", "measure": math.inf,
+                                   "tolerance": math.inf, "passed": False,
+                                   "detail": "max |value| near 0"}
+        assert json.loads(json.dumps(check.to_dict()))["passed"] is False
 
 
 class TestEvaluation:

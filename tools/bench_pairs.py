@@ -50,6 +50,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TRACED = (
@@ -65,22 +66,27 @@ TRACED = (
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark invocation: its result line (the last stdout line) and the
-    number of passes its report line (the one before) counts."""
-    proc = subprocess.Popen(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        stdout, stderr = proc.communicate()
-    finally:
-        if proc.returncode != 0:  # stopped or failed: end the children it started too
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+    number of passes its report line (the one before) counts.  Its output goes
+    to temporary files, so the wait ends when ``run.py`` exits, even while a
+    child that inherited its output lives on."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=tree, stdout=out, stderr=err, start_new_session=True,
+        )
+        try:
             proc.wait()
+        finally:
+            if proc.returncode != 0:  # stopped or failed: end the children it started too
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
     if proc.returncode != 0:
         raise RuntimeError(f"{tree} seed {seed} trace {trace}: exit {proc.returncode}\n{stderr}")
     lines = stdout.strip().splitlines()

@@ -68,6 +68,9 @@ MUTANTS = (
            "out = dvalue(lead) * slope - log_gp", (f"{_ONE_RADIUS}[t2_3]",)),
     Mutant("factor-no-709-guard", _TR, "-math.inf < p <= 709.0", "-math.inf < p", (
         f"{_WARNS}[t2_3-on-exp800]",)),
+    Mutant("factor-no-finite-pieces", _TR,
+           "            if not isfinite(lead + slope + log_gp + q):\n                return None\n",
+           "", (f"{_WARNS}[t2_3-on-g-overflow]",)),
     Mutant("factor-no-finite-result", _TR, "return out if isfinite(out) else None",
            "return out", (f"{_WARNS}[t2_1e300-on-b1e16]",)),
     Mutant("factor-knot-to-bulk", _TR, "if x >= knot:", "if x > knot:", (
