@@ -2,10 +2,11 @@
 diffeomorphically transformed potential.
 
 The pieces compose left to right: `transform` builds the radial map h,
-`targets` the benchmark potentials, `dynamics` the transformed potential
-f_h and its derivatives, `sampler` the discrete chains, and `analysis`
-the verifiers and diagnostics.  The package exports every public name of
-these five modules; `cli` exposes all of it as the `tula` command.
+`dynamics` the transformed potential f_h of a potential paired with h and
+its derivatives, `targets` the benchmark potentials, each paired with its
+transform, `sampler` the discrete chains, and `analysis` the verifiers
+and diagnostics.  The package exports every public name of these five
+modules; `cli` exposes all of it as the `tula` command.
 """
 
 from . import analysis, dynamics, sampler, targets, transform

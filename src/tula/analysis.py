@@ -501,7 +501,7 @@ def check_assumption(
         if alpha1 == 0.0 and "C_tail" not in cand:
             raise ValueError("fitting C_tail requires alpha1 > 0")
         psi_inv = _tail_root(t, np.log(radii))
-        oracle = RadialQuadrature(tp.target)
+        oracle = RadialQuadrature(tp.potential)
         # one query per threshold: a batched table would make the audit
         # pass faster than its memory headroom allows (ROADMAP items 1 and 4)
         sf = np.array([oracle.sf(m + x) for x in radii])

@@ -151,9 +151,8 @@ def run_gradient_suite(tp: TransformedPotential, num_points: int = 1000, seed: i
 
 def _pairing(opts: dict[str, Any]) -> TransformedPotential:
     """The named zoo target paired with its transform."""
-    entry = parse_target_name(opts["target"], dimension=opts["d"],  # _TARGET's first two
-                              **{opt.dest: opts[opt.dest] for opt in _TARGET[2:]})
-    return TransformedPotential(entry.potential, entry.transform)
+    return parse_target_name(opts["target"], dimension=opts["d"],  # _TARGET's first two
+                             **{opt.dest: opts[opt.dest] for opt in _TARGET[2:]})
 
 
 def _target_echo(opts: dict[str, Any]) -> dict[str, Any]:
@@ -196,7 +195,7 @@ def cmd_sample(opts: dict[str, Any]) -> int:
         burn_in = opts["burn_in"]
         if burn_in is None:
             burn_in = min(arr.shape[0] for arr in run.ys) // 2
-        report = radial_diagnostics(run, tp.target, burn_in, thresholds=thresholds)
+        report = radial_diagnostics(run, tp.potential, burn_in, thresholds=thresholds)
         dump_config(report.to_dict(), out / "diagnostics.json")
         print(json.dumps({
             "ks_statistic": report.ks.statistic,

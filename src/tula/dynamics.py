@@ -45,15 +45,18 @@ g^{-1}(|x|)``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import transform as tr
-from .targets import IsotropicPotential, TransformedForm
+
+if TYPE_CHECKING:
+    from .targets import IsotropicPotential, TransformedForm
 
 __all__ = [
     "TransformedPotential",
+    "TargetZooEntry",
     "HessianEigenvalues",
     "ItoDecomposition",
     "transformed_value",
@@ -90,7 +93,8 @@ ORIGIN_RADIUS = 1e-10
 
 @dataclasses.dataclass(frozen=True)
 class TransformedPotential:
-    """A target potential paired with a radial transform of equal dimension.
+    """A target potential paired with a radial transform of equal dimension;
+    ``targets.make_example`` returns each zoo target paired with its own.
 
     ``closed_form`` is the target's closed transformed potential ``phi``
     (with ``phi'`` and ``phi''``) when it was derived for this very
@@ -99,27 +103,28 @@ class TransformedPotential:
     closure.  Neither enters equality, hashing or the repr.
     """
 
-    target: IsotropicPotential
+    potential: IsotropicPotential
     transform: tr.RadialTransform
     closed_form: TransformedForm | None = dataclasses.field(init=False, repr=False, compare=False)
     _factor: Callable = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.target.dimension != self.transform.dimension:
-            raise ValueError(
-                f"dimension mismatch: target {self.target.dimension}, "
-                f"transform {self.transform.dimension}"
-            )
-        form = self.target.transformed_form
+        if self.potential.dimension != self.transform.dimension:
+            raise ValueError(f"dimension mismatch: target {self.potential.dimension}, "
+                             f"transform {self.transform.dimension}")
+        form = self.potential.transformed_form
         closed = form if form is not None and form.transform == self.transform else None
         object.__setattr__(self, "closed_form", closed)
-        t, f = self.transform, self.target
+        t, f = self.transform, self.potential
         object.__setattr__(self, "_factor", closed.dvalue if closed is not None else
                            tr._order_one_factor(t, f.dvalue, f.dlog_value))
 
     @property
     def dimension(self) -> int:
         return self.transform.dimension
+
+
+TargetZooEntry = TransformedPotential  # make_example's zoo entry is its pairing
 
 
 def _radial_jet(tp: TransformedPotential, arr: np.ndarray, orders: tuple[int, ...]) -> list:
@@ -158,7 +163,7 @@ def _branch(tp: TransformedPotential, r, tail: bool, orders) -> list:
     log(g/r)``.  Each hook runs once at the profile, ``f'`` (or ``F'``) first
     whenever an order above 0 is asked, then ``f`` and ``f''`` as asked;
     ``transform._order_one_factor`` writes out its order 1 at one radius."""
-    t, f = tp.transform, tp.target
+    t, f = tp.transform, tp.potential
     if tail:
         jet, hooks = tr.tail_jet(t, r, orders), (f.log_value, f.dlog_value, f.d2log_value)
     else:
@@ -242,7 +247,7 @@ def _ito_pieces(tp: TransformedPotential, x):
         raise ValueError("the Ito decomposition is singular at the origin")
     t = tp.transform
     u = tr.g_inverse(t, s)
-    return x, s, u, tr.g_eval(t, u, 1), tr.g_eval(t, u, 2), tp.target.dvalue(s)
+    return x, s, u, tr.g_eval(t, u, 1), tr.g_eval(t, u, 2), tp.potential.dvalue(s)
 
 
 def ito_drift_parts(tp: TransformedPotential, x):

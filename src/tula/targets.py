@@ -45,12 +45,12 @@ from typing import Callable
 import numpy as np
 
 from . import transform as tr
+from .dynamics import TransformedPotential
 
 __all__ = [
     "IsotropicPotential",
     "TransformedForm",
     "ExampleKind",
-    "TargetZooEntry",
     "make_multivariate_t",
     "make_example",
     "radial_log_density",
@@ -70,13 +70,8 @@ def _hook(at: Callable, on_arrays: Callable[[Array], Array]):
     same bits.  Python float arithmetic overflows and makes NaN silently
     where numpy warns: the bound keeps products of up to six factors of the
     argument in range, and a float whose value is not finite goes through
-    the array path again, with its warnings and ``np.errstate`` errors.  No
-    hook checks its argument: the package calls them at radii it checked or
-    computed.  At a negative radius the t's radius hooks and ``phi``'s
-    return a value (``make_multivariate_t(2, 3.0).value(-1.0)`` is 1.7329),
-    the zoo's f hooks raise "radii must be nonnegative" through
-    ``transform.g_inverse``, and the log-argument hooks take any real
-    (ROADMAP.md, item 6).
+    the array path again, with its warnings and ``np.errstate`` errors.  It
+    checks no argument; ``phi``'s hooks, on the step path, take any radius.
     """
 
     def hook(x):
@@ -162,9 +157,6 @@ class IsotropicPotential:
     seams:
         Radii where ``f`` switches branch; derivative checks should avoid
         straddling them.
-    parameters:
-        The defining constants, for reports and serialization; equality
-        reads them, the hash does not (a dict is unhashable).
     transformed_form:
         The closed transformed potential the density was constructed
         from, or None when it was not built that way.  Its hooks, too,
@@ -181,7 +173,6 @@ class IsotropicPotential:
     d2log_value: Callable
     moment_max: float = math.inf
     seams: tuple[float, ...] = ()
-    parameters: dict = dataclasses.field(default_factory=dict, hash=False)
     transformed_form: TransformedForm | None = None
 
 
@@ -195,16 +186,6 @@ class ExampleKind(str, enum.Enum):
     EXAMPLE4 = "example4"
     EXAMPLE5 = "example5"
     EXAMPLE6 = "example6"
-
-
-@dataclasses.dataclass(frozen=True)
-class TargetZooEntry:
-    """A potential bundled with its canonical transform."""
-
-    potential: IsotropicPotential
-    transform: tr.RadialTransform
-    kind: ExampleKind
-    parameters: dict = dataclasses.field(hash=False)
 
 
 # --- multivariate t -------------------------------------------------------
@@ -222,14 +203,28 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
     tr._positive("kappa", kappa)
     dk = float(dimension + kappa)
 
+    def radius_hook(tail: Callable, bulk: Callable):
+        """``_glued(1.0, tail, bulk, floats=True)`` whose ``bulk`` refuses a negative radius."""
+        def at(x):
+            if x >= 1.0:
+                return tail(x)
+            if x < 0.0:
+                raise ValueError("radii must be nonnegative")
+            return bulk(x)
+
+        def below_one(v):  # one ``any`` over an array's radii below 1
+            if (v < 0.0).any():
+                raise ValueError("radii must be nonnegative")
+            return (bulk(v),)
+        return _hook(at, lambda r: tr._piecewise(r, 1.0, below_one, lambda v: (tail(v),))[0])
+
     # radius forms split at 1 and softplus forms at 0, to stay exact at both
     # ends; squares are products and other powers np.power, so that a Python
     # float gets an array's bits (numpy squares by multiplying, while
     # Python's ** calls the C library's pow)
-    value = _glued(1.0, lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(np.power(r, -2))),
-                   lambda r: 0.5 * dk * np.log1p(r * r), floats=True)
-    dvalue = _glued(1.0, lambda r: dk / (r + 1.0 / r), lambda r: dk * r / (1.0 + r * r),
-                    floats=True)
+    value = radius_hook(lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(np.power(r, -2))),
+                        lambda r: 0.5 * dk * np.log1p(r * r))
+    dvalue = radius_hook(lambda r: dk / (r + 1.0 / r), lambda r: dk * r / (1.0 + r * r))
 
     def d2value_big(r: Array) -> Array:
         q = np.power(r, -2)
@@ -240,7 +235,7 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         w = 1.0 + r * r
         return dk * (1.0 - r * r) / (w * w)
 
-    d2value = _glued(1.0, d2value_big, d2value_small, floats=True)
+    d2value = radius_hook(d2value_big, d2value_small)
     log_value = _glued(0.0, lambda t: dk * (t + 0.5 * np.log1p(np.exp(-2.0 * t))),
                        lambda t: 0.5 * dk * np.log1p(np.exp(2.0 * t)), floats=True)
 
@@ -266,7 +261,6 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         dlog_value=dlog_value,
         d2log_value=_hook(d2log_value, d2log_value),
         moment_max=float(kappa),
-        parameters={"dimension": dimension, "kappa": float(kappa)},
     )
 
 
@@ -355,10 +349,9 @@ def _zoo_entry(
     c_log: float,
     const_bulk: float,
     vartheta: float,
-    extra: dict,
-) -> TargetZooEntry:
+) -> TransformedPotential:
     d = dimension
-    b, t = _weight_transform(d, "vartheta", vartheta)
+    t = _weight_transform(d, "vartheta", vartheta)
 
     # phi and its first two derivatives, from the template
     def phi(u: Array) -> Array:
@@ -375,16 +368,15 @@ def _zoo_entry(
         dimension=d,
         name=kind.value,
         moment_max=float(vartheta),
-        parameters={"dimension": d, "b": b, "c_log": c_log, "vartheta": vartheta},
         **_pullback(t, phi, dphi, d2phi),
     )
-    return TargetZooEntry(pot, t, kind, {"dimension": d, "vartheta": vartheta, "b": b, **extra})
+    return TransformedPotential(pot, t)
 
 
 # --- warm-up ---------------------------------------------------------------
 
 
-def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
+def _warmup_entry(dimension: int, knot: float) -> TransformedPotential:
     t = tr.warmup_transform(dimension, knot)
     d = float(dimension)
     const = -0.5 * d * math.log(d) - math.log(2.0)
@@ -413,22 +405,21 @@ def _warmup_entry(dimension: int, knot: float) -> TargetZooEntry:
         dimension=dimension,
         name="warmup",
         moment_max=math.inf,
-        parameters={"dimension": dimension, "knot": knot},
         **_pullback(t, phi, dphi, d2phi, bend),
     )
-    return TargetZooEntry(pot, t, ExampleKind.WARMUP, {"dimension": dimension, "knot": knot})
+    return TransformedPotential(pot, t)
 
 
 # --- public factory --------------------------------------------------------
 
 
-def _weight_transform(dimension: int, name: str, weight: float) -> tuple:
-    """``b = d / (2 weight)`` and its ``ginbeta2_transform``; a weight whose
+def _weight_transform(dimension: int, name: str, weight: float) -> tr.RadialTransform:
+    """The ``ginbeta2_transform`` of ``b = d / (2 weight)``; a weight whose
     ``b`` the transform rejects (inf, or coefficients that overflow) is
     named in the error, not the derived ``b``."""
     b = dimension / (2.0 * weight)
     try:
-        return b, tr.ginbeta2_transform(b, dimension)
+        return tr.ginbeta2_transform(b, dimension)
     except ValueError as exc:
         raise ValueError(f"{name} = {weight} gives b = d / (2 {name}) = {b}, "
                          f"out of range: {exc}") from None
@@ -456,8 +447,8 @@ def make_example(
     vartheta: float | None = None,
     b: float | None = None,
     knot: float | None = None,
-) -> TargetZooEntry:
-    """Build a zoo entry: potential (with its closed form) and canonical transform.
+) -> TransformedPotential:
+    """Build a zoo entry: potential (with its closed form) paired with its canonical transform.
 
     Each kind takes only its own parameters; any other one given raises
     ``ValueError`` naming it.  The t family needs ``kappa`` (and
@@ -479,13 +470,10 @@ def make_example(
             raise ValueError("the multivariate t family needs kappa")
         pot = make_multivariate_t(dimension, kappa)
         if b is None:
-            b_val, t = _weight_transform(dimension, "kappa", kappa)
+            t = _weight_transform(dimension, "kappa", kappa)
         else:
-            b_val = float(tr._positive("b", b))
-            t = tr.ginbeta2_transform(b_val, dimension)
-        return TargetZooEntry(
-            pot, t, kind, {"dimension": dimension, "kappa": float(kappa), "b": b_val}
-        )
+            t = tr.ginbeta2_transform(float(tr._positive("b", b)), dimension)
+        return TransformedPotential(pot, t)
     if kind is ExampleKind.WARMUP:
         return _warmup_entry(dimension, 1.0 if knot is None else knot)
     vartheta = tr._positive("vartheta", 1.0 if vartheta is None else vartheta)
@@ -498,16 +486,14 @@ def make_example(
         const_bulk = upsilon * dimension * math.log(b_val) + (
             (0.5 + upsilon) * dimension - 1.0
         ) * math.log(2.0)
-        return _zoo_entry(
-            kind, dimension, 0.5 + upsilon, const_bulk, vartheta, {"upsilon": upsilon}
-        )
+        return _zoo_entry(kind, dimension, 0.5 + upsilon, const_bulk, vartheta)
     c_log = {
         ExampleKind.EXAMPLE3: 1.0,
         ExampleKind.EXAMPLE4: 0.5,
         ExampleKind.EXAMPLE5: 0.25,
         ExampleKind.EXAMPLE6: 0.0,
     }[kind]
-    return _zoo_entry(kind, dimension, c_log, 0.0, vartheta, {})
+    return _zoo_entry(kind, dimension, c_log, 0.0, vartheta)
 
 
 def radial_log_density(p: IsotropicPotential, r):
@@ -528,7 +514,7 @@ def radial_log_density(p: IsotropicPotential, r):
 _T_NAME = re.compile(r"^t(\d+)_([0-9.]+)$")
 
 
-def parse_target_name(name: str, *, dimension: int | None = None, **params) -> TargetZooEntry:
+def parse_target_name(name: str, *, dimension: int | None = None, **params) -> TransformedPotential:
     """Resolve a command-line target name into a zoo entry.
 
     Accepts ``t{d}_{kappa}`` (for example ``t2_3``), plain ``t`` with

@@ -40,9 +40,8 @@ rule: the upper piece owns the boundary, so the tail owns the knot.
 The module also owns the package's calling convention.  A radial function
 takes a scalar, giving a float, or an array, giving an array of its shape;
 NaN passes through, and a negative radius raises "radii must be
-nonnegative", as in the zoo's radius hooks; the multivariate t's radius
-hooks and every log-argument hook return a value there (``targets._hook``,
-ROADMAP.md item 6).  A radial field ``s(|x|) x/|x|`` (``h``, ``h^{-1}``,
+nonnegative", as every potential's radius hooks do; a log-argument hook
+takes any real.  A radial field ``s(|x|) x/|x|`` (``h``, ``h^{-1}``,
 the gradients) takes a point or a batch of points, with its caller's rule
 at the origin.
 
@@ -866,10 +865,11 @@ def _bounded_towards_zero(radii: np.ndarray, values: np.ndarray) -> tuple[bool, 
     scale as the rest; a ``1/r``-type divergence inflates them by the grid
     ratio.  Flags divergence when the smallest-decade maximum exceeds ten
     times the magnitude scale away from zero (with an absolute floor so
-    identically-small sequences pass).
+    identically-small sequences pass).  A non-finite value fails, measured
+    by the largest magnitude that is not NaN, or NaN if every value is.
     """
     if not np.all(np.isfinite(values)):
-        return False, float(np.nanmax(np.abs(values), initial=0.0))
+        return False, float(np.fmax.reduce(np.abs(values)))
     mag = np.abs(values)
     near = mag[radii <= radii[0] * 100.0]
     away = mag[radii >= 1e-4]

@@ -182,6 +182,38 @@ def test_main_prints_the_pass_ratio_against_the_headroom(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
+def test_traced_block_is_the_median_of_three_runs_per_side(tmp_path):
+    """The per-layer block rests on three traced runs per side, on the seeds
+    from --trace-seed on, alternating which side runs first, so that one
+    outlying run (here at seed 8) moves neither median."""
+    log = tmp_path / "order.log"
+    for name, scale in (("parent", 1.0), ("change", 2.0)):
+        run_py = tmp_path / name / "perfbench" / "run.py"
+        run_py.parent.mkdir(parents=True)
+        run_py.write_text(
+            "import json, sys\n"
+            "seed, trace = (int(sys.argv[sys.argv.index(o) + 1]) for o in ('--seed', '--trace'))\n"
+            f"open({str(log)!r}, 'a').write(f'{name} {{seed}} {{trace}}\\n')\n"
+            "metrics = {'wall_s': {'value': 0.5}}\n"
+            f"if trace:\n    metrics.update({{k: {{'value': {scale} * (1e3 if seed == 8 else seed)}}\n"
+            f"                    for k in {bench_pairs.TRACED!r}}})\n"
+            "print(json.dumps({'report': {'wall_s': {'n': 5}}}))\n"
+            "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': metrics}))\n"
+        )
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}')
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "w", "--pairs", "1",
+                             "--first-seed", "1", "--trace-seed", "7", "--out", str(out)]) == 0
+    traced = json.loads(out.read_text())["workloads"]["w"]["traced"]
+    assert traced["seeds"] == [7, 8, 9] and traced["runs"] == bench_pairs.TRACE_RUNS == 3
+    for side, scale in (("parent", 1.0), ("change", 2.0)):
+        assert traced[side] == {"correct": True, **{k: 9.0 * scale for k in bench_pairs.TRACED}}
+    assert [line for line in log.read_text().splitlines() if line.endswith(" 1")] == [
+        "parent 7 1", "change 7 1", "change 8 1", "parent 8 1", "parent 9 1", "change 9 1"]
+
+
 def test_rss_fit_separates_harness_from_program_memory():
     """The line runs through every run of both sides.  When both sides grow
     0.5 MB per pass and the change sits 2 MB below, moved along that line to

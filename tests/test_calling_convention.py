@@ -94,6 +94,26 @@ def test_radial_function_scalar_and_array(name, target):
         assert np.isnan(with_nan).tolist() == [False, True, False]
 
 
+@pytest.mark.parametrize("name, target", [
+    (name, target) for name, (_, kind, _) in RADIAL.items() for target in ENTRIES
+    # phi's hooks are a closed pairing's one-radius factor, on the step path
+    if kind == "radius" and "phi" not in name
+])
+def test_negative_radius_raises(name, target):
+    """Every radius function refuses a negative radius, alone or in an
+    array, by one rule; NaN and (where defined) -0.0 pass.  The t's radius hooks returned a
+    value there (``make_multivariate_t(2, 3.0).value(-1.0)`` was 1.7329)."""
+    entry = ENTRIES[target]
+    fn = RADIAL[name][0]
+    tp = TransformedPotential(entry.potential, entry.transform)
+    for bad in (-1.0, -1e-300, -1e60, np.float64(-0.5), np.array([0.5, -0.5, math.nan])):
+        with pytest.raises(ValueError, match="^radii must be nonnegative$"):
+            fn(entry, tp, bad)
+    fn(entry, tp, np.array([math.nan, 2.0]))
+    if name != "hessian_eigenvalues":  # which needs r > 0
+        fn(entry, tp, -0.0)
+
+
 FIELDS = {
     "h_forward": lambda e, tp, x: transform.h_forward(e.transform, x),
     "h_inverse": lambda e, tp, x: transform.h_inverse(e.transform, x),

@@ -219,7 +219,7 @@ class TestHessianEigenvalues:
 def _composed(tp, r, order):
     """f_h^(order)(r) for f_h = f(g) - log g' - (d-1) log(g/r), composed from
     the target and the profile, without the target's closed form."""
-    t, f = tp.transform, tp.target
+    t, f = tp.transform, tp.potential
     lgp, lgr = log_jacobian_terms(t, r, order)
     g = g_eval(t, r, 0)
     if order == 0:
@@ -586,16 +586,16 @@ class TestJetPointwise:
         twin = TransformedPotential(target, entry.transform)
         assert tp._factor is not twin._factor
         assert tp == twin and hash(tp) == hash(twin) == hash((target, entry.transform))
-        assert repr(tp) == (f"TransformedPotential(target={target!r}, "
+        assert repr(tp) == (f"TransformedPotential(potential={target!r}, "
                             f"transform={entry.transform!r})")
         assert [f.name for f in dataclasses.fields(tp) if f.init or f.compare or f.repr] == [
-            "target", "transform"]
+            "potential", "transform"]
         assert dataclasses.replace(tp) == tp
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(tp, _factor=None)
         moved = dataclasses.replace(tp, transform=warmup_transform(2))
         zoo = make_example(ExampleKind.EXAMPLE6, 2)
-        closed = dataclasses.replace(tp, target=zoo.potential, transform=zoo.transform)
+        closed = dataclasses.replace(tp, potential=zoo.potential, transform=zoo.transform)
         assert moved != tp and moved.closed_form is None and closed.closed_form is not None
         for pair in (moved, closed):
             for x in (0.5, 2.0):
@@ -609,21 +609,21 @@ _ZOO = [("t2_3", {}), ("t", {"dimension": 2, "kappa": 1.5}), ("warmup", {"dimens
 
 
 class TestHashable:
-    """Pairings and zoo entries hash and can key a dict: the ``parameters``
-    dicts stay out of the hash and keep their place in equality."""
+    """A zoo pairing hashes, equals its re-pairing (also of a copied
+    potential) and keys a dict; another potential makes another pairing."""
 
     @pytest.mark.parametrize("name, params", _ZOO, ids=[name for name, _ in _ZOO])
     def test_pairings_and_entries_key_a_dict(self, name, params):
         entry = parse_target_name(name, **params)
-        tp = TransformedPotential(entry.potential, entry.transform)
-        copied = dataclasses.replace(entry.potential, parameters=dict(entry.potential.parameters))
-        twin = TransformedPotential(copied, entry.transform)
-        assert copied.parameters is not entry.potential.parameters
-        assert tp == twin and hash(tp) == hash(twin)
-        assert {tp: name}[twin] == name and len({tp, twin}) == 1
-        assert {entry: name}[dataclasses.replace(entry, parameters=dict(entry.parameters))] == name
-        other = dataclasses.replace(entry.potential, parameters={"other": 1.0})
-        assert TransformedPotential(other, entry.transform) != tp
+        assert isinstance(entry, TransformedPotential)
+        copied = dataclasses.replace(entry.potential)
+        assert copied is not entry.potential
+        for twin in (TransformedPotential(entry.potential, entry.transform),
+                     TransformedPotential(copied, entry.transform)):
+            assert entry == twin and hash(entry) == hash(twin)
+            assert {entry: name}[twin] == name and len({entry, twin}) == 1
+        other = dataclasses.replace(entry.potential, name="other")
+        assert TransformedPotential(other, entry.transform) != entry
 
 
 class TestQuadraticTailBranch:

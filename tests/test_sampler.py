@@ -384,7 +384,7 @@ class TestBlockNoise:
         if engine == "tula":
             run, grad = run_tula(tp, cfg), lambda y: transformed_gradient(tp, y)
         else:
-            p = tp.target
+            p = tp.potential
             run = run_ula(p, cfg)
             grad = lambda x: tr._radial_field(x, d, p.dvalue, lambda r: r < ORIGIN_RADIUS)
         _assert_run_is(run, _reference_run(grad, d, cfg))

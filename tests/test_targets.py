@@ -7,7 +7,6 @@ f(g(r)) - log g'(r) - (d-1) log(g(r)/r), must agree with it.
 """
 
 import functools
-import json
 import math
 import re
 import warnings
@@ -133,8 +132,7 @@ class TestMultivariateT:
 
     def test_moment_max_and_parameters(self):
         p = make_multivariate_t(5, 2.0)
-        assert p.moment_max == 2.0
-        assert p.parameters == {"dimension": 5, "kappa": 2.0}
+        assert p.moment_max == 2.0 and p.dimension == 5
         assert p.name == "t5_2"
 
     def test_validation(self):
@@ -220,7 +218,6 @@ class TestZooEntries:
     def test_default_tail_coefficient(self):
         entry = make_example(ExampleKind.EXAMPLE6, 4, vartheta=2.0)
         assert entry.transform.b == pytest.approx(1.0)  # d / (2 vartheta)
-        assert entry.parameters["b"] == pytest.approx(1.0)
 
     def test_t_entry_default_b(self):
         entry = make_example(ExampleKind.MULTIVARIATE_T, 3, kappa=2.0)
@@ -324,15 +321,12 @@ class TestZooEntries:
         extra = {ExampleKind.MULTIVARIATE_T: {"kappa": 3.0},
                  ExampleKind.EXAMPLE2: {"upsilon": 0.5}}.get(kind, {})
         entry = make_example(kind, np.int64(2), **extra)
-        dims = (entry.transform.dimension, entry.parameters["dimension"],
-                entry.potential.dimension, entry.potential.parameters["dimension"])
+        dims = (entry.transform.dimension, entry.potential.dimension)
         assert all(type(d) is int and d == 2 for d in dims)
         assert transform_from_json(transform_to_json(entry.transform)) == entry.transform
-        assert json.loads(json.dumps(entry.parameters)) == entry.parameters
-        assert json.loads(json.dumps(entry.potential.parameters)) == entry.potential.parameters
         t = ginbeta2_transform(1.0, np.int64(2))
         assert type(t.dimension) is int and transform_from_json(transform_to_json(t)) == t
-        assert type(make_multivariate_t(np.int64(2), 3.0).parameters["dimension"]) is int
+        assert type(make_multivariate_t(np.int64(2), 3.0).dimension) is int
 
     @pytest.mark.parametrize("kind, takes", [
         (ExampleKind.MULTIVARIATE_T, {"kappa": 3.0, "b": 0.5}),
@@ -343,15 +337,25 @@ class TestZooEntries:
     ])
     def test_each_kind_takes_only_its_own_parameters(self, kind, takes):
         entry = make_example(kind, 2, **takes)
-        assert {k: entry.parameters[k] for k in takes} == takes
+        pot, t = entry.potential, entry.transform
+        carried = {  # the field that carries each parameter
+            "kappa": lambda: pot.moment_max, "vartheta": lambda: pot.moment_max,
+            "b": lambda: t.b, "knot": lambda: t.tail_knot,
+            # phi'(1) = d + (1/2 + upsilon) d / (3/2) at d = 2
+            "upsilon": lambda: (entry.closed_form.dvalue(1.0) - 2.0) * 0.75 - 0.5,
+        }
+        assert {k: carried[k]() for k in takes} == pytest.approx(takes)
+        if "vartheta" in takes:
+            assert t.b == 1.0 / takes["vartheta"]  # d / (2 vartheta) at d = 2
         for name in {"kappa", "upsilon", "vartheta", "b", "knot"} - set(takes):
             with pytest.raises(ValueError, match=f"takes no {name};"):
                 make_example(kind, 2, **takes, **{name: 1.0})
 
     def test_unset_tail_weight_and_knot_default_to_one(self):
-        assert make_example(ExampleKind.EXAMPLE4, 2).parameters["vartheta"] == 1.0
-        assert make_example(ExampleKind.EXAMPLE2, 2, upsilon=0.0).parameters["vartheta"] == 1.0
-        assert make_example(ExampleKind.WARMUP, 2).parameters["knot"] == 1.0
+        for entry in (make_example(ExampleKind.EXAMPLE4, 2),
+                      make_example(ExampleKind.EXAMPLE2, 2, upsilon=0.0)):
+            assert entry.potential.moment_max == 1.0 and entry.transform.b == 1.0
+        assert make_example(ExampleKind.WARMUP, 2).transform.tail_knot == 1.0
 
     @given(st.sampled_from([ExampleKind.EXAMPLE3, ExampleKind.EXAMPLE6]),
            st.integers(1, 6), st.floats(0.5, 4.0))
@@ -424,9 +428,8 @@ class TestHookAtOneRadius:
         is not finite, or that lies beyond 1e50, takes the array path: the
         warnings are the array's at arguments far out and non-finite."""
         fn = getattr(_entry(kind, 2).potential, hook)
-        # the zoo's radius hooks reject a negative radius; the t's do not
-        negative = ((-800.0, -1e49, -1e99, -1e200, -math.inf)
-                    if "log" in hook or kind == "t" else ())
+        # every radius hook rejects a negative radius; a log argument is any real
+        negative = (-800.0, -1e49, -1e99, -1e200, -math.inf) if "log" in hook else ()
         for x in (0.0, 0.5, 2.0, 800.0, 1e49, 1e99, 1e200, 1.7e308, math.inf, math.nan,
                   *negative):
             alone, caught = _warned(lambda: fn(x))
@@ -563,12 +566,12 @@ class TestRadialLogDensity:
 class TestParseTargetName:
     def test_t_shorthand(self):
         entry = parse_target_name("t2_3")
-        assert entry.kind is ExampleKind.MULTIVARIATE_T
-        assert entry.parameters == {"dimension": 2, "kappa": 3.0, "b": 1.0 / 3.0}
+        assert entry.potential.name == "t2_3" and entry.potential.transformed_form is None
+        assert (entry.dimension, entry.potential.moment_max, entry.transform.b) == (2, 3.0, 1 / 3)
 
     def test_t_with_decimal_kappa(self):
         entry = parse_target_name("t3_2.5")
-        assert entry.parameters["kappa"] == 2.5
+        assert entry.potential.moment_max == 2.5 and entry.potential.name == "t3_2.5"
 
     @pytest.mark.parametrize("options, message", [
         ({"dimension": 5}, "dimension 5 contradicts target 't2_3' (dimension 2)"),
@@ -582,9 +585,11 @@ class TestParseTargetName:
             parse_target_name("t2_3", **options)
 
     def test_t_shorthand_accepts_equal_options(self):
-        entry = parse_target_name("t2_3", dimension=2, kappa=3.0)
-        assert entry.parameters == parse_target_name("t2_3").parameters
-        assert parse_target_name("t2_3", kappa=3).parameters["kappa"] == 3.0
+        base = parse_target_name("t2_3")
+        for entry in (parse_target_name("t2_3", dimension=2, kappa=3.0),
+                      parse_target_name("t2_3", kappa=3)):
+            assert entry.transform == base.transform
+            assert (entry.potential.name, entry.potential.moment_max) == ("t2_3", 3.0)
 
     @pytest.mark.parametrize("name, options, named", [
         ("t2_3", {"knot": 7.0}, "target 't' takes no knot; it takes kappa and b"),
@@ -605,7 +610,7 @@ class TestParseTargetName:
 
     def test_zoo_names(self):
         entry = parse_target_name("example6", dimension=2, vartheta=2.0)
-        assert entry.kind is ExampleKind.EXAMPLE6
+        assert entry.potential.name == "example6" and entry.potential.moment_max == 2.0
         warm = parse_target_name("warmup", dimension=3, knot=0.5)
         assert warm.transform.tail_knot == 0.5
 

@@ -472,7 +472,7 @@ class TestGluing:
         e^(47/60)`` with ``c^2 = b``, so the force term tends to ``(d + kappa)
         b e^(47/30)``, which the check measures near 0."""
         entry = parse_target_name(name)
-        d, kappa, b = (entry.parameters[k] for k in ("dimension", "kappa", "b"))
+        d, kappa, b = entry.dimension, entry.potential.moment_max, entry.transform.b
         exact = (d + kappa) * b * math.exp(47.0 / 30.0)
         check = verify_g1_assumption(entry.transform, entry.potential)["limit_radial_force"]
         assert check.measure == pytest.approx(exact, rel=1e-6)
@@ -492,11 +492,17 @@ class TestGluing:
         assert {c["name"] for c in d["checks"]} >= {"origin_value", "knot_order0", "bulk_monotone"}
 
     def test_a_limit_that_is_not_finite_fails_with_its_largest_magnitude(self):
-        """A NaN fails the check and is skipped in its measure; an inf is the measure."""
+        """A NaN fails the check and is skipped in its measure; an inf is the
+        measure.  A limit that is NaN everywhere measured 0.0, the best a
+        check can show; its measure is NaN."""
         radii = np.geomspace(1e-8, 1.0, 5)
         assert _bounded_towards_zero(radii, np.array([math.nan, 1.0, 2.0, 3.0, 4.0])) == (False, 4.0)
         assert _bounded_towards_zero(radii, np.array([math.inf, 1.0, 2.0, 3.0, 4.0])) == (
             False, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, worst = _bounded_towards_zero(radii, np.full(5, math.nan))
+        assert not ok and math.isnan(worst)
 
     def test_check_serializes(self):
         """A force that is infinite near the origin fails its check, whose

@@ -5,8 +5,9 @@
 
 Runs ``perfbench/run.py --trace 0`` on both trees for ``--pairs`` seeds
 (``first-seed``, ``first-seed + 1``, ...), alternating which tree runs
-first, then, unless ``--trace-seed`` is negative, one ``--trace 1`` run of
-each tree.  Each tree runs its own ``perfbench/`` from its own root.  For
+first, then, unless ``--trace-seed`` is negative, TRACE_RUNS ``--trace 1``
+runs of each tree on the seeds ``trace-seed``, ``trace-seed + 1``, ...,
+again alternating which tree runs first.  Each tree runs its own ``perfbench/`` from its own root.  For
 every end-to-end metric the output records the per-pair values, both
 medians, both quartiles, the parent's interquartile range and the number
 of pairs the change won (ties count for neither side), whether the
@@ -31,8 +32,10 @@ count, the pass speed-up that fits before the harness alone fails the
 memory bound.  Next to it stand the change's median pass count over the
 parent's (``pass_ratio``) and ``over_headroom``, true when that ratio
 exceeds the speed-up that fits, so a faster change shows when its extra
-passes alone reach the memory bound.  For the traced run it records the
-per-layer metrics named in TRACED.  Results of several workloads
+passes alone reach the memory bound.  For the traced runs it records each
+side's median of every per-layer metric named in TRACED, beside the run
+count and seeds, since a single traced run per side spreads too widely
+to compare.  Results of several workloads
 accumulate in one ``--out`` file, one entry per workload.  The exit status is 1 when any run, traced or not,
 reported ``correct: false``.  Each invocation leads its own session, and
 when the tool is stopped (SIGTERM or Ctrl-C) or an invocation fails, the
@@ -62,6 +65,7 @@ TRACED = (
     "transform.h_forward_ns_per_point",
     "transform.g_inverse_ns_per_point",
 )
+TRACE_RUNS = 3
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -189,7 +193,7 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace-seed", type=int, default=-1,
-                        help="seed of the one traced run per tree; negative skips it")
+                        help="first seed of the traced runs per tree; negative skips them")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -206,12 +210,17 @@ def main(argv=None) -> int:
     entry = {"seconds": args.seconds, "pairs": pairs, **summarize(spec, pairs)}
     all_correct = not any(o["incorrect_runs"] for o in entry["operations"].values())
     if args.trace_seed >= 0:
-        entry["traced"] = {"seed": args.trace_seed}
-        for side, tree in trees.items():
-            res = run(tree, args.workload, args.trace_seed, args.seconds, 1)
-            entry["traced"][side] = {"correct": res["correct"],
-                                     **{k: res["metrics"][k] for k in TRACED}}
-            all_correct = all_correct and res["correct"]
+        seeds = [args.trace_seed + i for i in range(TRACE_RUNS)]
+        traced = {"parent": [], "change": []}
+        for i, seed in enumerate(seeds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                traced[side].append(run(trees[side], args.workload, seed, args.seconds, 1))
+        entry["traced"] = {"seeds": seeds, "runs": TRACE_RUNS}
+        for side, runs in traced.items():
+            entry["traced"][side] = {
+                "correct": all(r["correct"] for r in runs),
+                **{k: statistics.median(r["metrics"][k] for r in runs) for k in TRACED}}
+            all_correct = all_correct and entry["traced"][side]["correct"]
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("machine", {"python": platform.python_version(),

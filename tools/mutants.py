@@ -52,6 +52,7 @@ _SA = "src/tula/sampler.py"
 _ONE_RADIUS = "tests/test_dynamics.py::TestJetPointwise::test_one_radius_equals_its_place_in_a_long_batch"
 _WARNS = "tests/test_dynamics.py::TestJetPointwise::test_one_radius_warns_as_a_batch_of_it"
 _SWEEP = "tests/test_targets.py::TestHookSweep"
+_SCALE = "tests/test_symmetry.py::test_run_tula_is_invariant_under_the_scale_of_b"
 _JET_WARNS = "tests/test_transform.py::TestJetAtOneRadius::test_warns_and_raises_as_the_array_pass"
 
 MUTANTS = (
@@ -108,6 +109,11 @@ MUTANTS = (
                "[d2value-example3]",)),
     Mutant("warmup-d2phi-cube", _TG, "np.power(wu, 3)", "wu**3", (
         f"{_SWEEP}::test_closed_form_float_equals_its_batch_element_bitwise[d2value-warmup]",)),
+    # as accurate as b**1.5, but its rounding is not homogeneous in b: only
+    # the scale symmetry of the chains sees it
+    Mutant("ginbeta2-b-power-exp-log", _TR, "-(10.0 / 3.0) * b**1.5",
+           "-(10.0 / 3.0) * math.exp(1.5 * math.log(b))", (
+               f"{_SCALE}[t2_3-0-1]", f"{_SCALE}[t2_3-0--1]")),
 )
 
 
