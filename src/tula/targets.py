@@ -61,38 +61,41 @@ __all__ = [
 Array = np.ndarray
 
 
-def _hook(at: Callable, on_arrays: Callable[[Array], Array]):
-    """A potential hook: ``at`` on a Python float below 1e50 in magnitude,
-    and ``on_arrays`` on a float array, through the calling convention, for
-    any other argument.
+def _hook(at: Callable, on_arrays: Callable[[Array], Array], *, radius: bool = True):
+    """A potential hook: ``at`` on a Python float in range, and ``on_arrays``
+    on a float array, through the calling convention, for any other argument.
 
-    ``at`` runs the array path's operations on the float, so both give the
-    same bits.  Python float arithmetic overflows and makes NaN silently
-    where numpy warns: the bound keeps products of up to six factors of the
-    argument in range, and a float whose value is not finite goes through
-    the array path again, with its warnings and ``np.errstate`` errors.  It
-    checks no argument; ``phi``'s hooks, on the step path, take any radius.
+    A radius hook's range is ``0 <= x < 1e50``: a negative radius meets the
+    convention's check, "radii must be nonnegative", and NaN and -0.0 pass.
+    A log-argument hook (``radius=False``) takes any real, in range below
+    1e50 in magnitude.  ``at`` runs the array path's operations on the
+    float, so both give the same bits.  Python float arithmetic overflows
+    and makes NaN silently where numpy warns: the bound keeps products of up
+    to six factors of the argument in range, and a float whose value is not
+    finite goes through the array path again, with its warnings and
+    ``np.errstate`` errors.
     """
+    low = 0.0 if radius else math.nextafter(-1e50, 0.0)
 
     def hook(x):
-        if type(x) is float and -1e50 < x < 1e50:
+        if type(x) is float and low <= x < 1e50:
             y = float(at(x))
             if math.isfinite(y):
                 return y
-        return tr._radial(on_arrays, x, check=False)
+        return tr._radial(on_arrays, x, check=radius)
 
     return hook
 
 
-def _glued(seam: float, tail: Callable, bulk: Callable, *, floats: bool):
-    """Hook of ``tail`` at arguments ``>= seam`` and ``bulk`` below.  With
-    ``floats`` a Python float takes one comparison with the seam and its
-    branch's formula (:func:`_hook`); without, every argument goes through
-    the calling convention as an array."""
+def _glued(seam: float, tail: Callable, bulk: Callable, *, floats: bool, radius: bool = True):
+    """Hook of ``tail`` at arguments ``>= seam`` and ``bulk`` below, with
+    :func:`_hook`'s rule for ``radius``.  With ``floats`` a Python float
+    takes one comparison with the seam and its branch's formula; without,
+    every argument goes through the calling convention as an array."""
     glued = lambda x: tr._piecewise(x, seam, lambda v: (bulk(v),), lambda v: (tail(v),))[0]
     if floats:
-        return _hook(lambda x: tail(x) if x >= seam else bulk(x), glued)
-    return functools.partial(tr._radial, glued, check=False)
+        return _hook(lambda x: tail(x) if x >= seam else bulk(x), glued, radius=radius)
+    return functools.partial(tr._radial, glued, check=radius)
 
 
 def _of_log_argument(value: Callable, dvalue: Callable, d2value: Callable):
@@ -203,28 +206,14 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
     tr._positive("kappa", kappa)
     dk = float(dimension + kappa)
 
-    def radius_hook(tail: Callable, bulk: Callable):
-        """``_glued(1.0, tail, bulk, floats=True)`` whose ``bulk`` refuses a negative radius."""
-        def at(x):
-            if x >= 1.0:
-                return tail(x)
-            if x < 0.0:
-                raise ValueError("radii must be nonnegative")
-            return bulk(x)
-
-        def below_one(v):  # one ``any`` over an array's radii below 1
-            if (v < 0.0).any():
-                raise ValueError("radii must be nonnegative")
-            return (bulk(v),)
-        return _hook(at, lambda r: tr._piecewise(r, 1.0, below_one, lambda v: (tail(v),))[0])
-
     # radius forms split at 1 and softplus forms at 0, to stay exact at both
     # ends; squares are products and other powers np.power, so that a Python
     # float gets an array's bits (numpy squares by multiplying, while
     # Python's ** calls the C library's pow)
-    value = radius_hook(lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(np.power(r, -2))),
-                        lambda r: 0.5 * dk * np.log1p(r * r))
-    dvalue = radius_hook(lambda r: dk / (r + 1.0 / r), lambda r: dk * r / (1.0 + r * r))
+    value = _glued(1.0, lambda r: 0.5 * dk * (2.0 * np.log(r) + np.log1p(np.power(r, -2))),
+                   lambda r: 0.5 * dk * np.log1p(r * r), floats=True)
+    dvalue = _glued(1.0, lambda r: dk / (r + 1.0 / r), lambda r: dk * r / (1.0 + r * r),
+                    floats=True)
 
     def d2value_big(r: Array) -> Array:
         q = np.power(r, -2)
@@ -235,16 +224,17 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         w = 1.0 + r * r
         return dk * (1.0 - r * r) / (w * w)
 
-    d2value = radius_hook(d2value_big, d2value_small)
+    d2value = _glued(1.0, d2value_big, d2value_small, floats=True)
     log_value = _glued(0.0, lambda t: dk * (t + 0.5 * np.log1p(np.exp(-2.0 * t))),
-                       lambda t: 0.5 * dk * np.log1p(np.exp(2.0 * t)), floats=True)
+                       lambda t: 0.5 * dk * np.log1p(np.exp(2.0 * t)), floats=True,
+                       radius=False)
 
     def dlog_value_neg(t: Array) -> Array:
         e = np.exp(2.0 * t)
         return dk * e / (1.0 + e)
 
     dlog_value = _glued(0.0, lambda t: dk / (1.0 + np.exp(-2.0 * t)), dlog_value_neg,
-                        floats=True)
+                        floats=True, radius=False)
 
     def d2log_value(t: Array) -> Array:
         w = np.exp(-2.0 * np.abs(t))
@@ -259,7 +249,7 @@ def make_multivariate_t(dimension: int, kappa: float) -> IsotropicPotential:
         d2value=d2value,
         log_value=log_value,
         dlog_value=dlog_value,
-        d2log_value=_hook(d2log_value, d2log_value),
+        d2log_value=_hook(d2log_value, d2log_value, radius=False),
         moment_max=float(kappa),
     )
 
@@ -333,7 +323,8 @@ def _pullback(
     hooks = [_glued(t.seam, functools.partial(tail, k=k), bulk_hooks[k], floats=False)
              for k in range(3)]
     log_hooks = [_glued(math.log(t.seam), lambda tt, k=k: log_tail(tt, k)[k], bulk_log,
-                        floats=False) for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
+                        floats=False, radius=False)
+                 for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
     names = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
     form = [_hook(fn, fn) for fn in (phi, dphi, d2phi)]
     return {

@@ -363,7 +363,7 @@ def _radial(fn, r, check: bool = True):
     A scalar ``r`` gives a float back (a tuple of floats when ``fn`` returns
     a sequence of arrays); an array gives what ``fn`` returns, shaped like
     ``r``.  NaN passes through.  ``check`` rejects negative radii; the
-    potential hooks of :mod:`tula.targets` turn it off.
+    log-argument hooks of :mod:`tula.targets` turn it off.
     """
     if not check and type(r) is np.ndarray and r.ndim == 1 and r.dtype is _FLOAT:
         return fn(r)  # a hook's call on a batch of radii the package computed

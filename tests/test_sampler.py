@@ -407,6 +407,25 @@ class TestBlockNoise:
     def test_ula_on_a_pulled_back_potential(self):
         self._check("example6", 2, 2, 257, 1, "ula")
 
+    PAIRINGS = [("t", {"kappa": 3.0}), ("example2", {"upsilon": 0.5}), ("example3", {}),
+                ("example4", {}), ("example5", {}), ("example6", {}), ("warmup", {})]
+
+    @pytest.mark.parametrize("kind, params", PAIRINGS, ids=[k for k, _ in PAIRINGS])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_every_pairing_from_the_origin_and_both_sides_of_the_knot(self, kind, params, d):
+        """Chain 0 starts inside the origin rule's radius, chains 1 and 2 at
+        0.9 and 1.1 knots; the public gradient at every step of the
+        reference loop gives the engine's bits on each pairing."""
+        tp = make_example(kind, d, **params)
+        start = np.outer([5e-11, 0.9 * tp.transform.knot, 1.1 * tp.transform.knot],
+                         np.eye(d)[0])
+        assert np.linalg.norm(start[0]) < ORIGIN_RADIUS
+        cfg = SamplerConfig(step_size=0.005 if kind == "t" else 0.05, num_steps=257, seed=7,
+                            thin=7, num_chains=3, initial_point=start)
+        run = run_tula(tp, cfg)
+        assert not run.any_diverged
+        _assert_run_is(run, _reference_run(lambda y: transformed_gradient(tp, y), d, cfg))
+
     def test_divergence_inside_a_block_keeps_the_reference_prefix(self):
         """On example6 (f_h = |y|^2, gradient 2y) at gamma 1.005 every step
         scales y by -1.01: chain 0, started at (5e152, 5e152), overflows part way

@@ -14,7 +14,7 @@ branches, as long as the code keeps that homogeneity.
 import numpy as np
 import pytest
 
-from tula.sampler import SamplerConfig, run_tula
+from tula.sampler import SamplerConfig, plan_step_size, run_tula
 from tula.targets import make_example
 
 STEPS = 2000
@@ -49,3 +49,19 @@ def test_run_tula_is_invariant_under_the_scale_of_b(dimension, kappa, seed, k):
     for x, x_scaled, y, y_scaled in zip(base.xs, scaled.xs, base.ys, scaled.ys):
         assert x_scaled.tobytes() == x.tobytes()
         assert (y_scaled * 2.0**k).tobytes() == y.tobytes()
+
+
+# (L, C, d, eps, H0): the frozen planner example and two others
+PLANS = [(8.0, 4.0 / 7.0, 4, 0.1, 4.0), (3.0, 0.37, 2, 0.01, 1.5), (0.7, 11.3, 10, 0.5, 20.0)]
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+@pytest.mark.parametrize("plan", PLANS)
+def test_plan_step_size_follows_the_scale_of_b(plan, k):
+    """Under b -> 4**k b, L goes as 4**k and C as 4**-k: the planner gives
+    ``gamma / 4**k`` and the same step count, bitwise."""
+    lipschitz, lsi_constant, dimension, accuracy, initial_kl = plan
+    gamma, steps = plan_step_size(*plan)
+    scaled = plan_step_size(4.0**k * lipschitz, lsi_constant / 4.0**k, dimension, accuracy,
+                            initial_kl)
+    assert scaled == (gamma / 4.0**k, steps)

@@ -54,6 +54,7 @@ _WARNS = "tests/test_dynamics.py::TestJetPointwise::test_one_radius_warns_as_a_b
 _SWEEP = "tests/test_targets.py::TestHookSweep"
 _SCALE = "tests/test_symmetry.py::test_run_tula_is_invariant_under_the_scale_of_b"
 _JET_WARNS = "tests/test_transform.py::TestJetAtOneRadius::test_warns_and_raises_as_the_array_pass"
+_NEGATIVE = "tests/test_calling_convention.py::test_negative_radius_raises"
 
 MUTANTS = (
     Mutant("chain-stream", _SA, "spawn_key=(chain,)", "spawn_key=(0,)", (
@@ -91,6 +92,10 @@ MUTANTS = (
            (_JET_WARNS,)),
     Mutant("tail-jet-no-range-check", _TR, "    if not 1e-100 < x < 1e100:\n        return None\n",
            "", (_JET_WARNS,)),
+    Mutant("hook-negative-radius-on-floats", _TG, "low = 0.0 if radius else",
+           "low = math.nextafter(-1e50, 0.0) if radius else", tuple(
+               f"{_NEGATIVE}[{hook}-{target}]" for hook in ("phi", "dphi", "d2phi")
+               for target in ("example6", "warmup"))),
     Mutant("hook-no-finite-fallback", _TG,
            "            if math.isfinite(y):\n                return y",
            "            return y", ("tests/test_targets.py::TestHookAtOneRadius"
