@@ -159,6 +159,16 @@ def _target_echo(opts: dict[str, Any]) -> dict[str, Any]:
     return {opt.dest: opts[opt.dest] for opt in _TARGET if opts[opt.dest] is not None}
 
 
+def _report(opts: dict[str, Any], name: str, payload: dict, shown: Sequence[str] = ()) -> None:
+    """Write ``payload``, with the target echo when the command has a target,
+    to ``name`` in the output directory, and print it, or only its keys in
+    ``shown``."""
+    if "target" in opts:
+        payload["target"] = _target_echo(opts)
+    dump_config(payload, Path(opts["out"]) / name)
+    print(json.dumps({key: payload[key] for key in shown} if shown else payload, indent=2))
+
+
 def cmd_sample(opts: dict[str, Any]) -> int:
     tp = _pairing(opts)
     # checked before any step runs, so a bad threshold or burn-in leaves no artifacts
@@ -227,15 +237,8 @@ def cmd_check(opts: dict[str, Any]) -> int:
 
     report = check_assumption(tp, opts["assumption"], grid=grid,
                               candidate_constants=candidates or None)
-    payload = report.to_dict()
-    payload["target"] = _target_echo(opts)
-    dump_config(payload, Path(opts["out"]) / "assumption.json")
-    print(json.dumps({
-        "assumption": payload["assumption"],
-        "fitted_constants": payload["fitted_constants"],
-        "satisfied_from_radius": payload["satisfied_from_radius"],
-        "pass": payload["pass"],
-    }, indent=2))
+    _report(opts, "assumption.json", report.to_dict(),
+            ("assumption", "fitted_constants", "satisfied_from_radius", "pass"))
     return 0 if report.passed else 1
 
 
@@ -244,14 +247,12 @@ def cmd_lsi(opts: dict[str, Any]) -> int:
     estimate = estimate_lsi(tp, r_max=opts["r_max"], grid_size=opts["grid_size"])
 
     out = Path(opts["out"])
-    payload = estimate.to_dict()
-    payload["target"] = _target_echo(opts)
-    dump_config(payload, out / "lsi.json")
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "lsi_table.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("r,lambda1,lambda2,beta_bar\n")
         for r, lam1, lam2, bb in estimate.table_rows():
             fh.write(f"{r!r},{lam1!r},{lam2!r},{bb!r}\n")
-    print(json.dumps(payload, indent=2))
+    _report(opts, "lsi.json", estimate.to_dict())
     return 0
 
 
@@ -260,18 +261,14 @@ def cmd_classify(opts: dict[str, Any]) -> int:
         opts["assumption"], vartheta=opts["vartheta"], dimension=opts["d"], b=opts["b"],
         beta=opts["beta"], **{opt.dest: opts[opt.dest] for opt in _CONSTANTS[:6]},
     )
-    payload = verdict.to_dict()
-    dump_config(payload, Path(opts["out"]) / "verdict.json")
-    print(json.dumps(payload, indent=2))
+    _report(opts, "verdict.json", verdict.to_dict())
     return 0
 
 
 def cmd_gradcheck(opts: dict[str, Any]) -> int:
     tp = _pairing(opts)
     result = run_gradient_suite(tp, num_points=opts["points"], seed=opts["seed"])
-    result["target"] = _target_echo(opts)
-    dump_config(result, Path(opts["out"]) / "gradcheck.json")
-    print(json.dumps(result, indent=2))
+    _report(opts, "gradcheck.json", result)
     return 0 if result["pass"] else 1
 
 

@@ -98,27 +98,6 @@ def _glued(seam: float, tail: Callable, bulk: Callable, *, floats: bool, radius:
     return functools.partial(tr._radial, glued, check=radius)
 
 
-def _of_log_argument(value: Callable, dvalue: Callable, d2value: Callable):
-    """``F(t) = f(e^t)`` and its first two ``t``-derivatives from ``f``, ``f'``, ``f''``.
-
-    With ``s = e^t``: ``F' = s f'(s)`` and ``F'' = s^2 f''(s) + s f'(s)``.
-    For arguments where ``f`` has no form stable in ``t``.
-    """
-
-    def log_value(tt: Array) -> Array:
-        return value(np.exp(tt))
-
-    def dlog_value(tt: Array) -> Array:
-        s = np.exp(tt)
-        return dvalue(s) * s
-
-    def d2log_value(tt: Array) -> Array:
-        s = np.exp(tt)
-        return d2value(s) * s * s + dvalue(s) * s
-
-    return log_value, dlog_value, d2log_value
-
-
 @dataclasses.dataclass(frozen=True)
 class TransformedForm:
     """Closed transformed potential ``phi = f_h`` a potential was built from.
@@ -263,31 +242,33 @@ def _fmt(x: float) -> str:
 
 def _pullback(
     t: tr.RadialTransform,
+    name: str,
+    moment_max: float,
     phi: Callable[[Array], Array],
     dphi: Callable[[Array], Array],
     d2phi: Callable[[Array], Array],
-    bend: Callable[[Array], Array] | None = None,
-) -> dict:
-    """The fields of the potential built from ``phi`` for ``t``.
+    bend: Callable[[Array], Array],
+) -> TransformedPotential:
+    """The potential built from ``phi`` for ``t``, paired with ``t``.
 
     The change of variables run backwards, on each branch at the root ``r``
     of its jet's profile ``p`` (``g`` on the bulk, the exponent ``u = log
     g`` on the tail): the outer function is ``phi + LJ`` with the
     log-Jacobian ``LJ = log g' + (d-1) log(g/r)``, and its ``p``-derivatives
     are ``(phi' + LJ')/p'`` and ``((phi'' + LJ'') - (phi' + LJ') p''/p')/p'^2``.
-    The bulk root is ``g^{-1}(s)``.  The tail works in the log argument
-    ``t = log s`` at the root ``r`` of ``u(r) = t`` (``transform._tail_root``),
-    which gives ``F`` outright and ``f' = F'/s``, ``f'' = (F'' - F')/s^2``;
-    ``F`` is the tail's above ``log(seam)`` and ``f(e^t)`` below it.
-    On the quadratic tail ``u''/u' + u' = 1/r``, so ``F'' - F' = (phi'' -
-    phi'/r + LJ'' - LJ'/r)/u'^2``, whose ``phi'' - phi'/r`` is ``bend``, free
-    of the cancellation by which ``F'' - F'`` loses ``log10 |x|`` digits.
-    Returns the hooks, the seam and the transformed form as keyword
-    arguments of :class:`IsotropicPotential`.  The hooks take a Python
-    float as a one-element array: on a float their operations would run on
-    numpy scalars, which warn unlike arrays.  ``phi``'s hooks run on the
-    float (:func:`_hook`), so squares are products and other powers
-    ``np.power``.
+    The bulk root is ``g^{-1}(s)``, which gives ``f`` outright and, with
+    ``s = e^t``, ``F = f(s)``, ``F' = f' s`` and ``F'' = f'' s^2 + f' s``.
+    The tail works in the log argument ``t = log s`` at the root ``r`` of
+    ``u(r) = t`` (``transform._tail_root``), which gives ``F`` outright and
+    ``f' = F'/s``, ``f'' = (F'' - F')/s^2``.  A hook's call runs one
+    inversion.  On a ``beta = 2`` tail the quotient ``(bend + LJ'' -
+    LJ'/r)/u'^2``, with ``bend = phi'' - phi'/r`` and the closed log term
+    of ``transform._tail_bend``, is ``F''`` (exponential kind) or ``F'' -
+    F'`` (quadratic kind), free of the cancellation that costs the other
+    form its digits far out.  The hooks take a Python float as a
+    one-element array: on a float their operations would run on numpy
+    scalars, which warn unlike arrays.  ``phi``'s hooks run on the float
+    (:func:`_hook`), so squares are products and other powers ``np.power``.
     """
     def outer(jet: tr.RadialJet, r: Array, order: int) -> list:
         p, lgp, lgr = jet
@@ -300,38 +281,40 @@ def _pullback(
             out.append((curv - slope * p[2] / p[1]) / (p[1] * p[1]))
         return out
 
-    def bulk(s: Array, k: int) -> Array:
+    def bulk(s: Array, k: int) -> list:  # f, ..., f^(k) below the seam
         r = tr.g_inverse(t, s)
-        return outer(tr.bulk_jet(t.gin, r, range(k + 1)), r, k)[k]
+        return outer(tr.bulk_jet(t.gin, r, range(k + 1)), r, k)
 
-    def log_tail(tt: Array, k: int) -> list:
+    lifted, bent_lj = tr._tail_bend(t)
+
+    def tail(tt: Array, k: int, minus: bool = False) -> Array:
+        """F^(k) from log(seam) on; with ``minus``, F'' - F' at k = 2."""
         r = tr._tail_root(t, tt)
-        return outer(tr.tail_jet(t, r, range(k + 1)), r, k)
+        if k < 2 or (lifted and not minus):
+            return outer(tr.tail_jet(t, r, range(k + 1)), r, k)[k]
+        # the quotient free of the cancellation, F'' - lifted F'
+        jet = tr.tail_jet(t, r, (1, 2) if lifted else range(3))
+        bent = (bend(r) + bent_lj(r)) / (jet.profile[1] * jet.profile[1])
+        return bent - outer(jet, r, 1)[1] if minus and not lifted else bent
 
-    def tail(s: Array, k: int) -> Array:
-        if k == 2 and bend is not None:
-            r = tr._tail_root(t, np.log(s))
-            u, lgp, lgr = tr.tail_jet(t, r, (1, 2))
-            lj = lgp[2] + t._d1 * lgr[2] - (lgp[1] + t._d1 * lgr[1]) / r
-            return (bend(r) + lj) / (u[1] * u[1]) / (s * s)
-        F = log_tail(np.log(s), k)
-        if k == 0:
-            return F[0]
-        return F[1] / s if k == 1 else (F[2] - F[1]) / (s * s)
+    def bulk_log(tt: Array, k: int) -> Array:  # F^(k) below log(seam), from f at s = e^t
+        s = np.exp(tt)
+        f = bulk(s, k)
+        return f[0] if k == 0 else f[1] * s if k == 1 else f[2] * s * s + f[1] * s
 
-    bulk_hooks = [functools.partial(bulk, k=k) for k in range(3)]
-    hooks = [_glued(t.seam, functools.partial(tail, k=k), bulk_hooks[k], floats=False)
-             for k in range(3)]
-    log_hooks = [_glued(math.log(t.seam), lambda tt, k=k: log_tail(tt, k)[k], bulk_log,
-                        floats=False, radius=False)
-                 for k, bulk_log in enumerate(_of_log_argument(*bulk_hooks))]
-    names = ("value", "dvalue", "d2value", "log_value", "dlog_value", "d2log_value")
-    form = [_hook(fn, fn) for fn in (phi, dphi, d2phi)]
-    return {
-        **dict(zip(names, hooks + log_hooks)),
-        "seams": (t.seam,),
-        "transformed_form": TransformedForm(t, *form),
-    }
+    def tail_radius(s: Array, k: int) -> Array:
+        F = tail(np.log(s), k, minus=True)
+        return F if k == 0 else F / s if k == 1 else F / (s * s)
+
+    hooks = [_glued(t.seam, functools.partial(tail_radius, k=k), lambda s, k=k: bulk(s, k)[k],
+                    floats=False) for k in range(3)]
+    log_hooks = [_glued(math.log(t.seam), functools.partial(tail, k=k),
+                        functools.partial(bulk_log, k=k), floats=False, radius=False)
+                 for k in range(3)]
+    form = TransformedForm(t, *(_hook(fn, fn) for fn in (phi, dphi, d2phi)))
+    pot = IsotropicPotential(t.dimension, name, *hooks, *log_hooks, moment_max=moment_max,
+                             seams=(t.seam,), transformed_form=form)
+    return TransformedPotential(pot, t)
 
 
 def _zoo_entry(
@@ -355,13 +338,11 @@ def _zoo_entry(
         w = 1.0 + 0.5 * u * u
         return d + c_log * d * (1.0 - 0.5 * u * u) / (w * w)
 
-    pot = IsotropicPotential(
-        dimension=d,
-        name=kind.value,
-        moment_max=float(vartheta),
-        **_pullback(t, phi, dphi, d2phi),
-    )
-    return TransformedPotential(pot, t)
+    def bend(u: Array) -> Array:  # phi'' - phi'/u = -c_log d u^2 / (1 + u^2/2)^2
+        q = u / (1.0 + 0.5 * u * u)
+        return -c_log * d * q * q
+
+    return _pullback(t, kind.value, float(vartheta), phi, dphi, d2phi, bend)
 
 
 # --- warm-up ---------------------------------------------------------------
@@ -392,13 +373,7 @@ def _warmup_entry(dimension: int, knot: float) -> TransformedPotential:
         h = np.hypot(1.0, d * u * u)
         return 4.0 * d * w(u) / h / h
 
-    pot = IsotropicPotential(
-        dimension=dimension,
-        name="warmup",
-        moment_max=math.inf,
-        **_pullback(t, phi, dphi, d2phi, bend),
-    )
-    return TransformedPotential(pot, t)
+    return _pullback(t, "warmup", math.inf, phi, dphi, d2phi, bend)
 
 
 # --- public factory --------------------------------------------------------

@@ -628,6 +628,27 @@ def _tail_root(t: RadialTransform, log_s):
     return np.power(log_s / t.b, 1.0 / t.beta)
 
 
+def _tail_bend(t: RadialTransform) -> tuple[bool, Callable]:
+    """On a ``beta = 2`` tail: whether the quotient ``(phi'' - phi'/r + LJ''
+    - LJ'/r)/u'^2`` of a potential built from ``phi`` is ``F'' - F'`` (True)
+    or ``F''``, and the closed ``LJ'' - LJ'/r`` of the log-Jacobian ``LJ =
+    log g' + (d-1) log(g/r)`` as a function of the radius.
+
+    The exponential kind has ``u''/u' = 1/r`` and ``LJ'' - LJ'/r = (2d -
+    4)/r**2``; the quadratic kind ``u''/u' + u' = 1/r`` and ``-2d/r**2``,
+    summed from ``1/r**2`` and ``1/r`` as :func:`tail_jet`'s terms are, so
+    that it has their bits.
+    """
+    d1 = t._d1
+    if t.tail == _QUADRATIC:
+        def term(r):
+            a, b = 1.0 / (r * r), 1.0 / r
+            return -(a + d1 * a) - (b + d1 * b) / r
+
+        return True, term
+    return False, lambda r: (2.0 * d1 - 2.0) / (r * r)
+
+
 def tail_jet(t: RadialTransform, r, orders) -> RadialJet:
     """Jet of the tail profile at radii ``r >= knot`` for the derivative
     orders ``orders``, a collection of integers from 0 to 3.

@@ -8,12 +8,18 @@ doubles, and one TULA step from ``y / 2`` with step ``gamma / 4`` and noise
 ``sqrt(2 gamma / 4) z = sqrt(2 gamma) z / 2`` lands on half the step from
 ``y``: the same chain in ``x``.  Every factor is a power of two, so the
 floating-point chains agree bit for bit, across the knot and on both
-branches, as long as the code keeps that homogeneity.
+branches, as long as the code keeps that homogeneity.  The same holds for
+``tula sample``'s x-side files and for the constants the A2-A5 checks fit.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
 
+from tula.analysis import check_assumption
+from tula.cli import main
 from tula.sampler import SamplerConfig, plan_step_size, run_tula
 from tula.targets import make_example
 
@@ -65,3 +71,68 @@ def test_plan_step_size_follows_the_scale_of_b(plan, k):
     scaled = plan_step_size(4.0**k * lipschitz, lsi_constant / 4.0**k, dimension, accuracy,
                             initial_kl)
     assert scaled == (gamma / 4.0**k, steps)
+
+
+def _sample(out, b, gamma, init_scale):
+    argv = ["sample", "--target", "t2_3", "--b", repr(b), "--gamma", repr(gamma),
+            "--init-scale", repr(init_scale), "--steps", "4000", "--chains", "2", "--seed", "5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = (out / "chain.csv").read_text().splitlines()
+    return (rows[0], [row for row in rows[1:] if ",x," in row],
+            [row for row in rows[1:] if ",y," in row])
+
+
+@pytest.mark.parametrize("k", [-1, 1])
+def test_tula_sample_files_are_invariant_under_the_scale_of_b(tmp_path, capsys, k):
+    """``tula sample`` on the t at ``(4**k b, gamma / 4**k, --init-scale
+    s / 2**k)`` writes the x rows of ``chain.csv``, all of ``trace.csv``
+    (x radii) and ``diagnostics.json`` (x side) byte for byte as at ``(b,
+    gamma, s)``; its y rows are the base's scaled by ``2**-k``, bitwise."""
+    b, gamma = 1.0 / 3.0, 0.05
+    base = _sample(tmp_path / "base", b, gamma, 1.0)
+    scaled = _sample(tmp_path / "scaled", 4.0**k * b, gamma / 4.0**k, 1.0 / 2.0**k)
+    assert scaled[:2] == base[:2]
+    y_base = np.array([row.split(",")[3:] for row in base[2]], dtype=float)
+    y_scaled = np.array([row.split(",")[3:] for row in scaled[2]], dtype=float)
+    assert (y_scaled * 2.0**k).tobytes() == y_base.tobytes()
+    radii = np.linalg.norm(y_base, axis=1)  # the chains cross the knot, sqrt(3)
+    assert (radii < math.sqrt(3.0)).any() and (radii >= math.sqrt(3.0)).any()
+    for name in ("trace.csv", "diagnostics.json"):
+        assert (tmp_path / "scaled" / name).read_bytes() == (tmp_path / "base" / name).read_bytes()
+    summaries = [json.loads((tmp_path / side / "summary.json").read_text())
+                 for side in ("base", "scaled")]
+    for key in ("x_radius_mean", "x_radius_second_moment"):
+        assert summaries[1][key] == summaries[0][key]
+
+
+# how A2-A5's constants go under b -> 4**k b on a y grid scaled by 2**-k
+# (A5's thresholds are x radii, and stay): curvatures and L as 4**k, the
+# radii N2-N4 as 2**-k, A5's C_tail as 2**-k
+_CHECK_SCALE = {"mu": 4.0, "rho": 4.0, "L": 4.0, "N2": 0.5, "N3": 0.5, "N4": 0.5,
+                "C_tail": 0.5, "C_tail_extended": 0.5}
+
+
+@pytest.mark.parametrize("k", [-1, 1])
+@pytest.mark.parametrize("assumption", ["A2", "A3", "A4", "A5"])
+def test_check_constants_follow_the_scale_of_b(assumption, k):
+    """On t3_2 (b = 3/4), ``check_assumption`` at ``4**k b`` fits every
+    constant of A2-A5 at its exact power of two of the constant at ``b``,
+    and its margins too, bitwise (every relation here held to the bit, so
+    none needs a tolerance).  A1 is left out: its left-hand side does not
+    follow the symmetry (ROADMAP item 16)."""
+    base = make_example("t", 3, kappa=2.0)
+    scaled = make_example("t", 3, kappa=2.0, b=4.0**k * base.transform.b)
+    if assumption == "A5":
+        grid = np.geomspace(math.e, 100.0, 256)
+        scaled_grid, margin_factor = grid, 1.0
+    else:
+        grid = np.geomspace(base.transform.knot, 100.0, 512)
+        scaled_grid, margin_factor = grid / 2.0**k, 4.0**k
+    want = check_assumption(base, assumption, grid=grid)
+    got = check_assumption(scaled, assumption, grid=scaled_grid)
+    assert want.passed and got.passed
+    assert got.fitted_constants.keys() == want.fitted_constants.keys()
+    for name, value in want.fitted_constants.items():
+        assert got.fitted_constants[name] == value * _CHECK_SCALE.get(name, 1.0)**k, name
+    assert got.margins.tobytes() == (want.margins * margin_factor).tobytes()

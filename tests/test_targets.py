@@ -539,6 +539,78 @@ class TestHookSweep:
         assert differ.size == 0, (kind, hook, x[differ[:5]].tolist())
 
 
+# F'' at t and f'' at x on the exponential tail, far out, from the closed
+# tail F (tools/freeze_oracles.py, section 21; mpmath, 60 digits)
+EXP_TAIL_SECOND = {
+    ("example3", 4): {
+        "t": {2.0: 0.1388888888888888888888889, 10.0: -0.01040816326530612244897959,
+              100.0: -0.0002698224852071005917159763, 1e3: -0.000002968190981095538166060856,
+              1e4: -2.996801918976511754354636e-8, 1e5: -2.999680019198976051197543e-10,
+              1e6: -2.99996800019199897600512e-12, 1e7: -2.999996800001919998976001e-14,
+              1e8: -2.999999680000019199998976e-16},
+        "x": {10.0: -0.0511245243108429301275634, 1e3: -0.000005234609224476010757207368,
+              1e8: -5.129130086005366162377777e-16, 1e32: -5.038398450896085915729062e-64,
+              1e128: -5.010030363055848970641608e-256},
+    },
+    ("example4", 2): {
+        "t": {2.0: -0.0625, 10.0: -0.006944444444444444444444444,
+              100.0: -0.00009611687812379853902345252, 1e3: -0.0000009960119680798084469782989,
+              1e4: -9.996001199680079980804479e-9, 1e5: -9.999600011999680007999808e-11,
+              1e6: -9.9999600001199996800008e-13, 1e7: -9.99999600000119999968e-15,
+              1e8: -9.99999960000001199999968e-17},
+        "x": {10.0: -0.03286436732004057652811319, 1e3: -0.000003124864423543350398352725,
+              1e8: -3.05136802132647935693298e-16, 1e32: -3.013387640077007730097583e-64,
+              1e128: -3.003381414218449149229087e-256},
+    },
+}
+
+
+class TestPullback:
+    """The six hooks of a potential built from its closed phi."""
+
+    @pytest.mark.parametrize("kind", _CLOSED)
+    @pytest.mark.parametrize("dimension", [1, 2, 5])
+    def test_log_hooks_below_the_seam_are_the_radius_hooks(self, kind, dimension):
+        """Below log(seam), with s = e^t: F(t) = f(s), F'(t) = f'(s) s and
+        F''(t) = f''(s) s s + f'(s) s, bit for bit, on a batch and on each
+        float (a t whose e^t rounds onto the seam is left out: there the
+        radius hooks take the tail)."""
+        p = _entry(kind, dimension).potential
+        (seam,) = p.seams
+        log_seam = math.log(seam)
+        t = np.unique(np.concatenate([np.linspace(-40.0, log_seam, 60),
+                                      [-700.0, -1e-12, 0.0, math.nextafter(log_seam, -1.0)]]))
+        s = np.exp(t)
+        below = (t < log_seam) & (s < seam)
+        t, s = t[below], s[below]
+        assert t.size >= 60
+        f0, f1, f2 = p.value(s), p.dvalue(s), p.d2value(s)
+        want = (f0, f1 * s, f2 * s * s + f1 * s)
+        for hook, w in zip((p.log_value, p.dlog_value, p.d2log_value), want):
+            assert hook(t).tobytes() == w.tobytes(), (kind, dimension, hook)
+        for x, sx in zip(t.tolist(), s.tolist()):  # floats
+            slope = p.dvalue(sx)
+            got = (p.log_value(x), p.dlog_value(x), p.d2log_value(x))
+            at_s = (p.value(sx), slope * sx, p.d2value(sx) * sx * sx + slope * sx)
+            assert np.array(got).tobytes() == np.array(at_s).tobytes(), (kind, dimension, x)
+
+    @pytest.mark.parametrize("kind, dimension", sorted(EXP_TAIL_SECOND))
+    def test_exp_tail_second_derivatives_keep_their_digits(self, kind, dimension):
+        """F'' and f'' on the exponential tail within 1e-14 of the oracles
+        for t in [2, 1e8].  F'' is O(1/t^2) where phi'' and phi'/r are
+        O(1): taken as the difference of the two it lost about log10 t
+        digits (1.2e-8 at t = 1e8 on example3 d=4); the quotient of the
+        closed bend and log-Jacobian term keeps them."""
+        p = make_example(kind, dimension).potential
+        oracles = EXP_TAIL_SECOND[kind, dimension]
+        for side, hook in (("t", p.d2log_value), ("x", p.d2value)):
+            args = np.array(list(oracles[side]))
+            want = np.array(list(oracles[side].values()))
+            np.testing.assert_allclose(hook(args), want, rtol=1e-14, atol=0.0, err_msg=side)
+            for arg, value in oracles[side].items():
+                np.testing.assert_allclose(hook(arg), value, rtol=1e-14, atol=0.0)
+
+
 def _warned(call):
     """``call()`` and the messages of the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:

@@ -231,3 +231,16 @@ z5 = mp.quad(lambda y: mp.exp(-phi5(y)), [-mp.inf, 0, mp.inf])
 kl_b = mp.quad(lambda y: mp.exp(-phi6(y)) / z6 * (phi5(y) - phi6(y) + mp.log(z5) - mp.log(z6)),
                [-mp.inf, 0, mp.inf])
 print("KL example6 || example5 d=1 (y side):", mp.nstr(kl_b, 30))
+
+# 21. second derivatives on the exponential tail, far out: F'' at t and
+#     f'' = (F'' - F')/x^2 at x, from the closed F of section 18, for
+#     example3 (d = 4, b = 2, c = 1) and example4 (d = 2, b = 1, c = 1/2).
+#     F'' is O(1/t^2) where F is O(t), so mp.diff runs at 60 digits.
+with mp.workdps(60):
+    for name, F in (("example3 d=4", zoo_tail_F(4, 2, 1)), ("example4 d=2", zoo_tail_F(2, 1, '0.5'))):
+        for t in ('2', '10', '100', '1e3', '1e4', '1e5', '1e6', '1e7', '1e8'):
+            print(f"{name} F'' at t = {t}:", mp.nstr(mp.diff(F, mp.mpf(t), 2), 25))
+        for x in ('10', '1e3', '1e8', '1e32', '1e128'):
+            t = mp.log(mp.mpf(x))
+            d2f = (mp.diff(F, t, 2) - mp.diff(F, t, 1)) / mp.mpf(x)**2
+            print(f"{name} f'' at x = {x}:", mp.nstr(d2f, 25))

@@ -55,6 +55,7 @@ _SWEEP = "tests/test_targets.py::TestHookSweep"
 _SCALE = "tests/test_symmetry.py::test_run_tula_is_invariant_under_the_scale_of_b"
 _JET_WARNS = "tests/test_transform.py::TestJetAtOneRadius::test_warns_and_raises_as_the_array_pass"
 _NEGATIVE = "tests/test_calling_convention.py::test_negative_radius_raises"
+_PULLBACK = "tests/test_targets.py::TestPullback"
 
 MUTANTS = (
     Mutant("chain-stream", _SA, "spawn_key=(chain,)", "spawn_key=(0,)", (
@@ -100,6 +101,15 @@ MUTANTS = (
            "            if math.isfinite(y):\n                return y",
            "            return y", ("tests/test_targets.py::TestHookAtOneRadius"
                                    "::test_a_float_value_that_is_not_finite_takes_the_array_path",)),
+    Mutant("log-hook-f-prime-sign", _TG, "f[2] * s * s + f[1] * s", "f[2] * s * s - f[1] * s", (
+        f"{_PULLBACK}::test_log_hooks_below_the_seam_are_the_radius_hooks[2-example3]",
+        f"{_PULLBACK}::test_log_hooks_below_the_seam_are_the_radius_hooks[2-warmup]")),
+    # LJ'' - LJ'/r from the jet's terms, whose leading parts cancel: only the
+    # far tail's F'' shows the digits it loses
+    Mutant("exp-tail-bend-from-the-jet", _TR, "return False, lambda r: (2.0 * d1 - 2.0) / (r * r)",
+           "return False, lambda r: (lambda j: j[1][2] + d1 * j[2][2] - (j[1][1] + d1 * j[2][1])"
+           " / r)(tail_jet(t, r, (1, 2)))", (
+               f"{_PULLBACK}::test_exp_tail_second_derivatives_keep_their_digits[example3-4]",)),
     Mutant("t-value-r-pow", _TG, "np.log1p(np.power(r, -2))", "np.log1p(r**-2)", (
         f"{_SWEEP}::test_float_equals_its_batch_element_bitwise[value]",)),
     Mutant("t-value-float-math-log", _TG, "2.0 * np.log(r)",
